@@ -1,16 +1,14 @@
 //! Criterion micro-benchmarks of Elan's hot paths: replication planning,
-//! the event queue, the cost models, the hybrid scaling decision, the
-//! data samplers, and one end-to-end coordination-protocol round trip.
+//! the cost models, the hybrid scaling decision, and the data samplers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use elan_core::coordination::{run_coordination, CoordinationConfig};
 use elan_core::data::{ChunkSampler, SerialSampler};
 use elan_core::elasticity::{AdjustmentRequest, ElasticitySystem};
 use elan_core::scaling::hybrid_scale;
 use elan_core::ElanSystem;
 use elan_models::{zoo, PerfModel};
-use elan_sim::{Bytes, Scheduler, SimDuration};
+use elan_sim::Bytes;
 use elan_topology::{BandwidthModel, ClusterSpec, GpuId, ReplicationPlanner};
 
 fn bench_replication_planning(c: &mut Criterion) {
@@ -30,22 +28,6 @@ fn bench_replication_planning(c: &mut Criterion) {
     let bw = BandwidthModel::paper_default();
     c.bench_function("planner/price_plan", |b| {
         b.iter(|| plan.duration(&bw, black_box(Bytes::from_mib(200)), Bytes::from_kib(64)))
-    });
-}
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("sim/schedule_pop_1k", |b| {
-        b.iter(|| {
-            let mut s: Scheduler<u32> = Scheduler::new();
-            for i in 0..1000u32 {
-                s.schedule_after(SimDuration::from_nanos((i as u64 * 7919) % 10_000), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, e)) = s.pop() {
-                acc += e as u64;
-            }
-            acc
-        })
     });
 }
 
@@ -110,26 +92,12 @@ fn bench_data_samplers(c: &mut Criterion) {
     });
 }
 
-fn bench_coordination_protocol(c: &mut Criterion) {
-    c.bench_function("protocol/scale_out_4_to_8", |b| {
-        b.iter(|| {
-            // Enough rounds that the ~25s init window completes within the
-            // job (rounds are 2s each).
-            let mut cfg = CoordinationConfig::baseline(4, 30);
-            cfg.request = Some(AdjustmentRequest::contiguous(4, 8));
-            run_coordination(black_box(&cfg))
-        })
-    });
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_replication_planning,
-        bench_event_queue,
         bench_models,
         bench_adjustment_pricing,
-        bench_data_samplers,
-        bench_coordination_protocol
+        bench_data_samplers
 );
 criterion_main!(benches);

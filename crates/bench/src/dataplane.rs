@@ -25,7 +25,6 @@ use std::time::Instant;
 use elan_core::obs::AdjustmentPhase;
 use elan_core::state::WorkerId;
 use elan_rt::comm::{naive::NaiveCommGroup, AllreduceOutcome, CommGroup, CommTopology, ReducePath};
-use elan_rt::time::TimeSource;
 use elan_rt::worker::{build_state_chunks, SnapshotAssembly};
 use elan_rt::{ElasticRuntime, RuntimeConfig, TuningProfile};
 
@@ -207,20 +206,18 @@ where
 
 /// Benchmarks both allreduce implementations at one `(world, len)` point.
 ///
-/// The adaptive group is built the way the runtime builds it: probed
-/// crossovers (cached process-wide after the first call) and the default
-/// planning topology, so the dispatcher picks the same engine the live
-/// runtime would for this `(world, len)` — recorded in the point's
-/// `path` column.
+/// The adaptive group is built the way the runtime builds it: pinned
+/// crossovers and the default planning topology, so the dispatcher picks
+/// the same engine the live runtime would for this `(world, len)` —
+/// recorded in the point's `path` column.
 pub fn bench_allreduce(world: u32, len: usize, rounds: u64) -> AllreducePoint {
     let members: Vec<WorkerId> = (0..world).map(WorkerId).collect();
     let naive_group = NaiveCommGroup::new(members.iter().copied(), len);
     let naive = time_rounds(world, len, rounds, |w, d| naive_group.allreduce(w, d));
-    let profile = TuningProfile::for_time(&TimeSource::real());
     let adaptive_group = CommGroup::with_tuning(
         members.iter().copied(),
         len,
-        profile,
+        TuningProfile::pinned(),
         Some(CommTopology::default()),
     );
     let path = adaptive_group.planned_path();

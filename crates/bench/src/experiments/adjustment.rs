@@ -1,18 +1,27 @@
 //! Figs. 14, 15, 16 — runtime overhead, adjustment latency, Litz.
 
+use std::time::{Duration, Instant};
+
 use elan_baselines::{Litz, ShutdownRestart};
-use elan_core::coordination::{run_coordination, CoordinationConfig};
 use elan_core::elasticity::{AdjustmentRequest, ElasticitySystem};
 use elan_core::ElanSystem;
 use elan_models::zoo;
+use elan_rt::{ElasticRuntime, RuntimeConfig};
 use elan_sim::SimDuration;
 
 use crate::experiments::Testbed;
 use crate::table::Table;
 
+/// Workers in the fig14 live cross-check.
+const FIG14_WORKERS: u32 = 8;
+/// Per-iteration compute pacing of the fig14 cross-check: at the default
+/// coordination interval of 5 iterations, a boundary period of ≥ 10 ms.
+const FIG14_COMPUTE_US: u64 = 2_000;
+/// Coordination boundaries the fig14 cross-check trains through.
+const FIG14_BOUNDARIES: u64 = 50;
+
 /// Fig. 14: Elan's runtime overhead when no adjustments happen —
-/// analytically from the cost model and empirically from the executable
-/// coordination protocol.
+/// analytically from the cost model, cross-checked on the live runtime.
 pub fn fig14_runtime_overhead() -> String {
     let tb = Testbed::paper();
     let sys = ElanSystem::new();
@@ -25,21 +34,40 @@ pub fn fig14_runtime_overhead() -> String {
         }
         t.row(row);
     }
-    // Empirical cross-check: run the live protocol without adjustments.
-    let cfg = CoordinationConfig::baseline(8, 50);
-    let out = run_coordination(&cfg);
-    let training = cfg.round_duration * cfg.rounds_limit;
-    let worst = out
-        .workers
-        .values()
-        .map(|w| w.stalled.as_secs_f64() / training.as_secs_f64())
-        .fold(0.0f64, f64::max);
+    let (interval, worst) = live_coordination_overhead();
     format!(
         "Fig. 14: Elan runtime overhead (permille of training time; paper: <3‰)\n\n{}\n\
-         Protocol-simulation cross-check (8 workers, 50 rounds): worst stall {:.3}‰\n",
+         Live-runtime cross-check ({FIG14_WORKERS} in-process workers, real clock, \
+         {FIG14_BOUNDARIES} boundaries of {interval} x {FIG14_COMPUTE_US}us iterations): \
+         worst stall {:.3}‰\n",
         t.render(),
         worst * 1000.0
     )
+}
+
+/// Trains an in-process job with no adjustments on the real clock and
+/// returns its coordination interval and the worst worker's
+/// [`stalled`](elan_rt::worker::WorkerView::stalled) time as a fraction of the
+/// job's wall time.
+fn live_coordination_overhead() -> (u64, f64) {
+    let mut cfg = RuntimeConfig::small(FIG14_WORKERS);
+    cfg.compute_us = FIG14_COMPUTE_US;
+    let interval = cfg.coordination_interval;
+    let start = Instant::now();
+    let rt = ElasticRuntime::builder()
+        .config(cfg)
+        .start()
+        .expect("valid fig14 configuration");
+    rt.run_until_iteration(FIG14_BOUNDARIES * interval);
+    let report = rt.shutdown();
+    let wall = start.elapsed();
+    let worst = report
+        .workers
+        .values()
+        .map(|v| v.stalled)
+        .max()
+        .unwrap_or(Duration::ZERO);
+    (interval, worst.as_secs_f64() / wall.as_secs_f64())
 }
 
 /// Fig. 15: migration / scale-in / scale-out latency, Elan vs. S&R, five

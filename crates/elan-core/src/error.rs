@@ -7,7 +7,6 @@
 //! matches must keep a wildcard arm, which lets future PRs add variants
 //! (scheduler rejections, accelerator faults) without a breaking release.
 
-use crate::am::AmError;
 use crate::elasticity::RequestError;
 use crate::lease::LeaseError;
 
@@ -32,8 +31,6 @@ use crate::lease::LeaseError;
 pub enum ElanError {
     /// The adjustment request was malformed (§V-A service API).
     BadRequest(RequestError),
-    /// The application master rejected the operation (busy, wrong phase).
-    Am(AmError),
     /// A liveness lease operation failed (§V-D fault tolerance).
     Lease(LeaseError),
     /// The runtime was configured inconsistently (builder validation).
@@ -53,7 +50,6 @@ impl std::fmt::Display for ElanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ElanError::BadRequest(e) => write!(f, "bad request: {e}"),
-            ElanError::Am(e) => write!(f, "application master: {e}"),
             ElanError::Lease(e) => write!(f, "lease: {e}"),
             ElanError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             ElanError::SnapshotMismatch { expected, actual } => {
@@ -75,12 +71,6 @@ impl From<RequestError> for ElanError {
     }
 }
 
-impl From<AmError> for ElanError {
-    fn from(e: AmError) -> Self {
-        ElanError::Am(e)
-    }
-}
-
 impl From<LeaseError> for ElanError {
     fn from(e: LeaseError) -> Self {
         ElanError::Lease(e)
@@ -95,8 +85,8 @@ mod tests {
     fn conversions_pick_the_right_variant() {
         let e: ElanError = RequestError::NoChange.into();
         assert!(matches!(e, ElanError::BadRequest(_)));
-        let e: ElanError = AmError::NotAdjusting.into();
-        assert!(matches!(e, ElanError::Am(_)));
+        let e: ElanError = LeaseError::Unknown(crate::lease::LeaseId(7)).into();
+        assert!(matches!(e, ElanError::Lease(_)));
     }
 
     #[test]

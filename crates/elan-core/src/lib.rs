@@ -12,10 +12,13 @@
 //! - **Concurrent IO-free state replication** (§IV, implemented in
 //!   `elan-topology` and driven from [`adjustment`]): topology-aware
 //!   source selection and contention-free concurrent transfer waves.
-//! - **Asynchronous coordination** ([`am`], [`coordination`], §V-B): an
-//!   application master coordinates workers at iteration boundaries; new
-//!   workers start and initialize in parallel with ongoing training; no
-//!   existing worker ever shuts down.
+//! - **Asynchronous coordination** (§V-B): an application master
+//!   coordinates workers at iteration boundaries; new workers start and
+//!   initialize in parallel with ongoing training; no existing worker
+//!   ever shuts down. The one application master is the live one in
+//!   `elan-rt`; this crate supplies its wire [`protocol`], [`codec`] and
+//!   [`messages`], and prices the procedure analytically in
+//!   [`adjustment`].
 //!
 //! Supporting pieces: the training-state hook API ([`state`], §V-A), the
 //! serial data-loading semantics ([`data`], §V-C), the replicated store and
@@ -42,10 +45,7 @@
 //! ```
 
 pub mod adjustment;
-pub mod am;
-pub mod api;
 pub mod codec;
-pub mod coordination;
 pub mod data;
 pub mod elasticity;
 pub mod error;
@@ -59,7 +59,6 @@ pub mod state;
 pub mod store;
 
 pub use adjustment::ElanSystem;
-pub use am::{AmState, ApplicationMaster, CoordinateReply};
 pub use elasticity::{
     AdjustmentContext, AdjustmentCost, AdjustmentKind, AdjustmentRequest, ElasticitySystem,
 };

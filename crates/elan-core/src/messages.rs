@@ -2,15 +2,13 @@
 //!
 //! Every Elan control message carries a unique ID and is resent on
 //! timeout; receivers deduplicate by ID. This module provides the sender-
-//! side [`RetryTracker`] and receiver-side [`DedupFilter`] /
-//! [`BoundedDedupFilter`] used by both the simulated protocol
-//! ([`crate::coordination`]) and the live runtime (`elan-rt`).
+//! side [`RetryTracker`] and the receiver-side [`BoundedDedupFilter`] that
+//! the live runtime's reliable layer (`elan-rt`) is built from.
 //!
-//! The tracker is generic over a [`Clock`] so the same code drives the
-//! discrete-event simulator (over [`SimTime`]) and the live threaded
-//! runtime (over [`std::time::Instant`]).
+//! The tracker counts on [`SimTime`]: the runtime's `TimeSource` reports
+//! both its wall and its virtual clock in those units.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use elan_sim::{SimDuration, SimTime};
 
@@ -64,36 +62,6 @@ impl MsgIdAllocator {
     }
 }
 
-/// A point in time usable by [`RetryTracker`].
-///
-/// Implemented for the simulator's [`SimTime`] and for wall-clock
-/// [`std::time::Instant`], so the same retry logic runs inside the
-/// discrete-event simulation and the live threaded runtime.
-pub trait Clock: Copy + Ord {
-    /// The duration type separating two instants.
-    type Span: Copy + Ord;
-
-    /// Time elapsed since `earlier`, saturating to zero if `earlier` is in
-    /// the future.
-    fn saturating_since(self, earlier: Self) -> Self::Span;
-}
-
-impl Clock for SimTime {
-    type Span = SimDuration;
-
-    fn saturating_since(self, earlier: Self) -> SimDuration {
-        self.saturating_duration_since(earlier)
-    }
-}
-
-impl Clock for std::time::Instant {
-    type Span = std::time::Duration;
-
-    fn saturating_since(self, earlier: Self) -> std::time::Duration {
-        self.saturating_duration_since(earlier)
-    }
-}
-
 /// What [`RetryTracker::poll`] decided about one overdue message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RetryOutcome<P> {
@@ -105,8 +73,8 @@ pub enum RetryOutcome<P> {
 }
 
 #[derive(Debug, Clone)]
-struct Inflight<P, T> {
-    sent_at: T,
+struct Inflight<P> {
+    sent_at: SimTime,
     attempts: u32,
     payload: P,
 }
@@ -134,17 +102,17 @@ struct Inflight<P, T> {
 /// assert!(tracker.due(SimTime::from_secs(99)).is_empty());
 /// ```
 #[derive(Debug, Clone)]
-pub struct RetryTracker<P, T: Clock = SimTime> {
-    timeout: T::Span,
+pub struct RetryTracker<P> {
+    timeout: SimDuration,
     max_attempts: Option<u32>,
-    inflight: BTreeMap<MsgId, Inflight<P, T>>,
+    inflight: BTreeMap<MsgId, Inflight<P>>,
     resends: u64,
     give_ups: u64,
 }
 
-impl<P: Clone, T: Clock> RetryTracker<P, T> {
+impl<P: Clone> RetryTracker<P> {
     /// Creates a tracker with the given resend timeout and no attempt cap.
-    pub fn new(timeout: T::Span) -> Self {
+    pub fn new(timeout: SimDuration) -> Self {
         RetryTracker {
             timeout,
             max_attempts: None,
@@ -164,7 +132,7 @@ impl<P: Clone, T: Clock> RetryTracker<P, T> {
     }
 
     /// Starts tracking a sent message (attempt #1).
-    pub fn track(&mut self, id: MsgId, payload: P, sent_at: T) {
+    pub fn track(&mut self, id: MsgId, payload: P, sent_at: SimTime) {
         self.inflight.insert(
             id,
             Inflight {
@@ -183,11 +151,11 @@ impl<P: Clone, T: Clock> RetryTracker<P, T> {
     /// Examines every in-flight message at `now` and returns an outcome for
     /// each overdue one: either a resend (timer reset, attempt counted) or a
     /// give-up (message dropped from the tracker).
-    pub fn poll(&mut self, now: T) -> Vec<RetryOutcome<P>> {
+    pub fn poll(&mut self, now: SimTime) -> Vec<RetryOutcome<P>> {
         let mut out = Vec::new();
         let mut dead = Vec::new();
         for (&id, entry) in self.inflight.iter_mut() {
-            if now.saturating_since(entry.sent_at) < self.timeout {
+            if now.saturating_duration_since(entry.sent_at) < self.timeout {
                 continue;
             }
             if let Some(max) = self.max_attempts {
@@ -216,7 +184,7 @@ impl<P: Clone, T: Clock> RetryTracker<P, T> {
     ///
     /// Compatibility wrapper over [`poll`](Self::poll) that silently drops
     /// give-ups (they still count in [`give_up_count`](Self::give_up_count)).
-    pub fn due(&mut self, now: T) -> Vec<(MsgId, P)> {
+    pub fn due(&mut self, now: SimTime) -> Vec<(MsgId, P)> {
         self.poll(now)
             .into_iter()
             .filter_map(|o| match o {
@@ -252,37 +220,8 @@ impl<P: Clone, T: Clock> RetryTracker<P, T> {
     }
 
     /// The configured timeout.
-    pub fn timeout(&self) -> T::Span {
+    pub fn timeout(&self) -> SimDuration {
         self.timeout
-    }
-}
-
-/// Receiver-side duplicate suppression by message ID (unbounded).
-#[derive(Debug, Clone, Default)]
-pub struct DedupFilter {
-    seen: HashSet<MsgId>,
-    duplicates: u64,
-}
-
-impl DedupFilter {
-    /// Creates an empty filter.
-    pub fn new() -> Self {
-        DedupFilter::default()
-    }
-
-    /// Records `id`; returns true if this is the first delivery (the
-    /// message should be processed) and false for duplicates.
-    pub fn first_delivery(&mut self, id: MsgId) -> bool {
-        let fresh = self.seen.insert(id);
-        if !fresh {
-            self.duplicates += 1;
-        }
-        fresh
-    }
-
-    /// Duplicates suppressed so far.
-    pub fn duplicate_count(&self) -> u64 {
-        self.duplicates
     }
 }
 
@@ -296,8 +235,8 @@ struct SenderWindow {
 
 /// Receiver-side duplicate suppression with bounded memory.
 ///
-/// [`DedupFilter`] remembers every ID forever, which is unacceptable for a
-/// long-lived runtime. This filter keeps a sliding window of at most
+/// Remembering every ID forever is unacceptable for a long-lived
+/// runtime, so this filter keeps a sliding window of at most
 /// `window` IDs **per sender stream** (the high 32 bits of the ID, see
 /// [`MsgIdAllocator::for_owner`]). When a sender's window overflows, the
 /// smallest retained ID is evicted and becomes the stream's high-watermark
@@ -533,7 +472,6 @@ impl ChunkAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
 
     #[test]
     fn allocator_never_repeats() {
@@ -629,27 +567,6 @@ mod tests {
         assert_eq!(out, vec![RetryOutcome::GaveUp(MsgId(2), 2)]);
         assert_eq!(t.give_up_count(), 1);
         assert_eq!(t.resend_count(), 0);
-    }
-
-    #[test]
-    fn wall_clock_instantiation() {
-        let t0 = Instant::now();
-        let mut t: RetryTracker<&str, Instant> = RetryTracker::new(Duration::from_millis(50));
-        t.track(MsgId(9), "wall", t0);
-        assert!(t.poll(t0 + Duration::from_millis(10)).is_empty());
-        assert_eq!(
-            t.poll(t0 + Duration::from_millis(50)),
-            vec![RetryOutcome::Resend(MsgId(9), "wall")]
-        );
-    }
-
-    #[test]
-    fn dedup_filters_replays() {
-        let mut d = DedupFilter::new();
-        assert!(d.first_delivery(MsgId(1)));
-        assert!(!d.first_delivery(MsgId(1)));
-        assert!(d.first_delivery(MsgId(2)));
-        assert_eq!(d.duplicate_count(), 1);
     }
 
     #[test]

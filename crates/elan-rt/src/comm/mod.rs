@@ -31,9 +31,9 @@
 //!   cursors (the leaders finish the tail among themselves), and the
 //!   round-completion broadcast releases everyone.
 //!
-//! The crossovers come from [`tune`]: a one-shot startup probe on real
-//! hardware, or the pinned profile under virtual time so simulations
-//! stay bit-deterministic. Every published round journals its chosen
+//! The crossovers come from [`tune`]: the pinned profile on every clock,
+//! so path dispatch never depends on host load and simulations stay
+//! bit-deterministic. Every published round journals its chosen
 //! strategy via [`EventKind::AllreducePath`].
 //!
 //! All three paths produce **bit-identical** results: every output
@@ -352,8 +352,8 @@ impl CommGroup {
 
     /// Creates an adaptive group with explicit crossovers and an optional
     /// topology enabling the hierarchical path. This is the runtime's
-    /// constructor: it passes the probed (or pinned, under virtual time)
-    /// [`TuningProfile`] and the builder's [`CommTopology`].
+    /// constructor: it passes the builder's [`TuningProfile`] (pinned
+    /// unless overridden) and [`CommTopology`].
     ///
     /// # Panics
     ///

@@ -1,22 +1,25 @@
 //! Crossover tuning for the adaptive dispatcher.
 //!
-//! The flat/chunked crossover is a property of the *machine* (lock
-//! handoff latency vs. memory bandwidth), so hard-coding it would bake
-//! one box's numbers into every deployment. Instead the runtime asks
-//! this module once at startup:
+//! The dispatcher runs on [`TuningProfile::pinned`] — fixed, named
+//! crossovers — on every clock:
 //!
-//! - **Real time**: [`probe`] runs a one-shot micro-benchmark — for each
-//!   candidate length it races a flat-forced group against a
-//!   chunked-forced group over a few rounds and keeps the largest length
-//!   where flat still wins. The result is cached process-wide, so a
-//!   process pays the (few-millisecond) probe at most once. Timing uses
-//!   the runtime's [`TimeSource`] only — no `Instant` in this crate
-//!   outside `time.rs` (the WALL_CLOCK invariant).
-//! - **Virtual time**: [`TuningProfile::pinned`] — fixed, named
-//!   constants, because a probed crossover would make path dispatch (and
-//!   therefore the journal) a function of host load instead of the seed.
-//!   Deterministic simulation requires *same seed ⇒ byte-identical
-//!   journal*, so under virtual time the profile must be pinned.
+//! - **Virtual time** needs them: a measured crossover would make path
+//!   dispatch (and therefore the journal) a function of host load instead
+//!   of the seed, and deterministic simulation requires *same seed ⇒
+//!   byte-identical journal*.
+//! - **Real time** gains nothing from measuring them. The measurement can
+//!   only move the flat crossover within 1,025–16,384 elements, and on a
+//!   loaded host it picks a different point from one start-up to the next,
+//!   which made set-up time bimodal while no benchmarked length lies in
+//!   that range.
+//!
+//! [`probe`] remains as an on-demand measurement of this host: for each
+//! candidate length it races a flat-forced group against a chunked-forced
+//! group over a few rounds and keeps the largest length where flat still
+//! wins. The result is cached process-wide. Timing uses the runtime's
+//! [`TimeSource`] only — no `Instant` in this crate outside `time.rs`
+//! (the WALL_CLOCK invariant). Callers that want a measured profile pass
+//! it in explicitly (`RuntimeBuilder::tuning`).
 //!
 //! Every number here is a named constant on purpose: the MAGIC_NUMBER
 //! invariant (elan-verify) scopes this file, so future tuning tweaks
@@ -66,8 +69,7 @@ pub struct TuningProfile {
 }
 
 impl TuningProfile {
-    /// The pinned profile: fixed crossovers for deterministic simulation
-    /// (and the fallback when probing is unavailable).
+    /// The pinned profile: the fixed crossovers every runtime starts with.
     pub fn pinned() -> Self {
         TuningProfile {
             flat_max_len: PINNED_FLAT_MAX_LEN,
@@ -75,15 +77,11 @@ impl TuningProfile {
         }
     }
 
-    /// The profile appropriate for `time`: pinned under virtual time
-    /// (dispatch must be a pure function of the seed), probed once per
-    /// process on real time.
-    pub fn for_time(time: &TimeSource) -> Self {
-        if time.is_virtual() {
-            Self::pinned()
-        } else {
-            probe(time)
-        }
+    /// The profile a runtime on `time` starts with: [`pinned`](Self::pinned)
+    /// on every clock (see the module docs for why real time does not
+    /// probe either).
+    pub fn for_time(_time: &TimeSource) -> Self {
+        Self::pinned()
     }
 }
 
@@ -92,8 +90,8 @@ impl TuningProfile {
 /// hierarchical crossover stays pinned — it is a property of the
 /// topology (first cross-node world), not of per-round overhead.
 ///
-/// Must be called on real time (virtual callers get
-/// [`TuningProfile::pinned`] via [`TuningProfile::for_time`]).
+/// Meaningful on real time only: spans read off a virtual clock say
+/// nothing about this host.
 pub fn probe(time: &TimeSource) -> TuningProfile {
     static PROBED: OnceLock<TuningProfile> = OnceLock::new();
     *PROBED.get_or_init(|| {
@@ -174,9 +172,10 @@ mod tests {
     }
 
     #[test]
-    fn virtual_time_always_gets_the_pinned_profile() {
-        let time = TimeSource::virtual_seeded(7);
-        assert_eq!(TuningProfile::for_time(&time), TuningProfile::pinned());
+    fn every_clock_gets_the_pinned_profile() {
+        for time in [TimeSource::virtual_seeded(7), TimeSource::real()] {
+            assert_eq!(TuningProfile::for_time(&time), TuningProfile::pinned());
+        }
     }
 
     #[test]

@@ -129,8 +129,12 @@ pub fn run_remote_worker(
         obs,
         time.clone(),
     ));
-    let profile = TuningProfile::for_time(&time);
-    let comm = Arc::new(CommGroup::with_tuning([id], cfg.param_elems, profile, None));
+    let comm = Arc::new(CommGroup::with_tuning(
+        [id],
+        cfg.param_elems,
+        TuningProfile::pinned(),
+        None,
+    ));
     comm.set_journal(Arc::clone(&ctrl.obs.journal));
     comm.set_time(time.clone());
     comm.set_metrics(&ctrl.obs.registry);

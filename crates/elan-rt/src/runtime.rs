@@ -391,9 +391,9 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Pins the adaptive allreduce's crossover profile, overriding the
-    /// startup probe (real time) or the pinned defaults (virtual time).
-    /// Benchmarks use this to force a specific path.
+    /// Sets the adaptive allreduce's crossover profile, overriding
+    /// [`TuningProfile::pinned`]. Benchmarks use this to force a specific
+    /// path, or to run on a [`probe`](crate::comm::tune::probe)d profile.
     pub fn tuning(mut self, profile: TuningProfile) -> Self {
         self.tuning = Some(profile);
         self
@@ -554,11 +554,10 @@ impl ElasticRuntime {
         // Seed the durable record before anything can crash.
         ctrl.persist(&AmDurable::founding(members.clone()));
 
-        // The adaptive allreduce needs its crossovers (probed once per
-        // process on real time, pinned under virtual time so dispatch is
-        // a pure function of the seed) and a topology for the
-        // hierarchical path's node/socket grouping.
-        let profile = tuning.unwrap_or_else(|| TuningProfile::for_time(&time));
+        // The adaptive allreduce needs its crossovers (pinned on every
+        // clock, so dispatch never depends on host load) and a topology
+        // for the hierarchical path's node/socket grouping.
+        let profile = tuning.unwrap_or_else(TuningProfile::pinned);
         let comm_topology = topology.unwrap_or_default();
         let comm = Arc::new(CommGroup::with_tuning(
             members.iter().copied(),
@@ -1133,9 +1132,47 @@ impl ElasticRuntime {
     }
 }
 
-/// A topology big enough to place any worker id we might allocate.
+/// The replication planner's cluster: 512 GPU slots, more than any one
+/// adjustment involves (see [`place_past_capacity`]).
 fn planning_topology() -> Topology {
     ClusterSpec::new(64, 2, 2, 2).build() // 512 GPU slots
+}
+
+/// Moves the workers of one replication plan whose ids lie past the
+/// planning topology's `capacity` onto the lowest slots no other worker of
+/// the plan holds, and returns `(slot, worker)` for each one moved. Every
+/// id below `capacity` keeps the slot of the same number, so no plan (and
+/// no journal) of a job that never allocated that many ids changes. Ids
+/// are never reused, so a long-lived job outgrows the slot count without
+/// ever holding that many workers at once.
+fn place_past_capacity(
+    sources: &mut [GpuId],
+    dests: &mut [GpuId],
+    capacity: u32,
+) -> Vec<(GpuId, WorkerId)> {
+    let mut moved = Vec::new();
+    let taken: BTreeSet<u32> = sources.iter().chain(dests.iter()).map(|g| g.0).collect();
+    let mut free = (0..capacity).filter(|slot| !taken.contains(slot));
+    for gpu in sources.iter_mut().chain(dests.iter_mut()) {
+        // With every slot held the id stays out of the topology, and the
+        // planner reports it as unknown.
+        if gpu.0 >= capacity {
+            if let Some(slot) = free.next() {
+                moved.push((GpuId(slot), WorkerId(gpu.0)));
+                *gpu = GpuId(slot);
+            }
+        }
+    }
+    moved
+}
+
+/// The worker a planned transfer endpoint stands for (see
+/// [`place_past_capacity`]).
+fn slot_owner(moved: &[(GpuId, WorkerId)], slot: GpuId) -> WorkerId {
+    moved
+        .iter()
+        .find(|&&(s, _)| s == slot)
+        .map_or(WorkerId(slot.0), |&(_, w)| w)
 }
 
 /// Spawns one AM incarnation; epoch 0 is the founding AM.
@@ -2047,13 +2084,14 @@ impl AmCore {
             return;
         }
         // Rejoiners hold void state — they are destinations, never sources.
-        let sources: Vec<GpuId> = self
+        let mut sources: Vec<GpuId> = self
             .live()
             .iter()
             .filter(|w| !self.rejoining.contains(w))
             .map(|w| GpuId(w.0))
             .collect();
-        let dests: Vec<GpuId> = joining.iter().map(|w| GpuId(w.0)).collect();
+        let mut dests: Vec<GpuId> = joining.iter().map(|w| GpuId(w.0)).collect();
+        let moved = place_past_capacity(&mut sources, &mut dests, self.topology.gpu_count());
         let plan = ReplicationPlanner::new(&self.topology)
             .plan(&sources, &dests)
             .expect("valid placements");
@@ -2063,7 +2101,12 @@ impl AmCore {
             .iter()
             .map(|wave| {
                 wave.iter()
-                    .map(|&i| (WorkerId(transfers[i].src.0), WorkerId(transfers[i].dst.0)))
+                    .map(|&i| {
+                        (
+                            slot_owner(&moved, transfers[i].src),
+                            slot_owner(&moved, transfers[i].dst),
+                        )
+                    })
                     .collect()
             })
             .collect();

@@ -1,14 +1,11 @@
-//! Deterministic discrete-event simulation substrate for the Elan
-//! reproduction.
+//! Deterministic virtual-time substrate for the Elan reproduction.
 //!
-//! Every performance experiment in this repository runs on virtual time so
-//! that results are exactly reproducible across machines and runs. The crate
-//! provides:
+//! Every analytic experiment in this repository is priced on virtual time
+//! so that results are exactly reproducible across machines and runs (the
+//! live runtime in `elan-rt` has its own seeded virtual clock, which counts
+//! in these same units). The crate provides:
 //!
 //! - [`SimTime`] / [`SimDuration`]: integer-nanosecond virtual clock types,
-//! - [`Scheduler`]: a time-ordered event queue with stable FIFO tie-breaking,
-//! - [`World`] / [`Actor`]: a small message-passing actor framework layered on
-//!   the scheduler, used by the coordination-protocol simulations,
 //! - [`SeedStream`]: deterministic derivation of per-component RNG seeds,
 //! - [`metrics`]: time series, summary statistics, and histograms used to
 //!   produce the paper's figures,
@@ -17,27 +14,20 @@
 //! # Examples
 //!
 //! ```
-//! use elan_sim::{Scheduler, SimDuration, SimTime};
+//! use elan_sim::{Bandwidth, Bytes, SimDuration, SimTime};
 //!
-//! let mut sched: Scheduler<&'static str> = Scheduler::new();
-//! sched.schedule_after(SimDuration::from_millis(5), "world");
-//! sched.schedule_after(SimDuration::from_millis(1), "hello");
-//! let (t1, first) = sched.pop().unwrap();
-//! let (t2, second) = sched.pop().unwrap();
-//! assert_eq!((first, second), ("hello", "world"));
-//! assert!(t1 < t2);
-//! assert_eq!(t2, SimTime::ZERO + SimDuration::from_millis(5));
+//! // 200 MiB over a 10 GB/s link takes ~21 ms of virtual time.
+//! let transfer = Bandwidth::from_gbytes_per_sec(10.0).transfer_time(Bytes::from_mib(200));
+//! let done = SimTime::ZERO + transfer;
+//! assert!(transfer > SimDuration::from_millis(20));
+//! assert!(done < SimTime::ZERO + SimDuration::from_millis(22));
 //! ```
 
-pub mod actor;
-pub mod event;
 pub mod metrics;
 pub mod rng;
 pub mod time;
 pub mod units;
 
-pub use actor::{Actor, ActorId, Ctx, World};
-pub use event::Scheduler;
 pub use metrics::{Histogram, Series, Summary};
 pub use rng::SeedStream;
 pub use time::{SimDuration, SimTime};

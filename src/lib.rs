@@ -3,13 +3,17 @@
 //! This facade crate re-exports the whole reproduction of *"Elan: Towards
 //! Generic and Efficient Elastic Training for Deep Learning"* (ICDCS 2020):
 //!
-//! - [`sim`] — deterministic discrete-event simulation substrate,
+//! - [`sim`] — deterministic virtual-time, RNG and metrics substrate of the
+//!   analytic experiments,
 //! - [`topology`] — cluster model and the concurrent IO-free replication
 //!   planner (§IV),
 //! - [`models`] — DL workload, performance, and convergence models (§III),
-//! - [`core`] — the Elan system: hybrid scaling, asynchronous coordination,
-//!   state replication, serial data loading, AM fault tolerance (§III–§V),
-//! - [`rt`] — a live multi-threaded runtime speaking the same protocol,
+//! - [`core`] — the Elan system's shared pieces: hybrid scaling, serial
+//!   data loading, the replicated store, control-plane messages and codec,
+//!   and the analytic pricing of adjustments (§III–§V),
+//! - [`rt`] — the live runtime and its application master (§V-B, §V-D):
+//!   worker threads or processes, state replication, AM failover, on the
+//!   real clock or a seeded virtual one,
 //! - [`baselines`] — Shutdown-&-Restart and Litz-style baselines (§VI),
 //! - [`sched`] — elastic job scheduling simulation (§VI-C).
 //!

@@ -10,6 +10,10 @@
 //!   trace has its `adjustment_requested` and `adjustment_completed`
 //!   bracket in the journal).
 //!
+//! The same cases are the application master's liveness property: across
+//! world sizes, adjustment shapes and loss rates, every adjustment
+//! completes with the expected world and consistent replicas.
+//!
 //! Live runs spawn real threads, so the case count is deliberately small;
 //! the chaos seed is the interesting degree of freedom (it reshuffles
 //! drops/delays/duplicates, which reorder and repeat the control
@@ -25,20 +29,27 @@ use elan::rt::{ChaosPolicy, ElasticRuntime, EventKind, RuntimeConfig, TimeSource
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 6,
+        cases: 24,
         ..ProptestConfig::default()
     })]
 
-    /// Scale-out then scale-in on a chaotic bus: every completed trace is
-    /// well-formed and bracketed by its journal events.
+    /// One adjustment of any shape — scale out by 1–5, or scale in to no
+    /// fewer than 1 worker, from a world of 2–7 — then one step back, on a
+    /// bus dropping up to 24% of control messages: both complete, the
+    /// replicas agree, and every completed trace is well-formed and
+    /// bracketed by its journal events.
     #[test]
     fn every_adjustment_leaves_a_well_formed_trace(
         seed in 0u64..1_000_000,
-        out in 1u32..3,
-        drop_pct in 0u32..16,
+        start in 2u32..8,
+        delta in 1u32..6,
+        grow in proptest::bool::ANY,
+        drop_pct in 0u32..25,
     ) {
-        let mut cfg = RuntimeConfig::small(2);
-        cfg.retry_max_attempts = 12;
+        let mut cfg = RuntimeConfig::small(start);
+        // 0.42^16 ≈ 1e-6: at 24% loss each way, a spurious dead-worker
+        // declaration stays negligible per tracked message.
+        cfg.retry_max_attempts = 16;
         let chaos = ChaosPolicy::new(seed)
             .drop(f64::from(drop_pct) / 100.0)
             .delay(0.10, 2)
@@ -50,12 +61,24 @@ proptest! {
             .start()
             .unwrap();
         rt.run_until_iteration(5);
-        rt.scale_out(out);
+        let shrink = delta.min(start - 1);
+        if grow {
+            rt.scale_out(delta);
+        } else {
+            rt.scale_in(shrink);
+        }
         rt.run_until_iteration(10);
-        rt.scale_in(1);
+        let expected = if grow {
+            rt.scale_in(1);
+            start + delta - 1
+        } else {
+            rt.scale_out(1);
+            start - shrink + 1
+        };
         rt.run_until_iteration(15);
         let report = rt.shutdown();
 
+        prop_assert_eq!(report.final_world_size, expected);
         prop_assert!(report.states_consistent(), "replicas diverged");
         let completed: Vec<_> = report.traces.iter().filter(|t| t.completed).collect();
         prop_assert!(

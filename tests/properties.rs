@@ -2,11 +2,9 @@
 
 use proptest::prelude::*;
 
-use elan::core::coordination::{run_coordination, CoordinationConfig};
 use elan::core::data::{ChunkSampler, SerialSampler};
-use elan::core::elasticity::AdjustmentRequest;
 use elan::core::scaling::{hybrid_scale, ProgressiveLrRamp, ScalingMode};
-use elan::sim::{Scheduler, SimDuration, SimTime};
+use elan::sim::SimDuration;
 use elan::topology::{ClusterSpec, GpuId, LinkLevel, ReplicationPlanner};
 
 proptest! {
@@ -150,25 +148,6 @@ proptest! {
         prop_assert_eq!(restored, ss);
     }
 
-    /// The event queue pops in non-decreasing time order with FIFO ties.
-    #[test]
-    fn scheduler_orders_events(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut s = Scheduler::new();
-        for (i, &t) in times.iter().enumerate() {
-            s.schedule_at(SimTime::from_nanos(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((at, idx)) = s.pop() {
-            if let Some((lt, lidx)) = last {
-                prop_assert!(at >= lt);
-                if at == lt {
-                    prop_assert!(idx > lidx, "FIFO tie-break violated");
-                }
-            }
-            last = Some((at, idx));
-        }
-    }
-
     /// Duration arithmetic: associativity of sums and scaling bounds.
     #[test]
     fn duration_arithmetic(a in 0u64..u32::MAX as u64, b in 0u64..u32::MAX as u64) {
@@ -272,49 +251,6 @@ proptest! {
             }
             let sum: u32 = allocations.values().sum();
             prop_assert!(sum <= total, "{kind:?} oversubscribed: {sum}/{total}");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Protocol liveness: across worker counts, adjustment shapes, and
-    /// message-loss rates, the coordination protocol always completes the
-    /// adjustment and every staying worker finishes all rounds.
-    #[test]
-    fn coordination_protocol_is_live_under_loss(
-        n_existing in 2u32..8,
-        n_delta in 1u32..6,
-        grow in proptest::bool::ANY,
-        loss_centi in 0u32..25,
-        seed in 0u64..1000,
-    ) {
-        let n_after = if grow {
-            n_existing + n_delta
-        } else {
-            (n_existing.saturating_sub(n_delta)).max(1)
-        };
-        prop_assume!(n_after != n_existing);
-        let mut cfg = CoordinationConfig::baseline(n_existing, 20);
-        cfg.request = Some(AdjustmentRequest::contiguous(n_existing, n_after));
-        cfg.loss_prob = loss_centi as f64 / 100.0;
-        cfg.seed = seed;
-        let out = run_coordination(&cfg);
-        prop_assert!(out.am.adjustment_completed_at.is_some());
-        // Stayers complete every round.
-        for g in 0..n_existing.min(n_after) {
-            prop_assert_eq!(out.workers[&GpuId(g)].rounds_completed, 20);
-        }
-        // Joiners joined; leavers left.
-        if n_after > n_existing {
-            for g in n_existing..n_after {
-                prop_assert!(out.workers[&GpuId(g)].joined);
-            }
-        } else {
-            for g in n_after..n_existing {
-                prop_assert!(out.workers[&GpuId(g)].left);
-            }
         }
     }
 }

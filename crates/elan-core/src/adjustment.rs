@@ -20,7 +20,7 @@ use crate::elasticity::{
 
 /// Cost constants for the non-replication parts of an adjustment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ElanCosts {
+pub(crate) struct ElanCosts {
     /// Rebuilding the collective-communication group: fixed part.
     pub comm_reconstruct_base: SimDuration,
     /// Rebuilding the collective-communication group: per-worker part.
@@ -45,7 +45,7 @@ pub struct ElanCosts {
 impl ElanCosts {
     /// Values calibrated to the paper's Fig. 11 breakdown: start ≈ 10 s,
     /// initialization ≈ 15–25 s, while the in-band costs are sub-second.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         ElanCosts {
             comm_reconstruct_base: SimDuration::from_millis(400),
             comm_reconstruct_per_worker: SimDuration::from_millis(8),
@@ -100,20 +100,10 @@ impl ElanSystem {
         }
     }
 
-    /// Creates the system with custom cost constants (for ablations).
-    pub fn with_costs(costs: ElanCosts) -> Self {
-        ElanSystem { costs }
-    }
-
-    /// The cost constants in use.
-    pub fn costs(&self) -> &ElanCosts {
-        &self.costs
-    }
-
     /// Per-worker start+init durations for the joining workers, drawn
     /// deterministically from the context seed. The *maximum* gates when
     /// the adjustment can begin — but off the critical path.
-    pub fn start_init_times(
+    pub(crate) fn start_init_times(
         &self,
         request: &AdjustmentRequest,
         ctx: &AdjustmentContext<'_>,

@@ -1,28 +1,19 @@
-//! A small versioned binary codec: training-state snapshots and
-//! control-plane wire frames.
+//! The control-plane wire codec.
 //!
-//! The Shutdown-&-Restart baseline and Elan's fault-tolerance path both
-//! serialize training state (checkpoints to the filesystem, AM state to
-//! the replicated store); the socket transport additionally frames every
-//! control-plane [`Envelope`] onto TCP/Unix-domain streams
-//! ([`encode_frame`]/[`decode_frame`]). Both share one wire discipline: a
+//! The socket transport frames every control-plane [`Envelope`] onto
+//! TCP/Unix-domain streams ([`encode_frame`]/[`decode_frame`]) in a
 //! versioned, little-endian encoding with a CRC32 integrity trailer and
 //! no external dependencies — hand-rolled rather than pulling a
 //! serialization stack (see DESIGN.md's dependency policy).
 
 use std::sync::Arc;
 
-use elan_sim::Bytes;
-
 use crate::messages::{MsgId, StateKind};
 use crate::protocol::{EndpointId, Envelope, EpochPhase, RtMsg};
-use crate::state::{RuntimeInfo, TrainingState, WorkerId};
+use crate::state::WorkerId;
 
-/// Magic bytes opening every snapshot.
+/// Magic bytes opening every frame.
 const MAGIC: &[u8; 4] = b"ELAN";
-/// Current format version: v2 appends a CRC32 integrity trailer. v1
-/// buffers (no trailer) are still decoded.
-const VERSION: u16 = 2;
 
 /// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup table,
 /// built at compile time.
@@ -47,8 +38,8 @@ const CRC32_TABLE: [u32; 256] = {
 };
 
 /// CRC32 (IEEE) of `bytes` — the integrity checksum carried in every
-/// v2 snapshot's 4-byte little-endian trailer.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// frame's 4-byte little-endian trailer.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -56,12 +47,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// Errors from decoding a snapshot.
+/// Errors from decoding a wire frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// The buffer is shorter than the encoding requires.
     Truncated,
-    /// The magic bytes are wrong — not a snapshot.
+    /// The magic bytes are wrong — not an Elan frame.
     BadMagic,
     /// The format version is unsupported.
     UnsupportedVersion(u16),
@@ -84,12 +75,12 @@ pub enum DecodeError {
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::Truncated => write!(f, "snapshot truncated"),
-            DecodeError::BadMagic => write!(f, "not an Elan snapshot"),
-            DecodeError::UnsupportedVersion(v) => write!(f, "unsupported snapshot version {v}"),
+            DecodeError::Truncated => write!(f, "frame truncated"),
+            DecodeError::BadMagic => write!(f, "not an Elan frame"),
+            DecodeError::UnsupportedVersion(v) => write!(f, "unsupported wire version {v}"),
             DecodeError::Corrupt { expected, actual } => write!(
                 f,
-                "snapshot corrupt: trailer crc32 {expected:#010x}, body crc32 {actual:#010x}"
+                "frame corrupt: trailer crc32 {expected:#010x}, body crc32 {actual:#010x}"
             ),
             DecodeError::UnknownTag(t) => write!(f, "unknown wire tag {t:#04x}"),
             DecodeError::TrailingBytes(n) => write!(f, "frame has {n} trailing bytes"),
@@ -110,16 +101,10 @@ impl Writer {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
     fn f32(&mut self, v: f32) {
@@ -150,13 +135,6 @@ impl<'a> Reader<'a> {
         self.at += n;
         Ok(s)
     }
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        let b = self
-            .take(2)?
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?;
-        Ok(u16::from_le_bytes(b))
-    }
     fn u32(&mut self) -> Result<u32, DecodeError> {
         let b = self
             .take(4)?
@@ -171,13 +149,6 @@ impl<'a> Reader<'a> {
             .map_err(|_| DecodeError::Truncated)?;
         Ok(u64::from_le_bytes(b))
     }
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        let b = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?;
-        Ok(f64::from_le_bytes(b))
-    }
     fn f32(&mut self) -> Result<f32, DecodeError> {
         let b = self
             .take(4)?
@@ -187,115 +158,11 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encodes a [`TrainingState`] snapshot.
-///
-/// # Examples
-///
-/// ```
-/// use elan_core::codec::{decode_state, encode_state};
-/// use elan_core::state::{TrainingState, WorkerId};
-/// use elan_sim::Bytes;
-///
-/// let state = TrainingState::initial(Bytes::from_mib(100), vec![WorkerId(0)], 256, 0.1);
-/// let bytes = encode_state(&state);
-/// assert_eq!(decode_state(&bytes)?, state);
-/// # Ok::<(), elan_core::codec::DecodeError>(())
-/// ```
-pub fn encode_state(state: &TrainingState) -> Vec<u8> {
-    let mut buf = encode_body(state, VERSION);
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf
-}
-
-/// Encodes the magic, version, and fields — everything but the trailer.
-fn encode_body(state: &TrainingState, version: u16) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC);
-    w.u16(version);
-    w.u64(state.gpu_bytes.as_u64());
-    w.u64(state.cpu_bytes.as_u64());
-    w.u64(state.params_checksum);
-    w.u64(state.data_cursor);
-    w.u32(state.runtime.epoch);
-    w.u64(state.runtime.iteration);
-    w.f64(state.runtime.learning_rate);
-    w.u32(state.runtime.total_batch_size);
-    w.u32(state.comm_group.len() as u32);
-    for member in &state.comm_group {
-        w.u32(member.0);
-    }
-    w.buf
-}
-
-/// Decodes a snapshot produced by [`encode_state`] — either the current
-/// v2 format (CRC32 trailer, verified before any field is trusted) or a
-/// legacy v1 buffer (no trailer).
-///
-/// # Errors
-///
-/// Returns [`DecodeError`] for truncated, foreign, future-versioned, or
-/// checksum-failing buffers.
-pub fn decode_state(bytes: &[u8]) -> Result<TrainingState, DecodeError> {
-    // Peek the header to learn the version, then bound the body.
-    let mut peek = Reader::new(bytes);
-    if peek.take(4)? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = peek.u16()?;
-    let body = match version {
-        1 => bytes, // legacy: no trailer
-        VERSION => {
-            // bytes.len() >= 6 here, so the subtraction cannot underflow;
-            // a buffer too short to even hold the trailer fails the CRC.
-            let (body, trailer) = bytes.split_at(bytes.len() - 4);
-            let trailer: [u8; 4] = trailer.try_into().map_err(|_| DecodeError::Truncated)?;
-            let expected = u32::from_le_bytes(trailer);
-            let actual = crc32(body);
-            if actual != expected {
-                return Err(DecodeError::Corrupt { expected, actual });
-            }
-            body
-        }
-        v => return Err(DecodeError::UnsupportedVersion(v)),
-    };
-    let mut r = Reader::new(body);
-    let _ = r.take(4)?; // magic — validated above
-    let _ = r.u16()?; // version — validated above
-    let gpu_bytes = Bytes::new(r.u64()?);
-    let cpu_bytes = Bytes::new(r.u64()?);
-    let params_checksum = r.u64()?;
-    let data_cursor = r.u64()?;
-    let epoch = r.u32()?;
-    let iteration = r.u64()?;
-    let learning_rate = r.f64()?;
-    let total_batch_size = r.u32()?;
-    let n = r.u32()? as usize;
-    let mut comm_group = Vec::with_capacity(n);
-    for _ in 0..n {
-        comm_group.push(WorkerId(r.u32()?));
-    }
-    Ok(TrainingState {
-        gpu_bytes,
-        cpu_bytes,
-        params_checksum,
-        data_cursor,
-        runtime: RuntimeInfo {
-            epoch,
-            iteration,
-            learning_rate,
-            total_batch_size,
-        },
-        comm_group,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Control-plane wire frames (socket transport)
 // ---------------------------------------------------------------------------
 
-/// Wire format version of control-plane frames. Independent of the
-/// state-snapshot codec's `VERSION`: the two formats evolve separately.
+/// Wire format version of control-plane frames.
 pub const WIRE_VERSION: u8 = 1;
 
 /// Upper bound on one frame's encoded size (length prefix included):
@@ -763,138 +630,11 @@ pub fn decode_frame(bytes: &[u8]) -> Result<WireFrame, DecodeError> {
 mod tests {
     use super::*;
 
-    fn sample() -> TrainingState {
-        let mut s = TrainingState::initial(
-            Bytes::from_mib(293),
-            (0..16).map(WorkerId).collect(),
-            512,
-            0.2,
-        );
-        s.params_checksum = 0xDEADBEEF_CAFEBABE;
-        s.data_cursor = 1_281_167 / 2;
-        s.runtime.epoch = 45;
-        s.runtime.iteration = 112_500;
-        s
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let s = sample();
-        assert_eq!(decode_state(&encode_state(&s)).unwrap(), s);
-    }
-
-    #[test]
-    fn empty_group_roundtrips() {
-        let mut s = sample();
-        s.comm_group.clear();
-        assert_eq!(decode_state(&encode_state(&s)).unwrap(), s);
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut bytes = encode_state(&sample());
-        bytes[0] = b'X';
-        assert_eq!(decode_state(&bytes), Err(DecodeError::BadMagic));
-    }
-
-    #[test]
-    fn future_version_is_rejected() {
-        let mut bytes = encode_state(&sample());
-        bytes[4] = 0xFF;
-        assert!(matches!(
-            decode_state(&bytes),
-            Err(DecodeError::UnsupportedVersion(_))
-        ));
-    }
-
-    #[test]
-    fn truncation_is_detected_at_every_length() {
-        let bytes = encode_state(&sample());
-        for cut in 0..bytes.len() {
-            let err = decode_state(&bytes[..cut]).expect_err("truncated buffer decoded");
-            // Before the version is readable the cut looks truncated;
-            // after it, the CRC trailer no longer matches the body.
-            assert!(
-                matches!(err, DecodeError::Truncated | DecodeError::Corrupt { .. }),
-                "cut at {cut}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_single_byte_corruption_is_detected() {
-        let good = encode_state(&sample());
-        for at in 0..good.len() {
-            let mut bytes = good.clone();
-            bytes[at] ^= 0x40;
-            let err = decode_state(&bytes).expect_err("corrupt buffer decoded");
-            // Magic/version damage is caught structurally; everything
-            // else (fields *and* the trailer itself) by the CRC.
-            assert!(
-                matches!(
-                    err,
-                    DecodeError::BadMagic
-                        | DecodeError::UnsupportedVersion(_)
-                        | DecodeError::Corrupt { .. }
-                ),
-                "flip at {at}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupt_error_reports_both_checksums() {
-        let mut bytes = encode_state(&sample());
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        match decode_state(&bytes) {
-            Err(DecodeError::Corrupt { expected, actual }) => assert_ne!(expected, actual),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn legacy_v1_snapshots_still_decode() {
-        // A v1 buffer has no trailer — exactly what yesterday's encoder
-        // produced.
-        let s = sample();
-        let v1 = encode_body(&s, 1);
-        assert_eq!(decode_state(&v1).unwrap(), s);
-        // And v1 truncation still reports Truncated precisely.
-        for cut in 0..v1.len() {
-            assert_eq!(
-                decode_state(&v1[..cut]),
-                Err(DecodeError::Truncated),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn v2_is_v1_plus_trailer() {
-        let s = sample();
-        let v2 = encode_state(&s);
-        let body = encode_body(&s, VERSION);
-        assert_eq!(&v2[..v2.len() - 4], &body[..]);
-        assert_eq!(
-            u32::from_le_bytes(v2[v2.len() - 4..].try_into().unwrap()),
-            crc32(&body)
-        );
-    }
-
     #[test]
     fn crc32_matches_known_vector() {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn encoding_is_compact() {
-        // Fixed header + 4 bytes per member + 4-byte CRC trailer.
-        let s = sample();
-        let bytes = encode_state(&s);
-        assert_eq!(bytes.len(), 4 + 2 + 8 * 4 + 4 + 8 + 8 + 4 + 4 + 16 * 4 + 4);
     }
 
     // -- control-plane wire frames ---------------------------------------

@@ -155,11 +155,6 @@ impl ChunkSampler {
         }
     }
 
-    /// Number of workers currently assigned chunks.
-    pub fn n_workers(&self) -> u32 {
-        self.assignments.len() as u32
-    }
-
     /// Fetches `per_worker` samples for worker `w` from its chunk queue.
     /// Returns fewer (possibly zero) samples when the worker's chunks are
     /// exhausted — chunk semantics can starve workers unevenly.
@@ -186,7 +181,7 @@ impl ChunkSampler {
 
     /// The record table of unconsumed fragments — what chunk semantics
     /// must manage to repartition (contrast with one integer).
-    pub fn record_table(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn record_table(&self) -> Vec<(u64, u64)> {
         let mut table: Vec<(u64, u64)> = self
             .assignments
             .values()
@@ -311,7 +306,7 @@ mod tests {
         let table_size = c.repartition(6);
         assert!(table_size >= 1);
         assert_eq!(c.remaining(), before);
-        assert_eq!(c.n_workers(), 6);
+        assert_eq!(c.assignments.len(), 6);
     }
 
     #[test]

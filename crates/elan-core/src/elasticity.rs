@@ -11,7 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
-use elan_sim::{SimDuration, SimTime};
+use elan_sim::SimDuration;
 use elan_topology::{BandwidthModel, GpuId, Topology};
 
 use elan_models::{ModelSpec, PerfModel};
@@ -208,7 +208,7 @@ pub struct AdjustmentCost {
 
 impl AdjustmentCost {
     /// A free adjustment (the "Ideal" system of Fig. 22).
-    pub const FREE: AdjustmentCost = AdjustmentCost {
+    pub(crate) const FREE: AdjustmentCost = AdjustmentCost {
         pause: SimDuration::ZERO,
         completion: SimDuration::ZERO,
     };
@@ -292,17 +292,6 @@ impl ElasticitySystem for IdealSystem {
     fn runtime_overhead(&self, _ctx: &AdjustmentContext<'_>, _n_workers: u32) -> f64 {
         0.0
     }
-}
-
-/// A point on virtual time when an adjustment finished, for logging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdjustmentRecord {
-    /// When the request was issued.
-    pub requested_at: SimTime,
-    /// When training resumed under the new configuration.
-    pub completed_at: SimTime,
-    /// The cost breakdown.
-    pub cost: AdjustmentCost,
 }
 
 #[cfg(test)]

@@ -42,8 +42,6 @@ pub enum ElanError {
         /// Elements the snapshot carried.
         actual: usize,
     },
-    /// The runtime is shutting down and cannot accept the operation.
-    ShuttingDown,
 }
 
 impl std::fmt::Display for ElanError {
@@ -58,7 +56,6 @@ impl std::fmt::Display for ElanError {
                     "snapshot mismatch: expected {expected} elements, got {actual}"
                 )
             }
-            ElanError::ShuttingDown => write!(f, "runtime is shutting down"),
         }
     }
 }

@@ -71,11 +71,6 @@ impl LeaseManager {
         }
     }
 
-    /// The configured TTL.
-    pub fn ttl(&self) -> SimDuration {
-        self.ttl
-    }
-
     /// Grants a fresh lease at `now`.
     pub fn grant(&mut self, now: SimTime) -> LeaseId {
         let id = LeaseId(self.next_id);

@@ -20,12 +20,11 @@
 //!   [`messages`], and prices the procedure analytically in
 //!   [`adjustment`].
 //!
-//! Supporting pieces: the training-state hook API ([`state`], §V-A), the
-//! serial data-loading semantics ([`data`], §V-C), the replicated store and
-//! message retry machinery backing AM fault tolerance ([`store`],
-//! [`messages`], §V-D), the elasticity-system abstraction shared with the
-//! baselines ([`elasticity`]), and the elastic-training experiment driver
-//! ([`job`], §VI-B).
+//! Supporting pieces: worker identity ([`state`]), the serial data-loading
+//! semantics ([`data`], §V-C), the message retry machinery backing AM
+//! fault tolerance ([`messages`], §V-D), the elasticity-system abstraction
+//! shared with the baselines ([`elasticity`]), and the elastic-training
+//! experiment driver ([`job`], §VI-B).
 //!
 //! # Examples
 //!
@@ -56,7 +55,6 @@ pub mod obs;
 pub mod protocol;
 pub mod scaling;
 pub mod state;
-pub mod store;
 
 pub use adjustment::ElanSystem;
 pub use elasticity::{
@@ -68,5 +66,4 @@ pub use obs::{
     PhaseWindow,
 };
 pub use scaling::{hybrid_scale, ProgressiveLrRamp, ScalingDecision, ScalingMode};
-pub use state::{HookRegistry, StateHook, TrainingState, WorkerId};
-pub use store::ReplicatedStore;
+pub use state::WorkerId;

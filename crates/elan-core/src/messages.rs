@@ -23,7 +23,7 @@ pub const OWNER_SHIFT: u32 = 32;
 impl MsgId {
     /// The sender stream this ID belongs to (see
     /// [`MsgIdAllocator::for_owner`]).
-    pub fn owner(self) -> u32 {
+    pub(crate) fn owner(self) -> u32 {
         (self.0 >> OWNER_SHIFT) as u32
     }
 }
@@ -41,11 +41,6 @@ pub struct MsgIdAllocator {
 }
 
 impl MsgIdAllocator {
-    /// Creates an allocator starting at ID 0.
-    pub fn new() -> Self {
-        MsgIdAllocator::default()
-    }
-
     /// Creates an allocator whose IDs carry `owner` in the high 32 bits,
     /// so IDs from different senders never collide at a shared receiver.
     pub fn for_owner(owner: u32) -> Self {
@@ -89,17 +84,20 @@ struct Inflight<P> {
 /// # Examples
 ///
 /// ```
-/// use elan_core::messages::{MsgId, RetryTracker};
+/// use elan_core::messages::{MsgId, RetryOutcome, RetryTracker};
 /// use elan_sim::{SimDuration, SimTime};
 ///
 /// let mut tracker: RetryTracker<&'static str> = RetryTracker::new(SimDuration::from_secs(1));
 /// tracker.track(MsgId(1), "hello", SimTime::ZERO);
 /// // Nothing due before the timeout...
-/// assert!(tracker.due(SimTime::from_secs(1) - SimDuration::from_nanos(1)).is_empty());
+/// assert!(tracker.poll(SimTime::from_secs(1) - SimDuration::from_nanos(1)).is_empty());
 /// // ...the message is due for resend after it.
-/// assert_eq!(tracker.due(SimTime::from_secs(1)), vec![(MsgId(1), "hello")]);
+/// assert_eq!(
+///     tracker.poll(SimTime::from_secs(1)),
+///     vec![RetryOutcome::Resend(MsgId(1), "hello")]
+/// );
 /// tracker.ack(MsgId(1));
-/// assert!(tracker.due(SimTime::from_secs(99)).is_empty());
+/// assert!(tracker.poll(SimTime::from_secs(99)).is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct RetryTracker<P> {
@@ -107,7 +105,6 @@ pub struct RetryTracker<P> {
     max_attempts: Option<u32>,
     inflight: BTreeMap<MsgId, Inflight<P>>,
     resends: u64,
-    give_ups: u64,
 }
 
 impl<P: Clone> RetryTracker<P> {
@@ -118,7 +115,6 @@ impl<P: Clone> RetryTracker<P> {
             max_attempts: None,
             inflight: BTreeMap::new(),
             resends: 0,
-            give_ups: 0,
         }
     }
 
@@ -173,25 +169,9 @@ impl<P: Clone> RetryTracker<P> {
             let Some(entry) = self.inflight.remove(&id) else {
                 continue;
             };
-            self.give_ups += 1;
             out.push(RetryOutcome::GaveUp(id, entry.payload));
         }
         out
-    }
-
-    /// Messages whose timeout has elapsed at `now`; their timers reset so
-    /// they will be reported again one timeout later if still unacked.
-    ///
-    /// Compatibility wrapper over [`poll`](Self::poll) that silently drops
-    /// give-ups (they still count in [`give_up_count`](Self::give_up_count)).
-    pub fn due(&mut self, now: SimTime) -> Vec<(MsgId, P)> {
-        self.poll(now)
-            .into_iter()
-            .filter_map(|o| match o {
-                RetryOutcome::Resend(id, p) => Some((id, p)),
-                RetryOutcome::GaveUp(..) => None,
-            })
-            .collect()
     }
 
     /// Send attempts recorded for an in-flight message.
@@ -204,24 +184,9 @@ impl<P: Clone> RetryTracker<P> {
         self.inflight.len()
     }
 
-    /// IDs still awaiting acknowledgement.
-    pub fn pending_ids(&self) -> Vec<MsgId> {
-        self.inflight.keys().copied().collect()
-    }
-
     /// Total resends performed — a fault-injection metric.
     pub fn resend_count(&self) -> u64 {
         self.resends
-    }
-
-    /// Messages abandoned after exhausting the attempt budget.
-    pub fn give_up_count(&self) -> u64 {
-        self.give_ups
-    }
-
-    /// The configured timeout.
-    pub fn timeout(&self) -> SimDuration {
-        self.timeout
     }
 }
 
@@ -288,21 +253,6 @@ impl BoundedDedupFilter {
     /// Duplicates suppressed so far.
     pub fn duplicate_count(&self) -> u64 {
         self.duplicates
-    }
-
-    /// Total IDs currently retained across every sender stream.
-    pub fn retained(&self) -> usize {
-        self.senders.values().map(|w| w.seen.len()).sum()
-    }
-
-    /// Sender streams currently tracked.
-    pub fn streams(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The configured per-sender window.
-    pub fn window(&self) -> usize {
-        self.window
     }
 }
 
@@ -446,27 +396,6 @@ impl ChunkAssembler {
     pub fn is_complete(&self) -> bool {
         self.remaining == 0
     }
-
-    /// Chunks received so far.
-    pub fn received_count(&self) -> usize {
-        self.received.len() - self.remaining
-    }
-
-    /// Indices still outstanding, in ascending order.
-    pub fn missing(&self) -> Vec<usize> {
-        self.received
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &got)| (!got).then_some(i))
-            .collect()
-    }
-
-    /// Forgets all progress (a newer stream superseded this one),
-    /// reusing the existing allocation.
-    pub fn reset(&mut self) {
-        self.received.iter_mut().for_each(|b| *b = false);
-        self.remaining = self.received.len();
-    }
 }
 
 #[cfg(test)]
@@ -475,7 +404,7 @@ mod tests {
 
     #[test]
     fn allocator_never_repeats() {
-        let mut a = MsgIdAllocator::new();
+        let mut a = MsgIdAllocator::for_owner(0);
         let ids: Vec<MsgId> = (0..100).map(|_| a.next_id()).collect();
         let mut dedup = ids.clone();
         dedup.sort_unstable();
@@ -502,13 +431,13 @@ mod tests {
     }
 
     #[test]
-    fn due_resets_timer() {
+    fn poll_resets_timer() {
         let mut t = RetryTracker::new(SimDuration::from_secs(1));
         t.track(MsgId(1), (), SimTime::ZERO);
-        assert_eq!(t.due(SimTime::from_secs(1)).len(), 1);
+        assert_eq!(t.poll(SimTime::from_secs(1)).len(), 1);
         // Immediately after a resend the timer restarts.
-        assert!(t.due(SimTime::from_secs(1)).is_empty());
-        assert_eq!(t.due(SimTime::from_secs(2)).len(), 1);
+        assert!(t.poll(SimTime::from_secs(1)).is_empty());
+        assert_eq!(t.poll(SimTime::from_secs(2)).len(), 1);
         assert_eq!(t.resend_count(), 2);
     }
 
@@ -519,7 +448,7 @@ mod tests {
         assert!(t.ack(MsgId(7)));
         assert!(!t.ack(MsgId(7)));
         assert_eq!(t.pending(), 0);
-        assert!(t.due(SimTime::from_secs(10)).is_empty());
+        assert!(t.poll(SimTime::from_secs(10)).is_empty());
     }
 
     #[test]
@@ -527,8 +456,8 @@ mod tests {
         let mut t = RetryTracker::new(SimDuration::from_secs(1));
         t.track(MsgId(1), 1, SimTime::ZERO);
         t.track(MsgId(2), 2, SimTime::from_nanos(500_000_000));
-        let due = t.due(SimTime::from_secs(1));
-        assert_eq!(due, vec![(MsgId(1), 1)]);
+        let due = t.poll(SimTime::from_secs(1));
+        assert_eq!(due, vec![RetryOutcome::Resend(MsgId(1), 1)]);
     }
 
     #[test]
@@ -552,7 +481,6 @@ mod tests {
             vec![RetryOutcome::GaveUp(MsgId(5), "probe")]
         );
         assert_eq!(t.pending(), 0);
-        assert_eq!(t.give_up_count(), 1);
         assert!(t.poll(SimTime::from_secs(9)).is_empty());
     }
 
@@ -565,7 +493,6 @@ mod tests {
         t.ack(MsgId(1));
         let out = t.poll(SimTime::from_secs(1));
         assert_eq!(out, vec![RetryOutcome::GaveUp(MsgId(2), 2)]);
-        assert_eq!(t.give_up_count(), 1);
         assert_eq!(t.resend_count(), 0);
     }
 
@@ -582,6 +509,11 @@ mod tests {
         assert_eq!(d.duplicate_count(), 2);
     }
 
+    /// Total IDs `d` retains across every sender stream.
+    fn retained(d: &BoundedDedupFilter) -> usize {
+        d.senders.values().map(|w| w.seen.len()).sum()
+    }
+
     #[test]
     fn bounded_dedup_memory_stays_bounded() {
         let window = 64;
@@ -591,10 +523,10 @@ mod tests {
             let alloc = &mut streams[(round % 4) as usize];
             assert!(d.first_delivery(alloc.next_id()));
             // Memory is bounded regardless of traffic volume.
-            assert!(d.retained() <= window * 4, "retained {} ids", d.retained());
+            assert!(retained(&d) <= window * 4, "retained {} ids", retained(&d));
         }
-        assert_eq!(d.streams(), 4);
-        assert!(d.retained() <= window * 4);
+        assert_eq!(d.senders.len(), 4);
+        assert!(retained(&d) <= window * 4);
         assert_eq!(d.duplicate_count(), 0);
     }
 
@@ -641,14 +573,10 @@ mod tests {
         assert!(asm.accept(1));
         assert!(!asm.accept(1), "duplicate rejected");
         assert!(!asm.accept(9), "out of range rejected");
-        assert_eq!(asm.missing(), vec![0, 2]);
+        assert_eq!(asm.remaining, 2);
         assert!(asm.accept(0));
         assert!(asm.accept(2));
         assert!(asm.is_complete());
-        assert_eq!(asm.received_count(), 3);
-        asm.reset();
-        assert!(!asm.is_complete());
-        assert_eq!(asm.missing(), vec![0, 1, 2]);
     }
 
     #[test]

@@ -167,11 +167,6 @@ impl ProgressiveLrRamp {
         }
     }
 
-    /// An identity ramp (no change), for strong-scaling adjustments.
-    pub fn identity(lr: f64, t0: u64) -> Self {
-        ProgressiveLrRamp::new(lr, 1.0, t0, 1)
-    }
-
     /// The learning rate at iteration `t` (Equation 3).
     ///
     /// Before `t0` the rate is `lr0`; between `t0` and `t0 + ramp_iters`
@@ -191,11 +186,6 @@ impl ProgressiveLrRamp {
     /// The target learning rate (Equation 2).
     pub fn target(&self) -> f64 {
         self.lr_target
-    }
-
-    /// The iteration at which the ramp completes.
-    pub fn end_iter(&self) -> u64 {
-        self.t0 + self.ramp_iters as u64
     }
 
     /// Chains a new adjustment onto this ramp: the next ramp starts from
@@ -292,8 +282,8 @@ mod tests {
     }
 
     #[test]
-    fn identity_ramp_is_flat() {
-        let ramp = ProgressiveLrRamp::identity(0.25, 50);
+    fn unit_factor_ramp_is_flat() {
+        let ramp = ProgressiveLrRamp::new(0.25, 1.0, 50, 1);
         assert_eq!(ramp.lr_at(0), 0.25);
         assert_eq!(ramp.lr_at(1_000_000), 0.25);
     }

@@ -1,19 +1,11 @@
-//! Training state and the hook API (§IV-1, §V-A).
+//! Worker identity.
 //!
-//! The whole training state of a data-parallel job is composed of the
-//! model parameters, the optimizer state, the data-loading state, the
-//! communication group, and some runtime information (Table II). Every
-//! worker holds one identical copy — the property the replication
-//! mechanism exploits.
-//!
-//! Frameworks integrate with Elan by registering [`StateHook`]s
-//! (`RegisterHook` in Table III): each hook knows how to save and load one
-//! piece of state, so Elan itself stays framework-agnostic.
+//! The training state itself — parameters, momentum and the serial data
+//! cursor (§IV-1, §V-C) — lives in the live runtime's workers (`elan-rt`),
+//! which replicate it as `StateChunk`s and checkpoint it as a
+//! `CheckpointSnapshot`.
 
-use std::collections::BTreeMap;
 use std::fmt;
-
-use elan_sim::Bytes;
 
 /// Identifies a training worker within a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -22,280 +14,5 @@ pub struct WorkerId(pub u32);
 impl fmt::Display for WorkerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "w{}", self.0)
-    }
-}
-
-/// Runtime information carried in the training state (Table II).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RuntimeInfo {
-    /// Current epoch.
-    pub epoch: u32,
-    /// Current iteration within the job.
-    pub iteration: u64,
-    /// Current learning rate.
-    pub learning_rate: f64,
-    /// Current total batch size.
-    pub total_batch_size: u32,
-}
-
-/// A snapshot of the complete training state of one worker.
-///
-/// Model parameters and optimizer slots live in GPU memory; the data
-/// cursor and runtime info live in CPU memory (§IV-1). The parameter
-/// payload itself is represented by its size and a checksum — the
-/// simulator moves sizes, the live runtime (`elan-rt`) moves real buffers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainingState {
-    /// Bytes of GPU-resident state (parameters + gradients + optimizer).
-    pub gpu_bytes: Bytes,
-    /// Bytes of CPU-resident state (loader cursor, RNG, runtime info).
-    pub cpu_bytes: Bytes,
-    /// Checksum standing in for the parameter payload, used by tests to
-    /// assert replication fidelity.
-    pub params_checksum: u64,
-    /// Serial data-loading cursor (§V-C): the single integer that fully
-    /// describes the data-loading state.
-    pub data_cursor: u64,
-    /// Runtime info.
-    pub runtime: RuntimeInfo,
-    /// The communication group: every worker currently in the job.
-    pub comm_group: Vec<WorkerId>,
-}
-
-impl TrainingState {
-    /// A fresh state at iteration zero for a new job.
-    pub fn initial(
-        gpu_bytes: Bytes,
-        comm_group: Vec<WorkerId>,
-        total_batch_size: u32,
-        lr: f64,
-    ) -> Self {
-        TrainingState {
-            gpu_bytes,
-            cpu_bytes: Bytes::from_kib(64),
-            params_checksum: 0,
-            data_cursor: 0,
-            runtime: RuntimeInfo {
-                epoch: 0,
-                iteration: 0,
-                learning_rate: lr,
-                total_batch_size,
-            },
-            comm_group,
-        }
-    }
-}
-
-/// A framework-provided save/load pair for one piece of training state —
-/// the `RegisterHook` API of Table III.
-///
-/// Hook payloads are opaque bytes to Elan; only their size matters to the
-/// replication planner.
-pub trait StateHook {
-    /// Serializes this piece of state.
-    fn save(&self) -> Vec<u8>;
-
-    /// Restores this piece of state from a previous [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the payload is not recognized.
-    fn load(&mut self, payload: &[u8]) -> Result<(), String>;
-}
-
-/// An ordered registry of named state hooks.
-///
-/// Integrating a new framework with Elan "simply requires implementing
-/// some hook functions" (§V-A); the registry snapshots and restores them
-/// all in a deterministic order.
-///
-/// # Examples
-///
-/// ```
-/// use elan_core::state::{HookRegistry, StateHook};
-///
-/// struct Cursor(u64);
-/// impl StateHook for Cursor {
-///     fn save(&self) -> Vec<u8> { self.0.to_le_bytes().to_vec() }
-///     fn load(&mut self, p: &[u8]) -> Result<(), String> {
-///         let bytes: [u8; 8] = p.try_into().map_err(|_| "bad cursor".to_string())?;
-///         self.0 = u64::from_le_bytes(bytes);
-///         Ok(())
-///     }
-/// }
-///
-/// let mut reg = HookRegistry::new();
-/// reg.register("data-loader", Cursor(42));
-/// let snapshot = reg.save_all();
-/// assert_eq!(snapshot.len(), 1);
-/// ```
-#[derive(Default)]
-pub struct HookRegistry {
-    hooks: BTreeMap<String, Box<dyn StateHook>>,
-}
-
-impl fmt::Debug for HookRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HookRegistry")
-            .field("hooks", &self.hooks.keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-impl HookRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        HookRegistry::default()
-    }
-
-    /// Registers a hook under `name`, replacing any previous hook with the
-    /// same name.
-    pub fn register(&mut self, name: impl Into<String>, hook: impl StateHook + 'static) {
-        self.hooks.insert(name.into(), Box::new(hook));
-    }
-
-    /// Removes a hook; returns true if it existed.
-    pub fn unregister(&mut self, name: &str) -> bool {
-        self.hooks.remove(name).is_some()
-    }
-
-    /// Registered hook names, in snapshot order.
-    pub fn names(&self) -> Vec<&str> {
-        self.hooks.keys().map(String::as_str).collect()
-    }
-
-    /// Number of registered hooks.
-    pub fn len(&self) -> usize {
-        self.hooks.len()
-    }
-
-    /// True when no hooks are registered.
-    pub fn is_empty(&self) -> bool {
-        self.hooks.is_empty()
-    }
-
-    /// Snapshots every hook in name order.
-    pub fn save_all(&self) -> Vec<(String, Vec<u8>)> {
-        self.hooks
-            .iter()
-            .map(|(name, hook)| (name.clone(), hook.save()))
-            .collect()
-    }
-
-    /// Restores hooks from a snapshot produced by [`save_all`](Self::save_all).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first hook that is missing or fails to
-    /// load; earlier hooks stay restored.
-    pub fn load_all(&mut self, snapshot: &[(String, Vec<u8>)]) -> Result<(), String> {
-        for (name, payload) in snapshot {
-            let hook = self
-                .hooks
-                .get_mut(name)
-                .ok_or_else(|| format!("no hook registered under '{name}'"))?;
-            hook.load(payload)
-                .map_err(|e| format!("hook '{name}' failed to load: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Total bytes a full snapshot would occupy — what replication moves.
-    pub fn snapshot_bytes(&self) -> Bytes {
-        Bytes::new(self.hooks.values().map(|h| h.save().len() as u64).sum())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Scalar(u64);
-    impl StateHook for Scalar {
-        fn save(&self) -> Vec<u8> {
-            self.0.to_le_bytes().to_vec()
-        }
-        fn load(&mut self, p: &[u8]) -> Result<(), String> {
-            let bytes: [u8; 8] = p.try_into().map_err(|_| "expected 8 bytes".to_string())?;
-            self.0 = u64::from_le_bytes(bytes);
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut a = HookRegistry::new();
-        a.register("model", Scalar(7));
-        a.register("optimizer", Scalar(9));
-        let snap = a.save_all();
-
-        let mut b = HookRegistry::new();
-        b.register("model", Scalar(0));
-        b.register("optimizer", Scalar(0));
-        b.load_all(&snap).unwrap();
-        assert_eq!(b.save_all(), snap);
-    }
-
-    #[test]
-    fn load_fails_on_missing_hook() {
-        let mut a = HookRegistry::new();
-        a.register("model", Scalar(7));
-        let snap = a.save_all();
-
-        let mut b = HookRegistry::new();
-        let err = b.load_all(&snap).unwrap_err();
-        assert!(err.contains("model"));
-    }
-
-    #[test]
-    fn load_fails_on_bad_payload() {
-        let mut reg = HookRegistry::new();
-        reg.register("model", Scalar(0));
-        let err = reg
-            .load_all(&[("model".to_string(), vec![1, 2, 3])])
-            .unwrap_err();
-        assert!(err.contains("failed to load"));
-    }
-
-    #[test]
-    fn snapshot_order_is_deterministic() {
-        let mut reg = HookRegistry::new();
-        reg.register("zeta", Scalar(1));
-        reg.register("alpha", Scalar(2));
-        let names: Vec<String> = reg.save_all().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
-    }
-
-    #[test]
-    fn register_replaces_and_unregister_removes() {
-        let mut reg = HookRegistry::new();
-        reg.register("x", Scalar(1));
-        reg.register("x", Scalar(2));
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.save_all()[0].1, 2u64.to_le_bytes().to_vec());
-        assert!(reg.unregister("x"));
-        assert!(!reg.unregister("x"));
-        assert!(reg.is_empty());
-    }
-
-    #[test]
-    fn snapshot_bytes_sums_payloads() {
-        let mut reg = HookRegistry::new();
-        reg.register("a", Scalar(1));
-        reg.register("b", Scalar(2));
-        assert_eq!(reg.snapshot_bytes().as_u64(), 16);
-    }
-
-    #[test]
-    fn initial_state_is_clean() {
-        let s = TrainingState::initial(
-            Bytes::from_mib(300),
-            vec![WorkerId(0), WorkerId(1)],
-            256,
-            0.1,
-        );
-        assert_eq!(s.runtime.iteration, 0);
-        assert_eq!(s.data_cursor, 0);
-        assert_eq!(s.comm_group.len(), 2);
     }
 }

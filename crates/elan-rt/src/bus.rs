@@ -33,7 +33,7 @@ pub use elan_core::protocol::{EndpointId, EndpointStats, Envelope, RtMsg};
 /// Since the transport redesign the bus is a thin, cloneable facade — the
 /// delivery mechanics (channels, chaos, sockets) live behind the
 /// [`Transport`] trait, and the bus caches the transport's journal and
-/// clock so hot paths ([`Bus::time`], [`Bus::journal`]) stay
+/// clock so hot paths ([`Bus::time`], `Bus::journal`) stay
 /// allocation-free references.
 pub struct Bus {
     transport: Arc<dyn Transport>,
@@ -74,23 +74,12 @@ impl fmt::Debug for Bus {
 }
 
 /// Fluent construction of an in-memory [`Bus`], mirroring
-/// `ElasticRuntime::builder()`: chaos, journal, clock, and scripted
-/// partition windows are all optional.
-///
-/// # Examples
-///
-/// ```
-/// use elan_rt::{Bus, ChaosPolicy};
-///
-/// let bus = Bus::builder().chaos(ChaosPolicy::new(7).drop(0.1)).build();
-/// assert!(bus.chaos_stats().is_some());
-/// ```
+/// `ElasticRuntime::builder()`: chaos, journal and clock are all optional.
 #[derive(Default)]
-pub struct BusBuilder {
+pub(crate) struct BusBuilder {
     chaos: Option<ChaosPolicy>,
     journal: Option<Arc<EventJournal>>,
     time: Option<TimeSource>,
-    partitions: Vec<PartitionWindow>,
 }
 
 impl fmt::Debug for BusBuilder {
@@ -99,7 +88,6 @@ impl fmt::Debug for BusBuilder {
             .field("chaos", &self.chaos.is_some())
             .field("journal", &self.journal.is_some())
             .field("time", &self.time)
-            .field("partitions", &self.partitions.len())
             .finish()
     }
 }
@@ -125,27 +113,10 @@ impl BusBuilder {
         self
     }
 
-    /// Scripts a partition window. Implies a (fault-free) chaos engine
-    /// when no [`BusBuilder::chaos`] policy was given, so the window has
-    /// an engine to live in.
-    pub fn partition(mut self, window: PartitionWindow) -> Self {
-        self.partitions.push(window);
-        self
-    }
-
     /// Builds the in-memory bus.
     pub fn build(self) -> Bus {
-        let chaos = match (self.chaos, self.partitions.is_empty()) {
-            (Some(policy), _) => Some(policy),
-            // A scripted partition needs an engine even without faults.
-            (None, false) => Some(ChaosPolicy::new(0)),
-            (None, true) => None,
-        };
         let time = self.time.unwrap_or_else(TimeSource::real);
-        let transport = MemoryTransport::new(chaos, self.journal, time);
-        for window in self.partitions {
-            transport.add_partition(window);
-        }
+        let transport = MemoryTransport::new(self.chaos, self.journal, time);
         Bus::with_transport(Arc::new(transport))
     }
 }
@@ -174,7 +145,7 @@ impl Bus {
 
     /// Starts building an in-memory bus:
     /// `Bus::builder().chaos(policy).journal(j).time(t).build()`.
-    pub fn builder() -> BusBuilder {
+    pub(crate) fn builder() -> BusBuilder {
         BusBuilder::default()
     }
 
@@ -197,7 +168,7 @@ impl Bus {
     }
 
     /// The attached event journal, if observability is wired up.
-    pub fn journal(&self) -> Option<&Arc<EventJournal>> {
+    pub(crate) fn journal(&self) -> Option<&Arc<EventJournal>> {
         self.journal.as_ref()
     }
 
@@ -216,7 +187,7 @@ impl Bus {
     }
 
     /// Removes an endpoint; subsequent sends to it become dead letters.
-    pub fn unregister(&self, id: EndpointId) {
+    pub(crate) fn unregister(&self, id: EndpointId) {
         self.transport.unregister(id);
     }
 
@@ -244,29 +215,19 @@ impl Bus {
         self.transport.send_envelope(to, env)
     }
 
-    /// Delivery counters for one destination.
-    pub fn stats(&self, id: EndpointId) -> EndpointStats {
-        self.transport.stats(id)
-    }
-
-    /// All per-destination counters, sorted by endpoint.
-    pub fn all_stats(&self) -> Vec<(EndpointId, EndpointStats)> {
-        self.transport.all_stats()
-    }
-
     /// Total messages that could not be delivered anywhere.
-    pub fn total_dead_letters(&self) -> u64 {
+    pub(crate) fn total_dead_letters(&self) -> u64 {
         self.transport.total_dead_letters()
     }
 
     /// Fault-injection counters, if a chaos policy is attached.
-    pub fn chaos_stats(&self) -> Option<ChaosStats> {
+    pub(crate) fn chaos_stats(&self) -> Option<ChaosStats> {
         self.transport.chaos_stats()
     }
 
     /// Whether an open partition window currently cuts the `a`↔`b` edge.
     /// Always false on a transport without fault injection.
-    pub fn is_partitioned(&self, a: EndpointId, b: EndpointId) -> bool {
+    pub(crate) fn is_partitioned(&self, a: EndpointId, b: EndpointId) -> bool {
         self.transport.is_partitioned(a, b)
     }
 
@@ -294,30 +255,6 @@ impl Endpoint {
         self.id
     }
 
-    /// Blocks until a message arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every sender has been dropped — a protocol bug, since the
-    /// bus itself holds the senders until unregistered.
-    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (Endpoint::recv)
-    pub fn recv(&self) -> Envelope {
-        if self.time.is_virtual() {
-            loop {
-                if let Some(env) = self.try_recv() {
-                    return env;
-                }
-                // Woken by the sender's `wake_all`; if no sender can ever
-                // exist again the clock reports a virtual deadlock, which
-                // surfaces the same protocol bug as the real-time expect.
-                self.time.park();
-            }
-        }
-        self.receiver
-            .recv()
-            .expect("bus dropped while endpoint alive")
-    }
-
     /// Blocks up to `timeout` for a message. Under virtual time this parks
     /// the calling thread; the wait costs zero wall-clock time once every
     /// other runtime thread is quiescent.
@@ -343,7 +280,7 @@ impl Endpoint {
     }
 
     /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Envelope> {
+    pub(crate) fn try_recv(&self) -> Option<Envelope> {
         self.receiver.try_recv().ok()
     }
 }
@@ -364,7 +301,7 @@ mod tests {
                 worker: WorkerId(0)
             }
         ));
-        match am.recv().body {
+        match am.try_recv().expect("delivered").body {
             RtMsg::Report { worker } => assert_eq!(worker, WorkerId(0)),
             other => panic!("unexpected {other:?}"),
         }
@@ -374,7 +311,7 @@ mod tests {
     fn send_to_missing_endpoint_is_a_dead_letter() {
         let bus = Bus::new();
         assert!(!bus.send(EndpointId::Am, RtMsg::Stop { seq: 0 }));
-        assert_eq!(bus.stats(EndpointId::Am).dead_letters, 1);
+        assert_eq!(bus.transport().stats(EndpointId::Am).dead_letters, 1);
         assert_eq!(bus.total_dead_letters(), 1);
     }
 
@@ -408,8 +345,8 @@ mod tests {
             },
         );
         bus.send(EndpointId::Worker(WorkerId(1)), RtMsg::Leave { term: 1 });
-        assert!(matches!(w.recv().body, RtMsg::Proceed { .. }));
-        assert!(matches!(w.recv().body, RtMsg::Leave { .. }));
+        assert!(matches!(w.try_recv().unwrap().body, RtMsg::Proceed { .. }));
+        assert!(matches!(w.try_recv().unwrap().body, RtMsg::Leave { .. }));
     }
 
     #[test]
@@ -434,12 +371,12 @@ mod tests {
             bus.send(EndpointId::Worker(WorkerId(0)), RtMsg::Leave { term: 0 });
         }
         bus.send(EndpointId::Am, RtMsg::Leave { term: 0 }); // dead letter
-        let s = bus.stats(EndpointId::Worker(WorkerId(0)));
+        let s = bus.transport().stats(EndpointId::Worker(WorkerId(0)));
         assert_eq!(s.sent, 3);
         assert_eq!(s.delivered, 3);
         assert_eq!(s.dead_letters, 0);
-        assert_eq!(bus.stats(EndpointId::Am).dead_letters, 1);
-        assert_eq!(bus.all_stats().len(), 2);
+        assert_eq!(bus.transport().stats(EndpointId::Am).dead_letters, 1);
+        assert_eq!(bus.transport().all_stats().len(), 2);
     }
 
     #[test]
@@ -450,7 +387,12 @@ mod tests {
         let w = bus.register(EndpointId::Worker(WorkerId(7)));
         drop(w);
         assert!(bus.send(EndpointId::Worker(WorkerId(7)), RtMsg::Leave { term: 0 }));
-        assert_eq!(bus.stats(EndpointId::Worker(WorkerId(7))).dead_letters, 1);
+        assert_eq!(
+            bus.transport()
+                .stats(EndpointId::Worker(WorkerId(7)))
+                .dead_letters,
+            1
+        );
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl PartitionWindow {
 
 /// Fault probabilities for one directed bus edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EdgeChaos {
+pub(crate) struct EdgeChaos {
     /// Probability the message silently vanishes.
     pub drop_p: f64,
     /// Probability the message is delivered twice.
@@ -106,11 +106,11 @@ pub struct ChaosPolicy {
     /// Seed making every fate decision reproducible.
     pub seed: u64,
     /// Faults applied to edges without a specific override.
-    pub default_edge: EdgeChaos,
+    pub(crate) default_edge: EdgeChaos,
     /// Per-edge overrides, keyed by `(from, to)`.
-    pub edges: HashMap<(EndpointId, EndpointId), EdgeChaos>,
+    pub(crate) edges: HashMap<(EndpointId, EndpointId), EdgeChaos>,
     /// Scripted partition windows on the virtual-time axis.
-    pub partitions: Vec<PartitionWindow>,
+    pub(crate) partitions: Vec<PartitionWindow>,
 }
 
 impl ChaosPolicy {
@@ -138,12 +138,6 @@ impl ChaosPolicy {
     pub fn delay(mut self, p: f64, ticks: u32) -> Self {
         self.default_edge.delay_p = p;
         self.default_edge.delay_ticks = ticks;
-        self
-    }
-
-    /// Overrides the faults on one directed edge.
-    pub fn edge(mut self, from: EndpointId, to: EndpointId, chaos: EdgeChaos) -> Self {
-        self.edges.insert((from, to), chaos);
         self
     }
 
@@ -465,7 +459,10 @@ mod tests {
             delay_ticks: 2,
             ..EdgeChaos::default()
         };
-        let policy = ChaosPolicy::new(0).edge(EndpointId::Controller, EndpointId::Am, delayed_edge);
+        let mut policy = ChaosPolicy::new(0);
+        policy
+            .edges
+            .insert((EndpointId::Controller, EndpointId::Am), delayed_edge);
         let mut engine = ChaosEngine::new(policy);
         // Msg 1 → Am goes into limbo.
         let (out, fate) = engine.route(SimTime::ZERO, EndpointId::Am, env(1, 1));
@@ -510,11 +507,11 @@ mod tests {
     #[test]
     fn per_edge_override_wins() {
         let w = EndpointId::Worker(WorkerId(0));
-        let policy = ChaosPolicy::new(5).drop(1.0).edge(
-            EndpointId::Controller,
-            w,
-            EdgeChaos::default(), // pristine edge
-        );
+        let mut policy = ChaosPolicy::new(5).drop(1.0);
+        // A pristine override on one edge.
+        policy
+            .edges
+            .insert((EndpointId::Controller, w), EdgeChaos::default());
         let mut engine = ChaosEngine::new(policy);
         // Default edge drops everything…
         assert!(engine
@@ -631,14 +628,15 @@ mod tests {
             delay_ticks: 1,
             ..EdgeChaos::default()
         };
-        let policy = ChaosPolicy::new(0)
-            .edge(EndpointId::Controller, EndpointId::Am, delayed_edge)
-            .partition(
-                "late",
-                vec![vec![EndpointId::Am]],
-                Duration::from_millis(100),
-                Duration::from_millis(200),
-            );
+        let mut policy = ChaosPolicy::new(0).partition(
+            "late",
+            vec![vec![EndpointId::Am]],
+            Duration::from_millis(100),
+            Duration::from_millis(200),
+        );
+        policy
+            .edges
+            .insert((EndpointId::Controller, EndpointId::Am), delayed_edge);
         let mut engine = ChaosEngine::new(policy);
         assert!(engine
             .route(at_ms(50), EndpointId::Am, env(1, 1))

@@ -23,7 +23,7 @@ use super::SharedSlice;
 /// accumulator chunk plus a contribution chunk fit comfortably in L1.
 /// Also the fixed default for [`super::CommGroup::with_chunk_elems`]-era
 /// callers.
-pub const DEFAULT_CHUNK_ELEMS: usize = 4096;
+pub(crate) const DEFAULT_CHUNK_ELEMS: usize = 4096;
 
 /// The world-coupled chunk size: `max(len / world, DEFAULT_CHUNK_ELEMS)`.
 ///
@@ -35,7 +35,7 @@ pub const DEFAULT_CHUNK_ELEMS: usize = 4096;
 /// one chunk per worker (never more than `world` full chunks, plus at
 /// most one remainder chunk), so cursor traffic stays O(world) per round
 /// while the floor keeps tiny quotients from shredding cache locality.
-pub fn adaptive_chunk_elems(len: usize, world: u32) -> usize {
+pub(crate) fn adaptive_chunk_elems(len: usize, world: u32) -> usize {
     (len / (world.max(1) as usize)).max(DEFAULT_CHUNK_ELEMS)
 }
 

@@ -74,7 +74,7 @@ impl CommTopology {
     /// same 64-node cluster shape the replication planner assumes
     /// (8 GPUs per node, 4 per socket), so worker `w` lives on
     /// `GpuId(w)`.
-    pub fn planning_default() -> Self {
+    pub(crate) fn planning_default() -> Self {
         CommTopology {
             placement: Placement::linear(
                 ClusterSpec::new(
@@ -86,11 +86,6 @@ impl CommTopology {
                 .build(),
             ),
         }
-    }
-
-    /// The underlying rank placement.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
     }
 
     /// The locality domain hosting `worker`.

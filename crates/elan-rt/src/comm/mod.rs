@@ -18,7 +18,7 @@
 //!   at `len = 1024`.
 //! - **[`chunked`] work-stealing path** (mid-range): the round's inputs
 //!   are split into cache-sized chunks whose size adapts to the world
-//!   size ([`adaptive_chunk_elems`]); *every blocked waiter* (plus the
+//!   size (`adaptive_chunk_elems`); *every blocked waiter* (plus the
 //!   last arriver, plus an evicting thread if eviction completes the
 //!   round) claims chunks from an atomic work-stealing cursor and
 //!   reduces them **outside the group lock**.
@@ -44,7 +44,7 @@
 //! so a sum-of-group-sums could never match the flat fold bit-for-bit.)
 //!
 //! Zero-copy and allocation discipline are shared by all paths: a caller
-//! is *blocked* inside [`CommGroup::allreduce_with`] until its round
+//! is *blocked* inside `CommGroup::allreduce_with` until its round
 //! publishes, so its gradient slice outlives the round by construction
 //! (the group records a borrowed `SharedSlice` instead of
 //! `data.to_vec()`), and result accumulators are recycled through a
@@ -82,7 +82,7 @@ pub mod flat;
 pub mod hier;
 pub mod tune;
 
-pub use chunked::{adaptive_chunk_elems, DEFAULT_CHUNK_ELEMS};
+pub(crate) use chunked::adaptive_chunk_elems;
 pub use hier::CommTopology;
 pub use tune::TuningProfile;
 
@@ -429,21 +429,21 @@ impl CommGroup {
     /// ignored). Rounds, evictions, and reconfigurations then emit
     /// [`EventKind::AllreduceRound`]-family events, and every publish
     /// journals its strategy via [`EventKind::AllreducePath`].
-    pub fn set_journal(&self, journal: Arc<EventJournal>) {
+    pub(crate) fn set_journal(&self, journal: Arc<EventJournal>) {
         let _ = self.journal.set(journal);
     }
 
     /// Attaches the runtime's clock (one-shot; later calls are ignored).
     /// Required for deterministic simulation: virtual-time callers must
     /// park on the clock so the scheduler can account for them.
-    pub fn set_time(&self, time: TimeSource) {
+    pub(crate) fn set_time(&self, time: TimeSource) {
         let _ = self.time.set(time);
     }
 
     /// Attaches per-path round-latency histograms from the runtime's
     /// metrics registry (one-shot; later calls are ignored). Rounds then
     /// record `allreduce.<path>.round_us`.
-    pub fn set_metrics(&self, registry: &MetricsRegistry) {
+    pub(crate) fn set_metrics(&self, registry: &MetricsRegistry) {
         let _ = self.metrics.set(PathMetrics {
             flat: registry.histogram("allreduce.flat.round_us"),
             chunked: registry.histogram("allreduce.chunked.round_us"),
@@ -477,7 +477,7 @@ impl CommGroup {
     }
 
     /// Current generation (bumps on every reconfiguration).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.state.lock().generation
     }
 
@@ -487,7 +487,7 @@ impl CommGroup {
     }
 
     /// World size of the current generation.
-    pub fn world_size(&self) -> u32 {
+    pub(crate) fn world_size(&self) -> u32 {
         self.state.lock().members.len() as u32
     }
 
@@ -500,7 +500,7 @@ impl CommGroup {
     /// The reduction chunk size (elements) a full-membership round would
     /// use on the chunked path: the fixed size for
     /// [`CommGroup::with_chunk_elems`] groups, else the world-coupled
-    /// [`adaptive_chunk_elems`] derivation.
+    /// `adaptive_chunk_elems` derivation.
     pub fn chunk_elems(&self) -> usize {
         match &self.policy {
             PathPolicy::FixedChunk { chunk_elems } => *chunk_elems,
@@ -575,7 +575,7 @@ impl CommGroup {
     /// # Panics
     ///
     /// Panics if `data` length differs from the group's vector length.
-    pub fn allreduce_with(
+    pub(crate) fn allreduce_with(
         &self,
         worker: WorkerId,
         data: &[f32],
@@ -1062,11 +1062,6 @@ pub mod naive {
                 }),
                 cvar: Condvar::new(),
             }
-        }
-
-        /// World size.
-        pub fn world_size(&self) -> u32 {
-            self.state.lock().members.len() as u32
         }
 
         /// The flat allreduce: copy in, last arriver sums under the lock.

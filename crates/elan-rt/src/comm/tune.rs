@@ -36,13 +36,13 @@ use crate::time::TimeSource;
 /// take the flat fast path. 4096 f32 = 16 KiB — one L1-resident message;
 /// matches the measured crossover on the reference box and guarantees
 /// the benchmark's len=1024 cells always dispatch flat.
-pub const PINNED_FLAT_MAX_LEN: usize = 4096;
+pub(crate) const PINNED_FLAT_MAX_LEN: usize = 4096;
 
 /// Pinned chunked/hierarchical crossover: rounds with at least this many
 /// members dispatch hierarchically (topology permitting). Nine is the
 /// first world size that cannot fit inside one 8-GPU planning node, i.e.
 /// the first world where cursor traffic must cross a node boundary.
-pub const PINNED_HIER_MIN_WORLD: u32 = 9;
+pub(crate) const PINNED_HIER_MIN_WORLD: u32 = 9;
 
 /// Candidate flat crossovers the probe measures, ascending. The probed
 /// profile is clamped to this menu, so a pathological measurement can

@@ -4,7 +4,7 @@
 //! controller's command. This module generalizes it to *open*
 //! membership: untrusted workers join and leave at **epoch boundaries**
 //! instead of mid-adjustment, the way Psyche's coordinator ticks its
-//! round machine. The [`EpochMachine`] is a pure, deterministic state
+//! round machine. The `EpochMachine` is a pure, deterministic state
 //! machine —
 //!
 //! ```text
@@ -19,7 +19,7 @@
 //! — driven entirely by explicit inputs (`tick`, `join_request`,
 //! `witness_vote`, `member_left`, `boundary_released`) carrying an
 //! explicit virtual timestamp. It owns no clock, no thread, and no IO:
-//! the live AM embeds it and translates its [`EpochCmd`]s into bus
+//! the live AM embeds it and translates its `EpochCmd`s into bus
 //! traffic (the existing chunked replication path does the warmup), and
 //! the [`run_churn`] harness drives the *same* machine with thousands
 //! of scripted members on a synthetic clock, so a 10k-member churn
@@ -29,7 +29,7 @@
 //! The witness step is the open-membership analogue of Elan's
 //! consistency checks: a joiner finishing warmup *claims* a digest over
 //! its replicated state; the machine samples peers
-//! ([`sample_witnesses`]) that recompute the digest over their own
+//! (`sample_witnesses`) that recompute the digest over their own
 //! replicas — identical by data-parallel invariant — and vote
 //! admit/evict. No joiner enters `Train` un-witnessed, and the
 //! [`check_epoch_safety`](crate::safety::check_epoch_safety) auditor
@@ -89,7 +89,7 @@ impl Default for EpochConfig {
 /// churn harness). Commands are the machine's only side-channel: it
 /// never touches a bus itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EpochCmd {
+pub(crate) enum EpochCmd {
     /// Replicate state to these joiners over the chunked transfer path.
     StartWarmup {
         /// The epoch admitting them.
@@ -156,7 +156,7 @@ impl PendingJoin {
 /// phase diagram; all state is ordered (`BTreeMap`/`BTreeSet`), so a
 /// replay from the same inputs is byte-identical.
 #[derive(Debug)]
-pub struct EpochMachine {
+pub(crate) struct EpochMachine {
     cfg: EpochConfig,
     epoch: u64,
     phase: EpochPhase,
@@ -211,7 +211,7 @@ impl EpochMachine {
     /// announce is client-driven, so joiners re-present themselves (and
     /// their digests) to the successor; a `Warmup` resumed this way
     /// re-adopts them as the digests arrive.
-    pub fn recover(
+    pub(crate) fn recover(
         cfg: EpochConfig,
         epoch: u64,
         phase: EpochPhase,
@@ -230,11 +230,6 @@ impl EpochMachine {
         }
     }
 
-    /// The machine's configuration.
-    pub fn config(&self) -> &EpochConfig {
-        &self.cfg
-    }
-
     /// The current training epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -251,13 +246,8 @@ impl EpochMachine {
     }
 
     /// Whether `worker` is a pending joiner of the current epoch.
-    pub fn is_pending(&self, worker: WorkerId) -> bool {
+    pub(crate) fn is_pending(&self, worker: WorkerId) -> bool {
         self.pending.contains_key(&worker)
-    }
-
-    /// Whether `worker` is a member.
-    pub fn is_member(&self, worker: WorkerId) -> bool {
-        self.members.contains(&worker)
     }
 
     /// Force-syncs the membership view — the live AM calls this after a
@@ -265,7 +255,7 @@ impl EpochMachine {
     /// membership outside the machine's own admission path. Pending
     /// joiners and phase are untouched; threshold effects surface at the
     /// next tick or boundary.
-    pub fn set_members(&mut self, members: &[WorkerId]) {
+    pub(crate) fn set_members(&mut self, members: &[WorkerId]) {
         self.members = members.iter().copied().collect();
     }
 
@@ -273,7 +263,7 @@ impl EpochMachine {
     /// (entering `Warmup`, or straight through to `Train` when nobody is
     /// pending), evicts warmup joiners that outlived the digest
     /// deadline, and rolls `Cooldown` into the next epoch's window.
-    pub fn tick(&mut self, now_us: u64, j: &EventJournal) -> Vec<EpochCmd> {
+    pub(crate) fn tick(&mut self, now_us: u64, j: &EventJournal) -> Vec<EpochCmd> {
         let mut cmds = Vec::new();
         match self.phase {
             EpochPhase::WaitingForMembers => {
@@ -335,7 +325,7 @@ impl EpochMachine {
     /// (`digest: Some`). Announces land in an open window; anything else
     /// is deferred to a later epoch — the joiner re-announces, which
     /// makes the handshake idempotent under duplication and partition.
-    pub fn join_request(
+    pub(crate) fn join_request(
         &mut self,
         worker: WorkerId,
         digest: Option<u64>,
@@ -400,7 +390,7 @@ impl EpochMachine {
 
     /// A witness's verdict on `subject`. Ignores votes for other epochs,
     /// unknown subjects, unsampled witnesses, and duplicates.
-    pub fn witness_vote(
+    pub(crate) fn witness_vote(
         &mut self,
         witness: WorkerId,
         subject: WorkerId,
@@ -439,7 +429,7 @@ impl EpochMachine {
     /// A member (or pending joiner) left or was declared dead. During
     /// `Warmup` this prunes it from every witness set it sat on; during
     /// `Train` a drop below the min threshold aborts the epoch.
-    pub fn member_left(
+    pub(crate) fn member_left(
         &mut self,
         worker: WorkerId,
         now_us: u64,
@@ -474,7 +464,7 @@ impl EpochMachine {
 
     /// One coordination boundary released during `Train`; the epoch
     /// rolls into `Cooldown` after `train_boundaries` of them.
-    pub fn boundary_released(&mut self, now_us: u64, j: &EventJournal) -> Vec<EpochCmd> {
+    pub(crate) fn boundary_released(&mut self, now_us: u64, j: &EventJournal) -> Vec<EpochCmd> {
         let mut cmds = Vec::new();
         if self.phase != EpochPhase::Train {
             return cmds;
@@ -652,7 +642,7 @@ fn mix(mut x: u64) -> u64 {
 /// a pure function of `(seed, epoch, subject)`, so the live AM, the
 /// churn harness, and a post-failover successor all pick the same
 /// panel.
-pub fn sample_witnesses(
+pub(crate) fn sample_witnesses(
     seed: u64,
     epoch: u64,
     subject: WorkerId,
@@ -681,7 +671,7 @@ pub fn sample_witnesses(
 
 /// The epoch's shard→member assignment: shard `s` belongs to
 /// `owners[mix(seed, epoch, s) % owners.len()]`. Pure in all arguments.
-pub fn shard_owners(
+pub(crate) fn shard_owners(
     seed: u64,
     epoch: u64,
     shard_count: u64,
@@ -826,7 +816,7 @@ enum SimState {
     Dead,
 }
 
-/// Runs a scripted join/leave/crash storm over an [`EpochMachine`] on a
+/// Runs a scripted join/leave/crash storm over an `EpochMachine` on a
 /// synthetic virtual clock. Deterministic: the report (including the
 /// journal hash) is a pure function of `cfg`.
 pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
@@ -1090,7 +1080,7 @@ mod tests {
             .iter()
             .any(|c| matches!(c, EpochCmd::Admit { subject, .. } if *subject == w(9))));
         assert_eq!(m.phase(), EpochPhase::Train);
-        assert!(m.is_member(w(9)));
+        assert!(m.members.contains(&w(9)));
         assert!(check_epoch_safety(&j.events()).is_safe());
     }
 
@@ -1107,7 +1097,7 @@ mod tests {
         assert!(cmds
             .iter()
             .any(|c| matches!(c, EpochCmd::Evict { subject, .. } if *subject == w(9))));
-        assert!(!m.is_member(w(9)));
+        assert!(!m.members.contains(&w(9)));
         assert_eq!(m.phase(), EpochPhase::Train, "survivors train on");
         assert!(check_epoch_safety(&j.events()).is_safe());
     }

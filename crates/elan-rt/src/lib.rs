@@ -1,7 +1,8 @@
 //! A live, multi-threaded runtime speaking the Elan coordination protocol.
 //!
-//! The simulator in `elan-core` proves the protocol on virtual time; this
-//! crate proves it on *real* concurrency: worker threads train a synthetic
+//! It runs the protocol on *real* concurrency (or, under
+//! [`TimeSource::virtual_seeded`], on a deterministic virtual-time
+//! schedule of the same threads): worker threads train a synthetic
 //! data-parallel workload with a genuine allreduce ([`comm::CommGroup`]),
 //! an application-master thread serves reports and coordinations over a
 //! channel [`bus`], and resource adjustments replicate real state buffers
@@ -9,11 +10,12 @@
 //! without ever stopping the existing workers outside the adjustment
 //! pause.
 //!
-//! Everything the runtime does is observable: a structured [`EventJournal`]
-//! records bus faults, replication waves, allreduce rounds, and the
-//! adjustment pipeline itself, while a [`TraceRecorder`] spans each
-//! adjustment's five phases (request → report → coordinate → replicate →
-//! adjust) for the latency breakdown of [`ElasticRuntime::trace_report`].
+//! Everything the runtime does is observable: a structured
+//! [`EventJournal`](obs::EventJournal) records bus faults, replication
+//! waves, allreduce rounds, and the adjustment pipeline itself, while a
+//! trace recorder spans each adjustment's five phases (request → report →
+//! coordinate → replicate → adjust) for the latency breakdown of
+//! [`ElasticRuntime::trace_report`].
 //!
 //! # Examples
 //!
@@ -51,29 +53,22 @@ pub mod time;
 pub mod transport;
 pub mod worker;
 
-pub use bus::{Bus, BusBuilder, Endpoint, EndpointId, EndpointStats, Envelope, RtMsg};
-pub use chaos::{ChaosPolicy, ChaosStats, EdgeChaos, PartitionWindow};
+pub use bus::{Bus, Endpoint, EndpointId, EndpointStats, Envelope, RtMsg};
+pub use chaos::ChaosPolicy;
 pub use comm::{
-    adaptive_chunk_elems, reference_sum, AllreduceOutcome, CommGroup, CommTopology, ReducePath,
-    TuningProfile, DEFAULT_CHUNK_ELEMS,
+    reference_sum, AllreduceOutcome, CommGroup, CommTopology, ReducePath, TuningProfile,
 };
-pub use epoch::{
-    run_churn, sample_witnesses, shard_checksum, shard_owners, ChurnConfig, ChurnReport, EpochCmd,
-    EpochConfig, EpochMachine,
-};
+pub use epoch::{run_churn, shard_checksum, ChurnConfig, EpochConfig};
 pub use liveness::CrashPoint;
 pub use obs::{
-    render_trace_report, AdjustmentTrace, ChaosFate, Event, EventJournal, EventKind, EventSink,
-    JournalSummary, Obs, RingBufferSink, TraceKind, TraceRecorder, DEFAULT_RING_CAPACITY,
+    render_trace_report, AdjustmentTrace, Event, EventKind, EventSink, JournalSummary,
+    RingBufferSink, TraceKind,
 };
-pub use reliable::{ReliableEndpoint, RtMetrics, RtMetricsSnapshot};
+pub use reliable::RtMetricsSnapshot;
 pub use remote::{run_remote_worker, RemoteRole};
 pub use runtime::{
     CheckpointSnapshot, ElasticRuntime, RuntimeBuilder, RuntimeConfig, ShutdownReport,
 };
-pub use safety::{
-    check_epoch_safety, check_term_safety, EpochSafetyReport, EpochViolation, TermSafetyReport,
-    TermViolation,
-};
-pub use time::{SlotGuard, ThreadSlot, TimeSource, VirtualClock};
+pub use safety::{check_epoch_safety, check_term_safety};
+pub use time::TimeSource;
 pub use transport::{MemoryTransport, SocketTransport, Transport};

@@ -2,15 +2,16 @@
 //! state record, and the worker heartbeat monitor.
 //!
 //! The design follows Elan §V-D: the application master persists every
-//! state transition to a [`ReplicatedStore`] *before* acting on it, and
-//! proves its own liveness by refreshing a lease in a [`LeaseManager`]
-//! shared with a watchdog. When the lease lapses — because the AM thread
-//! died or was deliberately crashed by a test — the watchdog elects a
-//! replacement AM at a higher epoch, which reads the durable record back
-//! and resumes whatever adjustment was in flight.
+//! state transition to a term-fenced durable record *before* acting on it
+//! (`SharedControl::persist`), and proves its own liveness by refreshing a
+//! lease in a [`LeaseManager`] shared with a watchdog. When the lease
+//! lapses — because the AM thread died or was deliberately crashed by a
+//! test — the watchdog elects a replacement AM at a higher epoch, which
+//! bumps the record's term, reads it back and resumes whatever adjustment
+//! was in flight.
 //!
 //! Workers prove their liveness with periodic heartbeats; the AM-side
-//! [`HeartbeatMonitor`] turns missed heartbeats into failure-driven
+//! `HeartbeatMonitor` turns missed heartbeats into failure-driven
 //! scale-in decisions.
 
 use std::collections::{HashMap, HashSet};
@@ -24,15 +25,11 @@ use parking_lot::{Mutex, RwLock};
 use elan_core::lease::{LeaseId, LeaseManager, LeaseState};
 use elan_core::protocol::EpochPhase;
 use elan_core::state::WorkerId;
-use elan_core::store::ReplicatedStore;
 use elan_sim::{SimDuration, SimTime};
 
 use crate::obs::{EventKind, Obs};
 use crate::reliable::RtMetrics;
 use crate::time::{std_to_sim, TimeSource};
-
-/// The store key under which the live AM persists its durable record.
-pub const AM_STORE_KEY: &str = "am/rt";
 
 /// Where an armed AM crash fires (test hook for recovery scenarios).
 ///
@@ -66,7 +63,7 @@ pub enum CrashPoint {
 
 /// What stage of an adjustment the durable AM record is in.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AmPhase {
+pub(crate) enum AmPhase {
     /// No adjustment in flight.
     Steady,
     /// Transfer orders are (about to be) outstanding for a move to
@@ -92,7 +89,7 @@ pub enum AmPhase {
 
 /// A controller-requested (or failure-driven) adjustment not yet started.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingOp {
+pub(crate) struct PendingOp {
     /// Controller op sequence to acknowledge, or `None` for an internal
     /// failure-driven adjustment.
     pub seq: Option<u64>,
@@ -102,17 +99,17 @@ pub struct PendingOp {
 
 /// Everything a replacement AM needs to take over mid-flight.
 ///
-/// The AM persists this record to the [`ReplicatedStore`] *before* every
+/// The AM persists this record ([`SharedControl::persist`]) *before* every
 /// externally visible action, so the record is always at or ahead of the
 /// cluster's observed state and replaying from it is safe.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AmDurable {
+pub(crate) struct AmDurable {
     /// The epoch of the AM that last wrote the record.
     pub epoch: u64,
-    /// Monotonic fencing term: bumped (via CAS) by every AM incarnation
-    /// before it acts. Writes carrying an older term are rejected by
-    /// [`SharedControl::persist`], so a partitioned predecessor cannot
-    /// clobber the record after a takeover.
+    /// Monotonic fencing term: bumped by every AM incarnation before it
+    /// acts ([`SharedControl::bump_term`]). Writes carrying an older term
+    /// are rejected by [`SharedControl::persist`], so a partitioned
+    /// predecessor cannot clobber the record after a takeover.
     pub term: u64,
     /// Current active membership.
     pub members: Vec<WorkerId>,
@@ -135,7 +132,7 @@ pub struct AmDurable {
 
 impl AmDurable {
     /// A fresh record for a founding membership.
-    pub fn founding(members: Vec<WorkerId>) -> Self {
+    pub(crate) fn founding(members: Vec<WorkerId>) -> Self {
         AmDurable {
             epoch: 0,
             term: 0,
@@ -152,12 +149,14 @@ impl AmDurable {
 
 /// Control-plane state shared by the controller, AM, watchdog, and tests.
 ///
-/// This is the "etcd" of the miniature cluster: the replicated store with
-/// the durable AM record, the lease table, crash-injection flags, and the
-/// authoritative membership view.
-pub struct SharedControl {
-    /// Durable AM state (persist-before-act).
-    pub store: Mutex<ReplicatedStore<AmDurable>>,
+/// This is the "etcd" of the miniature cluster: the durable AM record, the
+/// lease table, crash-injection flags, and the authoritative membership
+/// view.
+pub(crate) struct SharedControl {
+    /// Durable AM record (persist-before-act), term-fenced by
+    /// [`persist`](Self::persist). Seeded at construction with an empty
+    /// founding membership at term 0.
+    durable: Mutex<AmDurable>,
     /// Lease table proving AM liveness.
     pub leases: Mutex<LeaseManager>,
     /// The runtime clock the lease table (and heartbeat reasoning) ticks
@@ -208,15 +207,16 @@ impl SharedControl {
     /// Creates the shared control plane with the given AM lease TTL, on a
     /// private real-time clock (tests); the runtime builder uses
     /// [`SharedControl::with_time`].
-    pub fn new(lease_ttl: Duration, obs: Arc<Obs>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(lease_ttl: Duration, obs: Arc<Obs>) -> Self {
         SharedControl::with_time(lease_ttl, obs, TimeSource::real())
     }
 
     /// Creates the shared control plane ticking on the runtime's clock.
-    pub fn with_time(lease_ttl: Duration, obs: Arc<Obs>, time: TimeSource) -> Self {
+    pub(crate) fn with_time(lease_ttl: Duration, obs: Arc<Obs>, time: TimeSource) -> Self {
         let metrics = Arc::clone(&obs.rt);
         SharedControl {
-            store: Mutex::new(ReplicatedStore::new()),
+            durable: Mutex::new(AmDurable::founding(Vec::new())),
             leases: Mutex::new(LeaseManager::new(SimDuration::from_nanos(
                 lease_ttl.as_nanos().max(1) as u64,
             ))),
@@ -238,17 +238,12 @@ impl SharedControl {
     }
 
     /// "Now" on the runtime's shared time axis (real or virtual).
-    pub fn now_sim(&self) -> SimTime {
+    pub(crate) fn now_sim(&self) -> SimTime {
         self.time.now()
     }
 
-    /// The clock this control plane ticks on.
-    pub fn time(&self) -> &TimeSource {
-        &self.time
-    }
-
     /// Grants a fresh AM lease and records it as current.
-    pub fn grant_lease(&self) -> LeaseId {
+    pub(crate) fn grant_lease(&self) -> LeaseId {
         let id = self.leases.lock().grant(self.now_sim());
         *self.current_lease.lock() = Some(id);
         id
@@ -261,7 +256,7 @@ impl SharedControl {
 
     /// True if the current lease (if any) has expired — i.e. the active
     /// AM has stopped proving liveness and a takeover is warranted.
-    pub fn lease_expired(&self) -> bool {
+    pub(crate) fn lease_expired(&self) -> bool {
         let current = *self.current_lease.lock();
         match current {
             None => false,
@@ -272,23 +267,20 @@ impl SharedControl {
         }
     }
 
-    /// Persists the durable AM record — the persist-before-act write, now
-    /// term-fenced: the write lands only while `record.term` is still the
-    /// newest term the store has seen. Returns false (and journals
+    /// Persists the durable AM record — the persist-before-act write,
+    /// term-fenced: the write lands iff `record.term` is at least the
+    /// stored term. Returns false (and journals
     /// [`EventKind::StaleTermRejected`]) when a newer term owns the
     /// record, in which case the caller was superseded and must abdicate
     /// *without* taking the externally visible action the write guards.
     pub fn persist(&self, record: &AmDurable) -> bool {
         let stored_term = {
-            let mut store = self.store.lock();
-            let stored = store.get(AM_STORE_KEY).map(|v| v.value.term);
-            match stored {
-                Some(term) if term > record.term => term,
-                _ => {
-                    store.put(AM_STORE_KEY, record.clone());
-                    return true;
-                }
+            let mut durable = self.durable.lock();
+            if record.term >= durable.term {
+                *durable = record.clone();
+                return true;
             }
+            durable.term
         };
         self.obs.journal.emit(EventKind::StaleTermRejected {
             term: stored_term,
@@ -300,45 +292,22 @@ impl SharedControl {
     /// Atomically bumps the fencing term (and stamps `epoch`) on the
     /// durable record — the first thing every AM incarnation does, so
     /// that any still-running predecessor's next [`persist`](Self::persist)
-    /// is fenced. Returns the updated record, or `None` when the record
-    /// was never seeded.
-    pub fn bump_term(&self, epoch: u64) -> Option<AmDurable> {
-        let mut store = self.store.lock();
-        loop {
-            let (version, mut rec) = store
-                .get(AM_STORE_KEY)
-                .map(|v| (v.version, v.value.clone()))?;
-            rec.term += 1;
-            rec.epoch = epoch;
-            // CAS rather than blind put: the version check makes the bump
-            // safe even against a store whose lock is not this mutex.
-            if store
-                .compare_and_put(AM_STORE_KEY, version, rec.clone())
-                .is_ok()
-            {
-                return Some(rec);
-            }
-        }
-    }
-
-    /// Reads the durable AM record back (for takeover or inspection).
-    pub fn recover(&self) -> Option<AmDurable> {
-        self.store.lock().get(AM_STORE_KEY).map(|v| v.value.clone())
-    }
-
-    /// Takes an armed AM crash point, if any (one-shot).
-    pub fn take_am_crash(&self) -> Option<CrashPoint> {
-        self.am_crash.lock().take()
+    /// is fenced. Returns the updated record.
+    pub(crate) fn bump_term(&self, epoch: u64) -> AmDurable {
+        let mut durable = self.durable.lock();
+        durable.term += 1;
+        durable.epoch = epoch;
+        durable.clone()
     }
 
     /// True if `worker` has been ordered to play dead.
-    pub fn worker_crashed(&self, worker: WorkerId) -> bool {
+    pub(crate) fn worker_crashed(&self, worker: WorkerId) -> bool {
         self.worker_crash.read().contains(&worker)
     }
 
     /// Consumes the armed boundary crash for `worker` once `iteration`
     /// has reached it (one-shot).
-    pub fn take_worker_boundary_crash(&self, worker: WorkerId, iteration: u64) -> bool {
+    pub(crate) fn take_worker_boundary_crash(&self, worker: WorkerId, iteration: u64) -> bool {
         let mut points = self.worker_crash_points.lock();
         let before = points.len();
         points.retain(|p| {
@@ -350,17 +319,17 @@ impl SharedControl {
 
     /// Records what a boundary-crashed worker knew when it died; its
     /// restarted incarnation presents this in its `Rejoin`.
-    pub fn record_worker_crash(&self, worker: WorkerId, term: u64, iteration: u64) {
+    pub(crate) fn record_worker_crash(&self, worker: WorkerId, term: u64, iteration: u64) {
         self.crash_info.lock().insert(worker, (term, iteration));
     }
 
     /// Takes the recorded `(term, iteration)` of a crashed worker.
-    pub fn take_crash_info(&self, worker: WorkerId) -> Option<(u64, u64)> {
+    pub(crate) fn take_crash_info(&self, worker: WorkerId) -> Option<(u64, u64)> {
         self.crash_info.lock().remove(&worker)
     }
 
     /// True once shutdown has been requested.
-    pub fn shutting_down(&self) -> bool {
+    pub(crate) fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 }
@@ -371,26 +340,8 @@ impl SharedControl {
 /// readings from the same [`TimeSource`] the bus and lease table use, so
 /// under virtual time the failure threshold is exact and testable to the
 /// nanosecond.
-///
-/// # Examples
-///
-/// ```
-/// use std::time::Duration;
-/// use elan_core::state::WorkerId;
-/// use elan_rt::liveness::HeartbeatMonitor;
-/// use elan_sim::{SimDuration, SimTime};
-///
-/// let mut hb = HeartbeatMonitor::new(Duration::from_millis(100));
-/// let t0 = SimTime::ZERO;
-/// hb.note(WorkerId(0), t0);
-/// assert!(hb.dead(&[WorkerId(0)], t0 + SimDuration::from_millis(50)).is_empty());
-/// assert_eq!(
-///     hb.dead(&[WorkerId(0)], t0 + SimDuration::from_millis(200)),
-///     vec![WorkerId(0)]
-/// );
-/// ```
 #[derive(Debug)]
-pub struct HeartbeatMonitor {
+pub(crate) struct HeartbeatMonitor {
     last: HashMap<WorkerId, SimTime>,
     /// Members never heard from, seeded at first poll. Kept apart from
     /// `last` so a first proof of life can be awaited under a different
@@ -402,7 +353,8 @@ pub struct HeartbeatMonitor {
 
 impl HeartbeatMonitor {
     /// A monitor declaring workers dead after `timeout` of silence.
-    pub fn new(timeout: Duration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(timeout: Duration) -> Self {
         HeartbeatMonitor::with_grace(timeout, timeout)
     }
 
@@ -414,7 +366,7 @@ impl HeartbeatMonitor {
     /// OS processes whose spawn + dial-in can easily outlast a heartbeat
     /// timeout tuned for steady-state silence, so the runtime widens
     /// `first_contact` in remote mode.
-    pub fn with_grace(timeout: Duration, first_contact: Duration) -> Self {
+    pub(crate) fn with_grace(timeout: Duration, first_contact: Duration) -> Self {
         HeartbeatMonitor {
             last: HashMap::new(),
             awaited: HashMap::new(),
@@ -427,7 +379,7 @@ impl HeartbeatMonitor {
     ///
     /// Any message from a worker counts — heartbeats are just the
     /// guaranteed minimum traffic.
-    pub fn note(&mut self, worker: WorkerId, now: SimTime) {
+    pub(crate) fn note(&mut self, worker: WorkerId, now: SimTime) {
         self.awaited.remove(&worker);
         self.last.insert(worker, now);
     }
@@ -438,7 +390,7 @@ impl HeartbeatMonitor {
     /// by starting its clock at first observation: `dead` seeds `now` for
     /// unknown members instead of condemning them immediately, and holds
     /// them to the `first_contact` deadline rather than `timeout`.
-    pub fn dead(&mut self, members: &[WorkerId], now: SimTime) -> Vec<WorkerId> {
+    pub(crate) fn dead(&mut self, members: &[WorkerId], now: SimTime) -> Vec<WorkerId> {
         members
             .iter()
             .copied()
@@ -454,7 +406,7 @@ impl HeartbeatMonitor {
     }
 
     /// Forgets a worker (it left or was declared dead).
-    pub fn forget(&mut self, worker: WorkerId) {
+    pub(crate) fn forget(&mut self, worker: WorkerId) {
         self.last.remove(&worker);
         self.awaited.remove(&worker);
     }
@@ -463,6 +415,12 @@ impl HeartbeatMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The durable record as currently stored.
+    fn stored(ctrl: &SharedControl) -> AmDurable {
+        ctrl.durable.lock().clone()
+    }
 
     #[test]
     fn founding_record_is_steady() {
@@ -475,14 +433,14 @@ mod tests {
     #[test]
     fn persist_recover_roundtrip() {
         let ctrl = SharedControl::new(Duration::from_millis(100), Obs::new_default());
-        assert!(ctrl.recover().is_none());
+        assert_eq!(stored(&ctrl), AmDurable::founding(Vec::new()), "seeded");
         let mut rec = AmDurable::founding(vec![WorkerId(0)]);
         rec.phase = AmPhase::Transferring {
             target: vec![WorkerId(0), WorkerId(1)],
             seq: Some(3),
         };
         assert!(ctrl.persist(&rec));
-        assert_eq!(ctrl.recover(), Some(rec));
+        assert_eq!(stored(&ctrl), rec);
     }
 
     #[test]
@@ -497,25 +455,75 @@ mod tests {
         stale.term = 2;
         stale.seq_done = 99;
         assert!(!ctrl.persist(&stale));
-        assert_eq!(ctrl.recover(), Some(rec.clone()));
+        assert_eq!(stored(&ctrl), rec);
         // Same term (the incumbent itself) still writes.
         rec.seq_done = 1;
         assert!(ctrl.persist(&rec));
-        assert_eq!(ctrl.recover().map(|r| r.seq_done), Some(1));
+        assert_eq!(stored(&ctrl).seq_done, 1);
     }
 
     #[test]
     fn bump_term_is_monotonic_and_stamps_epoch() {
         let ctrl = SharedControl::new(Duration::from_millis(100), Obs::new_default());
-        assert!(ctrl.bump_term(1).is_none(), "nothing seeded yet");
         assert!(ctrl.persist(&AmDurable::founding(vec![WorkerId(0)])));
-        let first = ctrl.bump_term(1).expect("record was seeded");
+        let first = ctrl.bump_term(1);
         assert_eq!((first.term, first.epoch), (1, 1));
-        let second = ctrl.bump_term(5).expect("record still present");
+        let second = ctrl.bump_term(5);
         assert_eq!((second.term, second.epoch), (2, 5));
-        assert_eq!(ctrl.recover(), Some(second));
+        assert_eq!(stored(&ctrl), second);
         // The fenced-out first incarnation can no longer write.
         assert!(!ctrl.persist(&first));
+    }
+
+    proptest! {
+        /// Random interleavings of `bump_term` and `persist` from stale
+        /// and current AM incarnations (plus records carrying arbitrary
+        /// terms): the stored term never decreases, a persist lands iff
+        /// its term is at least the stored term, and every rejection
+        /// journals exactly one `StaleTermRejected`.
+        #[test]
+        fn fenced_record_holds_under_random_interleavings(
+            ops in prop::collection::vec(0u64..1_000_000, 1..64),
+        ) {
+            let ctrl = SharedControl::new(Duration::from_millis(100), Obs::new_default());
+            let rejections = || ctrl.obs.journal.summary().count("stale_term_rejected");
+            // Each incarnation's working copy of the record; the founding
+            // one (term 0) is what launch persists.
+            let mut incarnations = vec![AmDurable::founding(vec![WorkerId(0)])];
+            for &op in &ops {
+                let before = stored(&ctrl);
+                let rejected_before = rejections();
+                let arg = op / 3;
+                let record = match op % 3 {
+                    0 => {
+                        let bumped = ctrl.bump_term(arg % 100);
+                        prop_assert_eq!(bumped.term, before.term + 1);
+                        prop_assert_eq!(bumped.epoch, arg % 100);
+                        prop_assert_eq!(&stored(&ctrl), &bumped);
+                        prop_assert_eq!(rejections(), rejected_before);
+                        incarnations.push(bumped);
+                        continue;
+                    }
+                    1 => {
+                        let i = (arg % incarnations.len() as u64) as usize;
+                        incarnations[i].seq_done = op;
+                        incarnations[i].clone()
+                    }
+                    _ => {
+                        let mut forged = before.clone();
+                        forged.term = arg % (before.term + 3);
+                        forged.seq_done = op;
+                        forged
+                    }
+                };
+                let lands = record.term >= before.term;
+                prop_assert_eq!(ctrl.persist(&record), lands);
+                let after = stored(&ctrl);
+                prop_assert!(after.term >= before.term, "stored term decreased");
+                prop_assert_eq!(&after, if lands { &record } else { &before });
+                prop_assert_eq!(rejections(), rejected_before + u64::from(!lands));
+            }
+        }
     }
 
     #[test]
@@ -693,13 +701,5 @@ mod tests {
         assert!(ctrl.keep_alive(first).is_err());
         assert!(ctrl.keep_alive(second).is_ok());
         time.deregister();
-    }
-
-    #[test]
-    fn crash_point_is_one_shot() {
-        let ctrl = SharedControl::new(Duration::from_millis(100), Obs::new_default());
-        *ctrl.am_crash.lock() = Some(CrashPoint::OnAdjustStart);
-        assert_eq!(ctrl.take_am_crash(), Some(CrashPoint::OnAdjustStart));
-        assert_eq!(ctrl.take_am_crash(), None);
     }
 }

@@ -9,7 +9,7 @@
 //! - every interesting runtime action emits a structured [`Event`] into an
 //!   [`EventJournal`] (a bounded [`RingBufferSink`] plus optional extra
 //!   [`EventSink`]s),
-//! - the in-flight adjustment is traced span-style by a [`TraceRecorder`]
+//! - the in-flight adjustment is traced span-style by a `TraceRecorder`
 //!   into an [`AdjustmentTrace`] with one
 //!   [`PhaseWindow`] per pipeline phase —
 //!   idempotent under AM failover, so a replacement AM continues its
@@ -447,7 +447,7 @@ pub trait EventSink: Send + Sync {
 /// The default sink: a bounded ring buffer with overwrite semantics.
 ///
 /// Holding the last `capacity` events bounds memory under chaos storms;
-/// [`RingBufferSink::overwritten`] counts what was lost.
+/// [`JournalSummary::overwritten`] counts what was lost.
 #[derive(Debug)]
 pub struct RingBufferSink {
     capacity: usize,
@@ -471,7 +471,7 @@ impl RingBufferSink {
     }
 
     /// Events discarded to make room.
-    pub fn overwritten(&self) -> u64 {
+    pub(crate) fn overwritten(&self) -> u64 {
         self.overwritten.load(Ordering::Relaxed)
     }
 }
@@ -548,7 +548,7 @@ impl std::fmt::Debug for EventJournal {
 impl EventJournal {
     /// A journal whose ring retains `ring_capacity` events, teeing every
     /// event to `extra` sinks after the ring. Ticks on a private real-time
-    /// epoch; the runtime builder uses [`EventJournal::with_time`] so the
+    /// epoch; the runtime builder uses `EventJournal::with_time` so the
     /// journal shares the runtime's clock instead.
     pub fn new(ring_capacity: usize, extra: Vec<Arc<dyn EventSink>>) -> Self {
         EventJournal::with_time(ring_capacity, extra, TimeSource::real())
@@ -557,7 +557,7 @@ impl EventJournal {
     /// A journal stamping events from the given [`TimeSource`] — the old
     /// construction-time wall-clock epoch coupling is gone: the journal
     /// holds no clock of its own.
-    pub fn with_time(
+    pub(crate) fn with_time(
         ring_capacity: usize,
         extra: Vec<Arc<dyn EventSink>>,
         time: TimeSource,
@@ -573,13 +573,8 @@ impl EventJournal {
 
     /// Microseconds since the runtime epoch — the timestamp axis every
     /// event and [`PhaseWindow`] shares.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.time.now().as_nanos() / 1_000
-    }
-
-    /// The clock this journal stamps events from.
-    pub fn time(&self) -> &TimeSource {
-        &self.time
     }
 
     /// Records `kind` now; returns the stamped event's sequence number.
@@ -589,7 +584,7 @@ impl EventJournal {
 
     /// Records `kind` with an explicit timestamp (for callers that already
     /// read the clock).
-    pub fn emit_at(&self, at_us: u64, kind: EventKind) -> u64 {
+    pub(crate) fn emit_at(&self, at_us: u64, kind: EventKind) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         *self.counts.lock().entry(kind.name()).or_insert(0) += 1;
         let event = Event { seq, at_us, kind };
@@ -628,7 +623,7 @@ impl Default for EventJournal {
 
 /// Default ring capacity: generous enough that a chaotic e2e run keeps
 /// every adjustment-relevant event.
-pub const DEFAULT_RING_CAPACITY: usize = 16_384;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 16_384;
 
 /// One adjustment's span: per-phase windows on the journal's microsecond
 /// clock, plus outcome metadata.
@@ -757,7 +752,7 @@ struct TraceState {
 /// AM *continues* the in-flight trace: `phase_start` is first-wins,
 /// `phase_end` is max-wins, and `complete` is one-shot.
 #[derive(Debug, Default)]
-pub struct TraceRecorder {
+pub(crate) struct TraceRecorder {
     state: Mutex<TraceState>,
 }
 
@@ -765,7 +760,7 @@ impl TraceRecorder {
     /// Opens a new trace (unless one is already in flight with the same
     /// `seq`, as happens when a failover replays the request). Returns the
     /// trace id and whether it was freshly opened.
-    pub fn begin(
+    pub(crate) fn begin(
         &self,
         kind: TraceKind,
         seq: Option<u64>,
@@ -796,15 +791,9 @@ impl TraceRecorder {
         (id, true)
     }
 
-    /// The id of the in-flight trace, if any.
-    pub fn active_id(&self) -> Option<u64> {
-        let st = self.state.lock();
-        st.active.map(|i| st.traces[i].id)
-    }
-
     /// Opens `phase` at `at_us` (first-wins; replays keep the original
     /// timestamp). Returns the trace id when a trace is in flight.
-    pub fn phase_start(&self, phase: AdjustmentPhase, at_us: u64) -> Option<u64> {
+    pub(crate) fn phase_start(&self, phase: AdjustmentPhase, at_us: u64) -> Option<u64> {
         let mut st = self.state.lock();
         let i = st.active?;
         let t = &mut st.traces[i];
@@ -820,7 +809,7 @@ impl TraceRecorder {
 
     /// Closes `phase` at `at_us` (max-wins; opens the phase zero-length if
     /// it never started, so no end is orphaned). Returns the trace id.
-    pub fn phase_end(&self, phase: AdjustmentPhase, at_us: u64) -> Option<u64> {
+    pub(crate) fn phase_end(&self, phase: AdjustmentPhase, at_us: u64) -> Option<u64> {
         let mut st = self.state.lock();
         let i = st.active?;
         let t = &mut st.traces[i];
@@ -840,7 +829,7 @@ impl TraceRecorder {
     /// Extends the report phase to cover a readiness report arriving at
     /// `at_us` (joiners may report before the AM even sees the request —
     /// the window clamps rather than going backwards).
-    pub fn note_report(&self, at_us: u64) {
+    pub(crate) fn note_report(&self, at_us: u64) {
         let mut st = self.state.lock();
         let Some(i) = st.active else { return };
         let t = &mut st.traces[i];
@@ -857,7 +846,7 @@ impl TraceRecorder {
     }
 
     /// Records the replication schedule shape on the in-flight trace.
-    pub fn set_plan(&self, waves: u32, transfers: u32) {
+    pub(crate) fn set_plan(&self, waves: u32, transfers: u32) {
         let mut st = self.state.lock();
         let Some(i) = st.active else { return };
         let t = &mut st.traces[i];
@@ -868,7 +857,7 @@ impl TraceRecorder {
     /// Completes the in-flight trace: closes every still-open phase at
     /// `at_us`, fills the outcome, and clears the active slot. One-shot —
     /// a second call (failover replay) is a no-op. Returns the trace id.
-    pub fn complete(&self, generation: u64, world: u32, at_us: u64) -> Option<u64> {
+    pub(crate) fn complete(&self, generation: u64, world: u32, at_us: u64) -> Option<u64> {
         let mut st = self.state.lock();
         let i = st.active.take()?;
         let t = &mut st.traces[i];
@@ -900,7 +889,7 @@ impl TraceRecorder {
 }
 
 /// The runtime's observability bundle: one journal, one trace recorder,
-/// one metrics registry, and the registry-backed [`RtMetrics`] handles.
+/// one metrics registry, and the registry-backed `RtMetrics` handles.
 ///
 /// Shared by the controller handle, every AM incarnation, the watchdog,
 /// and all workers (through `SharedControl` and the bus).
@@ -909,25 +898,19 @@ pub struct Obs {
     /// The structured event journal.
     pub journal: Arc<EventJournal>,
     /// Span-style adjustment traces.
-    pub traces: Arc<TraceRecorder>,
+    pub(crate) traces: Arc<TraceRecorder>,
     /// Named counters/gauges/histograms.
     pub registry: MetricsRegistry,
     /// Reliable-messaging counters, registered in `registry` under
     /// `rt.*` names.
-    pub rt: Arc<RtMetrics>,
+    pub(crate) rt: Arc<RtMetrics>,
 }
 
 impl Obs {
-    /// Builds the bundle with the given journal ring capacity and extra
-    /// sinks, on a private real-time epoch.
-    pub fn new(ring_capacity: usize, sinks: Vec<Arc<dyn EventSink>>) -> Arc<Self> {
-        Obs::with_time(ring_capacity, sinks, TimeSource::real())
-    }
-
     /// Builds the bundle on the runtime's clock (the builder's entry
     /// point): journal timestamps, trace phase windows, and metrics all
     /// share one time axis.
-    pub fn with_time(
+    pub(crate) fn with_time(
         ring_capacity: usize,
         sinks: Vec<Arc<dyn EventSink>>,
         time: TimeSource,
@@ -942,9 +925,10 @@ impl Obs {
         })
     }
 
-    /// A default bundle (for tests and standalone components).
-    pub fn new_default() -> Arc<Self> {
-        Obs::new(DEFAULT_RING_CAPACITY, Vec::new())
+    /// A default bundle on a private real-time epoch (for tests).
+    #[cfg(test)]
+    pub(crate) fn new_default() -> Arc<Self> {
+        Obs::with_time(DEFAULT_RING_CAPACITY, Vec::new(), TimeSource::real())
     }
 
     /// Point-in-time snapshot of the metrics registry.

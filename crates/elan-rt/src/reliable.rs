@@ -2,7 +2,7 @@
 //!
 //! Implements the paper's §V-D recipe on the live runtime: every message
 //! carries a unique id, the sender resends on timeout until acked, and
-//! the receiver deduplicates with bounded memory. [`ReliableEndpoint`]
+//! the receiver deduplicates with bounded memory. `ReliableEndpoint`
 //! wraps a raw [`Endpoint`] with:
 //!
 //! - an owner-scoped [`MsgIdAllocator`] (the AM's owner encodes its epoch,
@@ -30,7 +30,7 @@ use crate::time::{sim_to_std, std_to_sim, TimeSource};
 /// the atomics with a [`MetricsRegistry`] (under `rt.*` names), or use
 /// `Default` for standalone counters in tests.
 #[derive(Debug, Default)]
-pub struct RtMetrics {
+pub(crate) struct RtMetrics {
     /// Transport-level resends after ack timeouts.
     pub resends: Counter,
     /// Duplicate deliveries suppressed by receivers.
@@ -50,7 +50,7 @@ impl RtMetrics {
     /// Counters registered in (and shared with) `registry` under the
     /// `rt.resends`, `rt.duplicates`, … names, so a registry snapshot and
     /// this struct always agree.
-    pub fn registered(registry: &MetricsRegistry) -> Self {
+    pub(crate) fn registered(registry: &MetricsRegistry) -> Self {
         RtMetrics {
             resends: registry.counter("rt.resends"),
             duplicates: registry.counter("rt.duplicates"),
@@ -62,7 +62,7 @@ impl RtMetrics {
     }
 }
 
-/// A point-in-time copy of [`RtMetrics`] plus bus-level counters.
+/// A point-in-time copy of `RtMetrics` plus bus-level counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RtMetricsSnapshot {
     /// Transport-level resends after ack timeouts.
@@ -113,22 +113,10 @@ const FIRST_RESEND_ATTEMPT: u32 = 2;
 /// heartbeat timeout applies. The epoch machine reuses this span as the
 /// default per-epoch join window (DESIGN.md §17): both answer "how long
 /// do we wait for a member we have never heard from".
-pub const REMOTE_FIRST_CONTACT_GRACE_MS: u64 = 10_000;
-
-/// A message the endpoint gave up on: the peer never acked within the
-/// attempt budget.
-#[derive(Debug, Clone)]
-pub struct GiveUp {
-    /// The abandoned message id.
-    pub id: MsgId,
-    /// The unresponsive destination.
-    pub to: EndpointId,
-    /// The abandoned payload.
-    pub body: RtMsg,
-}
+pub(crate) const REMOTE_FIRST_CONTACT_GRACE_MS: u64 = 10_000;
 
 /// An endpoint with at-least-once delivery and duplicate suppression.
-pub struct ReliableEndpoint {
+pub(crate) struct ReliableEndpoint {
     bus: Bus,
     endpoint: Endpoint,
     ids: MsgIdAllocator,
@@ -171,11 +159,6 @@ impl ReliableEndpoint {
         }
     }
 
-    /// This endpoint's bus id.
-    pub fn id(&self) -> EndpointId {
-        self.endpoint.id()
-    }
-
     /// The underlying bus (for stats or bare sends).
     pub fn bus(&self) -> &Bus {
         &self.bus
@@ -208,7 +191,7 @@ impl ReliableEndpoint {
     }
 
     /// Sends `body` once, fire-and-forget (heartbeats, acks).
-    pub fn send_unreliable(&mut self, to: EndpointId, body: RtMsg) -> MsgId {
+    pub(crate) fn send_unreliable(&mut self, to: EndpointId, body: RtMsg) -> MsgId {
         let id = self.ids.next_id();
         self.bus.send_envelope(
             to,
@@ -222,9 +205,10 @@ impl ReliableEndpoint {
         id
     }
 
-    /// Resends every overdue message and returns the ones given up on.
+    /// Resends every overdue message and returns the destinations of the
+    /// ones given up on (the peer never acked within the attempt budget).
     /// Call this regularly (every receive timeout at least).
-    pub fn tick(&mut self) -> Vec<GiveUp> {
+    pub(crate) fn tick(&mut self) -> Vec<EndpointId> {
         let mut gave_up = Vec::new();
         let now = self.bus.time().now();
         for outcome in self.retry.poll(now) {
@@ -245,12 +229,12 @@ impl ReliableEndpoint {
                         },
                     );
                 }
-                RetryOutcome::GaveUp(id, (to, body)) => {
+                RetryOutcome::GaveUp(_, (to, _)) => {
                     self.metrics.give_ups.inc();
                     if let Some(journal) = self.bus.journal() {
                         journal.emit(EventKind::MessageGaveUp { to });
                     }
-                    gave_up.push(GiveUp { id, to, body });
+                    gave_up.push(to);
                 }
             }
         }
@@ -316,7 +300,7 @@ impl ReliableEndpoint {
     /// this instant" is the actual requirement.
     ///
     /// [`recv_timeout`]: Self::recv_timeout
-    pub fn try_recv(&mut self) -> Option<(EndpointId, RtMsg)> {
+    pub(crate) fn try_recv(&mut self) -> Option<(EndpointId, RtMsg)> {
         loop {
             let env = self.endpoint.try_recv()?;
             match &env.body {
@@ -354,16 +338,6 @@ impl ReliableEndpoint {
     /// Messages awaiting acknowledgement.
     pub fn pending(&self) -> usize {
         self.retry.pending()
-    }
-
-    /// Resends performed by this endpoint.
-    pub fn resend_count(&self) -> u64 {
-        self.retry.resend_count()
-    }
-
-    /// Duplicates suppressed by this endpoint.
-    pub fn duplicate_count(&self) -> u64 {
-        self.dedup.duplicate_count()
     }
 }
 
@@ -467,7 +441,7 @@ mod tests {
         assert!(w.recv_timeout(Duration::from_millis(50)).is_some());
         // The duplicate copy is absorbed, not surfaced.
         assert!(w.recv_timeout(Duration::from_millis(30)).is_none());
-        assert_eq!(w.duplicate_count(), 1);
+        assert_eq!(w.dedup.duplicate_count(), 1);
         assert!(metrics.duplicates.get() >= 1);
         time.deregister();
     }
@@ -493,7 +467,7 @@ mod tests {
             gave_up = am.tick();
         }
         assert_eq!(gave_up.len(), 1);
-        assert_eq!(gave_up[0].to, EndpointId::Worker(WorkerId(9)));
+        assert_eq!(gave_up[0], EndpointId::Worker(WorkerId(9)));
         assert_eq!(metrics.give_ups.get(), 1);
         assert_eq!(am.pending(), 0);
         time.deregister();
@@ -512,7 +486,7 @@ mod tests {
         time.sleep(Duration::from_millis(25));
         am.tick();
         assert!(w.recv_timeout(Duration::from_millis(30)).is_none());
-        assert_eq!(w.duplicate_count(), 1);
+        assert_eq!(w.dedup.duplicate_count(), 1);
         time.deregister();
     }
 
@@ -529,15 +503,15 @@ mod tests {
         for _ in 0..100 {
             assert!(am.tick().is_empty());
         }
-        assert_eq!(am.resend_count(), 0);
+        assert_eq!(am.retry.resend_count(), 0);
         // One nanosecond short of the 20 ms timeout: still nothing.
         time.sleep(Duration::from_nanos(20_000_000 - 1));
         am.tick();
-        assert_eq!(am.resend_count(), 0);
+        assert_eq!(am.retry.resend_count(), 0);
         // Crossing the timeout fires exactly one resend.
         time.sleep(Duration::from_nanos(1));
         am.tick();
-        assert_eq!(am.resend_count(), 1);
+        assert_eq!(am.retry.resend_count(), 1);
         time.deregister();
     }
 }

@@ -4,8 +4,8 @@
 //! master, controller, and watchdog over a listening [`SocketTransport`]
 //! (built with [`ElasticRuntime::builder`]`.transport(..).remote_workers(true)`),
 //! while each worker is a separate OS process that dials in with
-//! [`run_remote_worker`] and runs the *unchanged* [`run_worker`] loop —
-//! the worker cannot tell whether its [`ReliableEndpoint`] is backed by
+//! [`run_remote_worker`] and runs the *unchanged* `run_worker` loop —
+//! the worker cannot tell whether its `ReliableEndpoint` is backed by
 //! in-process channels or a socket.
 //!
 //! What a remote worker assembles locally:
@@ -15,7 +15,7 @@
 //!   envelopes, and the reliable layer's resend/dedup masks reconnects;
 //! - its own [`Obs`] journal and real-time [`TimeSource`] (virtual time
 //!   cannot cross a process boundary; the socket transport rejects it);
-//! - a private [`SharedControl`]: crash injection, leases, and the
+//! - a private `SharedControl`: crash injection, leases, and the
 //!   durable AM record are coordinator-side concerns, so the worker's
 //!   copy stays inert — `worker_crashed` never fires remotely;
 //! - a **solo** [`CommGroup`] holding only itself. The control plane
@@ -25,7 +25,7 @@
 //!   collectives are out of scope for the transport layer (DESIGN.md
 //!   §15).
 //!
-//! The process exits when [`run_worker`] returns — on the AM's `Leave`
+//! The process exits when `run_worker` returns — on the AM's `Leave`
 //! (clean shutdown or scale-in), or on eviction from the collective
 //! group.
 //!
@@ -51,7 +51,7 @@ use crate::transport::{SocketTransport, Transport};
 use crate::worker::{run_worker, Telemetry, WorkerConfig, WorkerRole, WorkerView};
 
 /// How a remote worker process enters the job — the CLI-expressible
-/// subset of [`WorkerRole`] (a `Restored` worker carries whole state
+/// subset of `WorkerRole` (a `Restored` worker carries whole state
 /// buffers and only makes sense in-process).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RemoteRole {

@@ -9,14 +9,14 @@
 //!
 //! Fault tolerance (§V-D) is layered on top:
 //!
-//! - every control message rides a [`ReliableEndpoint`] (ids, acks,
+//! - every control message rides a `ReliableEndpoint` (ids, acks,
 //!   resend-on-timeout, bounded dedup), so the job survives a lossy,
-//!   duplicating, reordering bus ([`Bus::builder`]);
-//! - the AM persists its durable record ([`AmDurable`]) to the shared
-//!   [`SharedControl`] store *before* every externally visible action and
-//!   proves liveness by refreshing a lease; a watchdog thread elects a
+//!   duplicating, reordering bus ([`RuntimeBuilder::chaos`]);
+//! - the AM persists its durable record (`AmDurable`), term-fenced, in
+//!   the shared `SharedControl` *before* every externally visible action
+//!   and proves liveness by refreshing a lease; a watchdog thread elects a
 //!   replacement AM at a higher epoch when the lease lapses, and the
-//!   replacement recovers the in-flight adjustment from the store;
+//!   replacement recovers the in-flight adjustment from that record;
 //! - workers heartbeat the AM (even from inside a blocked allreduce); the
 //!   AM turns missed heartbeats into a failure-driven scale-in: evict from
 //!   the collective, rebuild the communication group at the next boundary,
@@ -103,7 +103,7 @@ pub struct RuntimeConfig {
     /// advances the clock by roughly this much per iteration.
     pub compute_us: u64,
     /// Open-membership epoch machine (DESIGN.md §17): when set, the AM
-    /// ticks an [`EpochMachine`] and admits
+    /// ticks an `EpochMachine` and admits
     /// [`open_join`](ElasticRuntime::open_join) workers at epoch
     /// boundaries through warmup replication and a witness vote. `None`
     /// (the default) leaves the runtime's closed-membership behaviour
@@ -264,10 +264,8 @@ pub struct RuntimeBuilder {
     chaos: Option<ChaosPolicy>,
     restore: Option<CheckpointSnapshot>,
     sinks: Vec<Arc<dyn EventSink>>,
-    ring_capacity: usize,
     time: TimeSource,
     topology: Option<CommTopology>,
-    tuning: Option<TuningProfile>,
     transport: Option<Arc<dyn Transport>>,
     remote_workers: bool,
 }
@@ -279,10 +277,8 @@ impl std::fmt::Debug for RuntimeBuilder {
             .field("chaos", &self.chaos.is_some())
             .field("restore", &self.restore.is_some())
             .field("sinks", &self.sinks.len())
-            .field("ring_capacity", &self.ring_capacity)
             .field("time", &self.time)
             .field("topology", &self.topology.is_some())
-            .field("tuning", &self.tuning)
             .field("transport", &self.transport.is_some())
             .field("remote_workers", &self.remote_workers)
             .finish()
@@ -296,10 +292,8 @@ impl RuntimeBuilder {
             chaos: None,
             restore: None,
             sinks: Vec::new(),
-            ring_capacity: DEFAULT_RING_CAPACITY,
             time: TimeSource::real(),
             topology: None,
-            tuning: None,
             transport: None,
             remote_workers: false,
         }
@@ -328,7 +322,7 @@ impl RuntimeBuilder {
     }
 
     /// Turns on epoch-based open membership: the AM runs an
-    /// [`EpochMachine`] over the configured thresholds, and workers
+    /// `EpochMachine` over the configured thresholds, and workers
     /// spawned via [`ElasticRuntime::open_join`] are admitted at epoch
     /// boundaries — warmed up over the chunked replication path and
     /// audited by a witness vote — never mid-epoch.
@@ -360,13 +354,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Caps how many events the journal ring retains
-    /// ([`DEFAULT_RING_CAPACITY`] unless set).
-    pub fn ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        self
-    }
-
     /// Runs the job on the given [`TimeSource`].
     ///
     /// With [`TimeSource::virtual_seeded`] the whole control plane —
@@ -384,18 +371,10 @@ impl RuntimeBuilder {
 
     /// Describes where each worker "lives" in the cluster hierarchy for
     /// the adaptive allreduce's hierarchical path ([`CommTopology`]).
-    /// Defaults to [`CommTopology::planning_default`] — the same 64-node
+    /// Defaults to `CommTopology::planning_default` — the same 64-node
     /// shape the replication planner assumes, workers placed linearly.
     pub fn topology(mut self, topology: CommTopology) -> Self {
         self.topology = Some(topology);
-        self
-    }
-
-    /// Sets the adaptive allreduce's crossover profile, overriding
-    /// [`TuningProfile::pinned`]. Benchmarks use this to force a specific
-    /// path, or to run on a [`probe`](crate::comm::tune::probe)d profile.
-    pub fn tuning(mut self, profile: TuningProfile) -> Self {
-        self.tuning = Some(profile);
         self
     }
 
@@ -475,18 +454,7 @@ impl RuntimeBuilder {
                 ));
             }
         }
-        Ok(ElasticRuntime::launch(
-            self.cfg,
-            self.restore,
-            self.chaos,
-            self.ring_capacity,
-            self.sinks,
-            self.time,
-            self.topology,
-            self.tuning,
-            self.transport,
-            self.remote_workers,
-        ))
+        Ok(ElasticRuntime::launch(self))
     }
 }
 
@@ -498,24 +466,22 @@ impl ElasticRuntime {
     }
 
     #[allow(clippy::expect_used)] // waived: see verify-allow.toml (OS thread spawn)
-    #[allow(clippy::too_many_arguments)] // internal: the builder is the only caller
-    fn launch(
-        cfg: RuntimeConfig,
-        restore: Option<CheckpointSnapshot>,
-        chaos: Option<ChaosPolicy>,
-        ring_capacity: usize,
-        sinks: Vec<Arc<dyn EventSink>>,
-        time: TimeSource,
-        topology: Option<CommTopology>,
-        tuning: Option<TuningProfile>,
-        transport: Option<Arc<dyn Transport>>,
-        remote_workers: bool,
-    ) -> Self {
+    fn launch(builder: RuntimeBuilder) -> Self {
+        let RuntimeBuilder {
+            cfg,
+            chaos,
+            restore,
+            sinks,
+            time,
+            topology,
+            transport,
+            remote_workers,
+        } = builder;
         // The controller (this thread) joins the clock first, so that on a
         // virtual clock every thread spawned below is scheduled
         // deterministically from the very first instruction.
         time.register_current();
-        let obs = Obs::with_time(ring_capacity, sinks, time.clone());
+        let obs = Obs::with_time(DEFAULT_RING_CAPACITY, sinks, time.clone());
         let bus = match transport {
             Some(transport) => {
                 // Attach before any register: endpoints capture the clock
@@ -551,18 +517,17 @@ impl ElasticRuntime {
         }
         let members: Vec<WorkerId> = (0..cfg.initial_workers).map(WorkerId).collect();
         *ctrl.members.lock() = members.clone();
-        // Seed the durable record before anything can crash.
+        // Record the founding membership before anything can crash.
         ctrl.persist(&AmDurable::founding(members.clone()));
 
         // The adaptive allreduce needs its crossovers (pinned on every
         // clock, so dispatch never depends on host load) and a topology
         // for the hierarchical path's node/socket grouping.
-        let profile = tuning.unwrap_or_else(TuningProfile::pinned);
         let comm_topology = topology.unwrap_or_default();
         let comm = Arc::new(CommGroup::with_tuning(
             members.iter().copied(),
             cfg.param_elems,
-            profile,
+            TuningProfile::pinned(),
             Some(comm_topology),
         ));
         comm.set_journal(Arc::clone(&ctrl.obs.journal));
@@ -1242,9 +1207,7 @@ fn am_thread(
     // Mark ownership before acting (persist-before-act): atomically bump
     // the fencing term, so any still-running predecessor's next persist
     // is rejected at the store.
-    let durable = ctrl
-        .bump_term(epoch)
-        .expect("durable AM record was seeded at launch");
+    let durable = ctrl.bump_term(epoch);
     ctrl.obs
         .journal
         .emit(EventKind::TermBump { term: durable.term });
@@ -1611,8 +1574,8 @@ impl AmCore {
                 }
             }
             // Transport retries; a give-up means the peer is dead.
-            for give_up in self.rep.tick() {
-                if let EndpointId::Worker(w) = give_up.to {
+            for to in self.rep.tick() {
+                if let EndpointId::Worker(w) = to {
                     self.declare_dead(w);
                 }
             }
@@ -2306,8 +2269,8 @@ impl AmCore {
             if self.ctrl.keep_alive(self.lease).is_err() {
                 return;
             }
-            for give_up in self.rep.tick() {
-                if let EndpointId::Worker(w) = give_up.to {
+            for to in self.rep.tick() {
+                if let EndpointId::Worker(w) = to {
                     self.declare_dead(w);
                 }
             }

@@ -24,7 +24,7 @@ use crate::obs::{Event, EventKind};
 
 /// One safety violation found in a journal replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TermViolation {
+pub(crate) enum TermViolation {
     /// A `TermBump` did not strictly increase the term — two AM
     /// incarnations claimed the same (or an older) term.
     NonMonotonicTermBump {
@@ -105,7 +105,7 @@ impl std::fmt::Display for TermViolation {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TermSafetyReport {
     /// Every violation found, in journal order.
-    pub violations: Vec<TermViolation>,
+    pub(crate) violations: Vec<TermViolation>,
     /// `TermBump` events replayed.
     pub terms_seen: u64,
     /// Term-carrying effects audited against the fence.
@@ -230,7 +230,7 @@ pub fn check_term_safety(events: &[Event]) -> TermSafetyReport {
 
 /// One open-membership safety violation found in a journal replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EpochViolation {
+pub(crate) enum EpochViolation {
     /// An `EpochPhaseEntered` went backwards in epochs.
     NonMonotonicEpoch {
         /// Journal sequence of the offending event.
@@ -342,7 +342,7 @@ impl std::fmt::Display for EpochViolation {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochSafetyReport {
     /// Every violation found, in journal order.
-    pub violations: Vec<EpochViolation>,
+    pub(crate) violations: Vec<EpochViolation>,
     /// `EpochPhaseEntered` events replayed.
     pub phases_seen: u64,
     /// Admissions and evictions audited.
@@ -373,7 +373,7 @@ impl std::fmt::Display for EpochSafetyReport {
 }
 
 /// Replays `events` and proves the open-membership invariants of
-/// [`EpochMachine`](crate::epoch::EpochMachine): epochs are monotonic
+/// `EpochMachine`: epochs are monotonic
 /// and phases follow the machine's diagram, every `Train` phase starts
 /// within the configured membership thresholds, and every admission is
 /// witnessed — backed by at least one recorded admit vote, a strict

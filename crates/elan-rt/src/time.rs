@@ -8,7 +8,7 @@
 //! - [`TimeSource::real()`] — wall-clock time relative to a per-runtime
 //!   epoch. `sleep` is `std::thread::sleep`; parked waits are real waits.
 //!   This is the default and is what production deployments use.
-//! - [`TimeSource::virtual_seeded`] — a [`VirtualClock`]: logical
+//! - [`TimeSource::virtual_seeded`] — a `VirtualClock`: logical
 //!   nanoseconds that advance **only** when every registered runtime thread
 //!   is quiescent (parked or blocked on a deadline). Combined with the
 //!   serial run-token scheduler below this makes the whole control plane
@@ -25,7 +25,7 @@
 //! serialization*: at most one **registered** thread executes at a time,
 //! holding an implicit run token. A thread releases the token when it
 //!
-//! - parks ([`TimeSource::park`] / [`TimeSource::park_until`] /
+//! - parks (`TimeSource::park_until` /
 //!   [`TimeSource::sleep`]), or
 //! - enters an OS-blocking section ([`TimeSource::blocking`], used around
 //!   `JoinHandle::join`), or
@@ -40,7 +40,7 @@
 //!
 //! Lost-wakeup freedom: because no other registered thread can run between
 //! a consumer's failed `try_recv` and its park, any producer's
-//! [`TimeSource::wake_all`] necessarily happens either before the check
+//! `TimeSource::wake_all` necessarily happens either before the check
 //! (consumer sees the message) or after the park (consumer is woken).
 
 use std::cell::Cell;
@@ -58,7 +58,7 @@ pub fn std_to_sim(d: Duration) -> SimDuration {
 }
 
 /// Convert a [`SimDuration`] back into a std [`Duration`].
-pub fn sim_to_std(d: SimDuration) -> Duration {
+pub(crate) fn sim_to_std(d: SimDuration) -> Duration {
     Duration::from_nanos(d.as_nanos())
 }
 
@@ -67,7 +67,7 @@ pub fn sim_to_std(d: SimDuration) -> Duration {
 /// thread identity is assigned deterministically by the spawner, not by OS
 /// scheduling order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadSlot(u64);
+pub(crate) struct ThreadSlot(u64);
 
 thread_local! {
     /// Virtual-thread id of the current OS thread, if registered.
@@ -115,7 +115,7 @@ impl TimeSource {
     }
 
     /// True when this source is a [`VirtualClock`].
-    pub fn is_virtual(&self) -> bool {
+    pub(crate) fn is_virtual(&self) -> bool {
         matches!(self.0, Src::Virtual(_))
     }
 
@@ -131,7 +131,7 @@ impl TimeSource {
     }
 
     /// The deadline `d` from now, on the simulated axis.
-    pub fn deadline_after(&self, d: Duration) -> SimTime {
+    pub(crate) fn deadline_after(&self, d: Duration) -> SimTime {
         self.now() + std_to_sim(d)
     }
 
@@ -155,7 +155,7 @@ impl TimeSource {
     /// Park until `deadline` (no-op if already reached on the real clock;
     /// on the virtual clock an expired deadline still yields the run token
     /// once so peers get a turn).
-    pub fn park_until(&self, deadline: SimTime) {
+    pub(crate) fn park_until(&self, deadline: SimTime) {
         match &self.0 {
             Src::Real(r) => {
                 let now = r.epoch.elapsed();
@@ -170,23 +170,13 @@ impl TimeSource {
         }
     }
 
-    /// Park until [`TimeSource::wake_all`] is called. Virtual-clock only in
-    /// spirit: on the real clock this degrades to a short poll sleep so a
-    /// mis-routed call cannot hang forever.
-    pub fn park(&self) {
-        match &self.0 {
-            Src::Real(_) => std::thread::sleep(Duration::from_micros(200)),
-            Src::Virtual(v) => v.park(None),
-        }
-    }
-
     /// Mark every parked registered thread runnable. Producers call this
     /// after publishing state a parked consumer may be waiting on (bus
     /// delivery, allreduce round completion). Woken threads re-check their
     /// predicate and re-park if it still does not hold — spurious wakes are
     /// harmless under serialization. No-op on the real clock (real waits
     /// use channels/condvars directly).
-    pub fn wake_all(&self) {
+    pub(crate) fn wake_all(&self) {
         if let Src::Virtual(v) = &self.0 {
             v.wake_all();
         }
@@ -195,7 +185,7 @@ impl TimeSource {
     /// Reserve a deterministic identity for a thread about to be spawned.
     /// Call on the spawning thread, then hand the slot to the child which
     /// must [`TimeSource::adopt`] it first thing.
-    pub fn create_thread(&self) -> ThreadSlot {
+    pub(crate) fn create_thread(&self) -> ThreadSlot {
         match &self.0 {
             Src::Real(_) => ThreadSlot(u64::MAX),
             Src::Virtual(v) => v.create_thread(),
@@ -206,7 +196,7 @@ impl TimeSource {
     /// scheduled. Returns a guard that deregisters the thread when dropped
     /// (including on panic, so a crashed thread cannot wedge the clock).
     #[must_use = "dropping the guard deregisters the thread immediately"]
-    pub fn adopt(&self, slot: ThreadSlot) -> SlotGuard {
+    pub(crate) fn adopt(&self, slot: ThreadSlot) -> SlotGuard {
         if let Src::Virtual(v) = &self.0 {
             v.adopt(slot);
         }
@@ -216,7 +206,7 @@ impl TimeSource {
     /// Register the *calling* thread (used for the controller thread that
     /// owns the runtime handle). Pair with [`TimeSource::deregister`] at
     /// shutdown. No-op on the real clock.
-    pub fn register_current(&self) {
+    pub(crate) fn register_current(&self) {
         if let Src::Virtual(v) = &self.0 {
             let slot = v.create_thread();
             v.adopt(slot);
@@ -245,7 +235,7 @@ impl TimeSource {
 }
 
 /// Deregistration guard returned by [`TimeSource::adopt`].
-pub struct SlotGuard {
+pub(crate) struct SlotGuard {
     time: TimeSource,
 }
 
@@ -266,7 +256,7 @@ struct RealTime {
 /// See the [module docs](self) for the protocol. All state lives behind a
 /// single mutex with one condvar; registered threads block on the condvar
 /// until the scheduler hands them the run token.
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     inner: Mutex<ClockInner>,
     cvar: Condvar,
     seed: u64,
@@ -501,6 +491,15 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc as StdArc;
 
+    /// Parks a registered thread on the virtual clock with no deadline,
+    /// until [`TimeSource::wake_all`].
+    fn park(t: &TimeSource) {
+        match &t.0 {
+            Src::Virtual(v) => v.park(None),
+            Src::Real(_) => unreachable!("virtual-clock test"),
+        }
+    }
+
     #[test]
     fn real_time_is_monotonic_from_epoch() {
         let t = TimeSource::real();
@@ -590,7 +589,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             let _reg = t2.adopt(slot);
             while flag2.load(Ordering::SeqCst) == 0 {
-                t2.park();
+                park(&t2);
             }
             flag2.store(2, Ordering::SeqCst);
         });
@@ -626,7 +625,7 @@ mod tests {
     fn all_parked_without_deadline_is_a_deadlock() {
         let t = TimeSource::virtual_seeded(5);
         t.register_current();
-        t.park(); // nobody will ever wake us
+        park(&t); // nobody will ever wake us
     }
 
     #[test]

@@ -562,7 +562,10 @@ mod tests {
         let hub_bus = Bus::with_transport(Arc::new(hub));
         assert!(!hub_bus.send(EndpointId::Worker(WorkerId(9)), RtMsg::Leave { term: 0 }));
         assert_eq!(
-            hub_bus.stats(EndpointId::Worker(WorkerId(9))).dead_letters,
+            hub_bus
+                .transport()
+                .stats(EndpointId::Worker(WorkerId(9)))
+                .dead_letters,
             1
         );
         Ok(())

@@ -12,9 +12,9 @@
 //! and the property state replication relies on (§IV-1).
 //!
 //! Fault tolerance (§V-D): every control message travels through a
-//! [`ReliableEndpoint`] (ids, acks, resends, dedup), the worker beacons a
+//! `ReliableEndpoint` (ids, acks, resends, dedup), the worker beacons a
 //! `Heartbeat` every `hb_period` — including from *inside* a blocked
-//! allreduce, via [`CommGroup::allreduce_with`] — and an `AmReset` from a
+//! allreduce, via `CommGroup::allreduce_with` — and an `AmReset` from a
 //! replacement application master makes the worker re-send whatever
 //! request it is parked on, so an AM crash can never strand it.
 //!
@@ -22,7 +22,7 @@
 //! monotonic fencing *term*; the worker tracks the highest term it has
 //! seen and silently drops (journalling `StaleTermRejected`) anything
 //! older, so a partitioned-but-alive predecessor AM cannot steer it. A
-//! crashed worker restarts as [`WorkerRole::Rejoin`], presenting its
+//! crashed worker restarts as `WorkerRole::Rejoin`, presenting its
 //! last-known term and boundary iteration, and re-enters through the
 //! same chunked state-replication path a joiner uses.
 
@@ -60,11 +60,11 @@ pub struct WorkerView {
 }
 
 /// Shared telemetry map read by the controller.
-pub type Telemetry = Arc<Mutex<HashMap<WorkerId, WorkerView>>>;
+pub(crate) type Telemetry = Arc<Mutex<HashMap<WorkerId, WorkerView>>>;
 
 /// Static configuration for one worker thread.
 #[derive(Debug, Clone, Copy)]
-pub struct WorkerConfig {
+pub(crate) struct WorkerConfig {
     /// This worker's id.
     pub id: WorkerId,
     /// Parameter-buffer length.
@@ -89,7 +89,7 @@ pub struct WorkerConfig {
 
 /// How a worker enters the job.
 #[derive(Debug, Clone)]
-pub enum WorkerRole {
+pub(crate) enum WorkerRole {
     /// Present at job start: begins training immediately.
     Founding,
     /// Launched by an adjustment: initializes, reports, and waits for
@@ -185,12 +185,12 @@ pub fn checksum(buf: &[f32]) -> u64 {
 /// training buffers. At a coordination boundary every data-parallel
 /// member holds identical state, so an honestly warmed-up joiner's
 /// digest matches every witness's.
-pub fn state_digest(params: &[f32], momentum: &[f32]) -> u64 {
+pub(crate) fn state_digest(params: &[f32], momentum: &[f32]) -> u64 {
     checksum(params) ^ checksum(momentum).rotate_left(1)
 }
 
 /// One prepared state chunk: `(kind, index, total, offset, payload)`.
-pub type PreparedChunk = (StateKind, u32, u32, u64, Arc<Vec<f32>>);
+pub(crate) type PreparedChunk = (StateKind, u32, u32, u64, Arc<Vec<f32>>);
 
 /// Splits the two state buffers into *interleaved* chunk messages
 /// (params chunk `i`, then momentum chunk `i`, …) so the "GPU-state" and
@@ -430,7 +430,7 @@ fn heartbeat_due(last: &mut Option<SimTime>, now: SimTime, period: SimDuration) 
 ///
 /// The worker publishes [`WorkerView`]s into `telemetry` every iteration
 /// and marks itself not-alive when it exits cleanly.
-pub fn run_worker(
+pub(crate) fn run_worker(
     cfg: WorkerConfig,
     mut rep: ReliableEndpoint,
     comm: Arc<CommGroup>,

@@ -7,9 +7,9 @@
 //!
 //! - [`SimTime`] / [`SimDuration`]: integer-nanosecond virtual clock types,
 //! - [`SeedStream`]: deterministic derivation of per-component RNG seeds,
-//! - [`metrics`]: time series, summary statistics, and histograms used to
-//!   produce the paper's figures,
-//! - [`units`]: byte/bandwidth quantities with human-readable formatting.
+//! - [`metrics`]: time series and summary statistics used to produce the
+//!   paper's figures,
+//! - `units`: byte/bandwidth quantities with human-readable formatting.
 //!
 //! # Examples
 //!
@@ -26,9 +26,9 @@
 pub mod metrics;
 pub mod rng;
 pub mod time;
-pub mod units;
+pub(crate) mod units;
 
-pub use metrics::{Histogram, Series, Summary};
+pub use metrics::{Series, Summary};
 pub use rng::SeedStream;
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, Bytes};

@@ -1,4 +1,4 @@
-//! Measurement collection: time series, summary statistics, histograms.
+//! Measurement collection: time series and summary statistics.
 //!
 //! The benchmark harness reproduces the paper's figures from data recorded
 //! through these types. Error bars in the paper are standard deviations, so
@@ -19,7 +19,7 @@ use crate::time::SimTime;
 /// s.record(SimTime::from_secs(0), 0.4);
 /// s.record(SimTime::from_secs(60), 0.9);
 /// assert_eq!(s.len(), 2);
-/// assert!((s.mean_value() - 0.65).abs() < 1e-12);
+/// assert!((s.time_weighted_mean() - 0.4).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Series {
@@ -70,7 +70,7 @@ impl Series {
     }
 
     /// Mean of the recorded values (0 if empty).
-    pub fn mean_value(&self) -> f64 {
+    fn mean_value(&self) -> f64 {
         if self.points.is_empty() {
             return 0.0;
         }
@@ -224,82 +224,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A fixed-bucket linear histogram for latency-style distributions.
-///
-/// # Examples
-///
-/// ```
-/// use elan_sim::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 10);
-/// h.observe(0.5);
-/// h.observe(9.5);
-/// h.observe(42.0); // clamps into the last bucket
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bucket_counts()[9], 2);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `buckets` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range empty: [{lo}, {hi})");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            count: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Records `value`, clamping out-of-range values into the edge buckets.
-    pub fn observe(&mut self, value: f64) {
-        let idx = if value < self.lo {
-            0
-        } else if value >= self.hi {
-            self.buckets.len() - 1
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            (((value - self.lo) / width) as usize).min(self.buckets.len() - 1)
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-    }
-
-    /// Per-bucket observation counts.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all observed values (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,23 +279,5 @@ mod tests {
     #[should_panic(expected = "summary of no values")]
     fn summary_rejects_empty() {
         let _ = Summary::from_values(&[]);
-    }
-
-    #[test]
-    fn histogram_buckets_and_clamping() {
-        let mut h = Histogram::new(0.0, 100.0, 4);
-        for v in [5.0, 30.0, 55.0, 80.0, -3.0, 200.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.bucket_counts(), &[2, 1, 1, 2]);
-        assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn histogram_mean_tracks_raw_values() {
-        let mut h = Histogram::new(0.0, 10.0, 2);
-        h.observe(2.0);
-        h.observe(4.0);
-        assert_eq!(h.mean(), 3.0);
     }
 }

@@ -51,7 +51,7 @@ impl SeedStream {
 
     /// Derives a child seed for a label plus numeric index, a common pattern
     /// for per-instance streams.
-    pub fn derive_indexed(&self, label: &str, index: u64) -> u64 {
+    pub(crate) fn derive_indexed(&self, label: &str, index: u64) -> u64 {
         splitmix64(self.derive(label) ^ splitmix64(index ^ 0xa076_1d64_78bd_642f))
     }
 
@@ -63,12 +63,6 @@ impl SeedStream {
     /// Convenience: an [`StdRng`] seeded for `label` and `index`.
     pub fn rng_indexed(&self, label: &str, index: u64) -> StdRng {
         StdRng::seed_from_u64(self.derive_indexed(label, index))
-    }
-
-    /// A sub-stream rooted at this stream's derivation of `label`, for
-    /// hierarchical seeding (e.g. per-job, then per-worker).
-    pub fn substream(&self, label: &str) -> SeedStream {
-        SeedStream::new(self.derive(label))
     }
 }
 
@@ -114,14 +108,6 @@ mod tests {
         let va: Vec<u32> = (0..8).map(|_| a.gen()).collect();
         let vb: Vec<u32> = (0..8).map(|_| b.gen()).collect();
         assert_eq!(va, vb);
-    }
-
-    #[test]
-    fn substreams_are_independent() {
-        let s = SeedStream::new(1);
-        let j0 = s.substream("job-0");
-        let j1 = s.substream("job-1");
-        assert_ne!(j0.derive("worker"), j1.derive("worker"));
     }
 
     #[test]

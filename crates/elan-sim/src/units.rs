@@ -133,7 +133,7 @@ impl fmt::Display for Bytes {
 /// ```
 /// use elan_sim::{Bandwidth, Bytes};
 ///
-/// let ib = Bandwidth::from_gbps(56.0); // 56 Gb/s InfiniBand
+/// let ib = Bandwidth::from_gbytes_per_sec(7.0); // 56 Gb/s InfiniBand
 /// let t = ib.transfer_time(Bytes::from_gib(1));
 /// assert!((t.as_secs_f64() - 0.1534).abs() < 0.01);
 /// ```
@@ -146,7 +146,7 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if `bytes_per_sec` is negative or not finite.
-    pub fn from_bytes_per_sec(bytes_per_sec: f64) -> Self {
+    pub(crate) fn from_bytes_per_sec(bytes_per_sec: f64) -> Self {
         assert!(
             bytes_per_sec.is_finite() && bytes_per_sec >= 0.0,
             "bandwidth must be finite and non-negative, got {bytes_per_sec}"
@@ -157,11 +157,6 @@ impl Bandwidth {
     /// Creates a rate from gigabytes (10^9 bytes) per second.
     pub fn from_gbytes_per_sec(gb_per_sec: f64) -> Self {
         Bandwidth::from_bytes_per_sec(gb_per_sec * 1e9)
-    }
-
-    /// Creates a rate from gigabits per second (network convention).
-    pub fn from_gbps(gbits_per_sec: f64) -> Self {
-        Bandwidth::from_bytes_per_sec(gbits_per_sec * 1e9 / 8.0)
     }
 
     /// Creates a rate from megabytes (10^6 bytes) per second.
@@ -248,13 +243,6 @@ mod tests {
             bw.transfer_time(Bytes::new(1)),
             SimDuration::from_nanos(u64::MAX)
         );
-    }
-
-    #[test]
-    fn gbps_is_bits() {
-        // 8 Gb/s == 1 GB/s
-        let bw = Bandwidth::from_gbps(8.0);
-        assert!((bw.as_gbytes_per_sec() - 1.0).abs() < 1e-12);
     }
 
     #[test]

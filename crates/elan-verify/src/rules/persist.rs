@@ -1,8 +1,8 @@
 //! Persist-before-act lint (PERSIST_BEFORE_ACT).
 //!
 //! In AM adjustment paths (`elan-rt/src/runtime.rs`, `elan-rt/src/liveness.rs`)
-//! a mutation of the durable AM record must reach the `ReplicatedStore`
-//! (`persist(..)`) before any outgoing coordination send. Otherwise a crash
+//! a mutation of the durable AM record must reach the term-fenced shared
+//! record (`persist(..)`) before any outgoing coordination send. Otherwise a crash
 //! between the send and the persist leaves a replacement AM acting on a state
 //! machine that never heard of the in-flight operation (§V-D).
 //!
@@ -57,7 +57,7 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
                     i += 1;
                     continue;
                 }
-                // persist(..) flushes the record to the replicated store;
+                // persist(..) flushes the record to the shared copy;
                 // persist_fenced(..) is the term-checked wrapper around it
                 // and flushes (or abdicates) just the same.
                 if (t.is_ident("persist") || t.is_ident("persist_fenced"))

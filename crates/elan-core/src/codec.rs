@@ -15,10 +15,13 @@ use crate::state::WorkerId;
 /// Magic bytes opening every frame.
 const MAGIC: &[u8; 4] = b"ELAN";
 
-/// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup table,
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`)
+/// lookup tables, built at compile time. `CRC32_TABLES[0]` is the classic
+/// byte-at-a-time table; `CRC32_TABLES[k][b]` advances the CRC of byte
+/// `b` through `k` further zero bytes, so eight table lookups consume
+/// eight input bytes at once and give the same checksum.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -31,18 +34,43 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `bytes` — the integrity checksum carried in every
-/// frame's 4-byte little-endian trailer.
+/// frame's 4-byte little-endian trailer. Slicing-by-8: eight bytes per
+/// step, then byte-at-a-time over the tail.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -95,8 +123,10 @@ struct Writer {
 }
 
 impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
+    fn with_capacity(n: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(n),
+        }
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -107,8 +137,14 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Appends `xs` as little-endian `f32`s: one resize, then a straight
+    /// copy loop the compiler vectorises.
+    fn f32s(&mut self, xs: &[f32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + xs.len() * 4, 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(4).zip(xs) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
     }
 }
 
@@ -149,12 +185,16 @@ impl<'a> Reader<'a> {
             .map_err(|_| DecodeError::Truncated)?;
         Ok(u64::from_le_bytes(b))
     }
-    fn f32(&mut self) -> Result<f32, DecodeError> {
-        let b = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?;
-        Ok(f32::from_le_bytes(b))
+    /// Reads `n` little-endian `f32`s. The caller has already bounded
+    /// `n` by [`Reader::remaining`], so the allocation is what the
+    /// buffer holds.
+    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, DecodeError> {
+        let bytes = self.take(n * 4)?;
+        let mut out = vec![0f32; n];
+        for (x, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            *x = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        }
+        Ok(out)
     }
 }
 
@@ -268,9 +308,7 @@ fn write_msg(w: &mut Writer, msg: &RtMsg) {
             w.u32(*total);
             w.u64(*offset);
             w.u32(data.len() as u32);
-            for &x in data.iter() {
-                w.f32(x);
-            }
+            w.f32s(data);
         }
         RtMsg::Resume { generation, term } => {
             w.u8(6);
@@ -439,10 +477,7 @@ fn read_msg(r: &mut Reader<'_>) -> Result<RtMsg, DecodeError> {
             if n * 4 > r.remaining() {
                 return Err(DecodeError::Truncated);
             }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(r.f32()?);
-            }
+            let data = r.f32s(n)?;
             RtMsg::StateChunk {
                 kind,
                 iteration,
@@ -529,6 +564,27 @@ fn read_msg(r: &mut Reader<'_>) -> Result<RtMsg, DecodeError> {
     })
 }
 
+/// Bytes a frame's fixed fields can take: header, endpoints, envelope
+/// header, the largest fixed `RtMsg` body and the CRC trailer, rounded
+/// up. Only the variable-length payloads are added on top. The slack
+/// also covers the 4-byte length prefix a stream transport inserts in
+/// front, so that insert needs no second allocation.
+const FIXED_FIELDS_BOUND: usize = 96;
+
+/// An upper bound on `encode_frame(frame).len()`, so the encoder
+/// allocates its buffer once.
+fn encoded_len_bound(frame: &WireFrame) -> usize {
+    let elems = match frame {
+        WireFrame::Msg { env, .. } => match &env.body {
+            RtMsg::StateChunk { data, .. } => data.len(),
+            RtMsg::AdjustTo { target, .. } => target.len(),
+            _ => 0,
+        },
+        WireFrame::Hello { .. } => 0,
+    };
+    FIXED_FIELDS_BOUND + 4 * elems
+}
+
 /// Encodes one control-plane frame (without the stream's length prefix).
 ///
 /// # Examples
@@ -547,7 +603,7 @@ fn read_msg(r: &mut Reader<'_>) -> Result<RtMsg, DecodeError> {
 /// # Ok::<(), elan_core::codec::DecodeError>(())
 /// ```
 pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(encoded_len_bound(frame));
     w.buf.extend_from_slice(MAGIC);
     w.u8(WIRE_VERSION);
     match frame {
@@ -635,6 +691,99 @@ mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC the slicing-by-8 one replaced: the oracle
+    /// that pins every checksum (and so every frame) byte-identical.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// `n` bytes from a fixed-seed xorshift stream.
+    fn seeded_bytes(n: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bytewise_oracle() {
+        let buf = seeded_bytes(64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        let big = seeded_bytes(256 * 1024);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn state_chunk_payload_roundtrips_bit_exactly() {
+        let specials = [
+            -0.0f32,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x0000_0001), // smallest positive subnormal
+            f32::from_bits(0x807F_FFFF), // largest negative subnormal
+            f32::from_bits(0x7FC0_1234), // quiet NaN, non-default payload
+            f32::from_bits(0xFFC0_0042), // negative quiet NaN
+            f32::from_bits(0x7F80_0001), // signalling NaN
+            f32::from_bits(0xFFA5_A5A5), // negative signalling NaN
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            -1.5,
+        ];
+        for len in [0usize, 1, 7, 65_536] {
+            let data: Vec<f32> = (0..len)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        specials[(i / 3) % specials.len()]
+                    } else {
+                        i as f32 * -0.37
+                    }
+                })
+                .collect();
+            let frame = WireFrame::Msg {
+                to: EndpointId::Worker(WorkerId(3)),
+                env: Envelope {
+                    id: MsgId(9),
+                    from: EndpointId::Worker(WorkerId(0)),
+                    attempt: 1,
+                    body: RtMsg::StateChunk {
+                        kind: StateKind::Params,
+                        iteration: 5,
+                        data_cursor: 640,
+                        index: 0,
+                        total: 1,
+                        offset: 0,
+                        data: Arc::new(data.clone()),
+                    },
+                },
+            };
+            let bytes = encode_frame(&frame);
+            assert!(bytes.len() + 4 <= encoded_len_bound(&frame));
+            let Ok(WireFrame::Msg { env, .. }) = decode_frame(&bytes) else {
+                panic!("len {len}: chunk frame did not decode");
+            };
+            let RtMsg::StateChunk { data: back, .. } = env.body else {
+                panic!("len {len}: decoded to {:?}", env.body);
+            };
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&data), "len {len}");
+        }
     }
 
     // -- control-plane wire frames ---------------------------------------
@@ -746,6 +895,7 @@ mod tests {
             assert_eq!(&bytes[..4], MAGIC);
             assert_eq!(bytes[4], WIRE_VERSION);
             assert!(bytes.len() <= MAX_FRAME_LEN);
+            assert!(bytes.len() + 4 <= encoded_len_bound(&frame), "{frame:?}");
         }
     }
 

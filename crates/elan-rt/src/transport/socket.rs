@@ -22,7 +22,13 @@
 //! Delivery guarantees match the in-memory transport: per-connection
 //! FIFO, at-most-once, no backpressure. Every frame is CRC32-checked
 //! ([`elan_core::codec::decode_frame`]); a connection that produces an
-//! undecodable frame is dropped rather than guessed at.
+//! undecodable frame is dropped rather than guessed at. A relayed frame
+//! is forwarded as the bytes the hub read and verified, not re-encoded.
+//!
+//! Every frame leaves in one write (length prefix and frame in one
+//! buffer), and TCP streams run with `TCP_NODELAY`: control frames are
+//! tens of bytes, and Nagle's algorithm would otherwise hold each one
+//! behind the peer's delayed ACK (~40 ms per hop).
 //!
 //! This file (under `transport/`) is the only place in `elan-rt`
 //! allowed to touch `std::net` — enforced by elan-verify's `NETWORK_IO`
@@ -97,18 +103,29 @@ struct ConnWriter {
 
 impl ConnWriter {
     fn write_frame(&self, frame: &WireFrame) -> io::Result<()> {
-        let bytes = encode_frame(frame);
-        let mut s = self.stream.lock();
-        s.write_all(&(bytes.len() as u32).to_le_bytes())?;
-        s.write_all(&bytes)?;
-        s.flush()
+        let mut buf = encode_frame(frame);
+        // Prefix in place: the encoder sizes its buffer with slack to
+        // spare, so this shifts the frame instead of copying it out.
+        let len = (buf.len() as u32).to_le_bytes();
+        buf.splice(..0, len);
+        self.write_prefixed(&buf)
+    }
+
+    /// Writes one length-prefixed frame with a single `write_all`: two
+    /// writes per frame would let Nagle's algorithm hold the second
+    /// behind the peer's delayed ACK of the first.
+    fn write_prefixed(&self, buf: &[u8]) -> io::Result<()> {
+        self.stream.lock().write_all(buf)
     }
 }
 
-/// Reads one length-prefixed frame. Errors on EOF, short reads, or a
-/// length prefix exceeding [`MAX_FRAME_LEN`] (a corrupted prefix must
-/// not drive a huge allocation).
-fn read_frame(stream: &mut Stream) -> io::Result<Vec<u8>> {
+/// Reads one frame into `buf`, length prefix still in front (the frame
+/// proper is `buf[LEN_PREFIX..]`), so the hub can relay the bytes it
+/// verified as they are. Each connection reuses one buffer for all its
+/// frames. Errors on EOF, short reads, or a length prefix exceeding
+/// [`MAX_FRAME_LEN`] (a corrupted prefix must not drive a huge
+/// allocation).
+fn read_frame(stream: &mut Stream, buf: &mut Vec<u8>) -> io::Result<()> {
     let mut len_buf = [0u8; LEN_PREFIX];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -118,9 +135,10 @@ fn read_frame(stream: &mut Stream) -> io::Result<Vec<u8>> {
             format!("frame length {len} exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut buf = vec![0u8; len];
-    stream.read_exact(&mut buf)?;
-    Ok(buf)
+    buf.clear();
+    buf.extend_from_slice(&len_buf);
+    buf.resize(LEN_PREFIX + len, 0);
+    stream.read_exact(&mut buf[LEN_PREFIX..])
 }
 
 struct Shared {
@@ -150,7 +168,11 @@ impl Shared {
     /// Delivers `env` to `to` — local channel first, then a remote
     /// route, then the uplink — and books delivered/dead-letter stats.
     /// Returns whether a destination was known at all.
-    fn deliver(&self, to: EndpointId, env: Envelope) -> bool {
+    ///
+    /// `wire`, when given, is the length-prefixed frame `Msg { to, env }`
+    /// exactly as it was read and decoded off a connection: a remote
+    /// destination gets those verified bytes instead of a re-encoding.
+    fn deliver(&self, to: EndpointId, env: Envelope, wire: Option<&[u8]>) -> bool {
         let noisy = matches!(env.body, RtMsg::Heartbeat { .. } | RtMsg::MsgAck { .. });
         // Clone the sender out of the guard: an `if let` scrutinee guard
         // would otherwise stay live through the `else` branch, holding the
@@ -167,7 +189,16 @@ impl Shared {
                 .or_else(|| self.uplink.read().clone());
             match writer {
                 Some(w) => {
-                    let ok = w.write_frame(&WireFrame::Msg { to, env }).is_ok();
+                    let ok = match wire {
+                        Some(bytes) => {
+                            // Only the verified bytes travel on; free the
+                            // decoded copy before blocking on the write.
+                            drop(env);
+                            w.write_prefixed(bytes)
+                        }
+                        None => w.write_frame(&WireFrame::Msg { to, env }),
+                    }
+                    .is_ok();
                     if !ok {
                         // The connection is gone; forget the route so
                         // later sends dead-letter immediately instead of
@@ -241,6 +272,10 @@ impl SocketTransport {
     /// Binds the coordinator hub on `addr` (`"tcp:host:port"` or
     /// `"unix:/path"`) and starts accepting worker connections.
     ///
+    /// The accept thread holds the hub weakly: once the transport and
+    /// its connections are gone, their routes, stats and journal are
+    /// freed, and the thread exits at the next connection attempt.
+    ///
     /// # Errors
     ///
     /// Propagates bind/listen failures.
@@ -251,15 +286,18 @@ impl SocketTransport {
             ParsedAddr::Tcp(a) => {
                 let listener = TcpListener::bind(a)?;
                 local_addr = format!("tcp:{}", listener.local_addr()?);
-                let hub = Arc::clone(&shared);
+                let hub = Arc::downgrade(&shared);
                 thread::Builder::new()
                     .name("elan-accept".into())
                     .spawn(move || {
                         for conn in listener.incoming() {
-                            match conn {
-                                Ok(s) => spawn_hub_conn(&hub, Stream::Tcp(s)),
-                                Err(_) => break,
-                            }
+                            let (Ok(s), Some(hub)) = (conn, hub.upgrade()) else {
+                                break;
+                            };
+                            // Best effort: a stream that refuses it still
+                            // works, only Nagle-slow.
+                            let _ = s.set_nodelay(true);
+                            spawn_hub_conn(&hub, Stream::Tcp(s));
                         }
                     })?;
             }
@@ -268,15 +306,15 @@ impl SocketTransport {
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)?;
                 local_addr = format!("unix:{path}");
-                let hub = Arc::clone(&shared);
+                let hub = Arc::downgrade(&shared);
                 thread::Builder::new()
                     .name("elan-accept".into())
                     .spawn(move || {
                         for conn in listener.incoming() {
-                            match conn {
-                                Ok(s) => spawn_hub_conn(&hub, Stream::Unix(s)),
-                                Err(_) => break,
-                            }
+                            let (Ok(s), Some(hub)) = (conn, hub.upgrade()) else {
+                                break;
+                            };
+                            spawn_hub_conn(&hub, Stream::Unix(s));
                         }
                     })?;
             }
@@ -291,7 +329,11 @@ impl SocketTransport {
     /// Propagates connect failures.
     pub fn connect(addr: &str) -> io::Result<SocketTransport> {
         let stream = match parse_addr(addr)? {
-            ParsedAddr::Tcp(a) => Stream::Tcp(TcpStream::connect(a)?),
+            ParsedAddr::Tcp(a) => {
+                let s = TcpStream::connect(a)?;
+                s.set_nodelay(true)?;
+                Stream::Tcp(s)
+            }
             ParsedAddr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
         };
         let shared = Arc::new(Shared::new());
@@ -335,9 +377,10 @@ fn spawn_hub_conn(shared: &Arc<Shared>, stream: Stream) {
 
 fn hub_conn_loop(shared: &Arc<Shared>, mut stream: Stream, writer: &Arc<ConnWriter>) {
     let mut announced: Vec<EndpointId> = Vec::new();
+    let mut bytes = Vec::new();
     // Until EOF or a socket error — either way the connection is done.
-    while let Ok(bytes) = read_frame(&mut stream) {
-        match decode_frame(&bytes) {
+    while read_frame(&mut stream, &mut bytes).is_ok() {
+        match decode_frame(&bytes[LEN_PREFIX..]) {
             Ok(WireFrame::Hello { from }) => {
                 // Latest Hello wins: a reconnecting endpoint remaps to
                 // this connection, orphaning the stale one.
@@ -345,7 +388,9 @@ fn hub_conn_loop(shared: &Arc<Shared>, mut stream: Stream, writer: &Arc<ConnWrit
                 announced.push(from);
             }
             Ok(WireFrame::Msg { to, env }) => {
-                shared.deliver(to, env);
+                // The frame decoded cleanly (CRC, schema, no trailing
+                // bytes), so its bytes are exactly `Msg { to, env }`.
+                shared.deliver(to, env, Some(&bytes));
             }
             // CRC or schema failure: this stream can no longer be
             // trusted byte-for-byte, so drop the whole connection and
@@ -365,10 +410,11 @@ fn hub_conn_loop(shared: &Arc<Shared>, mut stream: Stream, writer: &Arc<ConnWrit
 
 /// Client side: the single reader on the hub connection.
 fn client_conn_loop(shared: &Arc<Shared>, mut stream: Stream) {
-    while let Ok(bytes) = read_frame(&mut stream) {
-        match decode_frame(&bytes) {
+    let mut bytes = Vec::new();
+    while read_frame(&mut stream, &mut bytes).is_ok() {
+        match decode_frame(&bytes[LEN_PREFIX..]) {
             Ok(WireFrame::Msg { to, env }) => {
-                shared.deliver(to, env);
+                shared.deliver(to, env, Some(&bytes));
             }
             Ok(WireFrame::Hello { .. }) => {} // hub never sends Hello
             Err(_) => break,
@@ -406,7 +452,7 @@ impl Transport for SocketTransport {
             let mut stats = self.shared.stats.lock();
             stats.entry(to).or_default().sent += 1;
         }
-        self.shared.deliver(to, env)
+        self.shared.deliver(to, env, None)
     }
 
     fn stats(&self, id: EndpointId) -> EndpointStats {
@@ -556,6 +602,178 @@ mod tests {
         Ok(())
     }
 
+    /// Writes `frame` length-prefixed onto a raw TCP stream, the way a
+    /// peer outside this transport would.
+    fn raw_send(stream: &mut TcpStream, frame: &[u8]) -> io::Result<()> {
+        let mut buf = (frame.len() as u32).to_le_bytes().to_vec();
+        buf.extend_from_slice(frame);
+        stream.write_all(&buf)
+    }
+
+    /// A raw TCP connection to the hub that has announced `from`.
+    fn raw_peer(addr: &str, from: EndpointId) -> io::Result<TcpStream> {
+        let mut s = TcpStream::connect(addr.trim_start_matches("tcp:"))?;
+        raw_send(&mut s, &encode_frame(&WireFrame::Hello { from }))?;
+        Ok(s)
+    }
+
+    fn chunk_to(to: EndpointId, data: Vec<f32>) -> WireFrame {
+        WireFrame::Msg {
+            to,
+            env: Envelope {
+                id: elan_core::messages::MsgId(77),
+                from: EndpointId::Worker(WorkerId(1)),
+                attempt: 1,
+                body: RtMsg::StateChunk {
+                    kind: elan_core::messages::StateKind::Momentum,
+                    iteration: 10,
+                    data_cursor: 320,
+                    index: 0,
+                    total: 1,
+                    offset: 0,
+                    data: Arc::new(data),
+                },
+            },
+        }
+    }
+
+    #[test]
+    fn hub_relays_verified_bytes_and_drops_a_corrupt_sender() -> Result<(), String> {
+        let hub = SocketTransport::listen("tcp:127.0.0.1:0").map_err(|e| e.to_string())?;
+        let addr = hub.local_addr().to_string();
+        let _hub_bus = Bus::with_transport(Arc::new(hub));
+        let dst = EndpointId::Worker(WorkerId(2));
+        let b = Bus::with_transport(Arc::new(
+            SocketTransport::connect(&addr).map_err(|e| e.to_string())?,
+        ));
+        let rx = b.register(dst);
+        let mut sender =
+            raw_peer(&addr, EndpointId::Worker(WorkerId(1))).map_err(|e| e.to_string())?;
+
+        // Relay: bit patterns the hub must not normalise on the way through.
+        let data: Vec<f32> = [
+            -0.0f32,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FC0_BEEF),
+            1e-42,
+        ]
+        .into_iter()
+        .cycle()
+        .take(4_099)
+        .collect();
+        let good = encode_frame(&chunk_to(dst, data.clone()));
+        // `dst`'s Hello races the first relayed frame; resend until routed.
+        let mut relayed = None;
+        for _ in 0..200 {
+            raw_send(&mut sender, &good).map_err(|e| e.to_string())?;
+            if let Some(env) = rx.recv_timeout(Duration::from_millis(50)) {
+                relayed = Some(env);
+                break;
+            }
+        }
+        while rx.recv_timeout(Duration::from_millis(100)).is_some() {}
+        let env = relayed.ok_or("state chunk not relayed")?;
+        let RtMsg::StateChunk { data: back, .. } = env.body else {
+            return Err(format!("relayed as {:?}", env.body));
+        };
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&data));
+
+        // A Msg frame with one CRC byte flipped: the hub must drop the
+        // sender's connection and relay nothing.
+        let mut bad = encode_frame(&WireFrame::Msg {
+            to: dst,
+            env: Envelope {
+                id: elan_core::messages::MsgId(78),
+                from: EndpointId::Worker(WorkerId(1)),
+                attempt: 1,
+                body: RtMsg::Leave { term: 99 },
+            },
+        });
+        let last = bad.len() - 1;
+        bad[last] ^= 0x01;
+        raw_send(&mut sender, &bad).map_err(|e| e.to_string())?;
+        sender
+            .set_read_timeout(Some(RECV_WINDOW))
+            .map_err(|e| e.to_string())?;
+        let mut byte = [0u8; 1];
+        match sender.read(&mut byte) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => return Err(format!("hub kept the corrupt sender: {other:?}")),
+        }
+        if let Some(env) = rx.recv_timeout(Duration::from_millis(300)) {
+            return Err(format!("corrupt frame relayed: {:?}", env.body));
+        }
+
+        // The receiver's connection is untouched: a later valid frame
+        // from a fresh sender still arrives.
+        let mut sender2 =
+            raw_peer(&addr, EndpointId::Worker(WorkerId(4))).map_err(|e| e.to_string())?;
+        raw_send(&mut sender2, &encode_frame(&chunk_to(dst, vec![2.5])))
+            .map_err(|e| e.to_string())?;
+        let env = rx
+            .recv_timeout(RECV_WINDOW)
+            .ok_or("receiver lost its route")?;
+        assert!(matches!(env.body, RtMsg::StateChunk { ref data, .. } if **data == [2.5]));
+        Ok(())
+    }
+
+    #[test]
+    fn tcp_control_round_trips_do_not_wait_on_delayed_acks() -> Result<(), String> {
+        let hub = SocketTransport::listen("tcp:127.0.0.1:0").map_err(|e| e.to_string())?;
+        let addr = hub.local_addr().to_string();
+        let hub_bus = Bus::with_transport(Arc::new(hub));
+        let client = SocketTransport::connect(&addr).map_err(|e| e.to_string())?;
+        let uplink = client.shared.uplink.read().clone().ok_or("no uplink")?;
+        let nodelay = match &*uplink.stream.lock() {
+            Stream::Tcp(s) => s.nodelay().map_err(|e| e.to_string())?,
+            Stream::Unix(_) => return Err("dialed a Unix-domain stream".into()),
+        };
+        assert!(nodelay, "dialed TCP stream has Nagle's algorithm on");
+        let client_bus = Bus::with_transport(Arc::new(client));
+
+        let am = hub_bus.register(EndpointId::Am);
+        let me = EndpointId::Worker(WorkerId(0));
+        let ep = client_bus.register(me);
+        let echo = thread::spawn(move || {
+            while let Some(env) = am.recv_timeout(RECV_WINDOW) {
+                if matches!(env.body, RtMsg::Leave { .. }) {
+                    break;
+                }
+                hub_bus.send(
+                    me,
+                    RtMsg::Proceed {
+                        boundary: 5,
+                        term: 0,
+                    },
+                );
+            }
+        });
+        let coordinate = RtMsg::Coordinate {
+            worker: WorkerId(0),
+            iteration: 5,
+        };
+        // The first round trip also waits for the Hello frames to land.
+        client_bus.send(EndpointId::Am, coordinate.clone());
+        let warm = ep.recv_timeout(RECV_WINDOW).is_some();
+        let clock = TimeSource::real();
+        let mut done = 0;
+        while warm && done < 50 {
+            client_bus.send(EndpointId::Am, coordinate.clone());
+            if ep.recv_timeout(RECV_WINDOW).is_none() {
+                break;
+            }
+            done += 1;
+        }
+        let took_s = clock.now().as_secs_f64();
+        client_bus.send(EndpointId::Am, RtMsg::Leave { term: 0 });
+        let _ = echo.join();
+        assert_eq!(done, 50, "round trips lost");
+        assert!(took_s < 1.0, "50 Coordinate round trips took {took_s:.3} s");
+        Ok(())
+    }
+
     #[test]
     fn unknown_destination_is_a_dead_letter() -> Result<(), String> {
         let (hub, _client) = uds_pair("deadletter")?;
@@ -568,6 +786,17 @@ mod tests {
                 .dead_letters,
             1
         );
+        Ok(())
+    }
+
+    #[test]
+    fn dropped_hub_frees_its_shared_state() -> Result<(), String> {
+        let hub = SocketTransport::listen("tcp:127.0.0.1:0").map_err(|e| e.to_string())?;
+        let shared = Arc::downgrade(&hub.shared);
+        drop(hub);
+        // The accept thread, still parked in `accept`, must not keep the
+        // routes, stats and journal of a transport nobody can reach.
+        assert!(shared.upgrade().is_none(), "accept thread pins the hub");
         Ok(())
     }
 

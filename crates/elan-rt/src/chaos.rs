@@ -27,7 +27,7 @@ use elan_sim::SimTime;
 
 use crate::bus::{EndpointId, Envelope};
 use crate::obs::ChaosFate;
-use crate::time::std_to_sim;
+use crate::time::{splitmix64 as mix, std_to_sim};
 
 /// One named, scripted partition: a bidirectional edge cut between
 /// `groups` that is open for virtual times in `[from, until)`.
@@ -184,13 +184,6 @@ pub struct ChaosStats {
     pub reordered: u64,
     /// Messages discarded by an open [`PartitionWindow`].
     pub partitioned: u64,
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn endpoint_code(e: EndpointId) -> u64 {

@@ -40,9 +40,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use elan_core::protocol::EpochPhase;
 use elan_core::state::WorkerId;
 
-use crate::obs::{Event, EventJournal, EventKind};
+use crate::obs::{Emit, Event, EventJournal, EventKind};
 use crate::reliable::REMOTE_FIRST_CONTACT_GRACE_MS;
-use crate::time::TimeSource;
+use crate::time::{splitmix64 as mix, TimeSource};
 
 /// Configuration of the epoch machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,34 +176,25 @@ impl EpochMachine {
     /// already members (the live runtime's launch cohort; empty for a
     /// fully open job). Journals the configuration so the epoch-safety
     /// auditor can read the thresholds back out of the events.
-    pub fn new(cfg: EpochConfig, now_us: u64, founding: &[WorkerId], j: &EventJournal) -> Self {
-        j.emit_at(
-            now_us,
-            EventKind::EpochConfigured {
-                min_members: cfg.min_members as u64,
-                max_members: cfg.max_members as u64,
-                join_window_ms: cfg.join_window_ms,
-            },
-        );
-        let members: BTreeSet<WorkerId> = founding.iter().copied().collect();
+    pub fn new(cfg: EpochConfig, now_us: u64, founding: &[WorkerId], j: &mut dyn Emit) -> Self {
+        let phase = EpochPhase::WaitingForMembers;
+        let machine = EpochMachine::recover(cfg, 0, phase, founding, now_us);
+        let configured = EventKind::EpochConfigured {
+            min_members: cfg.min_members as u64,
+            max_members: cfg.max_members as u64,
+            join_window_ms: cfg.join_window_ms,
+        };
+        j.emit_at(now_us, configured);
+        let members = machine.members.len() as u64;
         j.emit_at(
             now_us,
             EventKind::EpochPhaseEntered {
                 epoch: 0,
-                phase: EpochPhase::WaitingForMembers,
-                members: members.len() as u64,
+                phase,
+                members,
             },
         );
-        EpochMachine {
-            deadline_us: now_us + cfg.join_window_ms * 1_000,
-            cfg,
-            epoch: 0,
-            phase: EpochPhase::WaitingForMembers,
-            members,
-            pending: BTreeMap::new(),
-            boundaries_left: 0,
-            deferred: BTreeSet::new(),
-        }
+        machine
     }
 
     /// Rebuilds a machine after an AM failover from the durable record's
@@ -263,7 +254,7 @@ impl EpochMachine {
     /// (entering `Warmup`, or straight through to `Train` when nobody is
     /// pending), evicts warmup joiners that outlived the digest
     /// deadline, and rolls `Cooldown` into the next epoch's window.
-    pub(crate) fn tick(&mut self, now_us: u64, j: &EventJournal) -> Vec<EpochCmd> {
+    pub(crate) fn tick(&mut self, now_us: u64, j: &mut dyn Emit) -> Vec<EpochCmd> {
         let mut cmds = Vec::new();
         match self.phase {
             EpochPhase::WaitingForMembers => {
@@ -276,17 +267,14 @@ impl EpochMachine {
                             pending: self.pending.len() as u64,
                         },
                     );
-                    if self.members.is_empty() {
-                        // Founding cohort: nobody holds state yet, so
-                        // there is nothing to replicate and nobody to
-                        // witness — the cohort *is* the genesis state.
-                        let cohort: Vec<WorkerId> = self.pending.keys().copied().collect();
-                        self.pending.clear();
-                        self.members.extend(cohort);
-                        self.goto(EpochPhase::Warmup, now_us, j, &mut cmds);
-                        self.enter_train(now_us, j, &mut cmds);
-                    } else if self.pending.is_empty() {
-                        // No joiners this epoch: warmup is vacuous.
+                    if self.members.is_empty() || self.pending.is_empty() {
+                        // Warmup is vacuous: either nobody joins this
+                        // epoch, or this is the founding cohort — nobody
+                        // holds state yet, so there is nothing to
+                        // replicate and nobody to witness (the cohort
+                        // *is* the genesis state).
+                        let cohort = std::mem::take(&mut self.pending);
+                        self.members.extend(cohort.into_keys());
                         self.goto(EpochPhase::Warmup, now_us, j, &mut cmds);
                         self.enter_train(now_us, j, &mut cmds);
                     } else {
@@ -330,7 +318,7 @@ impl EpochMachine {
         worker: WorkerId,
         digest: Option<u64>,
         now_us: u64,
-        j: &EventJournal,
+        j: &mut dyn Emit,
     ) -> Vec<EpochCmd> {
         let mut cmds = Vec::new();
         if self.members.contains(&worker) {
@@ -338,40 +326,18 @@ impl EpochMachine {
         }
         match self.phase {
             EpochPhase::WaitingForMembers => {
-                if self.pending.contains_key(&worker) {
-                    return cmds; // duplicate announce
+                // A duplicate announce is already pending.
+                if !self.pending.contains_key(&worker) {
+                    self.enlist(worker, now_us, j);
                 }
-                if self.members.len() + self.pending.len() >= self.cfg.max_members {
-                    self.defer(worker, now_us, j);
-                    return cmds;
-                }
-                self.pending.insert(worker, PendingJoin::default());
-                j.emit_at(
-                    now_us,
-                    EventKind::JoinRequested {
-                        worker,
-                        epoch: self.epoch,
-                    },
-                );
             }
             EpochPhase::Warmup => match digest {
                 Some(d) => {
                     // A digest claim: either a tracked joiner finishing
                     // warmup, or a joiner re-presenting itself to a
                     // post-failover AM that lost the pending set.
-                    if !self.pending.contains_key(&worker) {
-                        if self.members.len() + self.pending.len() >= self.cfg.max_members {
-                            self.defer(worker, now_us, j);
-                            return cmds;
-                        }
-                        self.pending.insert(worker, PendingJoin::default());
-                        j.emit_at(
-                            now_us,
-                            EventKind::JoinRequested {
-                                worker,
-                                epoch: self.epoch,
-                            },
-                        );
+                    if !self.pending.contains_key(&worker) && !self.enlist(worker, now_us, j) {
+                        return cmds;
                     }
                     self.claim_digest(worker, d, now_us, j, &mut cmds);
                 }
@@ -397,7 +363,7 @@ impl EpochMachine {
         epoch: u64,
         admit: bool,
         now_us: u64,
-        j: &EventJournal,
+        j: &mut dyn Emit,
     ) -> Vec<EpochCmd> {
         let mut cmds = Vec::new();
         if epoch != self.epoch || self.phase != EpochPhase::Warmup {
@@ -433,7 +399,7 @@ impl EpochMachine {
         &mut self,
         worker: WorkerId,
         now_us: u64,
-        j: &EventJournal,
+        j: &mut dyn Emit,
     ) -> Vec<EpochCmd> {
         let mut cmds = Vec::new();
         self.pending.remove(&worker);
@@ -464,7 +430,7 @@ impl EpochMachine {
 
     /// One coordination boundary released during `Train`; the epoch
     /// rolls into `Cooldown` after `train_boundaries` of them.
-    pub(crate) fn boundary_released(&mut self, now_us: u64, j: &EventJournal) -> Vec<EpochCmd> {
+    pub(crate) fn boundary_released(&mut self, now_us: u64, j: &mut dyn Emit) -> Vec<EpochCmd> {
         let mut cmds = Vec::new();
         if self.phase != EpochPhase::Train {
             return cmds;
@@ -476,7 +442,20 @@ impl EpochMachine {
         cmds
     }
 
-    fn defer(&mut self, worker: WorkerId, now_us: u64, j: &EventJournal) {
+    /// Takes `worker` into the epoch's pending joiners, unless the epoch
+    /// is full, which defers it instead; false when deferred.
+    fn enlist(&mut self, worker: WorkerId, now_us: u64, j: &mut dyn Emit) -> bool {
+        if self.members.len() + self.pending.len() >= self.cfg.max_members {
+            self.defer(worker, now_us, j);
+            return false;
+        }
+        self.pending.insert(worker, PendingJoin::default());
+        let epoch = self.epoch;
+        j.emit_at(now_us, EventKind::JoinRequested { worker, epoch });
+        true
+    }
+
+    fn defer(&mut self, worker: WorkerId, now_us: u64, j: &mut dyn Emit) {
         if self.deferred.insert(worker) {
             j.emit_at(
                 now_us,
@@ -493,7 +472,7 @@ impl EpochMachine {
         worker: WorkerId,
         digest: u64,
         now_us: u64,
-        j: &EventJournal,
+        j: &mut dyn Emit,
         cmds: &mut Vec<EpochCmd>,
     ) {
         let witnesses = sample_witnesses(
@@ -530,7 +509,7 @@ impl EpochMachine {
         &mut self,
         subject: WorkerId,
         now_us: u64,
-        j: &EventJournal,
+        j: &mut dyn Emit,
         cmds: &mut Vec<EpochCmd>,
     ) {
         let Some(p) = self.pending.get(&subject) else {
@@ -562,7 +541,7 @@ impl EpochMachine {
         &mut self,
         subject: WorkerId,
         now_us: u64,
-        j: &EventJournal,
+        j: &mut dyn Emit,
         cmds: &mut Vec<EpochCmd>,
     ) {
         let (votes_for, votes_against) = self
@@ -585,7 +564,7 @@ impl EpochMachine {
         });
     }
 
-    fn maybe_finish_warmup(&mut self, now_us: u64, j: &EventJournal, cmds: &mut Vec<EpochCmd>) {
+    fn maybe_finish_warmup(&mut self, now_us: u64, j: &mut dyn Emit, cmds: &mut Vec<EpochCmd>) {
         if self.phase == EpochPhase::Warmup && self.pending.is_empty() {
             if self.members.len() >= self.cfg.min_members {
                 self.enter_train(now_us, j, cmds);
@@ -598,7 +577,7 @@ impl EpochMachine {
         }
     }
 
-    fn enter_train(&mut self, now_us: u64, j: &EventJournal, cmds: &mut Vec<EpochCmd>) {
+    fn enter_train(&mut self, now_us: u64, j: &mut dyn Emit, cmds: &mut Vec<EpochCmd>) {
         let owners: Vec<WorkerId> = self.members.iter().copied().collect();
         j.emit_at(
             now_us,
@@ -612,7 +591,7 @@ impl EpochMachine {
         self.goto(EpochPhase::Train, now_us, j, cmds);
     }
 
-    fn goto(&mut self, phase: EpochPhase, now_us: u64, j: &EventJournal, cmds: &mut Vec<EpochCmd>) {
+    fn goto(&mut self, phase: EpochPhase, now_us: u64, j: &mut dyn Emit, cmds: &mut Vec<EpochCmd>) {
         self.phase = phase;
         j.emit_at(
             now_us,
@@ -627,15 +606,6 @@ impl EpochMachine {
             phase,
         });
     }
-}
-
-/// SplitMix64-style finalizer: the deterministic dice every seeded
-/// decision in this module rolls.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Samples up to `k` distinct witnesses for `subject` from `members` —
@@ -822,12 +792,12 @@ enum SimState {
 pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
     let mut epoch_cfg = cfg.epoch;
     epoch_cfg.seed = cfg.seed;
-    let journal = EventJournal::with_time(
+    let mut journal = EventJournal::with_time(
         cfg.ring_capacity,
         Vec::new(),
         TimeSource::virtual_seeded(cfg.seed),
     );
-    let mut machine = EpochMachine::new(epoch_cfg, 0, &[], &journal);
+    let mut machine = EpochMachine::new(epoch_cfg, 0, &[], &mut journal);
     let mut states: BTreeMap<WorkerId, SimState> = (1..=cfg.population)
         .map(|i| (WorkerId(i), SimState::Idle))
         .collect();
@@ -855,7 +825,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
                     if cut {
                         partitioned += 1; // announce swallowed by the cut
                     } else {
-                        queue.extend(machine.join_request(id, None, now, &journal));
+                        queue.extend(machine.join_request(id, None, now, &mut journal));
                         if machine.is_pending(id) {
                             states.insert(id, SimState::Announced);
                         }
@@ -872,27 +842,27 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
                         } else {
                             true_digest(machine.epoch()) ^ 0xdead_beef
                         };
-                        queue.extend(machine.join_request(id, Some(digest), now, &journal));
+                        queue.extend(machine.join_request(id, Some(digest), now, &mut journal));
                     }
                 }
                 SimState::Active => {
                     if roll(3, id.0, step) < cfg.crash_permille {
                         crashes += 1;
                         states.insert(id, SimState::Dead);
-                        queue.extend(machine.member_left(id, now, &journal));
+                        queue.extend(machine.member_left(id, now, &mut journal));
                     } else if roll(4, id.0, step) < cfg.leave_permille {
                         leaves += 1;
                         states.insert(id, SimState::Idle);
-                        queue.extend(machine.member_left(id, now, &journal));
+                        queue.extend(machine.member_left(id, now, &mut journal));
                     }
                 }
                 _ => {}
             }
         }
 
-        queue.extend(machine.tick(now, &journal));
+        queue.extend(machine.tick(now, &mut journal));
         if machine.phase() == EpochPhase::Train {
-            queue.extend(machine.boundary_released(now, &journal));
+            queue.extend(machine.boundary_released(now, &mut journal));
         }
 
         // Drain commands; witness votes can cascade into more commands.
@@ -917,8 +887,14 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
                     for witness in witnesses {
                         if states.get(&witness) == Some(&SimState::Active) {
                             let admit = probe == true_digest(epoch);
-                            let more =
-                                machine.witness_vote(witness, subject, epoch, admit, now, &journal);
+                            let more = machine.witness_vote(
+                                witness,
+                                subject,
+                                epoch,
+                                admit,
+                                now,
+                                &mut journal,
+                            );
                             queue.extend(more);
                         }
                     }
@@ -1002,13 +978,13 @@ mod tests {
 
     #[test]
     fn founding_cohort_trains_without_witnesses() {
-        let j = journal();
-        let mut m = EpochMachine::new(cfg(), 0, &[], &j);
+        let mut j = journal();
+        let mut m = EpochMachine::new(cfg(), 0, &[], &mut j);
         assert_eq!(m.phase(), EpochPhase::WaitingForMembers);
-        m.join_request(w(1), None, MS, &j);
-        m.join_request(w(2), None, 2 * MS, &j);
-        assert!(m.tick(5 * MS, &j).is_empty(), "window still open");
-        let cmds = m.tick(10 * MS, &j);
+        m.join_request(w(1), None, MS, &mut j);
+        m.join_request(w(2), None, 2 * MS, &mut j);
+        assert!(m.tick(5 * MS, &mut j).is_empty(), "window still open");
+        let cmds = m.tick(10 * MS, &mut j);
         assert_eq!(m.phase(), EpochPhase::Train);
         assert_eq!(m.members(), vec![w(1), w(2)]);
         assert!(cmds.iter().any(|c| matches!(
@@ -1024,25 +1000,25 @@ mod tests {
 
     #[test]
     fn window_stays_open_below_min_members() {
-        let j = journal();
-        let mut m = EpochMachine::new(cfg(), 0, &[], &j);
-        m.join_request(w(1), None, MS, &j);
-        assert!(m.tick(50 * MS, &j).is_empty());
+        let mut j = journal();
+        let mut m = EpochMachine::new(cfg(), 0, &[], &mut j);
+        m.join_request(w(1), None, MS, &mut j);
+        assert!(m.tick(50 * MS, &mut j).is_empty());
         assert_eq!(m.phase(), EpochPhase::WaitingForMembers);
         // A late join still lands, then the window can close.
-        m.join_request(w(2), None, 51 * MS, &j);
-        m.tick(52 * MS, &j);
+        m.join_request(w(2), None, 51 * MS, &mut j);
+        m.tick(52 * MS, &mut j);
         assert_eq!(m.phase(), EpochPhase::Train);
     }
 
-    fn train_with_founders(j: &EventJournal) -> EpochMachine {
+    fn train_with_founders(j: &mut EventJournal) -> EpochMachine {
         let mut m = EpochMachine::new(cfg(), 0, &[w(1), w(2)], j);
         m.tick(10 * MS, j);
         assert_eq!(m.phase(), EpochPhase::Train);
         m
     }
 
-    fn roll_to_next_window(m: &mut EpochMachine, j: &EventJournal, now: u64) {
+    fn roll_to_next_window(m: &mut EpochMachine, j: &mut EventJournal, now: u64) {
         m.boundary_released(now, j);
         m.boundary_released(now, j);
         assert_eq!(m.phase(), EpochPhase::Cooldown);
@@ -1052,19 +1028,19 @@ mod tests {
 
     #[test]
     fn joiner_is_witnessed_then_admitted() {
-        let j = journal();
-        let mut m = train_with_founders(&j);
-        roll_to_next_window(&mut m, &j, 20 * MS);
+        let mut j = journal();
+        let mut m = train_with_founders(&mut j);
+        roll_to_next_window(&mut m, &mut j, 20 * MS);
         assert_eq!(m.epoch(), 1);
 
-        m.join_request(w(9), None, 22 * MS, &j);
-        let cmds = m.tick(40 * MS, &j);
+        m.join_request(w(9), None, 22 * MS, &mut j);
+        let cmds = m.tick(40 * MS, &mut j);
         assert_eq!(m.phase(), EpochPhase::Warmup);
         assert!(
             matches!(&cmds[..], [EpochCmd::Announce { .. }, EpochCmd::StartWarmup { joiners, .. }] if joiners == &vec![w(9)])
         );
 
-        let cmds = m.join_request(w(9), Some(0xfeed), 41 * MS, &j);
+        let cmds = m.join_request(w(9), Some(0xfeed), 41 * MS, &mut j);
         let [EpochCmd::QueryWitnesses {
             witnesses, probe, ..
         }] = &cmds[..]
@@ -1074,8 +1050,8 @@ mod tests {
         assert_eq!(*probe, 0xfeed);
         assert_eq!(witnesses.len(), 2);
         let ws: Vec<WorkerId> = witnesses.clone();
-        m.witness_vote(ws[0], w(9), 1, true, 42 * MS, &j);
-        let cmds = m.witness_vote(ws[1], w(9), 1, true, 43 * MS, &j);
+        m.witness_vote(ws[0], w(9), 1, true, 42 * MS, &mut j);
+        let cmds = m.witness_vote(ws[1], w(9), 1, true, 43 * MS, &mut j);
         assert!(cmds
             .iter()
             .any(|c| matches!(c, EpochCmd::Admit { subject, .. } if *subject == w(9))));
@@ -1086,14 +1062,14 @@ mod tests {
 
     #[test]
     fn split_vote_evicts() {
-        let j = journal();
-        let mut m = train_with_founders(&j);
-        roll_to_next_window(&mut m, &j, 20 * MS);
-        m.join_request(w(9), None, 22 * MS, &j);
-        m.tick(40 * MS, &j);
-        m.join_request(w(9), Some(0xbad), 41 * MS, &j);
-        m.witness_vote(w(1), w(9), 1, true, 42 * MS, &j);
-        let cmds = m.witness_vote(w(2), w(9), 1, false, 43 * MS, &j);
+        let mut j = journal();
+        let mut m = train_with_founders(&mut j);
+        roll_to_next_window(&mut m, &mut j, 20 * MS);
+        m.join_request(w(9), None, 22 * MS, &mut j);
+        m.tick(40 * MS, &mut j);
+        m.join_request(w(9), Some(0xbad), 41 * MS, &mut j);
+        m.witness_vote(w(1), w(9), 1, true, 42 * MS, &mut j);
+        let cmds = m.witness_vote(w(2), w(9), 1, false, 43 * MS, &mut j);
         assert!(cmds
             .iter()
             .any(|c| matches!(c, EpochCmd::Evict { subject, .. } if *subject == w(9))));
@@ -1104,14 +1080,14 @@ mod tests {
 
     #[test]
     fn silent_joiner_is_evicted_at_the_digest_deadline() {
-        let j = journal();
-        let mut m = train_with_founders(&j);
-        roll_to_next_window(&mut m, &j, 20 * MS);
-        m.join_request(w(9), None, 22 * MS, &j);
-        m.tick(40 * MS, &j);
+        let mut j = journal();
+        let mut m = train_with_founders(&mut j);
+        roll_to_next_window(&mut m, &mut j, 20 * MS);
+        m.join_request(w(9), None, 22 * MS, &mut j);
+        m.tick(40 * MS, &mut j);
         assert_eq!(m.phase(), EpochPhase::Warmup);
         // No digest ever arrives (partitioned / crashed joiner).
-        let cmds = m.tick(60 * MS, &j);
+        let cmds = m.tick(60 * MS, &mut j);
         assert!(cmds
             .iter()
             .any(|c| matches!(c, EpochCmd::Evict { subject, .. } if *subject == w(9))));
@@ -1121,10 +1097,10 @@ mod tests {
 
     #[test]
     fn join_outside_window_is_deferred_once() {
-        let j = journal();
-        let mut m = train_with_founders(&j);
-        m.join_request(w(9), None, 11 * MS, &j);
-        m.join_request(w(9), None, 12 * MS, &j);
+        let mut j = journal();
+        let mut m = train_with_founders(&mut j);
+        m.join_request(w(9), None, 11 * MS, &mut j);
+        m.join_request(w(9), None, 12 * MS, &mut j);
         assert!(!m.is_pending(w(9)));
         let deferred = j
             .events()
@@ -1136,22 +1112,26 @@ mod tests {
 
     #[test]
     fn overflow_beyond_max_members_is_deferred() {
-        let j = journal();
-        let mut m = EpochMachine::new(cfg(), 0, &[], &j);
+        let mut j = journal();
+        let mut m = EpochMachine::new(cfg(), 0, &[], &mut j);
         for n in 1..=6 {
-            m.join_request(w(n), None, MS, &j);
+            m.join_request(w(n), None, MS, &mut j);
         }
-        assert_eq!(m.tick(10 * MS, &j).len(), 2, "announce x2 (warmup+train)");
+        assert_eq!(
+            m.tick(10 * MS, &mut j).len(),
+            2,
+            "announce x2 (warmup+train)"
+        );
         assert_eq!(m.members().len(), 4, "capped at max_members");
     }
 
     #[test]
     fn losing_quorum_mid_train_aborts_the_epoch() {
-        let j = journal();
-        let mut m = train_with_founders(&j);
-        m.member_left(w(2), 11 * MS, &j);
+        let mut j = journal();
+        let mut m = train_with_founders(&mut j);
+        m.member_left(w(2), 11 * MS, &mut j);
         assert_eq!(m.phase(), EpochPhase::Cooldown);
-        m.tick(12 * MS, &j);
+        m.tick(12 * MS, &mut j);
         assert_eq!(m.phase(), EpochPhase::WaitingForMembers);
         assert_eq!(m.epoch(), 1);
         assert!(check_epoch_safety(&j.events()).is_safe());

@@ -39,6 +39,7 @@
 // `elan-verify` re-checks the same sites structurally in CI.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod am;
 pub mod bus;
 pub mod chaos;
 pub mod comm;

@@ -273,11 +273,11 @@ impl SharedControl {
     /// [`EventKind::StaleTermRejected`]) when a newer term owns the
     /// record, in which case the caller was superseded and must abdicate
     /// *without* taking the externally visible action the write guards.
-    pub fn persist(&self, record: &AmDurable) -> bool {
+    pub fn persist(&self, record: AmDurable) -> bool {
         let stored_term = {
             let mut durable = self.durable.lock();
             if record.term >= durable.term {
-                *durable = record.clone();
+                *durable = record;
                 return true;
             }
             durable.term
@@ -287,6 +287,12 @@ impl SharedControl {
             stale: record.term,
         });
         false
+    }
+
+    /// The stored record's fencing term: an incarnation holding an older
+    /// one has been superseded, and every persist it attempts is rejected.
+    pub(crate) fn term(&self) -> u64 {
+        self.durable.lock().term
     }
 
     /// Atomically bumps the fencing term (and stamps `epoch`) on the
@@ -439,7 +445,7 @@ mod tests {
             target: vec![WorkerId(0), WorkerId(1)],
             seq: Some(3),
         };
-        assert!(ctrl.persist(&rec));
+        assert!(ctrl.persist(rec.clone()));
         assert_eq!(stored(&ctrl), rec);
     }
 
@@ -448,31 +454,31 @@ mod tests {
         let ctrl = SharedControl::new(Duration::from_millis(100), Obs::new_default());
         let mut rec = AmDurable::founding(vec![WorkerId(0)]);
         rec.term = 3;
-        assert!(ctrl.persist(&rec));
+        assert!(ctrl.persist(rec.clone()));
         // A predecessor still holding term 2 must be rejected, leaving
         // the newer record untouched.
         let mut stale = rec.clone();
         stale.term = 2;
         stale.seq_done = 99;
-        assert!(!ctrl.persist(&stale));
+        assert!(!ctrl.persist(stale));
         assert_eq!(stored(&ctrl), rec);
         // Same term (the incumbent itself) still writes.
         rec.seq_done = 1;
-        assert!(ctrl.persist(&rec));
+        assert!(ctrl.persist(rec.clone()));
         assert_eq!(stored(&ctrl).seq_done, 1);
     }
 
     #[test]
     fn bump_term_is_monotonic_and_stamps_epoch() {
         let ctrl = SharedControl::new(Duration::from_millis(100), Obs::new_default());
-        assert!(ctrl.persist(&AmDurable::founding(vec![WorkerId(0)])));
+        assert!(ctrl.persist(AmDurable::founding(vec![WorkerId(0)])));
         let first = ctrl.bump_term(1);
         assert_eq!((first.term, first.epoch), (1, 1));
         let second = ctrl.bump_term(5);
         assert_eq!((second.term, second.epoch), (2, 5));
         assert_eq!(stored(&ctrl), second);
         // The fenced-out first incarnation can no longer write.
-        assert!(!ctrl.persist(&first));
+        assert!(!ctrl.persist(first));
     }
 
     proptest! {
@@ -517,7 +523,7 @@ mod tests {
                     }
                 };
                 let lands = record.term >= before.term;
-                prop_assert_eq!(ctrl.persist(&record), lands);
+                prop_assert_eq!(ctrl.persist(record.clone()), lands);
                 let after = stored(&ctrl);
                 prop_assert!(after.term >= before.term, "stored term decreased");
                 prop_assert_eq!(&after, if lands { &record } else { &before });

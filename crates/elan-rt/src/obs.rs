@@ -9,7 +9,7 @@
 //! - every interesting runtime action emits a structured [`Event`] into an
 //!   [`EventJournal`] (a bounded [`RingBufferSink`] plus optional extra
 //!   [`EventSink`]s),
-//! - the in-flight adjustment is traced span-style by a `TraceRecorder`
+//! - the in-flight adjustment is traced span-style by [`Obs`]
 //!   into an [`AdjustmentTrace`] with one
 //!   [`PhaseWindow`] per pipeline phase —
 //!   idempotent under AM failover, so a replacement AM continues its
@@ -621,6 +621,20 @@ impl Default for EventJournal {
     }
 }
 
+/// Where a pure state machine's journal events go: straight into an
+/// [`EventJournal`], or onto a decision core's action list, which its
+/// driver journals in order with the rest of the step's effects.
+pub(crate) trait Emit {
+    /// Records `kind` with the timestamp `at_us`.
+    fn emit_at(&mut self, at_us: u64, kind: EventKind);
+}
+
+impl Emit for EventJournal {
+    fn emit_at(&mut self, at_us: u64, kind: EventKind) {
+        EventJournal::emit_at(self, at_us, kind);
+    }
+}
+
 /// Default ring capacity: generous enough that a chaotic e2e run keeps
 /// every adjustment-relevant event.
 pub(crate) const DEFAULT_RING_CAPACITY: usize = 16_384;
@@ -747,144 +761,20 @@ struct TraceState {
     active: Option<usize>,
 }
 
-/// Records adjustment spans. Shared (via `SharedControl`) by the
-/// controller, every AM incarnation, and the watchdog, so a replacement
-/// AM *continues* the in-flight trace: `phase_start` is first-wins,
-/// `phase_end` is max-wins, and `complete` is one-shot.
-#[derive(Debug, Default)]
-pub(crate) struct TraceRecorder {
-    state: Mutex<TraceState>,
+/// A zero-length window at `at_us`.
+fn point(at_us: u64) -> PhaseWindow {
+    PhaseWindow {
+        start_us: at_us,
+        end_us: at_us,
+    }
 }
 
-impl TraceRecorder {
-    /// Opens a new trace (unless one is already in flight with the same
-    /// `seq`, as happens when a failover replays the request). Returns the
-    /// trace id and whether it was freshly opened.
-    pub(crate) fn begin(
-        &self,
-        kind: TraceKind,
-        seq: Option<u64>,
-        target_world: u32,
-        at_us: u64,
-    ) -> (u64, bool) {
-        let mut st = self.state.lock();
-        if let Some(i) = st.active {
-            let t = &st.traces[i];
-            if seq.is_some() && t.seq == seq {
-                return (t.id, false); // failover replay of the same op
-            }
-            if seq.is_none() || t.seq.is_none() {
-                // An adjustment is already being traced; fold the new
-                // request into it rather than orphaning a span.
-                return (t.id, false);
-            }
-            return (t.id, false);
-        }
-        let id = st.traces.len() as u64 + 1;
-        let mut trace = AdjustmentTrace::new(id, kind, seq, target_world);
-        trace.phases[AdjustmentPhase::Request.index()] = Some(PhaseWindow {
-            start_us: at_us,
-            end_us: at_us,
-        });
-        st.traces.push(trace);
-        st.active = Some(st.traces.len() - 1);
-        (id, true)
-    }
-
-    /// Opens `phase` at `at_us` (first-wins; replays keep the original
-    /// timestamp). Returns the trace id when a trace is in flight.
-    pub(crate) fn phase_start(&self, phase: AdjustmentPhase, at_us: u64) -> Option<u64> {
-        let mut st = self.state.lock();
-        let i = st.active?;
-        let t = &mut st.traces[i];
-        let slot = &mut t.phases[phase.index()];
-        if slot.is_none() {
-            *slot = Some(PhaseWindow {
-                start_us: at_us,
-                end_us: at_us,
-            });
-        }
-        Some(t.id)
-    }
-
-    /// Closes `phase` at `at_us` (max-wins; opens the phase zero-length if
-    /// it never started, so no end is orphaned). Returns the trace id.
-    pub(crate) fn phase_end(&self, phase: AdjustmentPhase, at_us: u64) -> Option<u64> {
-        let mut st = self.state.lock();
-        let i = st.active?;
-        let t = &mut st.traces[i];
-        let slot = &mut t.phases[phase.index()];
-        match slot {
-            Some(w) => w.end_us = w.end_us.max(at_us),
-            None => {
-                *slot = Some(PhaseWindow {
-                    start_us: at_us,
-                    end_us: at_us,
-                })
-            }
-        }
-        Some(t.id)
-    }
-
-    /// Extends the report phase to cover a readiness report arriving at
-    /// `at_us` (joiners may report before the AM even sees the request —
-    /// the window clamps rather than going backwards).
-    pub(crate) fn note_report(&self, at_us: u64) {
-        let mut st = self.state.lock();
-        let Some(i) = st.active else { return };
-        let t = &mut st.traces[i];
-        let slot = &mut t.phases[AdjustmentPhase::Report.index()];
-        match slot {
-            Some(w) => w.end_us = w.end_us.max(at_us),
-            None => {
-                *slot = Some(PhaseWindow {
-                    start_us: at_us,
-                    end_us: at_us,
-                })
-            }
-        }
-    }
-
-    /// Records the replication schedule shape on the in-flight trace.
-    pub(crate) fn set_plan(&self, waves: u32, transfers: u32) {
-        let mut st = self.state.lock();
-        let Some(i) = st.active else { return };
-        let t = &mut st.traces[i];
-        t.waves = t.waves.max(waves);
-        t.transfers = t.transfers.max(transfers);
-    }
-
-    /// Completes the in-flight trace: closes every still-open phase at
-    /// `at_us`, fills the outcome, and clears the active slot. One-shot —
-    /// a second call (failover replay) is a no-op. Returns the trace id.
-    pub(crate) fn complete(&self, generation: u64, world: u32, at_us: u64) -> Option<u64> {
-        let mut st = self.state.lock();
-        let i = st.active.take()?;
-        let t = &mut st.traces[i];
-        for phase in AdjustmentPhase::ALL {
-            let slot = &mut t.phases[phase.index()];
-            match slot {
-                Some(w) => w.end_us = w.end_us.max(w.start_us),
-                None => {
-                    *slot = Some(PhaseWindow {
-                        start_us: at_us,
-                        end_us: at_us,
-                    })
-                }
-            }
-        }
-        if let Some(w) = t.phases[AdjustmentPhase::Adjust.index()].as_mut() {
-            w.end_us = at_us;
-        }
-        t.completed = true;
-        t.generation = generation;
-        t.final_world = world;
-        Some(t.id)
-    }
-
-    /// Copies of every trace recorded so far (completed and in-flight).
-    pub fn all(&self) -> Vec<AdjustmentTrace> {
-        self.state.lock().traces.clone()
+/// Ends a phase at `at_us` (max-wins), opening it zero-length if it never
+/// started, so no end is orphaned.
+fn stretch(slot: &mut Option<PhaseWindow>, at_us: u64) {
+    match slot {
+        Some(w) => w.end_us = w.end_us.max(at_us),
+        None => *slot = Some(point(at_us)),
     }
 }
 
@@ -897,8 +787,12 @@ impl TraceRecorder {
 pub struct Obs {
     /// The structured event journal.
     pub journal: Arc<EventJournal>,
-    /// Span-style adjustment traces.
-    pub(crate) traces: Arc<TraceRecorder>,
+    /// Adjustment spans. Shared by the controller, every AM incarnation
+    /// and the watchdog, so a replacement AM *continues* the in-flight
+    /// trace: a phase start is first-wins, a phase end is max-wins, and
+    /// completion is one-shot. Only the span methods below touch it, so
+    /// every transition is journalled.
+    traces: Mutex<TraceState>,
     /// Named counters/gauges/histograms.
     pub registry: MetricsRegistry,
     /// Reliable-messaging counters, registered in `registry` under
@@ -919,7 +813,7 @@ impl Obs {
         let rt = Arc::new(RtMetrics::registered(&registry));
         Arc::new(Obs {
             journal: Arc::new(EventJournal::with_time(ring_capacity, sinks, time)),
-            traces: Arc::new(TraceRecorder::default()),
+            traces: Mutex::default(),
             registry,
             rt,
         })
@@ -939,7 +833,7 @@ impl Obs {
     /// Everything as one JSON object: registry snapshot, journal summary,
     /// and every adjustment trace (consumed by `crates/bench`).
     pub fn to_json(&self) -> String {
-        let traces: Vec<String> = self.all_traces().iter().map(|t| t.to_json()).collect();
+        let traces: Vec<String> = self.traces().iter().map(|t| t.to_json()).collect();
         format!(
             "{{\"metrics\":{},\"journal\":{},\"traces\":[{}]}}",
             self.metrics().to_json(),
@@ -948,9 +842,158 @@ impl Obs {
         )
     }
 
-    fn all_traces(&self) -> Vec<AdjustmentTrace> {
-        self.traces.all()
+    /// Copies of every trace recorded so far (completed and in-flight).
+    pub(crate) fn traces(&self) -> Vec<AdjustmentTrace> {
+        self.traces.lock().traces.clone()
     }
+
+    /// Applies `f` to the in-flight trace; returns its id, if any.
+    fn active(&self, f: impl FnOnce(&mut AdjustmentTrace)) -> Option<u64> {
+        let mut st = self.traces.lock();
+        let i = st.active?;
+        f(&mut st.traces[i]);
+        Some(st.traces[i].id)
+    }
+
+    /// Opens an adjustment span and journals `AdjustmentRequested` and
+    /// the request phase's `PhaseStarted` — unless a trace is already in
+    /// flight, which journals nothing. A failure-driven op (`seq: None`)
+    /// has no controller round trip and no joiners: its request phase
+    /// closes and its report phase opens at once, so the journal still
+    /// carries the full bracket.
+    pub(crate) fn begin(&self, kind: TraceKind, seq: Option<u64>, target_world: u32, at_us: u64) {
+        let trace = {
+            let mut st = self.traces.lock();
+            if st.active.is_some() {
+                // A failover replaying the same request, or a new request
+                // (a failure-driven scale-in, say) folding into the span.
+                return;
+            }
+            let id = st.traces.len() as u64 + 1;
+            let mut trace = AdjustmentTrace::new(id, kind, seq, target_world);
+            trace.phases[AdjustmentPhase::Request.index()] = Some(point(at_us));
+            st.active = Some(st.traces.len());
+            st.traces.push(trace);
+            id
+        };
+        let requested = EventKind::AdjustmentRequested {
+            trace,
+            kind,
+            seq,
+            target_world,
+        };
+        self.journal.emit_at(at_us, requested);
+        let phase = AdjustmentPhase::Request;
+        self.journal
+            .emit_at(at_us, EventKind::PhaseStarted { trace, phase });
+        if seq.is_none() {
+            self.phase_end(AdjustmentPhase::Request, at_us);
+            self.phase_start(AdjustmentPhase::Report, at_us);
+        }
+    }
+
+    /// Opens `phase` of the in-flight span (first-wins: a replay keeps
+    /// the original timestamp) and journals `PhaseStarted`.
+    pub(crate) fn phase_start(&self, phase: AdjustmentPhase, at_us: u64) {
+        let opened = self.active(|t| {
+            t.phases[phase.index()].get_or_insert(point(at_us));
+        });
+        if let Some(trace) = opened {
+            self.journal
+                .emit_at(at_us, EventKind::PhaseStarted { trace, phase });
+        }
+    }
+
+    /// Closes `phase` of the in-flight span and journals `PhaseEnded`.
+    pub(crate) fn phase_end(&self, phase: AdjustmentPhase, at_us: u64) {
+        let closed = self.active(|t| stretch(&mut t.phases[phase.index()], at_us));
+        if let Some(trace) = closed {
+            self.journal
+                .emit_at(at_us, EventKind::PhaseEnded { trace, phase });
+        }
+    }
+
+    /// Completes the in-flight span — every phase that never started
+    /// opens zero-length at `at_us`, where the adjust phase ends — and
+    /// journals `AdjustmentCompleted`. One-shot: a failover replay is a
+    /// no-op.
+    pub(crate) fn complete(&self, generation: u64, world: u32, at_us: u64) {
+        let trace = {
+            let mut st = self.traces.lock();
+            let Some(i) = st.active.take() else {
+                return;
+            };
+            let t = &mut st.traces[i];
+            for slot in &mut t.phases {
+                slot.get_or_insert(point(at_us));
+            }
+            if let Some(w) = t.phases[AdjustmentPhase::Adjust.index()].as_mut() {
+                w.end_us = at_us;
+            }
+            t.completed = true;
+            t.generation = generation;
+            t.final_world = world;
+            t.id
+        };
+        let completed = EventKind::AdjustmentCompleted {
+            trace,
+            generation,
+            world,
+        };
+        self.journal.emit_at(at_us, completed);
+    }
+
+    /// Applies one span transition a decision core ordered.
+    pub(crate) fn span(&self, span: Span, at_us: u64) {
+        match span {
+            Span::Begin {
+                kind,
+                seq,
+                target_world,
+            } => self.begin(kind, seq, target_world, at_us),
+            Span::PhaseStart(phase) => self.phase_start(phase, at_us),
+            Span::PhaseEnd(phase) => self.phase_end(phase, at_us),
+            // Joiners may report before the AM even sees the request:
+            // the report phase clamps rather than going backwards.
+            Span::Report(worker) => {
+                let report = AdjustmentPhase::Report.index();
+                self.active(|t| stretch(&mut t.phases[report], at_us));
+                self.journal
+                    .emit_at(at_us, EventKind::WorkerReported { worker });
+            }
+            Span::Plan { waves, transfers } => {
+                self.active(|t| {
+                    t.waves = t.waves.max(waves);
+                    t.transfers = t.transfers.max(transfers);
+                });
+                self.journal
+                    .emit_at(at_us, EventKind::ReplicationPlanned { waves, transfers });
+            }
+            Span::Complete { generation, world } => self.complete(generation, world, at_us),
+        }
+    }
+}
+
+/// One transition of the in-flight adjustment span; [`Obs::span`]
+/// records it and journals the matching event at the same timestamp.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Span {
+    /// Open a span ([`Obs::begin`]).
+    Begin {
+        kind: TraceKind,
+        seq: Option<u64>,
+        target_world: u32,
+    },
+    /// Open a phase.
+    PhaseStart(AdjustmentPhase),
+    /// Close a phase.
+    PhaseEnd(AdjustmentPhase),
+    /// A joiner reported ready: stretch the report phase over it.
+    Report(WorkerId),
+    /// The replication schedule's shape.
+    Plan { waves: u32, transfers: u32 },
+    /// Close the span at the generation and world it ended with.
+    Complete { generation: u64, world: u32 },
 }
 
 /// Renders the per-phase adjustment-latency breakdown (§VI style) from
@@ -1042,20 +1085,23 @@ mod tests {
 
     #[test]
     fn trace_lifecycle_produces_well_formed_spans() {
-        let tr = TraceRecorder::default();
-        let (id, fresh) = tr.begin(TraceKind::ScaleOut, Some(1), 4, 10);
-        assert!(fresh);
-        tr.phase_end(AdjustmentPhase::Request, 20);
-        tr.phase_start(AdjustmentPhase::Report, 20);
-        tr.note_report(35);
-        tr.phase_start(AdjustmentPhase::Coordinate, 40);
-        tr.phase_start(AdjustmentPhase::Replicate, 45);
-        tr.set_plan(2, 2);
-        tr.phase_end(AdjustmentPhase::Replicate, 60);
-        tr.phase_end(AdjustmentPhase::Coordinate, 62);
-        tr.phase_start(AdjustmentPhase::Adjust, 62);
-        assert_eq!(tr.complete(1, 4, 70), Some(id));
-        let traces = tr.all();
+        let obs = Obs::new_default();
+        obs.begin(TraceKind::ScaleOut, Some(1), 4, 10);
+        obs.phase_end(AdjustmentPhase::Request, 20);
+        obs.phase_start(AdjustmentPhase::Report, 20);
+        obs.span(Span::Report(WorkerId(4)), 35);
+        obs.phase_start(AdjustmentPhase::Coordinate, 40);
+        obs.phase_start(AdjustmentPhase::Replicate, 45);
+        let plan = Span::Plan {
+            waves: 2,
+            transfers: 2,
+        };
+        obs.span(plan, 45);
+        obs.phase_end(AdjustmentPhase::Replicate, 60);
+        obs.phase_end(AdjustmentPhase::Coordinate, 62);
+        obs.phase_start(AdjustmentPhase::Adjust, 62);
+        obs.complete(1, 4, 70);
+        let traces = obs.traces();
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
         assert!(t.completed);
@@ -1063,44 +1109,52 @@ mod tests {
         assert_eq!(t.phase_us(AdjustmentPhase::Report), 15);
         assert_eq!(t.total_us(), 60);
         assert_eq!(t.waves, 2);
+        // Every transition journalled itself, at its own timestamp.
+        let kinds: Vec<&str> = obs.journal.events().iter().map(|e| e.kind.name()).collect();
+        assert_eq!(kinds.first(), Some(&"adjustment_requested"));
+        assert_eq!(kinds.last(), Some(&"adjustment_completed"));
+        assert_eq!(kinds.len(), 12);
+        let last = obs.journal.events().pop().unwrap();
+        assert_eq!(last.at_us, 70);
     }
 
     #[test]
     fn begin_is_idempotent_across_failover() {
-        let tr = TraceRecorder::default();
-        let (id, fresh) = tr.begin(TraceKind::ScaleOut, Some(7), 4, 5);
-        assert!(fresh);
-        // The replacement AM replays the same op: no new trace.
-        let (id2, fresh2) = tr.begin(TraceKind::ScaleOut, Some(7), 4, 99);
-        assert_eq!(id, id2);
-        assert!(!fresh2);
+        let obs = Obs::new_default();
+        obs.begin(TraceKind::ScaleOut, Some(7), 4, 5);
+        // The replacement AM replays the same op: no new trace, and
+        // nothing journalled.
+        obs.begin(TraceKind::ScaleOut, Some(7), 4, 99);
+        assert_eq!(obs.traces().len(), 1);
+        assert_eq!(obs.journal.summary().count("adjustment_requested"), 1);
         // phase_start replays keep the original timestamp.
-        tr.phase_start(AdjustmentPhase::Report, 10);
-        tr.phase_start(AdjustmentPhase::Report, 50);
-        tr.complete(1, 4, 60);
-        let t = &tr.all()[0];
+        obs.phase_start(AdjustmentPhase::Report, 10);
+        obs.phase_start(AdjustmentPhase::Report, 50);
+        obs.complete(1, 4, 60);
+        let t = &obs.traces()[0];
         assert_eq!(t.phase(AdjustmentPhase::Report).unwrap().start_us, 10);
         // complete is one-shot.
-        assert_eq!(tr.complete(2, 8, 99), None);
+        obs.complete(2, 8, 99);
+        assert_eq!(obs.journal.summary().count("adjustment_completed"), 1);
     }
 
     #[test]
     fn early_reports_clamp_instead_of_orphaning() {
-        let tr = TraceRecorder::default();
-        tr.begin(TraceKind::ScaleOut, Some(1), 3, 100);
+        let obs = Obs::new_default();
+        obs.begin(TraceKind::ScaleOut, Some(1), 3, 100);
         // A joiner reports before the AM saw AdjustTo.
-        tr.note_report(90);
-        tr.phase_start(AdjustmentPhase::Report, 110); // first-wins loses to 90
-        let t = &tr.all()[0];
+        obs.span(Span::Report(WorkerId(3)), 90);
+        obs.phase_start(AdjustmentPhase::Report, 110); // first-wins loses to 90
+        let t = &obs.traces()[0];
         let w = t.phase(AdjustmentPhase::Report).unwrap();
         assert!(w.start_us <= w.end_us);
     }
 
     #[test]
     fn incomplete_trace_renders_with_question_mark() {
-        let tr = TraceRecorder::default();
-        tr.begin(TraceKind::Migrate, Some(3), 2, 0);
-        let report = render_trace_report(&tr.all());
+        let obs = Obs::new_default();
+        obs.begin(TraceKind::Migrate, Some(3), 2, 0);
+        let report = render_trace_report(&obs.traces());
         assert!(report.contains("migrate"));
         assert!(report.contains("->2?"));
         assert!(render_trace_report(&[]).contains("no adjustments"));
@@ -1111,8 +1165,8 @@ mod tests {
         let obs = Obs::new_default();
         obs.journal.emit(EventKind::AmElected { epoch: 1 });
         obs.rt.resends.inc();
-        obs.traces.begin(TraceKind::ScaleOut, Some(1), 2, 0);
-        obs.traces.complete(1, 2, 10);
+        obs.begin(TraceKind::ScaleOut, Some(1), 2, 0);
+        obs.complete(1, 2, 10);
         let json = obs.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"metrics\""));
@@ -1123,15 +1177,31 @@ mod tests {
 
     #[test]
     fn failure_driven_begin_does_not_shadow_active_trace() {
-        let tr = TraceRecorder::default();
-        let (id, _) = tr.begin(TraceKind::ScaleOut, Some(1), 4, 0);
-        let (id2, fresh) = tr.begin(TraceKind::FailureScaleIn, None, 3, 5);
-        assert_eq!(id, id2);
-        assert!(!fresh);
-        tr.complete(1, 3, 10);
-        // Now a failure-driven op can open its own trace.
-        let (id3, fresh3) = tr.begin(TraceKind::FailureScaleIn, None, 2, 20);
-        assert!(fresh3);
-        assert_eq!(id3, 2);
+        let obs = Obs::new_default();
+        obs.begin(TraceKind::ScaleOut, Some(1), 4, 0);
+        obs.begin(TraceKind::FailureScaleIn, None, 3, 5);
+        assert_eq!(obs.traces().len(), 1, "folded into the active span");
+        obs.complete(1, 3, 10);
+        // Now a failure-driven op opens its own trace, with its request
+        // phase closed and its report phase open at detection time.
+        obs.begin(TraceKind::FailureScaleIn, None, 2, 20);
+        let traces = obs.traces();
+        assert_eq!(traces.len(), 2);
+        assert_eq!(traces[1].id, 2);
+        let report = traces[1].phase(AdjustmentPhase::Report).unwrap();
+        assert_eq!((report.start_us, report.end_us), (20, 20));
+        let tail: Vec<String> = obs.journal.events()[3..]
+            .iter()
+            .map(|e| format!("{:?}", e.kind))
+            .collect();
+        assert_eq!(
+            tail,
+            [
+                "AdjustmentRequested { trace: 2, kind: FailureScaleIn, seq: None, target_world: 2 }",
+                "PhaseStarted { trace: 2, phase: Request }",
+                "PhaseEnded { trace: 2, phase: Request }",
+                "PhaseStarted { trace: 2, phase: Report }",
+            ]
+        );
     }
 }

@@ -1,26 +1,20 @@
-//! The elastic runtime: the public handle, the AM service thread, the
-//! lease watchdog, and the failure detector.
+//! The elastic runtime: the public handle, its builder, and the threads
+//! it spawns — workers, the AM, and the lease watchdog.
 //!
 //! [`ElasticRuntime`] is what a framework integration would hold: it
 //! launches the job, requests scale-out/scale-in/migration, and shuts the
-//! job down — all while worker threads keep training. The AM thread
-//! orchestrates the 5-step adjustment procedure over the bus, using the
-//! topology planner to pick replication sources.
+//! job down — all while worker threads keep training. The AM's decisions
+//! (the 5-step adjustment, failure-driven scale-ins, persist-before-act
+//! and term fencing) live in the pure decision core `am::AmCore`; its
+//! thread runs them over the bus.
 //!
-//! Fault tolerance (§V-D) is layered on top:
-//!
-//! - every control message rides a `ReliableEndpoint` (ids, acks,
-//!   resend-on-timeout, bounded dedup), so the job survives a lossy,
-//!   duplicating, reordering bus ([`RuntimeBuilder::chaos`]);
-//! - the AM persists its durable record (`AmDurable`), term-fenced, in
-//!   the shared `SharedControl` *before* every externally visible action
-//!   and proves liveness by refreshing a lease; a watchdog thread elects a
-//!   replacement AM at a higher epoch when the lease lapses, and the
-//!   replacement recovers the in-flight adjustment from that record;
-//! - workers heartbeat the AM (even from inside a blocked allreduce); the
-//!   AM turns missed heartbeats into a failure-driven scale-in: evict from
-//!   the collective, rebuild the communication group at the next boundary,
-//!   and keep training on the survivors.
+//! Fault tolerance (§V-D): every control message rides a
+//! `ReliableEndpoint`, so the job survives a lossy, duplicating,
+//! reordering bus ([`RuntimeBuilder::chaos`]); a watchdog elects a
+//! replacement AM at a higher epoch when the AM's lease lapses, and the
+//! replacement recovers the in-flight adjustment from the durable record;
+//! workers heartbeat the AM, which turns silence into a failure-driven
+//! scale-in around the dead.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
@@ -30,36 +24,27 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use elan_core::lease::LeaseId;
-use elan_core::obs::{AdjustmentPhase, MetricsSnapshot};
-use elan_core::protocol::EpochPhase;
+use elan_core::obs::MetricsSnapshot;
 use elan_core::state::WorkerId;
 use elan_core::ElanError;
 use elan_sim::SimDuration;
-use elan_topology::{ClusterSpec, GpuId, ReplicationPlanner, Topology};
 
-use crate::bus::{Bus, Endpoint, EndpointId, RtMsg};
+use crate::am::driver::am_thread;
+use crate::bus::{Bus, EndpointId, RtMsg};
 use crate::chaos::{ChaosPolicy, ChaosStats, PartitionWindow};
 use crate::comm::{CommGroup, CommTopology, TuningProfile};
-use crate::epoch::{EpochCmd, EpochConfig, EpochMachine};
-use crate::liveness::{AmDurable, AmPhase, CrashPoint, HeartbeatMonitor, PendingOp, SharedControl};
+use crate::epoch::EpochConfig;
+use crate::liveness::{AmDurable, CrashPoint, SharedControl};
 use crate::obs::{
-    render_trace_report, AdjustmentTrace, Event, EventJournal, EventKind, EventSink,
-    JournalSummary, Obs, TraceKind, DEFAULT_RING_CAPACITY,
+    render_trace_report, AdjustmentTrace, Event, EventKind, EventSink, JournalSummary, Obs,
+    TraceKind, DEFAULT_RING_CAPACITY,
 };
-use crate::reliable::{
-    ReliableEndpoint, RtMetrics, RtMetricsSnapshot, REMOTE_FIRST_CONTACT_GRACE_MS,
-};
+use crate::reliable::{ReliableEndpoint, RtMetricsSnapshot, REMOTE_FIRST_CONTACT_GRACE_MS};
 use crate::time::{std_to_sim, TimeSource};
 use crate::transport::Transport;
 use crate::worker::{
     run_worker, SnapshotAssembly, Telemetry, WorkerConfig, WorkerRole, WorkerView,
 };
-
-/// High bit of the AM's message-id owner: replacement AMs get fresh
-/// sender streams (`AM_OWNER_FLAG | epoch`), so their messages are never
-/// mistaken for their predecessor's at any receiver's dedup filter.
-const AM_OWNER_FLAG: u32 = 1 << 31;
 
 /// How often the controller re-issues an unacknowledged operation at the
 /// application level (covers AM failovers that swallowed the original).
@@ -135,7 +120,7 @@ impl RuntimeConfig {
         }
     }
 
-    fn tick(&self) -> Duration {
+    pub(crate) fn tick(&self) -> Duration {
         Duration::from_millis(self.tick_ms)
     }
 }
@@ -518,7 +503,7 @@ impl ElasticRuntime {
         let members: Vec<WorkerId> = (0..cfg.initial_workers).map(WorkerId).collect();
         *ctrl.members.lock() = members.clone();
         // Record the founding membership before anything can crash.
-        ctrl.persist(&AmDurable::founding(members.clone()));
+        ctrl.persist(AmDurable::founding(members.clone()));
 
         // The adaptive allreduce needs its crossovers (pinned on every
         // clock, so dispatch never depends on host load) and a topology
@@ -675,7 +660,7 @@ impl ElasticRuntime {
 
     /// Every adjustment span recorded so far (completed and in-flight).
     pub fn traces(&self) -> Vec<AdjustmentTrace> {
-        self.ctrl.obs.traces.all()
+        self.ctrl.obs.traces()
     }
 
     /// The per-phase adjustment-latency breakdown, rendered from the event
@@ -833,19 +818,18 @@ impl ElasticRuntime {
         seq
     }
 
-    /// Sends an operation and blocks until its `Ack{seq}` arrives,
-    /// re-issuing it at the application level so an AM failover between
-    /// transport-ack and execution cannot strand the controller.
-    fn op_roundtrip(&mut self, body: RtMsg, seq: u64) {
+    /// Sends `body` to the AM and blocks until `reply` accepts an answer,
+    /// re-issuing the request at the application level so an AM failover
+    /// between transport-ack and execution cannot strand the controller.
+    fn request<T>(&mut self, body: RtMsg, mut reply: impl FnMut(RtMsg) -> Option<T>) -> T {
         let time = self.bus.time().clone();
         self.rep.send(EndpointId::Am, body.clone());
         let mut last_send = time.now();
         loop {
             let _ = self.rep.tick();
-            if let Some((_, RtMsg::Ack { seq: s })) = self.rep.recv_timeout(self.cfg.tick()) {
-                if s == seq {
-                    return;
-                }
+            let answer = self.rep.recv_timeout(self.cfg.tick());
+            if let Some(out) = answer.and_then(|(_, msg)| reply(msg)) {
+                return out;
             }
             if time.now().saturating_duration_since(last_send) >= OP_RESEND_EVERY {
                 last_send = time.now();
@@ -854,62 +838,57 @@ impl ElasticRuntime {
         }
     }
 
+    /// Sends an operation and blocks until its `Ack{seq}` arrives.
+    fn op_roundtrip(&mut self, body: RtMsg, seq: u64) {
+        self.request(body, |msg| {
+            matches!(msg, RtMsg::Ack { seq: s } if s == seq).then_some(())
+        });
+    }
+
     /// Snapshots the full training state at the next coordination
     /// boundary (rank 0 streams its buffers to the controller) — the
-    /// checkpoint half of Shutdown-&-Restart, done live.
+    /// checkpoint half of Shutdown-&-Restart, done live. The request is
+    /// deliberately not durable AM state; the controller just asks again.
     pub fn checkpoint(&mut self) -> CheckpointSnapshot {
         // Drain stale traffic (e.g. duplicate snapshot chunks from a
         // recovered AM replaying a previous checkpoint order). This must
         // not park: under a virtual clock a healthy hot job never
         // advances time, so a timeout-based drain would starve here.
         while self.rep.try_recv().is_some() {}
-        let time = self.bus.time().clone();
         let seq = self.take_seq();
-        self.rep.send(EndpointId::Am, RtMsg::Checkpoint { seq });
-        let mut last_send = time.now();
         let mut params = vec![0.0f32; self.cfg.param_elems];
         let mut momentum = vec![0.0f32; self.cfg.param_elems];
         let mut assembly = SnapshotAssembly::new();
-        loop {
-            let _ = self.rep.tick();
-            if let Some((
-                _,
-                RtMsg::StateChunk {
-                    kind,
-                    iteration,
-                    data_cursor,
-                    index,
-                    total,
-                    offset,
-                    data,
-                },
-            )) = self.rep.recv_timeout(self.cfg.tick())
-            {
-                if let Some((iteration, data_cursor)) = assembly.offer(
-                    kind,
-                    iteration,
-                    data_cursor,
-                    index,
-                    total,
-                    offset,
-                    &data,
-                    &mut params,
-                    &mut momentum,
-                ) {
-                    return CheckpointSnapshot {
-                        params: Arc::new(params),
-                        momentum: Arc::new(momentum),
-                        iteration,
-                        data_cursor,
-                    };
-                }
-            }
-            if time.now().saturating_duration_since(last_send) >= OP_RESEND_EVERY {
-                // The checkpoint request is deliberately not durable AM
-                // state; the controller just asks again.
-                last_send = time.now();
-                self.rep.send(EndpointId::Am, RtMsg::Checkpoint { seq });
-            }
+        let (iteration, data_cursor) = self.request(RtMsg::Checkpoint { seq }, |msg| {
+            let RtMsg::StateChunk {
+                kind,
+                iteration,
+                data_cursor,
+                index,
+                total,
+                offset,
+                data,
+            } = msg
+            else {
+                return None;
+            };
+            assembly.offer(
+                kind,
+                iteration,
+                data_cursor,
+                index,
+                total,
+                offset,
+                &data,
+                &mut params,
+                &mut momentum,
+            )
+        });
+        CheckpointSnapshot {
+            params: Arc::new(params),
+            momentum: Arc::new(momentum),
+            iteration,
+            data_cursor,
         }
     }
 
@@ -929,28 +908,8 @@ impl ElasticRuntime {
         let seq = self.take_seq();
         // Step ① (request): open the adjustment span before anything else
         // observable happens, so the trace covers the whole pipeline.
-        let obs = Arc::clone(&self.ctrl.obs);
-        let at = obs.journal.now_us();
-        let target_world = target.len() as u32;
-        let (trace, fresh) = obs.traces.begin(kind, Some(seq), target_world, at);
-        if fresh {
-            obs.journal.emit_at(
-                at,
-                EventKind::AdjustmentRequested {
-                    trace,
-                    kind,
-                    seq: Some(seq),
-                    target_world,
-                },
-            );
-            obs.journal.emit_at(
-                at,
-                EventKind::PhaseStarted {
-                    trace,
-                    phase: AdjustmentPhase::Request,
-                },
-            );
-        }
+        let obs = &self.ctrl.obs;
+        obs.begin(kind, Some(seq), target.len() as u32, obs.journal.now_us());
         // Remote joiners are launched as processes by the operator (they
         // dial in and Report over the transport); local mode spawns them
         // here.
@@ -985,11 +944,15 @@ impl ElasticRuntime {
     pub fn scale_out(&mut self, n: u32) {
         assert!(n > 0, "scale-out of zero workers");
         let mut target = self.members();
-        for _ in 0..n {
-            target.push(WorkerId(self.next_worker));
-            self.next_worker += 1;
-        }
+        target.extend(self.fresh_ids(n));
         self.adjust_to(target, TraceKind::ScaleOut);
+    }
+
+    /// The next `n` never-used worker ids (ids are never reused).
+    fn fresh_ids(&mut self, n: u32) -> Vec<WorkerId> {
+        let first = self.next_worker;
+        self.next_worker += n;
+        (first..self.next_worker).map(WorkerId).collect()
     }
 
     /// Removes the last `n` workers (scale-in).
@@ -1018,12 +981,9 @@ impl ElasticRuntime {
             self.cfg.open_membership.is_some(),
             "open_join requires RuntimeBuilder::open_membership"
         );
-        let mut ids = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let id = WorkerId(self.next_worker);
-            self.next_worker += 1;
+        let ids = self.fresh_ids(n);
+        for &id in &ids {
             self.spawn_worker(id, WorkerRole::OpenJoin { corrupt: false });
-            ids.push(id);
         }
         ids
     }
@@ -1045,12 +1005,7 @@ impl ElasticRuntime {
     /// Migrates the job onto an entirely fresh set of workers of the same
     /// size.
     pub fn migrate(&mut self) {
-        let n = self.members().len() as u32;
-        let mut target = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            target.push(WorkerId(self.next_worker));
-            self.next_worker += 1;
-        }
+        let target = self.fresh_ids(self.members().len() as u32);
         self.adjust_to(target, TraceKind::Migrate);
     }
 
@@ -1077,67 +1032,18 @@ impl ElasticRuntime {
         // Release the controller thread from the (virtual) clock: the
         // runtime is gone and the caller's thread must not stay scheduled.
         time.deregister();
-        let obs = Arc::clone(&self.ctrl.obs);
         ShutdownReport {
-            final_world_size: self.ctrl.members.lock().len() as u32,
-            workers: self
-                .telemetry
-                .lock()
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect(),
+            final_world_size: self.members().len() as u32,
+            workers: self.snapshot(),
             adjustments: self.adjustments,
-            metrics: self.ctrl.metrics.snapshot(self.bus.total_dead_letters()),
-            chaos: self.bus.chaos_stats(),
-            registry: obs.metrics(),
-            journal: obs.journal.summary(),
-            traces: obs.traces.all(),
-            events: obs.journal.events(),
+            metrics: self.metrics(),
+            chaos: self.chaos_stats(),
+            registry: self.ctrl.obs.metrics(),
+            journal: self.journal_summary(),
+            traces: self.traces(),
+            events: self.events(),
         }
     }
-}
-
-/// The replication planner's cluster: 512 GPU slots, more than any one
-/// adjustment involves (see [`place_past_capacity`]).
-fn planning_topology() -> Topology {
-    ClusterSpec::new(64, 2, 2, 2).build() // 512 GPU slots
-}
-
-/// Moves the workers of one replication plan whose ids lie past the
-/// planning topology's `capacity` onto the lowest slots no other worker of
-/// the plan holds, and returns `(slot, worker)` for each one moved. Every
-/// id below `capacity` keeps the slot of the same number, so no plan (and
-/// no journal) of a job that never allocated that many ids changes. Ids
-/// are never reused, so a long-lived job outgrows the slot count without
-/// ever holding that many workers at once.
-fn place_past_capacity(
-    sources: &mut [GpuId],
-    dests: &mut [GpuId],
-    capacity: u32,
-) -> Vec<(GpuId, WorkerId)> {
-    let mut moved = Vec::new();
-    let taken: BTreeSet<u32> = sources.iter().chain(dests.iter()).map(|g| g.0).collect();
-    let mut free = (0..capacity).filter(|slot| !taken.contains(slot));
-    for gpu in sources.iter_mut().chain(dests.iter_mut()) {
-        // With every slot held the id stays out of the topology, and the
-        // planner reports it as unknown.
-        if gpu.0 >= capacity {
-            if let Some(slot) = free.next() {
-                moved.push((GpuId(slot), WorkerId(gpu.0)));
-                *gpu = GpuId(slot);
-            }
-        }
-    }
-    moved
-}
-
-/// The worker a planned transfer endpoint stands for (see
-/// [`place_past_capacity`]).
-fn slot_owner(moved: &[(GpuId, WorkerId)], slot: GpuId) -> WorkerId {
-    moved
-        .iter()
-        .find(|&&(s, _)| s == slot)
-        .map_or(WorkerId(slot.0), |&(_, w)| w)
 }
 
 /// Spawns one AM incarnation; epoch 0 is the founding AM.
@@ -1183,1234 +1089,6 @@ fn watchdog_thread(cfg: RuntimeConfig, bus: Bus, comm: Arc<CommGroup>, ctrl: Arc
         bus.unregister(EndpointId::Am);
         let handle = spawn_am(cfg, &bus, &comm, &ctrl, epoch);
         ctrl.am_handles.lock().push(handle);
-    }
-}
-
-#[allow(clippy::expect_used)] // waived: see verify-allow.toml (seeded durable record)
-fn am_thread(
-    cfg: RuntimeConfig,
-    bus: Bus,
-    endpoint: Endpoint,
-    comm: Arc<CommGroup>,
-    ctrl: Arc<SharedControl>,
-    epoch: u64,
-    lease: LeaseId,
-) {
-    let rep = ReliableEndpoint::new(
-        bus,
-        endpoint,
-        AM_OWNER_FLAG | epoch as u32,
-        Duration::from_millis(cfg.retry_timeout_ms),
-        Some(cfg.retry_max_attempts),
-        Arc::clone(&ctrl.metrics),
-    );
-    // Mark ownership before acting (persist-before-act): atomically bump
-    // the fencing term, so any still-running predecessor's next persist
-    // is rejected at the store.
-    let durable = ctrl.bump_term(epoch);
-    ctrl.obs
-        .journal
-        .emit(EventKind::TermBump { term: durable.term });
-    let metrics = Arc::clone(&ctrl.metrics);
-    let first_contact_ms = ctrl
-        .first_contact_grace_ms
-        .load(Ordering::SeqCst)
-        .max(cfg.hb_timeout_ms);
-    // Open membership: the founding AM starts the epoch machine fresh; a
-    // failover successor rebuilds it from the durable record (epoch +
-    // phase + members), and in-flight joiners re-present themselves via
-    // their heartbeat-cadence `JoinRequest` re-announcements.
-    let machine = cfg.open_membership.map(|ecfg| {
-        let j = &ctrl.obs.journal;
-        if epoch == 0 {
-            EpochMachine::new(ecfg, j.now_us(), &durable.members, j)
-        } else {
-            EpochMachine::recover(
-                ecfg,
-                durable.train_epoch,
-                durable.epoch_phase,
-                &durable.members,
-                j.now_us(),
-            )
-        }
-    });
-    AmCore {
-        cfg,
-        rep,
-        comm,
-        ctrl,
-        metrics,
-        epoch,
-        lease,
-        durable,
-        hb: HeartbeatMonitor::with_grace(
-            Duration::from_millis(cfg.hb_timeout_ms),
-            Duration::from_millis(first_contact_ms),
-        ),
-        dead: BTreeSet::new(),
-        fenced: false,
-        rejoining: BTreeSet::new(),
-        coordinated: BTreeMap::new(),
-        reported: BTreeSet::new(),
-        outstanding: BTreeSet::new(),
-        transfer_waves: Vec::new(),
-        next_wave: 0,
-        transfers_started: false,
-        last_boundary: 0,
-        checkpoint_req: None,
-        awaiting_checkpoint: None,
-        topology: planning_topology(),
-        machine,
-    }
-    .run();
-}
-
-/// Whether the AM loop keeps going.
-enum Step {
-    Continue,
-    Exit,
-}
-
-/// One AM incarnation: protocol state machine + failure detector.
-struct AmCore {
-    cfg: RuntimeConfig,
-    rep: ReliableEndpoint,
-    comm: Arc<CommGroup>,
-    ctrl: Arc<SharedControl>,
-    metrics: Arc<RtMetrics>,
-    epoch: u64,
-    lease: LeaseId,
-    /// The persist-before-act record (authoritative copy in the store).
-    durable: AmDurable,
-    hb: HeartbeatMonitor,
-    /// Members declared dead this incarnation (volatile; re-detected by
-    /// heartbeat silence after a failover).
-    dead: BTreeSet<WorkerId>,
-    /// Latched when a persist was rejected by the term fence: a
-    /// successor owns the record and this incarnation must abdicate.
-    fenced: bool,
-    /// Crashed-and-restarted workers mid-`Rejoin` handshake: admitted,
-    /// exempt from the boundary quorum, and owed a state transfer in
-    /// the adjustment that folds them back in.
-    rejoining: BTreeSet<WorkerId>,
-    /// Boundary iteration each live member is parked at.
-    coordinated: BTreeMap<WorkerId, u64>,
-    /// Joiners that have reported readiness (step ②).
-    reported: BTreeSet<WorkerId>,
-    /// Transfer orders in flight: (src, dst).
-    outstanding: BTreeSet<(WorkerId, WorkerId)>,
-    /// The planner's wave schedule for the current `Transferring` phase:
-    /// transfers within a wave share no contended link (GPU, same-node
-    /// QPI/L3, NIC) and run concurrently; waves are issued in turn.
-    transfer_waves: Vec<Vec<(WorkerId, WorkerId)>>,
-    /// Next wave of `transfer_waves` to issue.
-    next_wave: usize,
-    /// False until this incarnation has issued the transfer orders of the
-    /// current `Transferring` phase (a recovered AM re-issues them only
-    /// once the boundary has been re-established by `AmReset` replies).
-    transfers_started: bool,
-    /// Last boundary released or adjusted at — stale `Coordinate`s at or
-    /// below it are ignored.
-    last_boundary: u64,
-    /// A `Checkpoint{seq}` waiting for the next boundary.
-    checkpoint_req: Option<u64>,
-    /// A `CheckpointOrder{seq}` whose snapshot has not landed yet.
-    awaiting_checkpoint: Option<u64>,
-    topology: Topology,
-    /// Open-membership epoch machine (`Some` iff
-    /// [`RuntimeConfig::open_membership`] is set): decides *when* joiners
-    /// are admitted; the AM's adjustment pipeline remains the mechanism
-    /// that warms them up and folds them in.
-    machine: Option<EpochMachine>,
-}
-
-impl AmCore {
-    fn live(&self) -> Vec<WorkerId> {
-        self.durable
-            .members
-            .iter()
-            .copied()
-            .filter(|w| !self.dead.contains(w))
-            .collect()
-    }
-
-    /// Consumes the armed crash flag iff it matches `point`.
-    fn crash_if(&self, point: CrashPoint) -> bool {
-        let mut armed = self.ctrl.am_crash.lock();
-        if *armed == Some(point) {
-            *armed = None;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Persist-before-act through the term fence. Returns false when a
-    /// successor incarnation has bumped the term — the write was
-    /// rejected, the `fenced` flag is latched, and the caller must not
-    /// take the externally visible action the write guards.
-    fn persist_fenced(&mut self) -> bool {
-        if self.ctrl.persist(&self.durable) {
-            true
-        } else {
-            self.fenced = true;
-            false
-        }
-    }
-
-    /// Runs `f` against the epoch machine (no-op when open membership is
-    /// off) and applies whatever commands it returns. The journal handle
-    /// is cloned up front so the closure can emit while the machine is
-    /// mutably borrowed.
-    fn with_machine(
-        &mut self,
-        f: impl FnOnce(&mut EpochMachine, u64, &EventJournal) -> Vec<EpochCmd>,
-    ) {
-        let j = Arc::clone(&self.ctrl.obs.journal);
-        let now = j.now_us();
-        let cmds = match self.machine.as_mut() {
-            Some(m) => f(m, now, &j),
-            None => return,
-        };
-        if !cmds.is_empty() {
-            self.apply_epoch_cmds(cmds);
-        }
-    }
-
-    /// Ticks the epoch machine's time-gated transitions. While the AM is
-    /// busy (mid-adjustment, a queued op, a stop, or an outstanding
-    /// checkpoint) the `WaitingForMembers` window is held open — a join
-    /// cohort must never arm its warmup op under an in-flight one — but
-    /// `Warmup` keeps ticking so deadline evictions still fire and a
-    /// silent joiner cannot wedge the pipeline.
-    fn epoch_tick(&mut self) {
-        let busy = !matches!(self.durable.phase, AmPhase::Steady)
-            || self.durable.pending.is_some()
-            || self.durable.stopping.is_some()
-            || self.awaiting_checkpoint.is_some();
-        self.with_machine(|m, now, j| {
-            if busy && m.phase() == EpochPhase::WaitingForMembers {
-                Vec::new()
-            } else {
-                m.tick(now, j)
-            }
-        });
-    }
-
-    /// An open-membership joiner announced itself (or re-claimed its
-    /// warmup digest). Pending joiners are marked `reported` so the
-    /// warmup adjustment can arm without a separate `Report` round-trip.
-    fn handle_join_request(&mut self, worker: WorkerId, digest: Option<u64>) {
-        if self.machine.is_none() {
-            return; // open membership off: stray message, ignore
-        }
-        self.with_machine(|m, now, j| m.join_request(worker, digest, now, j));
-        if self.machine.as_ref().is_some_and(|m| m.is_pending(worker)) {
-            self.reported.insert(worker);
-        }
-    }
-
-    /// A witness answered a `WitnessQuery` for a warmed-up joiner.
-    fn handle_witness_vote(
-        &mut self,
-        witness: WorkerId,
-        subject: WorkerId,
-        epoch: u64,
-        admit: bool,
-    ) {
-        self.with_machine(|m, now, j| m.witness_vote(witness, subject, epoch, admit, now, j));
-    }
-
-    /// Executes the epoch machine's decisions on the runtime: warmup
-    /// cohorts become pending adjustment ops, witness queries go out to
-    /// members, evictions prune the joiner from every in-flight target
-    /// and `Leave` it, and phase announcements persist the epoch record
-    /// and fan out `EpochAdvance`.
-    fn apply_epoch_cmds(&mut self, cmds: Vec<EpochCmd>) {
-        for cmd in cmds {
-            match cmd {
-                EpochCmd::StartWarmup { joiners, .. } => {
-                    let mut target: Vec<WorkerId> = self.durable.members.clone();
-                    for w in joiners {
-                        if !target.contains(&w) {
-                            target.push(w);
-                        }
-                    }
-                    target.sort_unstable();
-                    self.durable.pending = Some(PendingOp { seq: None, target });
-                    self.persist_fenced();
-                }
-                EpochCmd::QueryWitnesses {
-                    epoch,
-                    subject,
-                    probe,
-                    witnesses,
-                } => {
-                    let term = self.durable.term;
-                    for w in witnesses {
-                        self.rep.send(
-                            EndpointId::Worker(w),
-                            RtMsg::WitnessQuery {
-                                subject,
-                                epoch,
-                                probe,
-                                term,
-                            },
-                        );
-                    }
-                }
-                EpochCmd::Admit { .. } => {
-                    // Admission is effected by the warmup op's `Resume`:
-                    // the joiner is already in the op target.
-                }
-                EpochCmd::Evict { subject, .. } => {
-                    let prune = |target: &mut Vec<WorkerId>| target.retain(|w| *w != subject);
-                    if let Some(p) = &mut self.durable.pending {
-                        prune(&mut p.target);
-                    }
-                    match &mut self.durable.phase {
-                        AmPhase::Transferring { target, .. } | AmPhase::Resuming { target, .. } => {
-                            prune(target)
-                        }
-                        AmPhase::Steady => {}
-                    }
-                    self.reported.remove(&subject);
-                    self.rejoining.remove(&subject);
-                    self.coordinated.remove(&subject);
-                    self.hb.forget(subject);
-                    // Persist the pruned targets before the externally
-                    // visible dismissal (persist-before-act).
-                    if !self.persist_fenced() {
-                        return;
-                    }
-                    self.rep.send(
-                        EndpointId::Worker(subject),
-                        RtMsg::Leave {
-                            term: self.durable.term,
-                        },
-                    );
-                }
-                EpochCmd::Announce { epoch, phase } => {
-                    self.durable.train_epoch = epoch;
-                    self.durable.epoch_phase = phase;
-                    if !self.persist_fenced() {
-                        return;
-                    }
-                    let mut audience: BTreeSet<WorkerId> =
-                        self.durable.members.iter().copied().collect();
-                    match &self.durable.phase {
-                        AmPhase::Transferring { target, .. } | AmPhase::Resuming { target, .. } => {
-                            audience.extend(target.iter().copied());
-                        }
-                        AmPhase::Steady => {}
-                    }
-                    if let Some(p) = &self.durable.pending {
-                        audience.extend(p.target.iter().copied());
-                    }
-                    let term = self.durable.term;
-                    for w in audience {
-                        if self.dead.contains(&w) {
-                            continue;
-                        }
-                        self.rep.send(
-                            EndpointId::Worker(w),
-                            RtMsg::EpochAdvance { epoch, phase, term },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn run(mut self) {
-        if self.epoch > 0 {
-            // Takeover: the predecessor's inbox died with it. Broadcast the
-            // new epoch so parked workers re-send `Coordinate` and joiners
-            // re-send `Report` (the paper's re-solicitation on AM restart).
-            let mut audience: BTreeSet<WorkerId> = self.durable.members.iter().copied().collect();
-            match &self.durable.phase {
-                AmPhase::Transferring { target, .. } | AmPhase::Resuming { target, .. } => {
-                    audience.extend(target.iter().copied());
-                }
-                AmPhase::Steady => {}
-            }
-            if let Some(p) = &self.durable.pending {
-                audience.extend(p.target.iter().copied());
-            }
-            for w in audience {
-                self.rep.send(
-                    EndpointId::Worker(w),
-                    RtMsg::AmReset {
-                        epoch: self.epoch,
-                        term: self.durable.term,
-                    },
-                );
-            }
-        }
-        loop {
-            if self.ctrl.shutting_down() {
-                return;
-            }
-            if self.fenced {
-                return; // superseded: a persist was rejected by the fence
-            }
-            // A partitioned AM still computes, but cannot reach the
-            // control quorum: it can neither refresh its lease (so the
-            // watchdog elects a successor) nor observe the election. The
-            // term fence at the store is what stops it from acting once
-            // superseded.
-            let isolated = self
-                .rep
-                .bus()
-                .is_partitioned(EndpointId::Am, EndpointId::Controller);
-            if !isolated {
-                // Prove liveness; abdicate the moment the lease is lost or
-                // a newer epoch exists (never act on a lapsed lease).
-                if self.ctrl.keep_alive(self.lease).is_err() {
-                    return;
-                }
-                if self.ctrl.epoch.load(Ordering::SeqCst) != self.epoch {
-                    return;
-                }
-            }
-            // Transport retries; a give-up means the peer is dead.
-            for to in self.rep.tick() {
-                if let EndpointId::Worker(w) = to {
-                    self.declare_dead(w);
-                }
-            }
-            // Heartbeat-based failure detection — on the bus clock, so the
-            // detector ticks on the same axis as the lease and the retry
-            // timers.
-            let now = self.rep.time().now();
-            for w in self.hb.dead(&self.live(), now) {
-                self.declare_dead(w);
-            }
-            self.epoch_tick();
-            if matches!(self.try_progress(), Step::Exit) {
-                return;
-            }
-            if let Some((from, msg)) = self.rep.recv_timeout(self.cfg.tick()) {
-                if let EndpointId::Worker(w) = from {
-                    // Any traffic proves liveness, not just heartbeats.
-                    let at = self.rep.time().now();
-                    self.hb.note(w, at);
-                }
-                self.handle(msg);
-            }
-        }
-    }
-
-    fn handle(&mut self, msg: RtMsg) {
-        match msg {
-            RtMsg::AdjustTo { seq, target } => {
-                if seq <= self.durable.seq_done {
-                    // Duplicate of a completed op (AM failover replay).
-                    self.rep.send(EndpointId::Controller, RtMsg::Ack { seq });
-                } else if self.in_flight_seq() == Some(seq)
-                    || self
-                        .durable
-                        .pending
-                        .as_ref()
-                        .is_some_and(|p| p.seq == Some(seq))
-                {
-                    // Already queued or executing: ignore the duplicate.
-                } else {
-                    let target: Vec<WorkerId> = target
-                        .into_iter()
-                        .filter(|w| !self.dead.contains(w))
-                        .collect();
-                    self.durable.pending = Some(PendingOp {
-                        seq: Some(seq),
-                        target,
-                    });
-                    if !self.persist_fenced() {
-                        return;
-                    }
-                    // Step ① done: the AM owns the request; joiner reports
-                    // (step ②) are what we wait for next.
-                    let obs = Arc::clone(&self.ctrl.obs);
-                    let now = obs.journal.now_us();
-                    if let Some(trace) = obs.traces.phase_end(AdjustmentPhase::Request, now) {
-                        obs.journal.emit_at(
-                            now,
-                            EventKind::PhaseEnded {
-                                trace,
-                                phase: AdjustmentPhase::Request,
-                            },
-                        );
-                    }
-                    if let Some(trace) = obs.traces.phase_start(AdjustmentPhase::Report, now) {
-                        obs.journal.emit_at(
-                            now,
-                            EventKind::PhaseStarted {
-                                trace,
-                                phase: AdjustmentPhase::Report,
-                            },
-                        );
-                    }
-                }
-            }
-            RtMsg::Stop { seq } => {
-                if seq <= self.durable.seq_done {
-                    self.rep.send(EndpointId::Controller, RtMsg::Ack { seq });
-                } else if self.durable.stopping != Some(seq) {
-                    self.durable.stopping = Some(seq);
-                    self.persist_fenced();
-                }
-            }
-            RtMsg::Checkpoint { seq } if self.awaiting_checkpoint.is_none() => {
-                self.checkpoint_req = Some(seq);
-            }
-            // Joiners re-announce at heartbeat cadence until admitted; only
-            // the first delivery is a protocol event (the guard's insert
-            // returns false for repeats, which then fall through harmlessly).
-            RtMsg::Report { worker } if self.reported.insert(worker) => {
-                let obs = Arc::clone(&self.ctrl.obs);
-                let now = obs.journal.now_us();
-                obs.traces.note_report(now);
-                obs.journal
-                    .emit_at(now, EventKind::WorkerReported { worker });
-            }
-            RtMsg::Coordinate { worker, iteration } if iteration > self.last_boundary => {
-                let entry = self.coordinated.entry(worker).or_insert(iteration);
-                if *entry < iteration {
-                    *entry = iteration;
-                }
-            }
-            RtMsg::TransferDone { src, dst } => {
-                self.ctrl
-                    .obs
-                    .journal
-                    .emit(EventKind::TransferDone { src, dst });
-                if src == dst {
-                    self.awaiting_checkpoint = None;
-                } else {
-                    self.outstanding.remove(&(src, dst));
-                }
-            }
-            RtMsg::Rejoin {
-                worker,
-                term,
-                iteration,
-            } => self.handle_rejoin(worker, term, iteration),
-            RtMsg::JoinRequest {
-                worker,
-                epoch: _,
-                digest,
-            } => self.handle_join_request(worker, digest),
-            RtMsg::WitnessVote {
-                witness,
-                subject,
-                epoch,
-                admit,
-                digest: _,
-            } => self.handle_witness_vote(witness, subject, epoch, admit),
-            RtMsg::Heartbeat { worker, iteration } => {
-                // Liveness was noted in run(); the carried iteration feeds
-                // the shared progress view, which is how the controller
-                // tracks training progress when workers are remote
-                // processes (the in-process telemetry map stays empty).
-                let mut progress = self.ctrl.progress.lock();
-                let e = progress.entry(worker).or_insert(iteration);
-                *e = (*e).max(iteration);
-            }
-            _ => {}
-        }
-    }
-
-    /// Admits (or defers) a crashed-and-restarted worker's `Rejoin`
-    /// handshake. Admission is deferred — the worker re-announces on a
-    /// timer — unless the AM is steady with nothing queued, so a rejoin
-    /// can never interleave with an in-flight adjustment; a duplicated
-    /// or reordered `Rejoin` envelope is absorbed by the `rejoining`
-    /// set, admitting the worker exactly once. The presented
-    /// credentials (`_term`, `_iteration`) are the crash incarnation's
-    /// last knowledge; admission always replicates fresh state under
-    /// the *current* term, so they are informational.
-    fn handle_rejoin(&mut self, worker: WorkerId, _term: u64, _iteration: u64) {
-        if self.rejoining.contains(&worker) {
-            return; // duplicate envelope: already admitted
-        }
-        if !matches!(self.durable.phase, AmPhase::Steady)
-            || self.durable.pending.is_some()
-            || self.durable.stopping.is_some()
-        {
-            return; // busy: the worker's resend timer will try again
-        }
-        let mut target = self.durable.members.clone();
-        if !target.contains(&worker) {
-            // Declared dead and scaled out meanwhile: rejoin as a fresh
-            // joiner (the Rejoin doubles as its readiness report).
-            target.push(worker);
-        }
-        self.rejoining.insert(worker);
-        self.reported.insert(worker);
-        self.dead.remove(&worker);
-        let now = self.rep.time().now();
-        self.hb.note(worker, now);
-        self.durable.pending = Some(PendingOp { seq: None, target });
-        if !self.persist_fenced() {
-            return;
-        }
-        self.ctrl.obs.journal.emit(EventKind::WorkerRejoin {
-            worker,
-            term: self.durable.term,
-        });
-    }
-
-    fn in_flight_seq(&self) -> Option<u64> {
-        match &self.durable.phase {
-            AmPhase::Transferring { seq, .. } | AmPhase::Resuming { seq, .. } => *seq,
-            AmPhase::Steady => None,
-        }
-    }
-
-    /// A boundary is actionable when every live member is parked at the
-    /// same iteration, newer than the last released boundary. Workers
-    /// mid-`Rejoin` are exempt from the quorum: they are parked in the
-    /// handshake, not at a boundary, and get their state replicated by
-    /// the adjustment the survivors' boundary triggers.
-    fn boundary_ready(&self) -> Option<u64> {
-        let live: Vec<WorkerId> = self
-            .live()
-            .into_iter()
-            .filter(|w| !self.rejoining.contains(w))
-            .collect();
-        let first = *self.coordinated.get(live.first()?)?;
-        for w in &live[1..] {
-            if *self.coordinated.get(w)? != first {
-                return None;
-            }
-        }
-        (first > self.last_boundary).then_some(first)
-    }
-
-    /// Drives the adjustment pipeline as far as it can go right now.
-    fn try_progress(&mut self) -> Step {
-        loop {
-            if self.fenced {
-                return Step::Exit;
-            }
-            match &self.durable.phase {
-                AmPhase::Transferring { .. } => {
-                    if !self.transfers_started {
-                        // (Recovered incarnation.) Wait until AmReset
-                        // replies re-establish the boundary, then re-derive
-                        // and re-send the orders — transfers at a boundary
-                        // are idempotent, so replaying is safe.
-                        if self.boundary_ready().is_none() {
-                            return Step::Continue;
-                        }
-                        self.start_transfers();
-                        continue;
-                    }
-                    if !self.outstanding.is_empty() {
-                        return Step::Continue; // waiting on TransferDone
-                    }
-                    if self.next_wave < self.transfer_waves.len() {
-                        // The current wave drained: issue the next one.
-                        // Link-conflicting transfers never overlap.
-                        self.issue_next_wave();
-                        continue;
-                    }
-                    // Witness gate: a warmup op's transfers are done, but
-                    // the joiners' digests are still being audited by the
-                    // sampled witnesses. Hold the resume until the epoch
-                    // machine leaves `Warmup` (admitting or evicting every
-                    // joiner) so an evicted joiner is pruned from the
-                    // target before `Resume` fans out — an un-witnessed
-                    // worker never trains.
-                    if self
-                        .machine
-                        .as_ref()
-                        .is_some_and(|m| m.phase() == EpochPhase::Warmup)
-                    {
-                        return Step::Continue;
-                    }
-                    let Some(boundary) = self.boundary_ready() else {
-                        return Step::Continue;
-                    };
-                    let AmPhase::Transferring { target, seq } = self.durable.phase.clone() else {
-                        unreachable!("matched above");
-                    };
-                    let target: Vec<WorkerId> = target
-                        .into_iter()
-                        .filter(|w| !self.dead.contains(w))
-                        .collect();
-                    if target.is_empty() {
-                        // Everyone in the target died: drop the op.
-                        self.durable.phase = AmPhase::Steady;
-                        self.persist_fenced();
-                        continue;
-                    }
-                    let generation = self.comm.generation() + 1;
-                    self.durable.phase = AmPhase::Resuming {
-                        target,
-                        seq,
-                        generation,
-                    };
-                    if !self.persist_fenced() {
-                        return Step::Exit;
-                    }
-                    // Steps ③+④ done (replication drained at a coherent
-                    // boundary); step ⑤ (adjust) begins.
-                    let obs = Arc::clone(&self.ctrl.obs);
-                    let now = obs.journal.now_us();
-                    for phase in [AdjustmentPhase::Replicate, AdjustmentPhase::Coordinate] {
-                        if let Some(trace) = obs.traces.phase_end(phase, now) {
-                            obs.journal
-                                .emit_at(now, EventKind::PhaseEnded { trace, phase });
-                        }
-                    }
-                    if let Some(trace) = obs.traces.phase_start(AdjustmentPhase::Adjust, now) {
-                        obs.journal.emit_at(
-                            now,
-                            EventKind::PhaseStarted {
-                                trace,
-                                phase: AdjustmentPhase::Adjust,
-                            },
-                        );
-                    }
-                    if self.crash_if(CrashPoint::OnResume) {
-                        return Step::Exit; // die without cleanup
-                    }
-                    self.resume_wave(boundary);
-                }
-                AmPhase::Resuming { .. } => {
-                    // (Recovered incarnation: the resume wave never went
-                    // out.) Once the boundary is re-established, replay it.
-                    let Some(boundary) = self.boundary_ready() else {
-                        return Step::Continue;
-                    };
-                    self.resume_wave(boundary);
-                }
-                AmPhase::Steady => {
-                    // A pending stop with no live members can never see a
-                    // boundary again (the quorum is empty — typically a
-                    // successor elected mid-shutdown after every worker
-                    // already left); serve it directly so the controller's
-                    // ack is not stranded behind a vacuous boundary wait.
-                    if let Some(seq) = self.durable.stopping {
-                        if self.live().is_empty() {
-                            return self.execute_stop(seq);
-                        }
-                    }
-                    let Some(boundary) = self.boundary_ready() else {
-                        return Step::Continue;
-                    };
-                    let live = self.live();
-                    if self.awaiting_checkpoint.is_some() {
-                        return Step::Continue; // snapshot in flight
-                    }
-                    if let Some(seq) = self.checkpoint_req.take() {
-                        let rank0 = live[0];
-                        self.rep.send(
-                            EndpointId::Worker(rank0),
-                            RtMsg::CheckpointOrder {
-                                seq,
-                                term: self.durable.term,
-                            },
-                        );
-                        self.awaiting_checkpoint = Some(seq);
-                        return Step::Continue;
-                    }
-                    if let Some(seq) = self.durable.stopping {
-                        return self.execute_stop(seq);
-                    }
-                    if let Some(op) = self.durable.pending.clone() {
-                        let ready = op
-                            .target
-                            .iter()
-                            .filter(|w| !self.durable.members.contains(w))
-                            .all(|w| self.reported.contains(w));
-                        if ready {
-                            self.durable.pending = None;
-                            self.durable.phase = AmPhase::Transferring {
-                                target: op.target,
-                                seq: op.seq,
-                            };
-                            if !self.persist_fenced() {
-                                return Step::Exit;
-                            }
-                            // Step ② done, step ③ (coordinate at the
-                            // boundary) begins.
-                            let obs = Arc::clone(&self.ctrl.obs);
-                            let now = obs.journal.now_us();
-                            if let Some(trace) = obs.traces.phase_end(AdjustmentPhase::Report, now)
-                            {
-                                obs.journal.emit_at(
-                                    now,
-                                    EventKind::PhaseEnded {
-                                        trace,
-                                        phase: AdjustmentPhase::Report,
-                                    },
-                                );
-                            }
-                            if let Some(trace) =
-                                obs.traces.phase_start(AdjustmentPhase::Coordinate, now)
-                            {
-                                obs.journal.emit_at(
-                                    now,
-                                    EventKind::PhaseStarted {
-                                        trace,
-                                        phase: AdjustmentPhase::Coordinate,
-                                    },
-                                );
-                            }
-                            if self.crash_if(CrashPoint::OnAdjustStart) {
-                                return Step::Exit; // die without cleanup
-                            }
-                            self.start_transfers();
-                            continue;
-                        }
-                    }
-                    // Nothing to adjust: release the boundary. The release
-                    // is an externally visible action, so it goes through
-                    // the persist-before-act fence first — a superseded
-                    // incarnation abdicates here instead of racing its
-                    // successor's release.
-                    if !self.persist_fenced() {
-                        return Step::Exit;
-                    }
-                    self.ctrl.obs.journal.emit(EventKind::BoundaryReleased {
-                        boundary,
-                        world: live.len() as u32,
-                        term: self.durable.term,
-                    });
-                    for &w in &live {
-                        self.rep.send(
-                            EndpointId::Worker(w),
-                            RtMsg::Proceed {
-                                boundary,
-                                term: self.durable.term,
-                            },
-                        );
-                    }
-                    self.coordinated.clear();
-                    self.last_boundary = boundary;
-                    // Plain training boundaries pace the epoch: adjustment
-                    // boundaries (resume_wave) deliberately don't count.
-                    self.with_machine(|m, now, j| m.boundary_released(now, j));
-                    return Step::Continue;
-                }
-            }
-        }
-    }
-
-    /// Step ④ kickoff: plan replication along the topology and issue the
-    /// first wave of transfer orders; the remaining waves go out as each
-    /// wave's `TransferDone`s drain (`issue_next_wave`), so transfers the
-    /// planner found to contend on a link (shared source/destination GPU,
-    /// same-node QPI/L3 or NIC edge) are serialized while disjoint ones
-    /// overlap. Idempotent — a recovered AM calls it again.
-    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (validated placements)
-    fn start_transfers(&mut self) {
-        self.transfers_started = true;
-        self.outstanding.clear();
-        self.transfer_waves.clear();
-        self.next_wave = 0;
-        let AmPhase::Transferring { target, .. } = &self.durable.phase else {
-            return;
-        };
-        let joining: Vec<WorkerId> = target
-            .iter()
-            .copied()
-            .filter(|w| {
-                (!self.durable.members.contains(w) || self.rejoining.contains(w))
-                    && !self.dead.contains(w)
-            })
-            .collect();
-        if joining.is_empty() {
-            // Nothing to replicate (pure scale-in / failure eviction):
-            // step ④ still opens and closes on the record, as an
-            // explicitly empty plan.
-            let obs = Arc::clone(&self.ctrl.obs);
-            obs.traces.set_plan(0, 0);
-            let now = obs.journal.now_us();
-            obs.journal.emit_at(
-                now,
-                EventKind::ReplicationPlanned {
-                    waves: 0,
-                    transfers: 0,
-                },
-            );
-            if let Some(trace) = obs.traces.phase_start(AdjustmentPhase::Replicate, now) {
-                obs.journal.emit_at(
-                    now,
-                    EventKind::PhaseStarted {
-                        trace,
-                        phase: AdjustmentPhase::Replicate,
-                    },
-                );
-            }
-            return;
-        }
-        // Rejoiners hold void state — they are destinations, never sources.
-        let mut sources: Vec<GpuId> = self
-            .live()
-            .iter()
-            .filter(|w| !self.rejoining.contains(w))
-            .map(|w| GpuId(w.0))
-            .collect();
-        let mut dests: Vec<GpuId> = joining.iter().map(|w| GpuId(w.0)).collect();
-        let moved = place_past_capacity(&mut sources, &mut dests, self.topology.gpu_count());
-        let plan = ReplicationPlanner::new(&self.topology)
-            .plan(&sources, &dests)
-            .expect("valid placements");
-        let transfers = plan.transfers();
-        self.transfer_waves = plan
-            .waves()
-            .iter()
-            .map(|wave| {
-                wave.iter()
-                    .map(|&i| {
-                        (
-                            slot_owner(&moved, transfers[i].src),
-                            slot_owner(&moved, transfers[i].dst),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        // Step ④ (replicate) opens with the planner's schedule on record.
-        let waves = self.transfer_waves.len() as u32;
-        let total = transfers.len() as u32;
-        let obs = Arc::clone(&self.ctrl.obs);
-        obs.traces.set_plan(waves, total);
-        let now = obs.journal.now_us();
-        obs.journal.emit_at(
-            now,
-            EventKind::ReplicationPlanned {
-                waves,
-                transfers: total,
-            },
-        );
-        if let Some(trace) = obs.traces.phase_start(AdjustmentPhase::Replicate, now) {
-            obs.journal.emit_at(
-                now,
-                EventKind::PhaseStarted {
-                    trace,
-                    phase: AdjustmentPhase::Replicate,
-                },
-            );
-        }
-        self.issue_next_wave();
-    }
-
-    /// Issues the next wave of transfer orders, if any.
-    fn issue_next_wave(&mut self) {
-        let Some(wave) = self.transfer_waves.get(self.next_wave).cloned() else {
-            return;
-        };
-        self.ctrl.obs.journal.emit(EventKind::WaveIssued {
-            wave: self.next_wave as u32,
-            transfers: wave.len() as u32,
-        });
-        self.next_wave += 1;
-        for (src, dst) in wave {
-            self.outstanding.insert((src, dst));
-            self.rep.send(
-                EndpointId::Worker(src),
-                RtMsg::TransferOrder {
-                    dst,
-                    term: self.durable.term,
-                },
-            );
-        }
-    }
-
-    /// Step ⑤: reconfigure the communication group (unless a previous
-    /// incarnation already did) and broadcast Leave/Resume; completes the
-    /// in-flight operation.
-    fn resume_wave(&mut self, boundary: u64) {
-        let AmPhase::Resuming {
-            target,
-            seq,
-            generation,
-        } = self.durable.phase.clone()
-        else {
-            return;
-        };
-        let target: Vec<WorkerId> = target
-            .into_iter()
-            .filter(|w| !self.dead.contains(w))
-            .collect();
-        if target.is_empty() {
-            self.durable.phase = AmPhase::Steady;
-            self.persist_fenced();
-            return;
-        }
-        // Fence probe (persist-before-act): a superseded incarnation
-        // must learn it *here*, before it reconfigures the collective or
-        // sends a single Leave/Resume — this is what stops a
-        // partitioned-but-alive old AM from split-braining the wave.
-        if !self.persist_fenced() {
-            return;
-        }
-        if self.comm.generation() < generation {
-            let g = self.comm.reconfigure(target.iter().copied());
-            debug_assert_eq!(g, generation, "generation replay diverged");
-        }
-        for &w in &self.durable.members {
-            if !target.contains(&w) && !self.dead.contains(&w) {
-                self.rep.send(
-                    EndpointId::Worker(w),
-                    RtMsg::Leave {
-                        term: self.durable.term,
-                    },
-                );
-            }
-        }
-        for &w in &target {
-            self.rep.send(
-                EndpointId::Worker(w),
-                RtMsg::Resume {
-                    generation,
-                    term: self.durable.term,
-                },
-            );
-        }
-        self.durable.members = target.clone();
-        if let Some(m) = self.machine.as_mut() {
-            // Controller-driven adjustments (scale_out/in, migrate,
-            // failure scale-in) bypass the join pipeline; force-sync the
-            // epoch machine's membership view to the resumed cohort.
-            m.set_members(&target);
-        }
-        *self.ctrl.members.lock() = target;
-        match seq {
-            Some(s) => {
-                self.durable.seq_done = self.durable.seq_done.max(s);
-            }
-            None => {
-                // Failure-driven (or rejoin-driven) adjustment: no
-                // controller op to ack.
-                self.metrics.failure_scale_ins.inc();
-            }
-        }
-        self.durable.phase = AmPhase::Steady;
-        self.persist_fenced();
-        // Step ⑤ done: close the span (idempotent across failovers).
-        let world = self.durable.members.len() as u32;
-        let obs = Arc::clone(&self.ctrl.obs);
-        let now = obs.journal.now_us();
-        if let Some(trace) = obs.traces.phase_end(AdjustmentPhase::Adjust, now) {
-            obs.journal.emit_at(
-                now,
-                EventKind::PhaseEnded {
-                    trace,
-                    phase: AdjustmentPhase::Adjust,
-                },
-            );
-        }
-        if let Some(trace) = obs.traces.complete(generation, world, now) {
-            obs.journal.emit_at(
-                now,
-                EventKind::AdjustmentCompleted {
-                    trace,
-                    generation,
-                    world,
-                },
-            );
-        }
-        // Only after the span is closed may the controller unblock —
-        // acking first would let the *next* adjustment race `begin`
-        // against this trace's `complete` and fold into it.
-        if let Some(s) = seq {
-            self.rep.send(EndpointId::Controller, RtMsg::Ack { seq: s });
-        }
-        self.reported.clear();
-        self.rejoining.clear();
-        self.coordinated.clear();
-        self.outstanding.clear();
-        self.transfer_waves.clear();
-        self.next_wave = 0;
-        self.transfers_started = false;
-        self.last_boundary = boundary;
-    }
-
-    /// Serves `Stop{seq}` at a boundary: everyone leaves, the controller
-    /// gets its ack, the lease is surrendered cleanly.
-    fn execute_stop(&mut self, seq: u64) -> Step {
-        for &w in &self.live() {
-            self.rep.send(
-                EndpointId::Worker(w),
-                RtMsg::Leave {
-                    term: self.durable.term,
-                },
-            );
-        }
-        // Drain until every Leave is transport-acked (workers only exit
-        // after acking), so no survivor can be stranded mid-park.
-        self.drain_pending(Duration::from_secs(10));
-        self.durable.seq_done = self.durable.seq_done.max(seq);
-        self.durable.stopping = None;
-        if !self.persist_fenced() {
-            return Step::Exit; // the successor completes the stop
-        }
-        self.rep.send(EndpointId::Controller, RtMsg::Ack { seq });
-        self.drain_pending(Duration::from_secs(5));
-        // Clean exit: surrender the lease so the watchdog stays quiet.
-        *self.ctrl.current_lease.lock() = None;
-        self.ctrl.leases.lock().revoke(self.lease);
-        Step::Exit
-    }
-
-    fn drain_pending(&mut self, budget: Duration) {
-        let time = self.rep.time().clone();
-        let deadline = time.deadline_after(budget);
-        while self.rep.pending() > 0 && time.now() < deadline {
-            // Draining can outlast the lease under chaos (every Leave may
-            // need its full retry budget), and a lapsed lease mid-stop
-            // triggers a pointless succession; keep proving liveness. A
-            // failed renewal means a successor already owns the job — stop
-            // draining and let the fence abort whatever comes next.
-            if self.ctrl.keep_alive(self.lease).is_err() {
-                return;
-            }
-            for to in self.rep.tick() {
-                if let EndpointId::Worker(w) = to {
-                    self.declare_dead(w);
-                }
-            }
-            let _ = self.rep.recv_timeout(Duration::from_millis(5));
-        }
-    }
-
-    /// The failure detector's verdict: evict from the data plane so no
-    /// survivor blocks, then fold the death into whatever operation is in
-    /// (or next in) flight — or start a failure-driven scale-in.
-    fn declare_dead(&mut self, w: WorkerId) {
-        let is_member = self.durable.members.contains(&w);
-        let in_target = match &self.durable.phase {
-            AmPhase::Transferring { target, .. } | AmPhase::Resuming { target, .. } => {
-                target.contains(&w)
-            }
-            AmPhase::Steady => false,
-        } || self
-            .durable
-            .pending
-            .as_ref()
-            .is_some_and(|p| p.target.contains(&w));
-        if !is_member && !in_target {
-            return; // already out of the job (e.g. post-Leave give-up)
-        }
-        // Fence probe (persist-before-act): a superseded incarnation —
-        // e.g. a partitioned old AM whose resends to unreachable workers
-        // just gave up — must not evict a live worker from the
-        // collective on behalf of a job it no longer owns.
-        if !self.persist_fenced() {
-            return;
-        }
-        if !self.dead.insert(w) {
-            return;
-        }
-        self.ctrl
-            .obs
-            .journal
-            .emit(EventKind::WorkerDeclaredDead { worker: w });
-        // Unblock the survivors immediately: remove the victim (and its
-        // stale contribution) from the collective.
-        self.comm.evict(w);
-        self.coordinated.remove(&w);
-        self.reported.remove(&w);
-        self.rejoining.remove(&w);
-        self.hb.forget(w);
-        // If the victim was serving (or scheduled to serve) a transfer as
-        // its source, its `TransferDone` will never come: drop the stale
-        // schedule and let the `Transferring` recovery path re-plan from
-        // the survivors once the boundary is re-established. A victim
-        // that was only a *destination* is simply dropped from the wave.
-        let was_src = self.outstanding.iter().any(|&(s, _)| s == w)
-            || self
-                .transfer_waves
-                .iter()
-                .skip(self.next_wave)
-                .flatten()
-                .any(|&(s, _)| s == w);
-        if was_src {
-            self.outstanding.clear();
-            self.transfer_waves.clear();
-            self.next_wave = 0;
-            self.transfers_started = false;
-        } else {
-            self.outstanding.retain(|&(_, d)| d != w);
-            for wave in &mut self.transfer_waves {
-                wave.retain(|&(_, d)| d != w);
-            }
-        }
-        if let Some(p) = &mut self.durable.pending {
-            p.target.retain(|x| *x != w);
-        }
-        match &mut self.durable.phase {
-            AmPhase::Transferring { target, .. } | AmPhase::Resuming { target, .. } => {
-                target.retain(|x| *x != w);
-            }
-            AmPhase::Steady => {
-                if is_member && self.durable.pending.is_none() && self.durable.stopping.is_none() {
-                    let live = self.live();
-                    if !live.is_empty() {
-                        // Failure-driven scale-in around the victim. Open a
-                        // trace for it (folds into the active one if a
-                        // controller adjustment is already in flight).
-                        let target_world = live.len() as u32;
-                        let obs = Arc::clone(&self.ctrl.obs);
-                        let at = obs.journal.now_us();
-                        let (trace, fresh) =
-                            obs.traces
-                                .begin(TraceKind::FailureScaleIn, None, target_world, at);
-                        if fresh {
-                            obs.journal.emit_at(
-                                at,
-                                EventKind::AdjustmentRequested {
-                                    trace,
-                                    kind: TraceKind::FailureScaleIn,
-                                    seq: None,
-                                    target_world,
-                                },
-                            );
-                            obs.journal.emit_at(
-                                at,
-                                EventKind::PhaseStarted {
-                                    trace,
-                                    phase: AdjustmentPhase::Request,
-                                },
-                            );
-                            // A failure-driven op has no controller
-                            // round-trip and no joiners: steps ① and ②
-                            // are zero-length at detection time, but the
-                            // journal still carries the full bracket.
-                            obs.traces.phase_end(AdjustmentPhase::Request, at);
-                            obs.journal.emit_at(
-                                at,
-                                EventKind::PhaseEnded {
-                                    trace,
-                                    phase: AdjustmentPhase::Request,
-                                },
-                            );
-                            obs.traces.phase_start(AdjustmentPhase::Report, at);
-                            obs.journal.emit_at(
-                                at,
-                                EventKind::PhaseStarted {
-                                    trace,
-                                    phase: AdjustmentPhase::Report,
-                                },
-                            );
-                        }
-                        self.durable.pending = Some(PendingOp {
-                            seq: None,
-                            target: live,
-                        });
-                    }
-                }
-            }
-        }
-        self.persist_fenced();
-        // The epoch machine tracks the loss too: a dead pending joiner is
-        // forgotten, a dead warmup witness is pruned from every vote set,
-        // and a mid-`Train` death below `min_members` aborts the epoch.
-        self.with_machine(|m, now, j| m.member_left(w, now, j));
     }
 }
 

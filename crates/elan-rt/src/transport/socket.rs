@@ -38,6 +38,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -242,6 +243,8 @@ pub struct SocketTransport {
     /// The resolved address ("tcp:ip:port" / "unix:path") — useful when
     /// listening on `tcp:127.0.0.1:0`.
     local_addr: String,
+    /// Hub only: the accept thread and the flag that stops it.
+    accept: Option<(Arc<AtomicBool>, thread::JoinHandle<()>)>,
 }
 
 impl std::fmt::Debug for SocketTransport {
@@ -253,6 +256,39 @@ impl std::fmt::Debug for SocketTransport {
 enum ParsedAddr<'a> {
     Tcp(&'a str),
     Unix(&'a str),
+}
+
+/// A bound hub listener, TCP or Unix-domain.
+enum Listener {
+    Tcp(TcpListener),
+    Unix(UnixListener),
+}
+
+impl Listener {
+    /// Accepts the next connection. TCP streams get `TCP_NODELAY`, best
+    /// effort: a stream that refuses it still works, only Nagle-slow.
+    fn accept(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Listener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                let _ = stream.set_nodelay(true);
+                Stream::Tcp(stream)
+            }
+            Listener::Unix(l) => Stream::Unix(l.accept()?.0),
+        })
+    }
+}
+
+/// Connects to the hub at `addr`.
+fn dial(addr: &str) -> io::Result<Stream> {
+    Ok(match parse_addr(addr)? {
+        ParsedAddr::Tcp(a) => {
+            let s = TcpStream::connect(a)?;
+            s.set_nodelay(true)?;
+            Stream::Tcp(s)
+        }
+        ParsedAddr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+    })
 }
 
 fn parse_addr(addr: &str) -> io::Result<ParsedAddr<'_>> {
@@ -272,54 +308,50 @@ impl SocketTransport {
     /// Binds the coordinator hub on `addr` (`"tcp:host:port"` or
     /// `"unix:/path"`) and starts accepting worker connections.
     ///
-    /// The accept thread holds the hub weakly: once the transport and
-    /// its connections are gone, their routes, stats and journal are
-    /// freed, and the thread exits at the next connection attempt.
+    /// The accept thread holds the hub weakly, so once the transport and
+    /// its connections are gone their routes, stats and journal are
+    /// freed; dropping the transport also stops the thread and closes
+    /// the listener.
     ///
     /// # Errors
     ///
     /// Propagates bind/listen failures.
     pub fn listen(addr: &str) -> io::Result<SocketTransport> {
-        let shared = Arc::new(Shared::new());
-        let local_addr;
-        match parse_addr(addr)? {
+        let (listener, local_addr) = match parse_addr(addr)? {
             ParsedAddr::Tcp(a) => {
                 let listener = TcpListener::bind(a)?;
-                local_addr = format!("tcp:{}", listener.local_addr()?);
-                let hub = Arc::downgrade(&shared);
-                thread::Builder::new()
-                    .name("elan-accept".into())
-                    .spawn(move || {
-                        for conn in listener.incoming() {
-                            let (Ok(s), Some(hub)) = (conn, hub.upgrade()) else {
-                                break;
-                            };
-                            // Best effort: a stream that refuses it still
-                            // works, only Nagle-slow.
-                            let _ = s.set_nodelay(true);
-                            spawn_hub_conn(&hub, Stream::Tcp(s));
-                        }
-                    })?;
+                let local_addr = format!("tcp:{}", listener.local_addr()?);
+                (Listener::Tcp(listener), local_addr)
             }
             ParsedAddr::Unix(path) => {
                 // A stale socket file from a previous run blocks bind.
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)?;
-                local_addr = format!("unix:{path}");
-                let hub = Arc::downgrade(&shared);
-                thread::Builder::new()
-                    .name("elan-accept".into())
-                    .spawn(move || {
-                        for conn in listener.incoming() {
-                            let (Ok(s), Some(hub)) = (conn, hub.upgrade()) else {
-                                break;
-                            };
-                            spawn_hub_conn(&hub, Stream::Unix(s));
-                        }
-                    })?;
+                (Listener::Unix(listener), format!("unix:{path}"))
             }
-        }
-        Ok(SocketTransport { shared, local_addr })
+        };
+        let shared = Arc::new(Shared::new());
+        let hub = Arc::downgrade(&shared);
+        let closed = Arc::new(AtomicBool::new(false));
+        let closing = Arc::clone(&closed);
+        let thread = thread::Builder::new()
+            .name("elan-accept".into())
+            .spawn(move || {
+                // The listener closes when this loop ends.
+                while let Ok(stream) = listener.accept() {
+                    match hub.upgrade() {
+                        Some(hub) if !closing.load(Ordering::SeqCst) => {
+                            spawn_hub_conn(&hub, stream);
+                        }
+                        _ => break,
+                    }
+                }
+            })?;
+        Ok(SocketTransport {
+            shared,
+            local_addr,
+            accept: Some((closed, thread)),
+        })
     }
 
     /// Dials the coordinator hub at `addr` and starts the receive loop.
@@ -328,14 +360,7 @@ impl SocketTransport {
     ///
     /// Propagates connect failures.
     pub fn connect(addr: &str) -> io::Result<SocketTransport> {
-        let stream = match parse_addr(addr)? {
-            ParsedAddr::Tcp(a) => {
-                let s = TcpStream::connect(a)?;
-                s.set_nodelay(true)?;
-                Stream::Tcp(s)
-            }
-            ParsedAddr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
-        };
+        let stream = dial(addr)?;
         let shared = Arc::new(Shared::new());
         let writer = Arc::new(ConnWriter {
             stream: Mutex::new(stream.try_clone()?),
@@ -348,6 +373,7 @@ impl SocketTransport {
         Ok(SocketTransport {
             shared,
             local_addr: addr.to_string(),
+            accept: None,
         })
     }
 
@@ -355,6 +381,22 @@ impl SocketTransport {
     /// `listen("tcp:127.0.0.1:0")` this carries the real port.
     pub fn local_addr(&self) -> &str {
         &self.local_addr
+    }
+}
+
+impl Drop for SocketTransport {
+    fn drop(&mut self) {
+        let Some((closed, thread)) = self.accept.take() else {
+            return;
+        };
+        // Wake the accept thread with a throwaway dial; it sees the flag,
+        // exits and closes the listener. Only a TCP dial surely reaches
+        // *this* listener (a newer hub may own the Unix path), so only
+        // then is waiting for the exit safe.
+        closed.store(true, Ordering::SeqCst);
+        if dial(&self.local_addr).is_ok() && self.local_addr.starts_with("tcp:") {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -793,10 +835,14 @@ mod tests {
     fn dropped_hub_frees_its_shared_state() -> Result<(), String> {
         let hub = SocketTransport::listen("tcp:127.0.0.1:0").map_err(|e| e.to_string())?;
         let shared = Arc::downgrade(&hub.shared);
+        let addr = hub.local_addr().to_string();
         drop(hub);
-        // The accept thread, still parked in `accept`, must not keep the
-        // routes, stats and journal of a transport nobody can reach.
+        // The accept thread must not keep the routes, stats and journal
+        // of a transport nobody can reach...
         assert!(shared.upgrade().is_none(), "accept thread pins the hub");
+        // ...and it has exited and closed the listener: nobody answers.
+        let refused = dial(&addr).map(|_| ()).map_err(|e| e.kind());
+        assert_eq!(refused, Err(io::ErrorKind::ConnectionRefused));
         Ok(())
     }
 

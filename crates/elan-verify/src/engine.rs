@@ -151,8 +151,8 @@ pub struct FnEffects {
     pub edges: Vec<(String, String, u32)>,
     pub blocking: Vec<BlockingOp>,
     pub constructions: Vec<Construction>,
-    /// The body mentions `persist_fenced` or `fenced`: it either persists
-    /// the fencing term or checks the fence before acting.
+    /// The body calls `persist_fenced` or `bump_term`, or reads the
+    /// `fenced` latch: it writes or checks the fencing term before acting.
     pub fence_aware: bool,
 }
 
@@ -371,7 +371,12 @@ fn scan_fn(
             continue;
         }
         let t = &toks[i];
-        if t.is_ident("persist_fenced") || t.is_ident("fenced") {
+        // A fence check is a term-checked persist, a term bump (the fence
+        // write a successor takes ownership with), or a read of the
+        // `fenced` latch — initialising or setting the latch checks nothing.
+        let fence_read =
+            t.is_ident("fenced") && !toks.get(i + 1).is_some_and(|n| n.is(":") || n.is("="));
+        if t.is_ident("persist_fenced") || t.is_ident("bump_term") || fence_read {
             info.fence_aware = true;
         }
         match t.text.as_str() {

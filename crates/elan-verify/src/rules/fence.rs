@@ -24,7 +24,12 @@ use crate::report::{rules, Diagnostic};
 const FENCED_VARIANTS: &[&str] = &["Leave", "Resume", "AmReset", "StateChunk"];
 
 fn in_scope(rel: &str, fixture: bool) -> bool {
-    fixture || rel.ends_with("elan-rt/src/runtime.rs") || rel.ends_with("elan-rt/src/liveness.rs")
+    const SCOPE: [&str; 3] = [
+        "elan-rt/src/am.rs",
+        "elan-rt/src/runtime.rs",
+        "elan-rt/src/liveness.rs",
+    ];
+    fixture || SCOPE.iter().any(|s| rel.ends_with(s))
 }
 
 pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
@@ -209,5 +214,23 @@ mod tests {
     fn pattern_matches_are_not_constructions() {
         let d = check("fn f(m: &RtMsg) -> bool { matches!(m, RtMsg::Leave { .. }) }");
         assert!(d.is_empty(), "got {d:?}");
+    }
+
+    #[test]
+    fn initialising_the_latch_is_not_a_fence_check() {
+        let d = check(
+            "impl Am { fn start(out: &mut A, t: u64) -> Am { \
+             out.send(RtMsg::AmReset { term: t }); Am { fenced: false } } }",
+        );
+        assert_eq!(d.len(), 1, "got {d:?}");
+    }
+
+    #[test]
+    fn term_bump_guards_the_constructor() {
+        let d = check(
+            "fn drive(c: &C, out: &mut A) { let r = c.bump_term(1); incarnate(r, out); }\n\
+             fn incarnate(r: R, out: &mut A) { out.send(RtMsg::AmReset { term: r.term }); }",
+        );
+        assert!(d.is_empty(), "the term bump guards incarnate: {d:?}");
     }
 }

@@ -35,6 +35,10 @@
 //!   member enters `Train`, membership within bounds, epochs
 //!   monotonic).
 //!
+//! The `chaos`, `partition` and `allreduce-adjust` runs are also replayed
+//! through [`check_boundary_agreement`]: the AM acts only on a boundary
+//! every member parked at, and no dismissed member trains past it.
+//!
 //! `--quick` sweeps 64 seeds (the CI smoke configuration); the default
 //! sweep is 256. Exit status is non-zero iff any seed diverged or failed.
 
@@ -44,8 +48,8 @@ use std::time::Duration;
 
 use elan_rt::epoch::{run_churn, ChurnConfig};
 use elan_rt::{
-    check_epoch_safety, check_term_safety, ChaosPolicy, ElasticRuntime, EndpointId, RuntimeConfig,
-    TimeSource, TuningProfile,
+    check_boundary_agreement, check_epoch_safety, check_term_safety, ChaosPolicy, ElasticRuntime,
+    EndpointId, RuntimeConfig, TimeSource, TuningProfile,
 };
 
 /// FNV-1a offset basis.
@@ -115,7 +119,17 @@ fn chaos_scenario(seed: u64) -> Vec<String> {
     rt.run_until_iteration(16);
     let report = rt.shutdown();
     assert!(report.states_consistent(), "replicas diverged");
+    audit_boundaries(&report.events);
     report.events.iter().map(|e| format!("{e:?}")).collect()
+}
+
+/// Fails the run unless the AM acted only on agreed boundaries.
+fn audit_boundaries(events: &[elan_rt::Event]) {
+    let agreement = check_boundary_agreement(events);
+    assert!(
+        agreement.is_safe(),
+        "boundary agreement violated: {agreement}"
+    );
 }
 
 /// The partition e2e scenario: a 500ms scripted window cuts the acting
@@ -161,6 +175,7 @@ fn partition_scenario(seed: u64) -> Vec<String> {
     );
     let safety = check_term_safety(&report.events);
     assert!(safety.is_safe(), "term safety violated: {safety}");
+    audit_boundaries(&report.events);
     report.events.iter().map(|e| format!("{e:?}")).collect()
 }
 
@@ -188,6 +203,7 @@ fn allreduce_adjust_scenario(seed: u64) -> Vec<String> {
     let report = rt.shutdown();
     assert!(report.states_consistent(), "replicas diverged");
     assert_eq!(report.final_world_size, 11, "scale-out did not land");
+    audit_boundaries(&report.events);
     let lines: Vec<String> = report.events.iter().map(|e| format!("{e:?}")).collect();
     assert!(
         lines

@@ -416,6 +416,16 @@ fn write_msg(w: &mut Writer, msg: &RtMsg) {
             w.u8(u8::from(*admit));
             w.u64(*digest);
         }
+        RtMsg::Park { boundary, term } => {
+            w.u8(21);
+            w.u64(*boundary);
+            w.u64(*term);
+        }
+        RtMsg::Passed { worker, boundary } => {
+            w.u8(22);
+            w.u32(worker.0);
+            w.u64(*boundary);
+        }
     }
 }
 
@@ -559,6 +569,14 @@ fn read_msg(r: &mut Reader<'_>) -> Result<RtMsg, DecodeError> {
             epoch: r.u64()?,
             admit: r.u8()? != 0,
             digest: r.u64()?,
+        },
+        21 => RtMsg::Park {
+            boundary: r.u64()?,
+            term: r.u64()?,
+        },
+        22 => RtMsg::Passed {
+            worker: WorkerId(r.u32()?),
+            boundary: r.u64()?,
         },
         t => return Err(DecodeError::UnknownTag(t)),
     })
@@ -847,6 +865,14 @@ mod tests {
                 worker: WorkerId(9),
                 term: 3,
                 iteration: 40,
+            },
+            RtMsg::Park {
+                boundary: 50,
+                term: 4,
+            },
+            RtMsg::Passed {
+                worker: WorkerId(2),
+                boundary: 45,
             },
         ]
     }

@@ -46,15 +46,20 @@ pub enum RtMsg {
         /// The new worker.
         worker: WorkerId,
     },
-    /// Worker → AM: reached a coordination boundary (step ③).
+    /// Worker → AM: parked at a coordination boundary (step ③), because
+    /// the AM ordered a park there or the worker ran more than one
+    /// interval past the last release.
     Coordinate {
-        /// The coordinating worker.
+        /// The parked worker.
         worker: WorkerId,
-        /// Its current iteration.
+        /// Its current iteration (the boundary).
         iteration: u64,
     },
-    /// AM → worker: continue training unchanged. Tagged with the boundary
-    /// iteration so a chaos-delayed release cannot un-park a later round.
+    /// AM → worker: every member reached this boundary; a worker parked
+    /// there trains on. Also the skew token: a worker passes boundaries
+    /// up to one interval past the highest `Proceed` it has seen. Tagged
+    /// with the boundary so a chaos-delayed release cannot un-park a
+    /// later round.
     Proceed {
         /// The boundary iteration being released.
         boundary: u64,
@@ -157,7 +162,8 @@ pub enum RtMsg {
         iteration: u64,
     },
     /// Replacement AM → everyone: a new AM epoch has begun; parked workers
-    /// re-send `Coordinate`, joining workers re-send `Report`.
+    /// re-send `Coordinate`, workers blocked in an allreduce re-send their
+    /// last `Passed`, joining workers re-send `Report`.
     AmReset {
         /// The new AM epoch.
         epoch: u64,
@@ -229,6 +235,24 @@ pub enum RtMsg {
         admit: bool,
         /// The witness's recomputed digest.
         digest: u64,
+    },
+    /// AM → worker: park at `boundary` — the next boundary after the
+    /// highest any member has reached — because work waits on every
+    /// member parking at one boundary. A worker already parked short of
+    /// `boundary` takes it as its release: it trains on and parks there.
+    Park {
+        /// The boundary iteration to park at.
+        boundary: u64,
+        /// The sending AM's fencing term.
+        term: u64,
+    },
+    /// Worker → AM: passed a coordination boundary without parking (no
+    /// park ordered there, and within one interval of the last release).
+    Passed {
+        /// The reporting worker.
+        worker: WorkerId,
+        /// The boundary iteration it passed.
+        boundary: u64,
     },
 }
 

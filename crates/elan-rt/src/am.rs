@@ -22,7 +22,7 @@ use elan_topology::{ClusterSpec, GpuId, ReplicationPlanner, Topology};
 use crate::bus::{EndpointId, RtMsg};
 use crate::epoch::{EpochCmd, EpochConfig, EpochMachine};
 use crate::liveness::{AmDurable, AmPhase, CrashPoint, HeartbeatMonitor, PendingOp};
-use crate::obs::{Emit, EventKind, Span, TraceKind};
+use crate::obs::{BoundaryAct, Emit, EventKind, Span, TraceKind};
 
 pub(crate) mod driver;
 
@@ -59,7 +59,7 @@ pub(crate) enum Event {
 }
 
 /// An effect the AM orders.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Action {
     /// Write the record through the term fence. `checked`: the actions
     /// after this one depend on the write, so when the store rejects it
@@ -179,8 +179,24 @@ pub(crate) struct AmCore {
     /// exempt from the boundary quorum, and owed a state transfer in
     /// the adjustment that folds them back in.
     rejoining: BTreeSet<WorkerId>,
-    /// Boundary iteration each live member is parked at.
+    /// Iterations between coordination boundaries.
+    interval: u64,
+    /// Boundary iteration each live member is parked at, as far as the
+    /// core knows: a park the core has already released (by `Proceed`
+    /// or by a `Park` further on) is not in here.
     coordinated: BTreeMap<WorkerId, u64>,
+    /// Highest boundary each member reported reaching, parked or passed.
+    reached: BTreeMap<WorkerId, u64>,
+    /// Boundary of the latest `Park` order. A park short of it is
+    /// released by that order, so it never counts as parked.
+    park_target: u64,
+    /// The boundary a rejoining member crashed at, until the recall to it
+    /// is ordered (see `order_park`).
+    recall: Option<u64>,
+    /// Boundary of the latest `Resume` wave. No park is ordered until
+    /// every member reports a boundary past it: an order must not
+    /// overtake a `Resume` on its way and release the park it ends.
+    resumed_at: u64,
     /// Joiners that have reported readiness (step ②).
     reported: BTreeSet<WorkerId>,
     /// Transfer orders in flight: (src, dst).
@@ -213,11 +229,13 @@ pub(crate) struct AmCore {
 impl AmCore {
     /// The incarnation at `epoch`, from the record its term bump returned.
     /// A successor rebuilds the epoch machine from the record and
-    /// broadcasts `AmReset`, so parked workers re-send `Coordinate` and
+    /// broadcasts `AmReset`, so parked workers re-send `Coordinate`,
+    /// workers blocked in an allreduce re-send their last `Passed`, and
     /// joiners re-send `Report` (the paper's re-solicitation on restart).
     pub(crate) fn incarnate(
         epoch: u64,
         durable: AmDurable,
+        interval: u64,
         open_membership: Option<EpochConfig>,
         hb: HeartbeatMonitor,
         now: Now,
@@ -235,7 +253,12 @@ impl AmCore {
             dead: BTreeSet::new(),
             fenced: false,
             rejoining: BTreeSet::new(),
+            interval,
             coordinated: BTreeMap::new(),
+            reached: BTreeMap::new(),
+            park_target: 0,
+            resumed_at: 0,
+            recall: None,
             reported: BTreeSet::new(),
             outstanding: BTreeSet::new(),
             transfer_waves: Vec::new(),
@@ -336,6 +359,7 @@ impl AmCore {
         self.reported.remove(&w);
         self.rejoining.remove(&w);
         self.coordinated.remove(&w);
+        self.reached.remove(&w);
         self.hb.forget(w);
     }
 
@@ -504,9 +528,22 @@ impl AmCore {
                 out.trace(us, Span::Report(worker));
             }
             RtMsg::Coordinate { worker, iteration } if iteration > self.last_boundary => {
-                let entry = self.coordinated.entry(worker).or_insert(iteration);
-                if *entry < iteration {
-                    *entry = iteration;
+                let fresh = self.reach(worker, iteration);
+                // A park short of the standing order is released by it.
+                if fresh && iteration >= self.park_target {
+                    self.coordinated.insert(worker, iteration);
+                }
+            }
+            RtMsg::Passed { worker, boundary } => {
+                self.reach(worker, boundary);
+                // A recalled worker parks at the boundary it passed, so
+                // only a later boundary ends a park.
+                if self
+                    .coordinated
+                    .get(&worker)
+                    .is_some_and(|&at| at < boundary)
+                {
+                    self.coordinated.remove(&worker);
                 }
             }
             RtMsg::TransferDone { src, dst } => {
@@ -517,7 +554,9 @@ impl AmCore {
                     self.outstanding.remove(&(src, dst));
                 }
             }
-            RtMsg::Rejoin { worker, .. } => self.handle_rejoin(worker, out),
+            RtMsg::Rejoin {
+                worker, iteration, ..
+            } => self.handle_rejoin(worker, iteration, out),
             // An open-membership joiner announced itself (or re-claimed
             // its warmup digest). Pending joiners are marked `reported` so
             // the warmup adjustment can arm without a separate `Report`
@@ -554,11 +593,18 @@ impl AmCore {
     /// or reordered `Rejoin` envelope is absorbed by the `rejoining`
     /// set, admitting the worker exactly once. The credentials a
     /// `Rejoin` presents are the crash incarnation's last knowledge;
-    /// admission always replicates fresh state under the *current* term,
-    /// so they are informational.
-    fn handle_rejoin(&mut self, worker: WorkerId, out: &mut Actions) {
+    /// admission always replicates fresh state under the *current* term.
+    /// Only the boundary it crashed at is used: the members are recalled
+    /// to it, and an announce that predates the wave which readmitted
+    /// the worker is dropped.
+    fn handle_rejoin(&mut self, worker: WorkerId, iteration: u64, out: &mut Actions) {
         if self.rejoining.contains(&worker) {
             return; // duplicate envelope: already admitted
+        }
+        if self.durable.members.contains(&worker) && iteration > 0 && iteration <= self.resumed_at {
+            // A late announce from before the wave that readmitted it: a
+            // fresh crash would present a boundary past that wave.
+            return;
         }
         if !matches!(self.durable.phase, AmPhase::Steady)
             || self.durable.pending.is_some()
@@ -582,6 +628,26 @@ impl AmCore {
         }
         let term = self.durable.term;
         out.emit_at(self.now.us(), EventKind::WorkerRejoin { worker, term });
+        if self.durable.members.contains(&worker)
+            && iteration > 0
+            && iteration.is_multiple_of(self.interval)
+        {
+            // Its crashed incarnation still holds a place in the
+            // collective: members that passed the boundary it died at
+            // wait in the next round for a contribution that never comes.
+            self.recall = Some(iteration);
+        }
+    }
+
+    /// Records that `w` reached boundary `b`; false for a report older
+    /// than one already seen (a reordered delivery).
+    fn reach(&mut self, w: WorkerId, b: u64) -> bool {
+        let r = self.reached.entry(w).or_insert(b);
+        if *r > b {
+            return false;
+        }
+        *r = b;
+        true
     }
 
     fn in_flight_seq(&self) -> Option<u64> {
@@ -597,18 +663,182 @@ impl AmCore {
     /// handshake, not at a boundary, and get their state replicated by
     /// the adjustment the survivors' boundary triggers.
     fn boundary_ready(&self) -> Option<u64> {
-        let live: Vec<WorkerId> = self
-            .live()
-            .into_iter()
-            .filter(|w| !self.rejoining.contains(w))
-            .collect();
-        let first = *self.coordinated.get(live.first()?)?;
-        for w in &live[1..] {
-            if *self.coordinated.get(w)? != first {
-                return None;
+        let mut parked = self.quorum().map(|w| self.coordinated.get(&w).copied());
+        let first = parked.next()??;
+        let agreed = parked.all(|at| at == Some(first));
+        (agreed && first > self.last_boundary).then_some(first)
+    }
+
+    /// The members a boundary needs: live and not mid-`Rejoin`.
+    fn quorum(&self) -> impl Iterator<Item = WorkerId> + '_ {
+        let members = self.durable.members.iter().copied();
+        members.filter(|w| !self.dead.contains(w) && !self.rejoining.contains(w))
+    }
+
+    /// The lowest and highest boundary the quorum has reached, once every
+    /// quorum member has reported one.
+    fn reach_span(&self) -> Option<(u64, u64)> {
+        let mut reached = self.quorum().map(|w| self.reached.get(&w).copied());
+        let first = reached.next()??;
+        reached.try_fold((first, first), |(lo, hi), r| {
+            let r = r?;
+            Some((lo.min(r), hi.max(r)))
+        })
+    }
+
+    /// Whether a queued op can start: every joiner in its target has
+    /// reported.
+    fn op_ready(&self, op: &PendingOp) -> bool {
+        op.target
+            .iter()
+            .filter(|w| !self.durable.members.contains(w))
+            .all(|w| self.reported.contains(w))
+    }
+
+    /// Whether work waits on every member parking at one boundary: a
+    /// checkpoint, a stop, or a queued op that can start.
+    fn work_ready(&self) -> bool {
+        self.checkpoint_req.is_some()
+            || self.durable.stopping.is_some()
+            || self
+                .durable
+                .pending
+                .as_ref()
+                .is_some_and(|op| self.op_ready(op))
+    }
+
+    /// Orders every member to park at the next boundary after the highest
+    /// one reached (at the highest itself when every member there is
+    /// parked), unless an earlier order still stands: every member is
+    /// short of its boundary or parked there. A member that passed it (the
+    /// order reached it too late) moves the target on.
+    ///
+    /// A rejoin recalls instead: members that passed the boundary the
+    /// rejoiner crashed at are held in the round after it, so they are
+    /// ordered back to that boundary. A worker blocked in that round
+    /// takes its contribution back and parks there. Until then it looks
+    /// as if it passed the boundary, so during a recall only a member
+    /// reported beyond the target moves it on.
+    fn order_park(&mut self, out: &mut Actions) {
+        let Some((lowest, highest)) = self.reach_span() else {
+            return;
+        };
+        if lowest <= self.resumed_at {
+            return;
+        }
+        let target = self.park_target;
+        let quorum: Vec<WorkerId> = self.quorum().collect();
+        let held = self
+            .rejoining
+            .iter()
+            .any(|w| self.durable.members.contains(w));
+        let passed = |w: &WorkerId| match self.reached.get(w) {
+            Some(&r) => {
+                r > target || (!held && r == target && self.coordinated.get(w) != Some(&target))
+            }
+            None => false,
+        };
+        // Members that ran a whole interval ahead wait parked at the
+        // highest boundary, so the others can park there too.
+        let ahead_parked = quorum.iter().all(|w| {
+            self.reached.get(w) != Some(&highest) || self.coordinated.get(w) == Some(&highest)
+        });
+        let next = if ahead_parked {
+            highest
+        } else {
+            highest + self.interval
+        };
+        let (boundary, retarget) = match self.recall.take() {
+            Some(at) => (at, false),
+            None if quorum.iter().any(passed) => (next, target > self.last_boundary),
+            None => return,
+        };
+        self.park_target = boundary;
+        // The order releases every park short of it.
+        self.coordinated.retain(|_, at| *at >= boundary);
+        if !self.persist_fenced(out) {
+            return;
+        }
+        let term = self.durable.term;
+        let ordered = EventKind::ParkOrdered {
+            boundary,
+            term,
+            retarget,
+        };
+        out.emit_at(self.now.us(), ordered);
+        for w in quorum {
+            out.send(EndpointId::Worker(w), RtMsg::Park { boundary, term });
+        }
+    }
+
+    /// Releases every boundary up to `upto` the quorum has reached that
+    /// is still unreleased.
+    fn release_reached(&mut self, upto: u64, out: &mut Actions) {
+        match self.reach_span() {
+            Some((lowest, _)) if lowest.min(upto) > self.last_boundary => {
+                self.release(lowest.min(upto), out)
+            }
+            _ => {}
+        }
+    }
+
+    /// Releases the boundaries up to `upto` with `Proceed`, the skew token
+    /// workers pass boundaries on. The release is an externally visible
+    /// action, so it goes through the persist-before-act fence first — a
+    /// superseded incarnation abdicates here instead of racing its
+    /// successor's release. Each boundary is journalled; an
+    /// incarnation's first release counts from the boundary it first sees.
+    fn release(&mut self, upto: u64, out: &mut Actions) {
+        if !self.persist_fenced(out) {
+            return;
+        }
+        let (us, term) = (self.now.us(), self.durable.term);
+        let live = self.live();
+        let world = live.len() as u32;
+        let from = match self.last_boundary {
+            0 => upto,
+            last => last + self.interval,
+        };
+        let released = (from..=upto).step_by(self.interval as usize);
+        for boundary in released.clone() {
+            let event = EventKind::BoundaryReleased {
+                boundary,
+                world,
+                term,
+            };
+            out.emit_at(us, event);
+        }
+        for w in live {
+            out.send(
+                EndpointId::Worker(w),
+                RtMsg::Proceed {
+                    boundary: upto,
+                    term,
+                },
+            );
+        }
+        self.coordinated.retain(|_, at| *at > upto);
+        self.last_boundary = upto;
+        // Plain training boundaries pace the epoch: adjustment boundaries
+        // (resume_wave) deliberately don't count.
+        for _ in released {
+            if let Some(m) = self.machine.as_mut() {
+                let cmds = m.boundary_released(us, out);
+                self.epoch_cmds(cmds, out);
             }
         }
-        (first > self.last_boundary).then_some(first)
+    }
+
+    /// Journals an act on a boundary the quorum is parked at; `members`
+    /// are the members after it.
+    fn acted(&self, boundary: u64, act: BoundaryAct, members: &[WorkerId], out: &mut Actions) {
+        let quorum = self.quorum().map(|w| (w, members.contains(&w))).collect();
+        let event = EventKind::BoundaryActed {
+            boundary,
+            act,
+            quorum,
+        };
+        out.emit_at(self.now.us(), event);
     }
 
     /// Drives the adjustment pipeline as far as it can go right now.
@@ -699,7 +929,17 @@ impl AmCore {
                         return self.execute_stop(out);
                     }
                     let Some(boundary) = self.boundary_ready() else {
-                        return;
+                        // Not every member is parked at one boundary:
+                        // order the park waiting work needs, and release
+                        // what every member has reached short of it.
+                        let mut upto = u64::MAX;
+                        if self.work_ready() {
+                            self.order_park(out);
+                            if self.park_target > self.last_boundary {
+                                upto = self.park_target - self.interval;
+                            }
+                        }
+                        return self.release_reached(upto, out);
                     };
                     let live = self.live();
                     if self.awaiting_checkpoint.is_some() {
@@ -707,21 +947,18 @@ impl AmCore {
                     }
                     let term = self.durable.term;
                     if let Some(seq) = self.checkpoint_req.take() {
+                        self.acted(boundary, BoundaryAct::Checkpoint, &live, out);
                         let order = RtMsg::CheckpointOrder { seq, term };
                         out.send(EndpointId::Worker(live[0]), order);
                         self.awaiting_checkpoint = Some(seq);
                         return;
                     }
                     if self.durable.stopping.is_some() {
+                        self.acted(boundary, BoundaryAct::Stop, &[], out);
                         return self.execute_stop(out);
                     }
                     if let Some(op) = self.durable.pending.clone() {
-                        let ready = op
-                            .target
-                            .iter()
-                            .filter(|w| !self.durable.members.contains(w))
-                            .all(|w| self.reported.contains(w));
-                        if ready {
+                        if self.op_ready(&op) {
                             self.durable.pending = None;
                             self.durable.phase = AmPhase::Transferring {
                                 target: op.target,
@@ -739,33 +976,8 @@ impl AmCore {
                             continue;
                         }
                     }
-                    // Nothing to adjust: release the boundary. The release
-                    // is an externally visible action, so it goes through
-                    // the persist-before-act fence first — a superseded
-                    // incarnation abdicates here instead of racing its
-                    // successor's release.
-                    if !self.persist_fenced(out) {
-                        return;
-                    }
-                    let world = live.len() as u32;
-                    let released = EventKind::BoundaryReleased {
-                        boundary,
-                        world,
-                        term,
-                    };
-                    out.emit_at(us, released);
-                    for w in live {
-                        out.send(EndpointId::Worker(w), RtMsg::Proceed { boundary, term });
-                    }
-                    self.coordinated.clear();
-                    self.last_boundary = boundary;
-                    // Plain training boundaries pace the epoch: adjustment
-                    // boundaries (resume_wave) deliberately don't count.
-                    if let Some(m) = self.machine.as_mut() {
-                        let cmds = m.boundary_released(us, out);
-                        self.epoch_cmds(cmds, out);
-                    }
-                    return;
+                    // Nothing to adjust: release the boundary.
+                    return self.release(boundary, out);
                 }
             }
         }
@@ -875,6 +1087,7 @@ impl AmCore {
         if !self.persist_fenced(out) {
             return;
         }
+        self.acted(boundary, BoundaryAct::Resume, &target, out);
         out.push(Action::Reconfigure(generation, target.clone()));
         let term = self.durable.term;
         for &w in &self.durable.members {
@@ -914,7 +1127,11 @@ impl AmCore {
         }
         self.reported.clear();
         self.rejoining.clear();
+        self.recall = None;
         self.coordinated.clear();
+        // Every member, joiners included, trains on from this boundary.
+        self.reached.clear();
+        self.resumed_at = boundary;
         self.outstanding.clear();
         self.transfer_waves.clear();
         self.next_wave = 0;
@@ -1072,6 +1289,8 @@ mod tests {
             RtMsg::Leave { term }
             | RtMsg::Resume { term, .. }
             | RtMsg::AmReset { term, .. }
+            | RtMsg::Park { term, .. }
+            | RtMsg::Proceed { term, .. }
             | RtMsg::TransferOrder { term, .. }
             | RtMsg::CheckpointOrder { term, .. } => Some(*term),
             _ => None,
@@ -1129,11 +1348,48 @@ mod tests {
         recovered_transfers: u64,
         recovered_resumes: u64,
         stale_steps: u64,
+        /// Park orders that replaced one a member had already passed.
+        retargets: u64,
+        /// Parks ordered, and parks on skew (no order there).
+        ordered_parks: u64,
+        skew_parks: u64,
+    }
+
+    /// A scripted worker, as the boundary rule moves it: the boundary it
+    /// is at, whether it is parked there, and the release and park order
+    /// it last saw.
+    #[derive(Debug, Clone, Copy)]
+    struct Scripted {
+        at: u64,
+        parked: bool,
+        released: u64,
+        park_at: u64,
+    }
+
+    impl Scripted {
+        fn at(at: u64) -> Self {
+            Scripted {
+                at,
+                parked: false,
+                released: at,
+                park_at: 0,
+            }
+        }
+
+        /// The worker rule (`worker::Bounds::parks_at`).
+        fn parks_at(&self, b: u64) -> bool {
+            if self.park_at >= b {
+                self.park_at == b
+            } else {
+                b > self.released + INTERVAL
+            }
+        }
     }
 
     /// One seeded run: a core among scripted workers and a controller
     /// that scales out and in, with heartbeat silence, give-ups, message
-    /// duplication, stops and AM failovers striking at random.
+    /// duplication, late park orders, stops and AM failovers striking at
+    /// random.
     struct Sim {
         rng: u64,
         ms: u64,
@@ -1145,10 +1401,14 @@ mod tests {
         store: AmDurable,
         generation: u64,
         inbox: Vec<(EndpointId, RtMsg)>,
+        /// `Proceed`s and `Park`s on their way to workers: they land in
+        /// random order and late, so a worker can pass a park target
+        /// before the order reaches it.
+        mail: Vec<(WorkerId, RtMsg)>,
         /// Workers that still answer (not crashed, not dismissed).
         alive: BTreeSet<WorkerId>,
-        /// Boundary each worker is parked at (or heading for).
-        parked: BTreeMap<WorkerId, u64>,
+        /// Workers training in the job (joiners enter at their `Resume`).
+        workers: BTreeMap<WorkerId, Scripted>,
         next_id: u32,
         next_seq: u64,
         awaiting: Option<RtMsg>,
@@ -1162,16 +1422,17 @@ mod tests {
     }
 
     impl Sim {
-        fn new(seed: u64, founding: u32) -> Result<Sim, String> {
+        fn new(seed: u64, founding: u32) -> Sim {
             let members: Vec<WorkerId> = (0..founding).map(w).collect();
             let mut store = AmDurable::founding(members.clone());
             store.term = 1;
-            let mut sim = Sim {
+            Sim {
                 rng: seed,
                 ms: 0,
                 core: AmCore::incarnate(
                     0,
                     store.clone(),
+                    INTERVAL,
                     None,
                     HeartbeatMonitor::new(HB_TIMEOUT),
                     now(0, 1, 0),
@@ -1182,8 +1443,9 @@ mod tests {
                 store,
                 generation: 0,
                 inbox: Vec::new(),
+                mail: Vec::new(),
                 alive: members.iter().copied().collect(),
-                parked: BTreeMap::new(),
+                workers: members.iter().map(|&m| (m, Scripted::at(0))).collect(),
                 next_id: founding,
                 next_seq: 1,
                 awaiting: None,
@@ -1192,11 +1454,7 @@ mod tests {
                 crashed: false,
                 stopped: false,
                 cov: Coverage::default(),
-            };
-            for m in members {
-                sim.coordinate(m, INTERVAL);
             }
-            Ok(sim)
         }
 
         fn roll(&mut self, n: u64) -> u64 {
@@ -1208,28 +1466,117 @@ mod tests {
             now(self.ms, self.store.term, self.generation)
         }
 
-        fn coordinate(&mut self, worker: WorkerId, iteration: u64) {
-            self.parked.insert(worker, iteration);
-            let msg = RtMsg::Coordinate { worker, iteration };
-            self.inbox.push((EndpointId::Worker(worker), msg));
+        /// Moves a training worker to its next boundary, where it passes
+        /// or parks by the worker rule.
+        fn advance(&mut self, worker: WorkerId) {
+            let Some(s) = self.workers.get_mut(&worker) else {
+                return;
+            };
+            if s.parked {
+                return;
+            }
+            s.at += INTERVAL;
+            let (b, from) = (s.at, EndpointId::Worker(worker));
+            if s.parks_at(b) {
+                s.parked = true;
+                if s.park_at == b {
+                    self.cov.ordered_parks += 1;
+                } else {
+                    self.cov.skew_parks += 1;
+                }
+                let msg = RtMsg::Coordinate {
+                    worker,
+                    iteration: b,
+                };
+                self.inbox.push((from, msg));
+            } else {
+                let msg = RtMsg::Passed {
+                    worker,
+                    boundary: b,
+                };
+                self.inbox.push((from, msg));
+            }
+        }
+
+        /// One `Proceed` or `Park` lands.
+        fn deliver_mail(&mut self) {
+            if self.mail.is_empty() {
+                return;
+            }
+            let i = self.roll(self.mail.len() as u64) as usize;
+            let (to, msg) = self.mail.swap_remove(i);
+            let Some(s) = self.workers.get_mut(&to) else {
+                return;
+            };
+            match msg {
+                RtMsg::Proceed { boundary, .. } => {
+                    s.released = s.released.max(boundary);
+                    if s.parked && s.at == boundary {
+                        s.parked = false;
+                    }
+                }
+                RtMsg::Park { boundary, .. } => {
+                    s.park_at = s.park_at.max(boundary);
+                    if s.parked && boundary > s.at {
+                        s.parked = false;
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        /// Property (iv): the core orders a transfer, a checkpoint, a
+        /// `Resume` or a `Leave` only while every live, non-rejoining
+        /// member is parked at one boundary.
+        fn check_parked(&self, quorum: &[WorkerId], acts: &[Action]) -> Result<(), String> {
+            let order = acts.iter().find(|a| {
+                matches!(
+                    a,
+                    Action::Send(
+                        EndpointId::Worker(_),
+                        RtMsg::TransferOrder { .. }
+                            | RtMsg::CheckpointOrder { .. }
+                            | RtMsg::Resume { .. }
+                            | RtMsg::Leave { .. }
+                    )
+                )
+            });
+            let Some(order) = order else {
+                return Ok(());
+            };
+            let parked: BTreeSet<Option<u64>> = quorum
+                .iter()
+                .filter(|m| self.alive.contains(m))
+                .map(|m| self.workers.get(m).filter(|s| s.parked).map(|s| s.at))
+                .collect();
+            if parked.len() > 1 || parked.contains(&None) {
+                let states: Vec<_> = quorum.iter().map(|m| (m, self.workers.get(m))).collect();
+                return Err(format!("{order:?} while the members are at {states:?}"));
+            }
+            Ok(())
         }
 
         fn step(&mut self, event: Event) -> Result<(), String> {
             let stale = self.store.term > self.term;
             let before = self.core.durable.clone();
+            let quorum: Vec<WorkerId> = self.core.quorum().collect();
             let mut out = Actions::default();
             self.core.step(event, self.now(), &mut out);
             let acts: Vec<Action> = out.drain().collect();
             check_step(&before, &self.core.durable, &acts)?;
+            self.check_parked(&quorum, &acts)?;
             if stale {
                 self.cov.stale_steps += 1;
-                // A superseded core releases, resumes, reconfigures and
-                // evicts nothing: every such order sits behind a probe.
+                // A superseded core releases, parks, resumes,
+                // reconfigures and evicts nothing: every such order sits
+                // behind a probe.
                 if let Some(a) = acts.iter().find(|a| {
                     matches!(
                         a,
-                        Action::Send(_, RtMsg::Resume { .. } | RtMsg::Proceed { .. })
-                            | Action::Reconfigure(..)
+                        Action::Send(
+                            _,
+                            RtMsg::Resume { .. } | RtMsg::Proceed { .. } | RtMsg::Park { .. }
+                        ) | Action::Reconfigure(..)
                             | Action::Evict(_)
                             | Action::PublishMembers(_)
                     )
@@ -1253,6 +1600,9 @@ mod tests {
                     }
                     Action::Reconfigure(generation, _) => {
                         self.generation = self.generation.max(generation);
+                    }
+                    Action::Emit(_, EventKind::ParkOrdered { retarget: true, .. }) => {
+                        self.cov.retargets += 1;
                     }
                     Action::Send(EndpointId::Controller, RtMsg::Ack { seq })
                         if self.awaiting.as_ref().is_some_and(|op| op_seq(op) == seq) =>
@@ -1281,7 +1631,7 @@ mod tests {
         fn answer(&mut self, to: WorkerId, msg: RtMsg) -> Result<(), String> {
             let from = EndpointId::Worker(to);
             match msg {
-                RtMsg::Proceed { boundary, .. } => self.coordinate(to, boundary + INTERVAL),
+                RtMsg::Proceed { .. } | RtMsg::Park { .. } => self.mail.push((to, msg)),
                 RtMsg::Resume { generation, .. } => {
                     self.cov.resumes += 1;
                     if let Some(owed) = self.owed_generation {
@@ -1290,7 +1640,15 @@ mod tests {
                         }
                         self.cov.recovered_resumes += 1;
                     }
-                    self.coordinate(to, self.core.last_boundary + INTERVAL);
+                    // Members resume where they are parked; joiners at the
+                    // boundary their state was streamed from.
+                    let at = self.core.last_boundary;
+                    let s = self.workers.entry(to).or_insert(Scripted::at(at));
+                    if s.parked && s.at != at {
+                        return Err(format!("{to} resumed at {at}, parked at {}", s.at));
+                    }
+                    s.parked = false;
+                    s.released = s.released.max(at);
                 }
                 RtMsg::TransferOrder { dst, .. } => {
                     let done = RtMsg::TransferDone { src: to, dst };
@@ -1300,12 +1658,21 @@ mod tests {
                     let done = RtMsg::TransferDone { src: to, dst: to };
                     self.inbox.push((from, done));
                 }
-                RtMsg::AmReset { .. } => match self.parked.get(&to) {
-                    Some(&boundary) => self.coordinate(to, boundary),
+                RtMsg::AmReset { .. } => match self.workers.get(&to) {
+                    Some(s) if s.parked => {
+                        let iteration = s.at;
+                        let msg = RtMsg::Coordinate {
+                            worker: to,
+                            iteration,
+                        };
+                        self.inbox.push((from, msg));
+                    }
+                    Some(_) => {}
                     None => self.inbox.push((from, RtMsg::Report { worker: to })),
                 },
                 RtMsg::Leave { .. } => {
                     self.alive.remove(&to);
+                    self.workers.remove(&to);
                 }
                 _ => {}
             }
@@ -1372,9 +1739,13 @@ mod tests {
                 AmPhase::Resuming { generation, .. } => self.owed_generation = Some(generation),
                 AmPhase::Steady => {}
             }
+            // The predecessor's undelivered orders carry a stale term:
+            // the workers' fence drops them.
+            self.mail.clear();
             let hb = HeartbeatMonitor::new(HB_TIMEOUT);
             let mut out = Actions::default();
-            self.core = AmCore::incarnate(self.epoch, record, None, hb, self.now(), &mut out);
+            let (epoch, now) = (self.epoch, self.now());
+            self.core = AmCore::incarnate(epoch, record, INTERVAL, None, hb, now, &mut out);
             let acts: Vec<Action> = out.drain().collect();
             check_step(&self.store, &self.core.durable, &acts)?;
             self.run(acts)
@@ -1382,7 +1753,7 @@ mod tests {
 
         fn random_step(&mut self) -> Result<(), String> {
             match self.roll(100) {
-                0..=54 if !self.inbox.is_empty() => {
+                0..=39 if !self.inbox.is_empty() => {
                     let i = self.roll(self.inbox.len() as u64) as usize;
                     let (from, msg) = if self.roll(10) == 0 {
                         self.inbox[i].clone() // duplicated delivery
@@ -1393,6 +1764,14 @@ mod tests {
                         return Ok(()); // the dead say nothing
                     }
                     self.step(Event::Message(from, msg))
+                }
+                40..=54 => {
+                    let training: Vec<WorkerId> = self.workers.keys().copied().collect();
+                    if !training.is_empty() {
+                        let worker = training[self.roll(training.len() as u64) as usize];
+                        self.advance(worker);
+                    }
+                    Ok(())
                 }
                 55..=62 => self.request(),
                 63..=65 => {
@@ -1405,19 +1784,35 @@ mod tests {
                         self.cov.deaths_mid_transfer += 1;
                     }
                     self.alive.remove(&victim);
+                    self.workers.remove(&victim);
                     self.step(Event::GaveUp(victim))
+                }
+                66..=74 => {
+                    self.deliver_mail();
+                    Ok(())
                 }
                 _ => {
                     self.ms += 20;
                     let alive: Vec<WorkerId> = self.alive.iter().copied().collect();
                     for worker in alive {
-                        let beat = RtMsg::Heartbeat {
-                            worker,
-                            iteration: 0,
-                        };
+                        let iteration = self.workers.get(&worker).map_or(0, |s| s.at);
+                        let beat = RtMsg::Heartbeat { worker, iteration };
                         self.step(Event::Message(EndpointId::Worker(worker), beat))?;
                     }
                     self.step(Event::Tick)
+                }
+            }
+        }
+
+        /// Delivers every queued message and order, in order.
+        fn settle(&mut self) {
+            while !self.inbox.is_empty() || !self.mail.is_empty() {
+                if !self.inbox.is_empty() {
+                    let (from, msg) = self.inbox.remove(0);
+                    self.step(Event::Message(from, msg)).unwrap();
+                }
+                while !self.mail.is_empty() {
+                    self.deliver_mail();
                 }
             }
         }
@@ -1431,7 +1826,7 @@ mod tests {
     }
 
     fn run_seed(seed: u64) -> Result<Coverage, String> {
-        let mut sim = Sim::new(seed, 3)?;
+        let mut sim = Sim::new(seed, 3);
         sim.arm_crashes = true;
         for _ in 0..600 {
             if sim.stopped {
@@ -1448,10 +1843,11 @@ mod tests {
 
     proptest! {
         /// Seeded random event sequences — scale-outs and scale-ins,
-        /// deaths mid-adjustment, duplicated and reordered replies, stops,
-        /// and failovers onto recovered `Transferring`/`Resuming` records
-        /// — never break persist-before-act or term fencing, and a
-        /// recovered `Resuming` record resumes at its own generation.
+        /// deaths mid-adjustment, duplicated and reordered replies, park
+        /// orders that land after their boundary, stops, and failovers
+        /// onto recovered `Transferring`/`Resuming` records — never break
+        /// persist-before-act, term fencing or the parked-quorum rule, and
+        /// a recovered `Resuming` record resumes at its own generation.
         #[test]
         fn action_lists_keep_the_invariants(seed in 0u64..u64::MAX) {
             if let Err(e) = run_seed(seed) {
@@ -1470,12 +1866,18 @@ mod tests {
             total.recovered_transfers += c.recovered_transfers;
             total.recovered_resumes += c.recovered_resumes;
             total.stale_steps += c.stale_steps;
+            total.retargets += c.retargets;
+            total.ordered_parks += c.ordered_parks;
+            total.skew_parks += c.skew_parks;
         }
         assert!(total.resumes > 0, "{total:?}");
         assert!(total.deaths_mid_transfer > 0, "{total:?}");
         assert!(total.recovered_transfers > 0, "{total:?}");
         assert!(total.recovered_resumes > 0, "{total:?}");
         assert!(total.stale_steps > 0, "{total:?}");
+        assert!(total.retargets > 0, "{total:?}");
+        assert!(total.ordered_parks > 0, "{total:?}");
+        assert!(total.skew_parks > 0, "{total:?}");
     }
 
     /// A successor recovering a `Resuming` record: the members the wave
@@ -1490,7 +1892,7 @@ mod tests {
         };
         let hb = HeartbeatMonitor::new(HB_TIMEOUT);
         let mut out = Actions::default();
-        let mut core = AmCore::incarnate(1, record, None, hb, now(0, 2, 6), &mut out);
+        let mut core = AmCore::incarnate(1, record, INTERVAL, None, hb, now(0, 2, 6), &mut out);
         assert_eq!(
             out.drain().filter(|a| authority_term(a) == Some(2)).count(),
             4,
@@ -1557,14 +1959,139 @@ mod tests {
         );
     }
 
+    /// Steps the core on a tick and returns what it ordered.
+    fn tick(sim: &mut Sim) -> Vec<Action> {
+        sim.ms += 20;
+        let mut out = Actions::default();
+        sim.core.step(Event::Tick, sim.now(), &mut out);
+        let acts: Vec<Action> = out.drain().collect();
+        sim.run(acts.clone()).unwrap();
+        acts
+    }
+
+    /// Two founders pass the first boundary, which the core releases.
+    fn founders_past_the_first_boundary(seed: u64) -> Sim {
+        let mut sim = Sim::new(seed, 2);
+        sim.advance(w(0));
+        sim.advance(w(1));
+        sim.settle();
+        tick(&mut sim);
+        sim.settle();
+        assert_eq!(sim.core.last_boundary, INTERVAL);
+        sim
+    }
+
+    #[test]
+    fn a_missed_park_moves_the_target_on() {
+        let mut sim = founders_past_the_first_boundary(3);
+        let checkpoint = RtMsg::Checkpoint { seq: 1 };
+        sim.step(Event::Message(EndpointId::Controller, checkpoint))
+            .unwrap();
+        let acts = tick(&mut sim);
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Emit(
+                _,
+                EventKind::ParkOrdered {
+                    boundary: 10,
+                    retarget: false,
+                    ..
+                }
+            )
+        )));
+        // Worker 0's order lands in time; worker 1 passes boundary 10
+        // before its order reaches it.
+        let i = sim.mail.iter().position(|(to, _)| *to == w(0)).unwrap();
+        let (to, order) = sim.mail.remove(i);
+        sim.mail.retain(|(to, _)| *to != w(1));
+        sim.mail.push((to, order));
+        sim.deliver_mail();
+        sim.advance(w(0));
+        sim.advance(w(1));
+        assert!(sim.workers[&w(0)].parked && !sim.workers[&w(1)].parked);
+        sim.settle();
+        let acts = tick(&mut sim);
+        assert!(
+            acts.iter().any(|a| matches!(
+                a,
+                Action::Emit(
+                    _,
+                    EventKind::ParkOrdered {
+                        boundary: 15,
+                        retarget: true,
+                        ..
+                    }
+                )
+            )),
+            "{acts:?}"
+        );
+        assert!(
+            !acts
+                .iter()
+                .any(|a| matches!(a, Action::Send(_, RtMsg::CheckpointOrder { .. }))),
+            "no order while worker 1 trains on"
+        );
+        sim.settle();
+        // Both park at the new target, and the checkpoint is served there.
+        sim.advance(w(0));
+        sim.advance(w(1));
+        sim.settle();
+        let acts = tick(&mut sim);
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Emit(
+                _,
+                EventKind::BoundaryActed {
+                    boundary: 15,
+                    act: BoundaryAct::Checkpoint,
+                    ..
+                }
+            )
+        )));
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, Action::Send(_, RtMsg::CheckpointOrder { seq: 1, .. }))));
+    }
+
+    #[test]
+    fn a_park_short_of_the_order_is_released_by_it() {
+        let mut sim = founders_past_the_first_boundary(5);
+        // Both pass 10; only worker 1 hears of its release.
+        sim.advance(w(0));
+        sim.advance(w(1));
+        sim.settle();
+        tick(&mut sim);
+        sim.mail.retain(|(to, _)| *to == w(1));
+        sim.settle();
+        // Worker 0 parks on skew at 15, worker 1 at 20.
+        sim.advance(w(0));
+        sim.advance(w(1));
+        sim.advance(w(1));
+        assert!(sim.workers[&w(0)].parked && sim.workers[&w(0)].at == 15);
+        assert!(sim.workers[&w(1)].parked && sim.workers[&w(1)].at == 20);
+        sim.settle();
+        let checkpoint = RtMsg::Checkpoint { seq: 1 };
+        sim.step(Event::Message(EndpointId::Controller, checkpoint))
+            .unwrap();
+        tick(&mut sim);
+        // Worker 1 already waits parked at 20, so the order is for 20.
+        assert_eq!(sim.core.park_target, 20);
+        // It releases worker 0, which trains on and parks there too.
+        sim.settle();
+        assert!(!sim.workers[&w(0)].parked);
+        sim.advance(w(0));
+        sim.settle();
+        assert!(sim.workers.values().all(|s| s.parked && s.at == 20));
+        let acts = tick(&mut sim);
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, Action::Send(_, RtMsg::CheckpointOrder { .. }))));
+    }
+
     #[test]
     fn death_mid_transfer_replans_from_the_survivors() {
-        let mut sim = Sim::new(7, 2).unwrap();
-        // Park both founders, then scale out by one.
-        while !sim.inbox.is_empty() {
-            let (from, msg) = sim.inbox.remove(0);
-            sim.step(Event::Message(from, msg)).unwrap();
-        }
+        let mut sim = founders_past_the_first_boundary(7);
+        // Scale out by one; both founders park at the ordered boundary.
         let target = vec![w(0), w(1), w(2)];
         sim.alive.insert(w(2));
         let adjust = RtMsg::AdjustTo { seq: 1, target };
@@ -1575,8 +2102,12 @@ mod tests {
             RtMsg::Report { worker: w(2) },
         ))
         .unwrap();
-        sim.ms += 20;
-        sim.step(Event::Tick).unwrap();
+        tick(&mut sim);
+        sim.settle();
+        sim.advance(w(0));
+        sim.advance(w(1));
+        sim.settle();
+        tick(&mut sim);
         assert!(matches!(
             sim.core.durable.phase,
             AmPhase::Transferring { .. }
@@ -1586,19 +2117,14 @@ mod tests {
         sim.inbox
             .retain(|(from, _)| *from != EndpointId::Worker(src));
         sim.alive.remove(&src);
+        sim.workers.remove(&src);
         sim.step(Event::GaveUp(src)).unwrap();
         assert!(!sim.core.transfers_started, "stale schedule dropped");
         let survivor = if src == w(0) { w(1) } else { w(0) };
-        // The survivor re-coordinates; the re-plan sources from it alone.
-        sim.inbox.clear();
-        sim.coordinate(survivor, INTERVAL);
+        // The survivor is still parked; the re-plan sources from it alone.
         for _ in 0..6 {
-            while !sim.inbox.is_empty() {
-                let (from, msg) = sim.inbox.remove(0);
-                sim.step(Event::Message(from, msg)).unwrap();
-            }
-            sim.ms += 20;
-            sim.step(Event::Tick).unwrap();
+            sim.settle();
+            tick(&mut sim);
         }
         assert_eq!(sim.core.durable.members, [survivor, w(2)]);
         assert_eq!(sim.core.durable.phase, AmPhase::Steady);

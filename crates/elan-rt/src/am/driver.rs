@@ -55,7 +55,9 @@ pub(crate) fn am_thread(
     // so this read stays current until this incarnation's own orders.
     let generation = comm.generation();
     let now = now(&rep, &ctrl, generation);
-    let core = AmCore::incarnate(epoch, durable, cfg.open_membership, hb, now, &mut acts);
+    let interval = cfg.coordination_interval;
+    let open = cfg.open_membership;
+    let core = AmCore::incarnate(epoch, durable, interval, open, hb, now, &mut acts);
     let mut am = Driver {
         cfg,
         rep,

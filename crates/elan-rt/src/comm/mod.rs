@@ -149,6 +149,10 @@ pub enum AllreduceOutcome {
     /// duplicate is rejected rather than silently overwriting the
     /// original, in release builds too.
     DuplicateContribution,
+    /// The caller's wait callback asked to take its contribution back,
+    /// and the round had not consumed it yet: the caller is out of the
+    /// round, as if it had never contributed.
+    Withdrawn,
 }
 
 /// A borrowed view of a blocked contributor's gradient slice.
@@ -555,7 +559,7 @@ impl CommGroup {
     ///
     /// Panics if `data` length differs from the group's vector length.
     pub fn allreduce(&self, worker: WorkerId, data: &[f32]) -> AllreduceOutcome {
-        self.allreduce_with(worker, data, || {})
+        self.allreduce_with(worker, data, || false)
     }
 
     /// Like [`allreduce`](CommGroup::allreduce), but invokes `on_wait`
@@ -566,6 +570,12 @@ impl CommGroup {
     /// from inside the data plane: without it, one dead member would make
     /// every survivor fall silent too, and the failure detector could not
     /// tell the victim from the hostages.
+    ///
+    /// `on_wait` returns true to take the caller's contribution back: if
+    /// the round has not consumed it yet, the call returns
+    /// [`AllreduceOutcome::Withdrawn`]. A worker waiting on a member that
+    /// crashed leaves the round this way when the AM recalls it to the
+    /// boundary before it.
     ///
     /// While blocked, the caller also *works*: once the round's inputs
     /// are complete, every parked caller claims reduction chunks from the
@@ -579,7 +589,7 @@ impl CommGroup {
         &self,
         worker: WorkerId,
         data: &[f32],
-        mut on_wait: impl FnMut(),
+        mut on_wait: impl FnMut() -> bool,
     ) -> AllreduceOutcome {
         let mut st = self.state.lock();
         if !st.members.contains(&worker) {
@@ -619,7 +629,7 @@ impl CommGroup {
                 st = self.state.lock();
                 continue;
             }
-            match self.virtual_time() {
+            let withdraw = match self.virtual_time() {
                 Some(time) => {
                     // Virtual time: park on the clock (releasing the group
                     // lock) so the scheduler knows this thread is blocked;
@@ -628,15 +638,27 @@ impl CommGroup {
                     let deadline = time.now() + std_to_sim(WAIT_SLICE);
                     drop(st);
                     time.park_until(deadline);
-                    on_wait();
+                    let withdraw = on_wait();
                     st = self.state.lock();
+                    withdraw
                 }
                 None => {
                     if self.cvar.wait_for(&mut st, WAIT_SLICE).timed_out() {
                         drop(st);
-                        on_wait();
+                        let withdraw = on_wait();
                         st = self.state.lock();
+                        withdraw
+                    } else {
+                        false
                     }
+                }
+            };
+            // The round publishes by clearing the contributions, so one
+            // still listed has not been consumed and can be taken back.
+            if withdraw {
+                if let Ok(pos) = st.contributions.binary_search_by_key(&worker, |(w, _)| *w) {
+                    st.contributions.remove(pos);
+                    return AllreduceOutcome::Withdrawn;
                 }
             }
         }
@@ -1286,6 +1308,7 @@ mod tests {
         let h = thread::spawn(move || {
             g.allreduce_with(WorkerId(0), &[1.0; 2], || {
                 let _ = tx.send(());
+                false
             })
         });
         rx.recv().expect("waiter must surface wait ticks");
@@ -1293,6 +1316,25 @@ mod tests {
         assert!(matches!(
             h.join().unwrap(),
             AllreduceOutcome::Sum { world: 2, .. }
+        ));
+    }
+
+    #[test]
+    fn a_waiting_contribution_can_be_withdrawn() {
+        // Worker 1 never contributes (it crashed); worker 0 takes its
+        // contribution back on its first wait tick.
+        let group = Arc::new(CommGroup::new([WorkerId(0), WorkerId(1)], 2));
+        let outcome = group.allreduce_with(WorkerId(0), &[1.0; 2], || true);
+        assert_eq!(outcome, AllreduceOutcome::Withdrawn);
+        // The round never saw it: both members contribute afresh and the
+        // sum counts each once.
+        let g = Arc::clone(&group);
+        let h = thread::spawn(move || g.allreduce(WorkerId(1), &[2.0; 2]));
+        let sum = group.allreduce(WorkerId(0), &[1.0; 2]);
+        assert_eq!(h.join().unwrap(), sum);
+        assert!(matches!(
+            sum,
+            AllreduceOutcome::Sum { ref sum, world: 2 } if **sum == [3.0, 3.0]
         ));
     }
 

@@ -47,10 +47,11 @@ pub enum CrashPoint {
     /// `Resume`/`Leave`: the replacement must re-issue the resume wave.
     OnResume,
     /// Worker-side: `worker` dies at its first coordination boundary at or
-    /// past `iteration` — after the SGD step, *before* sending
-    /// `Coordinate`. Survivors have the complete reduced state of that
-    /// boundary, so a restarted incarnation can be re-fed bit-identical
-    /// state via the `Rejoin` handshake. Armed through
+    /// past `iteration` — after the SGD step, *before* reporting the
+    /// boundary. Survivors have the complete reduced state of that
+    /// boundary (the rejoin recalls them to it), so a restarted
+    /// incarnation can be re-fed bit-identical state via the `Rejoin`
+    /// handshake. Armed through
     /// [`crash_worker_at`](crate::ElasticRuntime::crash_worker_at), not
     /// `arm_am_crash`.
     WorkerAtBoundary {

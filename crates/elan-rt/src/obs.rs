@@ -63,6 +63,17 @@ impl ChaosFate {
     }
 }
 
+/// What the AM did at a boundary every live member was parked at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BoundaryAct {
+    /// The `Resume`/`Leave` wave that ends an adjustment (step ⑤).
+    Resume,
+    /// A `CheckpointOrder`.
+    Checkpoint,
+    /// A stop's `Leave` to every member.
+    Stop,
+}
+
 /// Why an adjustment ran — the service-API verb, or the failure detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
@@ -142,6 +153,36 @@ pub enum EventKind {
         world: u32,
         /// The AM term that released it (fencing audit trail).
         term: u64,
+    },
+    /// Work waits on every member parking at one boundary: the AM
+    /// ordered a park at the next boundary after the highest reached.
+    ParkOrdered {
+        /// The boundary every member is to park at.
+        boundary: u64,
+        /// The AM term that ordered it.
+        term: u64,
+        /// True when a member had passed the previous order's boundary
+        /// before the order reached it (a missed park).
+        retarget: bool,
+    },
+    /// A worker parked at a coordination boundary.
+    WorkerParked {
+        /// The parked worker.
+        worker: WorkerId,
+        /// The boundary it parked at.
+        boundary: u64,
+    },
+    /// Every live, non-rejoining member was parked at `boundary`, and
+    /// the AM acted on it.
+    BoundaryActed {
+        /// The boundary the members were parked at.
+        boundary: u64,
+        /// What the AM ordered.
+        act: BoundaryAct,
+        /// The members the AM found parked there, each with whether it
+        /// stays in the job (a `false` one was told to leave). One boxed
+        /// list keeps every journal entry as small as before.
+        quorum: Box<[(WorkerId, bool)]>,
     },
     /// The topology planner produced a replication schedule (§IV).
     ReplicationPlanned {
@@ -378,6 +419,9 @@ impl EventKind {
             EventKind::AdjustmentCompleted { .. } => "adjustment_completed",
             EventKind::WorkerReported { .. } => "worker_reported",
             EventKind::BoundaryReleased { .. } => "boundary_released",
+            EventKind::ParkOrdered { .. } => "park_ordered",
+            EventKind::WorkerParked { .. } => "worker_parked",
+            EventKind::BoundaryActed { .. } => "boundary_acted",
             EventKind::ReplicationPlanned { .. } => "replication_planned",
             EventKind::WaveIssued { .. } => "wave_issued",
             EventKind::TransferDone { .. } => "transfer_done",

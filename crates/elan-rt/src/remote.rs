@@ -48,7 +48,7 @@ use crate::reliable::ReliableEndpoint;
 use crate::runtime::RuntimeConfig;
 use crate::time::TimeSource;
 use crate::transport::{SocketTransport, Transport};
-use crate::worker::{run_worker, Telemetry, WorkerConfig, WorkerRole, WorkerView};
+use crate::worker::{run_worker, sender_owner, Telemetry, WorkerConfig, WorkerRole, WorkerView};
 
 /// How a remote worker process enters the job — the CLI-expressible
 /// subset of `WorkerRole` (a `Restored` worker carries whole state
@@ -139,10 +139,17 @@ pub fn run_remote_worker(
     comm.set_time(time.clone());
     comm.set_metrics(&ctrl.obs.registry);
     let telemetry: Telemetry = Arc::new(Mutex::new(HashMap::new()));
+    let role = role.into_worker_role();
+    // A restarted process cannot count its predecessors; its process id
+    // picks an incarnation other than the founding one's.
+    let incarnation = match role {
+        WorkerRole::Rejoin { .. } => std::process::id() % 127 + 1,
+        _ => 0,
+    };
     let rep = ReliableEndpoint::new(
         bus.clone(),
         bus.register(EndpointId::Worker(id)),
-        16 + id.0,
+        sender_owner(id, incarnation),
         Duration::from_millis(cfg.retry_timeout_ms),
         None, // workers retry forever; the AM decides who is dead
         Arc::clone(&ctrl.metrics),
@@ -158,14 +165,7 @@ pub fn run_remote_worker(
         replication_chunk_elems: cfg.replication_chunk_elems,
         compute: Duration::from_micros(cfg.compute_us),
     };
-    run_worker(
-        wcfg,
-        rep,
-        comm,
-        Arc::clone(&telemetry),
-        role.into_worker_role(),
-        ctrl,
-    );
+    run_worker(wcfg, rep, comm, Arc::clone(&telemetry), role, ctrl);
     bus.unregister(EndpointId::Worker(id));
     let view = telemetry.lock().get(&id).copied();
     Ok(view)

@@ -43,7 +43,7 @@ use crate::reliable::{ReliableEndpoint, RtMetricsSnapshot, REMOTE_FIRST_CONTACT_
 use crate::time::{std_to_sim, TimeSource};
 use crate::transport::Transport;
 use crate::worker::{
-    run_worker, SnapshotAssembly, Telemetry, WorkerConfig, WorkerRole, WorkerView,
+    run_worker, sender_owner, SnapshotAssembly, Telemetry, WorkerConfig, WorkerRole, WorkerView,
 };
 
 /// How often the controller re-issues an unacknowledged operation at the
@@ -213,6 +213,9 @@ pub struct ElasticRuntime {
     /// hashed order would make the virtual-clock schedule (and thus the
     /// journal) vary across runs of the same seed.
     worker_handles: BTreeMap<WorkerId, JoinHandle<()>>,
+    /// Restarts per worker: each incarnation sends on its own message-id
+    /// stream.
+    restarts: BTreeMap<WorkerId, u32>,
     /// True when workers are separate OS processes reached over the
     /// transport: the runtime spawns no worker threads and reads
     /// progress from AM heartbeat telemetry.
@@ -555,6 +558,7 @@ impl ElasticRuntime {
             adjustments: 0,
             watchdog: Some(watchdog),
             worker_handles: BTreeMap::new(),
+            restarts: BTreeMap::new(),
             remote_workers,
         };
         // In remote mode the founding workers are separate OS processes
@@ -579,10 +583,11 @@ impl ElasticRuntime {
 
     #[allow(clippy::expect_used)] // waived: see verify-allow.toml (OS thread spawn)
     fn spawn_worker(&mut self, id: WorkerId, role: WorkerRole) {
+        let incarnation = self.restarts.get(&id).copied().unwrap_or(0);
         let rep = ReliableEndpoint::new(
             self.bus.clone(),
             self.bus.register(EndpointId::Worker(id)),
-            16 + id.0,
+            sender_owner(id, incarnation),
             Duration::from_millis(self.cfg.retry_timeout_ms),
             None, // workers retry forever; the AM decides who is dead
             Arc::clone(&self.ctrl.metrics),
@@ -692,8 +697,8 @@ impl ElasticRuntime {
 
     /// Arms a one-shot crash of `worker` at its first coordination
     /// boundary at or after `iteration`: the thread dies after the SGD
-    /// step but *before* sending `Coordinate`, leaving the boundary
-    /// hanging until the worker is restarted
+    /// step but *before* reporting the boundary, leaving the others' next
+    /// allreduce round hanging until the worker is restarted
     /// ([`restart_worker`](Self::restart_worker)) or declared dead.
     pub fn crash_worker_at(&self, worker: WorkerId, iteration: u64) {
         self.ctrl
@@ -739,6 +744,7 @@ impl ElasticRuntime {
         // to play dead) rejoins from scratch: term 0, iteration 0.
         let (term, iteration) = self.ctrl.take_crash_info(worker).unwrap_or((0, 0));
         self.ctrl.worker_crash.write().remove(&worker);
+        *self.restarts.entry(worker).or_insert(0) += 1;
         self.spawn_worker(worker, WorkerRole::Rejoin { term, iteration });
     }
 

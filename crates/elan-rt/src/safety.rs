@@ -15,7 +15,7 @@
 //!
 //! [`EventJournal`]: crate::obs::EventJournal
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use elan_core::protocol::EpochPhase;
 use elan_core::state::WorkerId;
@@ -201,7 +201,7 @@ pub fn check_term_safety(events: &[Event]) -> TermSafetyReport {
                     &mut violations,
                 );
             }
-            EventKind::WorkerRejoin { term, .. } => {
+            EventKind::WorkerRejoin { term, .. } | EventKind::ParkOrdered { term, .. } => {
                 effects_checked += 1;
                 audit(
                     event.seq,
@@ -518,9 +518,170 @@ pub fn check_epoch_safety(events: &[Event]) -> EpochSafetyReport {
     }
 }
 
+/// One boundary-agreement violation found in a journal replay.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum BoundaryViolation {
+    /// The AM acted on a boundary (a `Resume`/`Leave` wave, a checkpoint
+    /// order or a stop) while a member it counted was last journalled
+    /// parked somewhere else, or never parked at all.
+    SplitPark {
+        /// Journal sequence of the act.
+        seq: u64,
+        /// The boundary acted on.
+        boundary: u64,
+        /// The member that was not parked there.
+        worker: WorkerId,
+        /// Where it last parked, if anywhere.
+        parked: Option<u64>,
+    },
+    /// A member the act dismissed journalled a park afterwards: it
+    /// trained past the boundary on the old membership.
+    TrainedPast {
+        /// Journal sequence of the offending park.
+        seq: u64,
+        /// The dismissed member.
+        worker: WorkerId,
+        /// The boundary it was dismissed at.
+        boundary: u64,
+        /// The later boundary it parked at.
+        parked: u64,
+    },
+}
+
+impl std::fmt::Display for BoundaryViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BoundaryViolation::SplitPark {
+                seq,
+                boundary,
+                worker,
+                parked: Some(at),
+            } => write!(
+                f,
+                "event #{seq}: acted on boundary {boundary} while {worker} was parked at {at}"
+            ),
+            BoundaryViolation::SplitPark {
+                seq,
+                boundary,
+                worker,
+                parked: None,
+            } => write!(
+                f,
+                "event #{seq}: acted on boundary {boundary} while {worker} never parked"
+            ),
+            BoundaryViolation::TrainedPast {
+                seq,
+                worker,
+                boundary,
+                parked,
+            } => write!(
+                f,
+                "event #{seq}: {worker}, dismissed at boundary {boundary}, parked at {parked}"
+            ),
+        }
+    }
+}
+
+/// The outcome of a boundary-agreement replay.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoundaryAgreementReport {
+    /// Every violation found, in journal order.
+    pub(crate) violations: Vec<BoundaryViolation>,
+    /// `BoundaryActed` events audited.
+    pub acts_checked: u64,
+    /// `WorkerParked` events replayed.
+    pub parks_seen: u64,
+}
+
+impl BoundaryAgreementReport {
+    /// True when the replay found no violation.
+    pub fn is_safe(&self) -> bool {
+        self.violations.is_empty()
+    }
+}
+
+impl std::fmt::Display for BoundaryAgreementReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} violations over {} act(s), {} park(s)",
+            self.violations.len(),
+            self.acts_checked,
+            self.parks_seen
+        )?;
+        for v in &self.violations {
+            write!(f, "\n  - {v}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Replays `events` and proves that the AM acts only on a boundary its
+/// members agree on (DESIGN.md §19):
+///
+/// - every `Resume`/`Leave` wave, checkpoint order and stop follows every
+///   member it counted (live, not mid-`Rejoin`) parking at that boundary:
+///   each one's latest journalled park is the boundary acted on;
+/// - no member of the old membership trains past that boundary: a member
+///   the act dismissed journals no park afterwards.
+///
+/// Like the other auditors it is conservative about the journal being a
+/// bounded ring: once the ring has evicted the run's opening events, a
+/// member with no retained park is skipped rather than flagged.
+pub fn check_boundary_agreement(events: &[Event]) -> BoundaryAgreementReport {
+    let mut violations = Vec::new();
+    let (mut acts_checked, mut parks_seen) = (0u64, 0u64);
+    let whole = events.first().is_none_or(|e| e.seq == 0);
+    let mut parked: BTreeMap<WorkerId, u64> = BTreeMap::new();
+    // Members dismissed by an act, and the boundary they were dismissed at.
+    let mut dismissed: BTreeMap<WorkerId, u64> = BTreeMap::new();
+    for event in events {
+        match &event.kind {
+            EventKind::WorkerParked { worker, boundary } => {
+                parks_seen += 1;
+                parked.insert(*worker, *boundary);
+                if let Some(&at) = dismissed.get(worker) {
+                    violations.push(BoundaryViolation::TrainedPast {
+                        seq: event.seq,
+                        worker: *worker,
+                        boundary: at,
+                        parked: *boundary,
+                    });
+                }
+            }
+            EventKind::BoundaryActed {
+                boundary, quorum, ..
+            } => {
+                acts_checked += 1;
+                for &(w, stays) in quorum.iter() {
+                    let at = parked.get(&w).copied();
+                    if at != Some(*boundary) && (whole || at.is_some()) {
+                        violations.push(BoundaryViolation::SplitPark {
+                            seq: event.seq,
+                            boundary: *boundary,
+                            worker: w,
+                            parked: at,
+                        });
+                    }
+                    if !stays {
+                        dismissed.insert(w, *boundary);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    BoundaryAgreementReport {
+        violations,
+        acts_checked,
+        parks_seen,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::BoundaryAct;
 
     fn ev(seq: u64, kind: EventKind) -> Event {
         Event {
@@ -871,5 +1032,141 @@ mod tests {
             phase(2, 8, EpochPhase::WaitingForMembers, 5),
         ];
         assert!(check_epoch_safety(&events).is_safe());
+    }
+
+    fn parked(seq: u64, worker: u32, boundary: u64) -> Event {
+        ev(
+            seq,
+            EventKind::WorkerParked {
+                worker: WorkerId(worker),
+                boundary,
+            },
+        )
+    }
+
+    fn acted(seq: u64, boundary: u64, act: BoundaryAct, quorum: &[u32], members: &[u32]) -> Event {
+        let quorum = quorum
+            .iter()
+            .map(|&w| (WorkerId(w), members.contains(&w)))
+            .collect();
+        ev(
+            seq,
+            EventKind::BoundaryActed {
+                boundary,
+                act,
+                quorum,
+            },
+        )
+    }
+
+    #[test]
+    fn agreed_boundaries_are_clean() {
+        let events = vec![
+            parked(0, 0, 10),
+            parked(1, 1, 10),
+            acted(2, 10, BoundaryAct::Checkpoint, &[0, 1], &[0, 1]),
+            parked(3, 1, 25),
+            parked(4, 0, 25),
+            // Worker 1 leaves at the wave; worker 2 joins.
+            acted(5, 25, BoundaryAct::Resume, &[0, 1], &[0, 2]),
+            parked(6, 0, 40),
+            parked(7, 2, 40),
+            acted(8, 40, BoundaryAct::Stop, &[0, 2], &[]),
+        ];
+        let report = check_boundary_agreement(&events);
+        assert!(report.is_safe(), "{report}");
+        assert_eq!((report.acts_checked, report.parks_seen), (3, 6));
+    }
+
+    #[test]
+    fn split_parks_are_flagged() {
+        // Worker 1 missed the order at 10 and parked at 15: the AM must
+        // not act on 10.
+        let events = vec![
+            parked(0, 0, 10),
+            parked(1, 1, 15),
+            acted(2, 10, BoundaryAct::Resume, &[0, 1, 2], &[0, 1, 2]),
+        ];
+        let report = check_boundary_agreement(&events);
+        assert_eq!(
+            report.violations,
+            vec![
+                BoundaryViolation::SplitPark {
+                    seq: 2,
+                    boundary: 10,
+                    worker: WorkerId(1),
+                    parked: Some(15),
+                },
+                BoundaryViolation::SplitPark {
+                    seq: 2,
+                    boundary: 10,
+                    worker: WorkerId(2),
+                    parked: None,
+                },
+            ]
+        );
+        assert!(report.to_string().contains("never parked"), "{report}");
+    }
+
+    #[test]
+    fn a_dismissed_member_that_trains_on_is_flagged() {
+        let events = vec![
+            parked(0, 0, 10),
+            parked(1, 1, 10),
+            acted(2, 10, BoundaryAct::Resume, &[0, 1], &[0]),
+            parked(3, 1, 15),
+        ];
+        let report = check_boundary_agreement(&events);
+        assert_eq!(
+            report.violations,
+            vec![BoundaryViolation::TrainedPast {
+                seq: 3,
+                worker: WorkerId(1),
+                boundary: 10,
+                parked: 15,
+            }]
+        );
+    }
+
+    #[test]
+    fn evicted_parks_are_not_flagged() {
+        // The ring dropped the run's opening events, worker 1's park
+        // among them.
+        let events = vec![
+            parked(40, 0, 10),
+            acted(41, 10, BoundaryAct::Checkpoint, &[0, 1], &[0, 1]),
+        ];
+        assert!(check_boundary_agreement(&events).is_safe());
+    }
+
+    #[test]
+    fn park_orders_are_term_audited() {
+        let order = |seq, term| {
+            ev(
+                seq,
+                EventKind::ParkOrdered {
+                    boundary: 10,
+                    term,
+                    retarget: false,
+                },
+            )
+        };
+        let events = vec![
+            ev(0, EventKind::TermBump { term: 1 }),
+            order(1, 1),
+            ev(2, EventKind::TermBump { term: 2 }),
+            order(3, 1),
+        ];
+        let report = check_term_safety(&events);
+        assert_eq!(report.effects_checked, 2);
+        assert!(matches!(
+            report.violations[..],
+            [TermViolation::StaleTermEffect {
+                seq: 3,
+                kind: "park_ordered",
+                term: 1,
+                current: 2,
+            }]
+        ));
     }
 }

@@ -3,8 +3,19 @@
 //! Each worker owns real parameter and momentum buffers, computes a
 //! deterministic synthetic gradient for its data shard, sums gradients
 //! through the [`CommGroup`] allreduce, applies
-//! SGD-with-momentum, and calls `Coordinate` at every boundary — exactly
-//! the per-iteration structure of Fig. 7 with the Elan hooks attached.
+//! SGD-with-momentum, and checks in with the AM at every coordination
+//! boundary — the per-iteration structure of Fig. 7 with the Elan hooks
+//! attached.
+//!
+//! Coordination is asynchronous (§V-B). At a boundary the worker reads
+//! what the AM sent while it trained, without waiting, and then either
+//! reports `Passed` and trains on, or parks: it sends `Coordinate` and
+//! waits for a release. It parks only where the AM ordered a park
+//! (`Park`), or when it is past the highest boundary the AM released
+//! (`Proceed`) by more than its slack, which bounds how far any worker
+//! runs ahead of the slowest. The slack is one interval when the
+//! worker's allreduce group holds other members and none when it trains
+//! alone. DESIGN.md §19 has the whole rule.
 //!
 //! Because every worker applies the identical reduced gradient to
 //! identical starting parameters, all live workers hold bit-identical
@@ -54,8 +65,10 @@ pub struct WorkerView {
     pub params_checksum: u64,
     /// False once the worker has left the job.
     pub alive: bool,
-    /// Real wall time spent parked in coordination (control-plane waits
-    /// plus adjustment pauses) — the live counterpart of Fig. 15's pause.
+    /// Real wall time spent parked at coordination boundaries: waits for
+    /// a release where the AM ordered a park or the worker ran ahead of
+    /// the last release, plus adjustment pauses — the live counterpart of
+    /// Fig. 15's pause. A boundary the worker passes adds nothing.
     pub stalled: std::time::Duration,
 }
 
@@ -187,6 +200,18 @@ pub fn checksum(buf: &[f32]) -> u64 {
 /// digest matches every witness's.
 pub(crate) fn state_digest(params: &[f32], momentum: &[f32]) -> u64 {
     checksum(params) ^ checksum(momentum).rotate_left(1)
+}
+
+/// A witness's verdict on a joiner's claimed digest `probe`, given the
+/// digest of the state the witness holds.
+fn witness_vote(witness: WorkerId, held: u64, subject: WorkerId, epoch: u64, probe: u64) -> RtMsg {
+    RtMsg::WitnessVote {
+        witness,
+        subject,
+        epoch,
+        admit: probe == held,
+        digest: held,
+    }
 }
 
 /// One prepared state chunk: `(kind, index, total, offset, payload)`.
@@ -328,10 +353,19 @@ impl SnapshotAssembly {
     }
 }
 
+/// The message-id owner of one worker incarnation. A restarted worker
+/// must not reuse its crashed incarnation's ids: the AM's dedup filter
+/// still holds them and would drop the new incarnation's messages as
+/// duplicates. The incarnation takes bits 24–30 (bit 31 marks the AM).
+pub(crate) fn sender_owner(id: WorkerId, incarnation: u32) -> u32 {
+    (16 + id.0) | ((incarnation & 0x7f) << 24)
+}
+
 /// The fencing term carried by an AM-originated control message, if any.
 fn msg_term(msg: &RtMsg) -> Option<u64> {
     match msg {
         RtMsg::Proceed { term, .. }
+        | RtMsg::Park { term, .. }
         | RtMsg::TransferOrder { term, .. }
         | RtMsg::Resume { term, .. }
         | RtMsg::Leave { term }
@@ -651,6 +685,19 @@ pub(crate) fn run_worker(
                     // carry a current window reference.
                     known_epoch = known_epoch.max(epoch);
                 }
+                RtMsg::WitnessQuery {
+                    subject,
+                    epoch,
+                    probe,
+                    ..
+                } if have_state => {
+                    // An admitted joiner is a member of the epoch machine
+                    // before its `Resume`, so it can be sampled as a
+                    // witness: it holds the boundary state it was sent.
+                    let held = state_digest(&params, &momentum);
+                    let vote = witness_vote(cfg.id, held, subject, epoch, probe);
+                    rep.send(EndpointId::Am, vote);
+                }
                 RtMsg::AmReset { .. } => {
                     // A replacement AM solicits state afresh (§V-D).
                     let claim = (open_join && have_state)
@@ -679,6 +726,11 @@ pub(crate) fn run_worker(
         true,
         stalled,
     );
+    // Training starts (or resumes) at a boundary the AM has released.
+    let mut bounds = Bounds::new(cfg.coordination_interval, iteration);
+    // AM messages read while blocked in an allreduce, served at the next
+    // boundary.
+    let mut held: Vec<RtMsg> = Vec::new();
 
     loop {
         if ctrl.worker_crashed(cfg.id) {
@@ -706,12 +758,18 @@ pub(crate) fn run_worker(
         // the engine (flat / chunked / hierarchical) per round from the
         // contributor set and vector length; workers just contribute and
         // help. While blocked on slower members we keep heartbeating so
-        // the failure detector can tell a victim from its hostages.
+        // the failure detector can tell a victim from its hostages, and
+        // read the AM's messages (served at the next boundary): a park
+        // order at the boundary this round follows recalls us to it,
+        // because a member that crashed there holds the round forever.
         let outcome = {
             let rep = &mut rep;
             let last_hb = &mut last_hb;
             let ctrl = &ctrl;
             let time = &time;
+            let held = &mut held;
+            let highest_term = &mut highest_term;
+            let interval = cfg.coordination_interval;
             comm.allreduce_with(cfg.id, &grad, move || {
                 // Keep the retry tracker running while blocked: a joiner we
                 // owe (dropped) StateChunks may be the very member this
@@ -727,10 +785,66 @@ pub(crate) fn run_worker(
                         },
                     );
                 }
+                let mut recall = false;
+                while let Some((_, msg)) = rep.try_recv() {
+                    let Some(msg) = fence(highest_term, msg, rep) else {
+                        continue;
+                    };
+                    match msg {
+                        RtMsg::Park { boundary, .. } => {
+                            recall |= boundary == iteration && iteration.is_multiple_of(interval);
+                        }
+                        RtMsg::AmReset { .. } => {
+                            // A successor never saw the boundary we passed.
+                            let boundary = iteration - iteration % interval;
+                            if boundary > 0 {
+                                rep.send(
+                                    EndpointId::Am,
+                                    RtMsg::Passed {
+                                        worker: cfg.id,
+                                        boundary,
+                                    },
+                                );
+                            }
+                        }
+                        _ => {}
+                    }
+                    held.push(msg);
+                }
+                recall
             })
         };
-        let (sum, world) = match outcome {
-            AllreduceOutcome::Sum { sum, world } => (sum, world.max(1) as f32),
+        let recalled = match outcome {
+            AllreduceOutcome::Sum { sum, world } => {
+                bounds.coupled(world);
+                // Optimizer step: SGD with momentum on the averaged
+                // gradient. The world size is the one captured with this
+                // round's sum, so an eviction mid-round cannot skew the
+                // average.
+                let world = world.max(1) as f32;
+                for ((w, m), &s) in params.iter_mut().zip(momentum.iter_mut()).zip(sum.iter()) {
+                    *m = 0.9 * *m + s / world;
+                    *w -= cfg.learning_rate * *m;
+                }
+                iteration += 1;
+                data_cursor += cfg.total_batch as u64;
+                if ctrl.worker_crashed(cfg.id) {
+                    return;
+                }
+                publish(
+                    &telemetry,
+                    cfg.id,
+                    iteration,
+                    data_cursor,
+                    &params,
+                    true,
+                    stalled,
+                );
+                false
+            }
+            // Recalled: back to the boundary this round followed, where
+            // the AM ordered us to park.
+            AllreduceOutcome::Withdrawn => true,
             AllreduceOutcome::NotMember => {
                 // Evicted (declared dead) or membership changed without a
                 // Leave: exit quietly rather than deadlock the group.
@@ -764,43 +878,78 @@ pub(crate) fn run_worker(
                 return;
             }
         };
-        // Optimizer step: SGD with momentum on the averaged gradient. The
-        // world size is the one captured with this round's sum, so an
-        // eviction mid-round cannot skew the average.
-        for ((w, m), &s) in params.iter_mut().zip(momentum.iter_mut()).zip(sum.iter()) {
-            *m = 0.9 * *m + s / world;
-            *w -= cfg.learning_rate * *m;
-        }
-        iteration += 1;
-        data_cursor += cfg.total_batch as u64;
-        if ctrl.worker_crashed(cfg.id) {
-            return;
-        }
-        publish(
-            &telemetry,
-            cfg.id,
-            iteration,
-            data_cursor,
-            &params,
-            true,
-            stalled,
-        );
 
-        // Coordination boundary (step ③).
+        // Coordination boundary (step ③): read what the AM sent while we
+        // trained, then pass or park.
         if iteration.is_multiple_of(cfg.coordination_interval) {
-            if ctrl.take_worker_boundary_crash(cfg.id, iteration) {
+            if !recalled && ctrl.take_worker_boundary_crash(cfg.id, iteration) {
                 // Chaos-injected crash: die silently after the SGD step
-                // but before Coordinate, leaving the boundary hanging.
+                // but before reporting, leaving the boundary hanging.
                 // The restarted incarnation presents these credentials.
                 ctrl.record_worker_crash(cfg.id, highest_term, iteration);
                 return;
             }
+            let mut here = Boundary {
+                cfg: &cfg,
+                iteration,
+                data_cursor,
+                params: &params,
+                momentum: &momentum,
+                chunks: None,
+            };
+            let mut leave = false;
+            for msg in held.drain(..) {
+                if !leave {
+                    let flow = here.serve(msg, false, &mut rep, &mut bounds, &mut last_seen_gen);
+                    leave = matches!(flow, Flow::Leave);
+                }
+            }
+            while !leave {
+                let Some((_, msg)) = rep.try_recv() else {
+                    break;
+                };
+                let Some(msg) = fence(&mut highest_term, msg, &rep) else {
+                    continue;
+                };
+                let flow = here.serve(msg, false, &mut rep, &mut bounds, &mut last_seen_gen);
+                leave = matches!(flow, Flow::Leave);
+            }
+            if leave {
+                publish(
+                    &telemetry,
+                    cfg.id,
+                    iteration,
+                    data_cursor,
+                    &params,
+                    false,
+                    stalled,
+                );
+                return;
+            }
+            // A recall stands until the AM releases the boundary; a
+            // recalled worker already reported passing it.
+            let park = if recalled {
+                bounds.released < iteration
+            } else {
+                bounds.parks_at(iteration)
+            };
+            if !park {
+                if !recalled {
+                    let passed = RtMsg::Passed {
+                        worker: cfg.id,
+                        boundary: iteration,
+                    };
+                    rep.send(EndpointId::Am, passed);
+                }
+                continue;
+            }
             let parked_at = time.now();
-            // Chunked snapshot of this boundary's state, built lazily on
-            // the first transfer/checkpoint order and shared (`Arc`)
-            // across every destination served at this boundary — the old
-            // path cloned both full buffers per destination.
-            let mut chunk_cache: Option<Vec<PreparedChunk>> = None;
+            if let Some(journal) = rep.bus().journal() {
+                journal.emit(EventKind::WorkerParked {
+                    worker: cfg.id,
+                    boundary: iteration,
+                });
+            }
             rep.send(
                 EndpointId::Am,
                 RtMsg::Coordinate {
@@ -828,88 +977,10 @@ pub(crate) fn run_worker(
                 let Some(msg) = fence(&mut highest_term, msg, &rep) else {
                     continue;
                 };
-                match msg {
-                    // Only the release of *this* boundary counts — a
-                    // chaos-delayed Proceed from an earlier round is stale.
-                    RtMsg::Proceed { boundary, .. } if boundary == iteration => break,
-                    RtMsg::Resume { generation, .. } if generation > last_seen_gen => {
-                        last_seen_gen = generation;
-                        break;
-                    }
-                    RtMsg::TransferOrder { dst, .. } => {
-                        // Step ④: stream training state to the joiner as
-                        // interleaved params/momentum chunks.
-                        let chunks = chunk_cache.get_or_insert_with(|| {
-                            build_state_chunks(&params, &momentum, cfg.replication_chunk_elems)
-                        });
-                        send_snapshot(
-                            &mut rep,
-                            EndpointId::Worker(dst),
-                            chunks,
-                            iteration,
-                            data_cursor,
-                        );
-                        let sent = chunks.len() as u32;
-                        if let Some(journal) = rep.bus().journal() {
-                            journal.emit(EventKind::SnapshotStreamed {
-                                worker: cfg.id,
-                                chunks: sent,
-                            });
-                        }
-                        rep.send(EndpointId::Am, RtMsg::TransferDone { src: cfg.id, dst });
-                    }
-                    RtMsg::CheckpointOrder { .. } => {
-                        // The S&R path, live: stream the snapshot to the
-                        // controller, chunked like any other replication.
-                        let chunks = chunk_cache.get_or_insert_with(|| {
-                            build_state_chunks(&params, &momentum, cfg.replication_chunk_elems)
-                        });
-                        send_snapshot(
-                            &mut rep,
-                            EndpointId::Controller,
-                            chunks,
-                            iteration,
-                            data_cursor,
-                        );
-                        let sent = chunks.len() as u32;
-                        if let Some(journal) = rep.bus().journal() {
-                            journal.emit(EventKind::SnapshotStreamed {
-                                worker: cfg.id,
-                                chunks: sent,
-                            });
-                        }
-                        rep.send(
-                            EndpointId::Am,
-                            RtMsg::TransferDone {
-                                src: cfg.id,
-                                dst: cfg.id,
-                            },
-                        );
-                    }
-                    RtMsg::WitnessQuery {
-                        subject,
-                        epoch,
-                        probe,
-                        ..
-                    } => {
-                        // Witness step: recompute the digest over *our*
-                        // boundary state and vote on the joiner's claim.
-                        // We are parked at the very boundary the joiner's
-                        // state was streamed from, so an honest claim
-                        // matches bit-exactly.
-                        let d = state_digest(&params, &momentum);
-                        rep.send(
-                            EndpointId::Am,
-                            RtMsg::WitnessVote {
-                                witness: cfg.id,
-                                subject,
-                                epoch,
-                                admit: probe == d,
-                                digest: d,
-                            },
-                        );
-                    }
-                    RtMsg::Leave { .. } => {
+                match here.serve(msg, true, &mut rep, &mut bounds, &mut last_seen_gen) {
+                    Flow::Stay => {}
+                    Flow::Release => break,
+                    Flow::Leave => {
                         stalled += sim_to_std(time.now().saturating_duration_since(parked_at));
                         publish(
                             &telemetry,
@@ -922,21 +993,174 @@ pub(crate) fn run_worker(
                         );
                         return;
                     }
-                    RtMsg::AmReset { .. } => {
-                        // A replacement AM lost its predecessor's inbox:
-                        // re-announce that we are parked at this boundary.
-                        rep.send(
-                            EndpointId::Am,
-                            RtMsg::Coordinate {
-                                worker: cfg.id,
-                                iteration,
-                            },
-                        );
-                    }
-                    _ => {}
                 }
             }
             stalled += sim_to_std(time.now().saturating_duration_since(parked_at));
+        }
+    }
+}
+
+/// What the AM has said about the boundaries ahead of one worker.
+#[derive(Debug, Clone, Copy)]
+struct Bounds {
+    /// Iterations between coordination boundaries.
+    interval: u64,
+    /// The highest boundary the AM released (`Proceed`) or resumed
+    /// training at.
+    released: u64,
+    /// The boundary of the latest park order (`Park`); 0 before any.
+    park_at: u64,
+    /// How far past the last release the worker may pass boundaries.
+    slack: u64,
+}
+
+impl Bounds {
+    fn new(interval: u64, released: u64) -> Self {
+        Bounds {
+            interval,
+            released,
+            park_at: 0,
+            slack: 0,
+        }
+    }
+
+    /// Sets the slack from the world of the last allreduce round. A
+    /// collective shared with other members holds every member within one
+    /// iteration of the slowest, so one interval of slack covers the
+    /// release's round trip. A worker that trains alone (a worker
+    /// process's own group) has only the release to hold it to the
+    /// others, and gets none: a lead over the slowest member is what an
+    /// adjustment would have to wait out (DESIGN.md §19).
+    fn coupled(&mut self, world: u32) {
+        self.slack = if world > 1 { self.interval } else { 0 };
+    }
+
+    /// Whether the worker parks at boundary `b`: where a park is
+    /// ordered, or past the last release by more than the slack. A park
+    /// order further on lets the worker pass every boundary short of it.
+    fn parks_at(&self, b: u64) -> bool {
+        if self.park_at >= b {
+            self.park_at == b
+        } else {
+            b > self.released + self.slack
+        }
+    }
+}
+
+/// What a message read at a boundary does to the worker.
+enum Flow {
+    /// Nothing that ends a park.
+    Stay,
+    /// A parked worker trains on.
+    Release,
+    /// The worker leaves the job.
+    Leave,
+}
+
+/// One coordination boundary as the worker serves it: the state every
+/// transfer and checkpoint at this boundary streams, and its chunks,
+/// built on the first such order and `Arc`-shared across destinations.
+struct Boundary<'a> {
+    cfg: &'a WorkerConfig,
+    iteration: u64,
+    data_cursor: u64,
+    params: &'a [f32],
+    momentum: &'a [f32],
+    chunks: Option<Vec<PreparedChunk>>,
+}
+
+impl Boundary<'_> {
+    /// Serves one AM message at this boundary. Release tokens update
+    /// `bounds`; a parked worker is released by the `Proceed` of its own
+    /// boundary, a park order further on, or a fresh `Resume`.
+    fn serve(
+        &mut self,
+        msg: RtMsg,
+        parked: bool,
+        rep: &mut ReliableEndpoint,
+        bounds: &mut Bounds,
+        last_seen_gen: &mut u64,
+    ) -> Flow {
+        let (id, iteration) = (self.cfg.id, self.iteration);
+        match msg {
+            // Only the release of *this* boundary counts — a
+            // chaos-delayed Proceed from an earlier round is stale.
+            RtMsg::Proceed { boundary, .. } => {
+                bounds.released = bounds.released.max(boundary);
+                if boundary == iteration {
+                    return Flow::Release;
+                }
+            }
+            RtMsg::Park { boundary, .. } => {
+                bounds.park_at = bounds.park_at.max(boundary);
+                if boundary > iteration {
+                    return Flow::Release;
+                }
+            }
+            RtMsg::Resume { generation, .. } if generation > *last_seen_gen => {
+                *last_seen_gen = generation;
+                bounds.released = bounds.released.max(iteration);
+                return Flow::Release;
+            }
+            RtMsg::TransferOrder { dst, .. } => {
+                // Step ④: stream training state to the joiner as
+                // interleaved params/momentum chunks.
+                self.stream(rep, EndpointId::Worker(dst));
+                rep.send(EndpointId::Am, RtMsg::TransferDone { src: id, dst });
+            }
+            RtMsg::CheckpointOrder { .. } => {
+                // The S&R path, live: stream the snapshot to the
+                // controller, chunked like any other replication.
+                self.stream(rep, EndpointId::Controller);
+                rep.send(EndpointId::Am, RtMsg::TransferDone { src: id, dst: id });
+            }
+            RtMsg::WitnessQuery {
+                subject,
+                epoch,
+                probe,
+                ..
+            } => {
+                // Witness step: recompute the digest over *our* boundary
+                // state and vote on the joiner's claim. Queries go out
+                // while every member is parked at the boundary the
+                // joiner's state was streamed from, so an honest claim
+                // matches bit-exactly.
+                let held = state_digest(self.params, self.momentum);
+                rep.send(
+                    EndpointId::Am,
+                    witness_vote(id, held, subject, epoch, probe),
+                );
+            }
+            RtMsg::Leave { .. } => return Flow::Leave,
+            RtMsg::AmReset { .. } if parked => {
+                // A replacement AM lost its predecessor's inbox:
+                // re-announce that we are parked at this boundary.
+                rep.send(
+                    EndpointId::Am,
+                    RtMsg::Coordinate {
+                        worker: id,
+                        iteration,
+                    },
+                );
+            }
+            _ => {}
+        }
+        Flow::Stay
+    }
+
+    /// Streams this boundary's snapshot to `to`.
+    fn stream(&mut self, rep: &mut ReliableEndpoint, to: EndpointId) {
+        let (params, momentum, elems) =
+            (self.params, self.momentum, self.cfg.replication_chunk_elems);
+        let chunks = self
+            .chunks
+            .get_or_insert_with(|| build_state_chunks(params, momentum, elems));
+        send_snapshot(rep, to, chunks, self.iteration, self.data_cursor);
+        if let Some(journal) = rep.bus().journal() {
+            journal.emit(EventKind::SnapshotStreamed {
+                worker: self.cfg.id,
+                chunks: chunks.len() as u32,
+            });
         }
     }
 }
@@ -1049,6 +1273,66 @@ mod tests {
         }
         assert_eq!(p, new);
         assert_eq!(m, new);
+    }
+
+    #[test]
+    fn workers_park_where_ordered_or_a_whole_interval_ahead() {
+        let mut b = Bounds::new(5, 10);
+        // Alone, every boundary past the last release is a park.
+        assert!(b.parks_at(15));
+        b.coupled(2);
+        // Within one interval of the last release: pass.
+        assert!(!b.parks_at(15));
+        // More than one interval past it: park on skew.
+        assert!(b.parks_at(20));
+        // A park order ahead authorises every boundary short of it...
+        b.park_at = 30;
+        assert!(!b.parks_at(20));
+        assert!(!b.parks_at(25));
+        // ...and the worker parks exactly at it.
+        assert!(b.parks_at(30));
+        // A missed order (already passed) falls back to the skew rule.
+        assert!(b.parks_at(35));
+        b.released = 30;
+        assert!(!b.parks_at(35));
+    }
+
+    #[test]
+    fn a_stale_term_park_is_dropped_and_journalled() {
+        use crate::bus::Bus;
+        use crate::obs::EventJournal;
+        use crate::reliable::RtMetrics;
+
+        let journal = Arc::new(EventJournal::new(16, Vec::new()));
+        let bus = Bus::builder().journal(Arc::clone(&journal)).build();
+        let rep = ReliableEndpoint::new(
+            bus.clone(),
+            bus.register(EndpointId::Worker(WorkerId(0))),
+            16,
+            Duration::from_millis(20),
+            None,
+            Arc::new(RtMetrics::default()),
+        );
+        let mut highest = 3;
+        let stale = RtMsg::Park {
+            boundary: 40,
+            term: 2,
+        };
+        assert!(fence(&mut highest, stale, &rep).is_none());
+        assert_eq!(highest, 3);
+        let current = RtMsg::Park {
+            boundary: 45,
+            term: 3,
+        };
+        assert!(matches!(
+            fence(&mut highest, current, &rep),
+            Some(RtMsg::Park { boundary: 45, .. })
+        ));
+        let rejected: Vec<EventKind> = journal.events().into_iter().map(|e| e.kind).collect();
+        assert_eq!(
+            rejected,
+            [EventKind::StaleTermRejected { term: 3, stale: 2 }]
+        );
     }
 
     #[test]

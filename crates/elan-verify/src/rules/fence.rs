@@ -1,6 +1,6 @@
 //! Term-fenced sends (TERM_FENCED_SEND): the AM's split-brain defense
 //! (PR 6) hinges on two facts about every authority-bearing message —
-//! `Leave`, `Resume`, `AmReset`, `StateChunk`:
+//! `Leave`, `Resume`, `AmReset`, `Park`, `StateChunk`:
 //!
 //! 1. the construction carries a fencing `term` field, so receivers can
 //!    reject messages from a deposed AM, and
@@ -21,7 +21,7 @@ use crate::model::Workspace;
 use crate::report::{rules, Diagnostic};
 
 /// Authority-bearing variants that must flow a fencing term.
-const FENCED_VARIANTS: &[&str] = &["Leave", "Resume", "AmReset", "StateChunk"];
+const FENCED_VARIANTS: &[&str] = &["Leave", "Resume", "AmReset", "Park", "StateChunk"];
 
 fn in_scope(rel: &str, fixture: bool) -> bool {
     const SCOPE: [&str; 3] = [

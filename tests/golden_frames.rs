@@ -193,6 +193,20 @@ fn corpus() -> Vec<(&'static str, WireFrame)> {
                 digest: 0xfeed_face_cafe_beef,
             }),
         ),
+        (
+            "park",
+            msg(RtMsg::Park {
+                boundary: 105,
+                term: 2,
+            }),
+        ),
+        (
+            "passed",
+            msg(RtMsg::Passed {
+                worker: WorkerId(1),
+                boundary: 100,
+            }),
+        ),
     ]
 }
 

@@ -10,8 +10,12 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use elan_core::state::WorkerId;
-use elan_rt::comm::{naive::NaiveCommGroup, AllreduceOutcome, CommGroup};
+use elan_rt::comm::{AllreduceOutcome, CommGroup};
 use elan_rt::worker::{build_state_chunks, SnapshotAssembly};
+
+#[path = "../src/naive.rs"]
+mod naive;
+use naive::NaiveCommGroup;
 
 const LEN: usize = 1 << 20;
 

@@ -5,8 +5,9 @@
 //! live runtime's adaptive [`CommGroup`] (flat / chunked / hierarchical,
 //! dispatched per round) and chunked, `Arc`-shared state replication are
 //! raced against the exact code they replaced — the flat lock-held
-//! [`NaiveCommGroup`] and the clone-both-buffers-per-destination
-//! monolithic transfer — on the same inputs. Results serialize to
+//! `NaiveCommGroup` (this crate's `naive` module) and the
+//! clone-both-buffers-per-destination monolithic transfer — on the same
+//! inputs. Results serialize to
 //! `BENCH_dataplane.json` (see [`Report::to_json`]) so CI and the README
 //! can track the trajectory, and [`assert_thresholds`] turns a committed
 //! report into a regression gate: a fresh run must not fall more than
@@ -24,9 +25,11 @@ use std::time::Instant;
 
 use elan_core::obs::AdjustmentPhase;
 use elan_core::state::WorkerId;
-use elan_rt::comm::{naive::NaiveCommGroup, AllreduceOutcome, CommGroup, CommTopology, ReducePath};
+use elan_rt::comm::{AllreduceOutcome, CommGroup, CommTopology, ReducePath};
 use elan_rt::worker::{build_state_chunks, SnapshotAssembly};
 use elan_rt::{ElasticRuntime, RuntimeConfig, TuningProfile};
+
+use crate::naive::NaiveCommGroup;
 
 /// Warm-up rounds excluded from every allreduce timing (they also fill
 /// the chunked group's buffer pool, so the timed region is the

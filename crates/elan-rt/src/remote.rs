@@ -4,9 +4,10 @@
 //! master, controller, and watchdog over a listening [`SocketTransport`]
 //! (built with [`ElasticRuntime::builder`]`.transport(..).remote_workers(true)`),
 //! while each worker is a separate OS process that dials in with
-//! [`run_remote_worker`] and runs the *unchanged* `run_worker` loop —
-//! the worker cannot tell whether its `ReliableEndpoint` is backed by
-//! in-process channels or a socket.
+//! [`run_remote_worker`] and runs the *unchanged* `run_worker` loop,
+//! built from the same [`RuntimeConfig`] and endpoint constructor as an
+//! in-process worker thread — the worker cannot tell whether its
+//! `ReliableEndpoint` is backed by in-process channels or a socket.
 //!
 //! What a remote worker assembles locally:
 //!
@@ -44,11 +45,10 @@ use crate::bus::{Bus, EndpointId};
 use crate::comm::{CommGroup, TuningProfile};
 use crate::liveness::SharedControl;
 use crate::obs::{Obs, DEFAULT_RING_CAPACITY};
-use crate::reliable::ReliableEndpoint;
 use crate::runtime::RuntimeConfig;
 use crate::time::TimeSource;
 use crate::transport::{SocketTransport, Transport};
-use crate::worker::{run_worker, sender_owner, Telemetry, WorkerConfig, WorkerRole, WorkerView};
+use crate::worker::{run_worker, worker_endpoint, Telemetry, WorkerRole, WorkerView};
 
 /// How a remote worker process enters the job — the CLI-expressible
 /// subset of `WorkerRole` (a `Restored` worker carries whole state
@@ -146,26 +146,8 @@ pub fn run_remote_worker(
         WorkerRole::Rejoin { .. } => std::process::id() % 127 + 1,
         _ => 0,
     };
-    let rep = ReliableEndpoint::new(
-        bus.clone(),
-        bus.register(EndpointId::Worker(id)),
-        sender_owner(id, incarnation),
-        Duration::from_millis(cfg.retry_timeout_ms),
-        None, // workers retry forever; the AM decides who is dead
-        Arc::clone(&ctrl.metrics),
-    );
-    let wcfg = WorkerConfig {
-        id,
-        param_elems: cfg.param_elems,
-        coordination_interval: cfg.coordination_interval,
-        learning_rate: cfg.learning_rate,
-        total_batch: cfg.total_batch,
-        hb_period: Duration::from_millis(cfg.hb_period_ms),
-        tick: Duration::from_millis(cfg.tick_ms),
-        replication_chunk_elems: cfg.replication_chunk_elems,
-        compute: Duration::from_micros(cfg.compute_us),
-    };
-    run_worker(wcfg, rep, comm, Arc::clone(&telemetry), role, ctrl);
+    let rep = worker_endpoint(&bus, id, incarnation, &cfg, &ctrl);
+    run_worker(id, cfg, rep, comm, Arc::clone(&telemetry), role, ctrl);
     bus.unregister(EndpointId::Worker(id));
     let view = telemetry.lock().get(&id).copied();
     Ok(view)

@@ -43,7 +43,7 @@ use crate::reliable::{ReliableEndpoint, RtMetricsSnapshot, REMOTE_FIRST_CONTACT_
 use crate::time::{std_to_sim, TimeSource};
 use crate::transport::Transport;
 use crate::worker::{
-    run_worker, sender_owner, SnapshotAssembly, Telemetry, WorkerConfig, WorkerRole, WorkerView,
+    run_worker, worker_endpoint, SnapshotAssembly, Telemetry, WorkerRole, WorkerView,
 };
 
 /// How often the controller re-issues an unacknowledged operation at the
@@ -584,25 +584,8 @@ impl ElasticRuntime {
     #[allow(clippy::expect_used)] // waived: see verify-allow.toml (OS thread spawn)
     fn spawn_worker(&mut self, id: WorkerId, role: WorkerRole) {
         let incarnation = self.restarts.get(&id).copied().unwrap_or(0);
-        let rep = ReliableEndpoint::new(
-            self.bus.clone(),
-            self.bus.register(EndpointId::Worker(id)),
-            sender_owner(id, incarnation),
-            Duration::from_millis(self.cfg.retry_timeout_ms),
-            None, // workers retry forever; the AM decides who is dead
-            Arc::clone(&self.ctrl.metrics),
-        );
-        let cfg = WorkerConfig {
-            id,
-            param_elems: self.cfg.param_elems,
-            coordination_interval: self.cfg.coordination_interval,
-            learning_rate: self.cfg.learning_rate,
-            total_batch: self.cfg.total_batch,
-            hb_period: Duration::from_millis(self.cfg.hb_period_ms),
-            tick: self.cfg.tick(),
-            replication_chunk_elems: self.cfg.replication_chunk_elems,
-            compute: Duration::from_micros(self.cfg.compute_us),
-        };
+        let rep = worker_endpoint(&self.bus, id, incarnation, &self.cfg, &self.ctrl);
+        let cfg = self.cfg;
         let comm = Arc::clone(&self.comm);
         let telemetry = Arc::clone(&self.telemetry);
         let ctrl = Arc::clone(&self.ctrl);
@@ -612,7 +595,7 @@ impl ElasticRuntime {
             .name(format!("elan-{id}"))
             .spawn(move || {
                 let _clock = time.adopt(slot);
-                run_worker(cfg, rep, comm, telemetry, role, ctrl)
+                run_worker(id, cfg, rep, comm, telemetry, role, ctrl)
             })
             .expect("spawn worker thread");
         self.worker_handles.insert(id, handle);

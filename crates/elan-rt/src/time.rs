@@ -311,17 +311,7 @@ impl VirtualClock {
 
     fn adopt(&self, slot: ThreadSlot) {
         CURRENT.set(Some(slot.0));
-        let mut st = self.inner.lock();
-        loop {
-            if st.running == Some(slot.0) {
-                return;
-            }
-            if st.running.is_none() {
-                self.schedule_locked(&mut st);
-                continue;
-            }
-            self.cvar.wait(&mut st);
-        }
+        self.await_token(slot.0, |_| {});
     }
 
     fn deregister(&self) {
@@ -343,26 +333,17 @@ impl VirtualClock {
             // against deterministically — this is a harness bug.
             panic!("virtual clock: park() on a thread that never registered");
         };
-        let mut st = self.inner.lock();
-        debug_assert_eq!(
-            st.running,
-            Some(my),
-            "parking thread must hold the run token"
-        );
-        st.threads.insert(my, ThreadState::Parked { deadline });
-        st.running = None;
-        self.schedule_locked(&mut st);
-        self.cvar.notify_all();
-        loop {
-            if st.running == Some(my) {
-                return;
-            }
-            if st.running.is_none() {
-                self.schedule_locked(&mut st);
-                continue;
-            }
-            self.cvar.wait(&mut st);
-        }
+        self.await_token(my, |st| {
+            debug_assert_eq!(
+                st.running,
+                Some(my),
+                "parking thread must hold the run token"
+            );
+            st.threads.insert(my, ThreadState::Parked { deadline });
+            st.running = None;
+            self.schedule_locked(st);
+            self.cvar.notify_all();
+        });
     }
 
     fn wake_all(&self) {
@@ -396,20 +377,25 @@ impl VirtualClock {
             self.cvar.notify_all();
         }
         let out = f();
+        self.await_token(my, |st| {
+            st.threads.insert(my, ThreadState::Runnable);
+        });
+        out
+    }
+
+    /// Lock the clock, apply `update`, then wait on the condvar until
+    /// thread `my` holds the run token, running the scheduler whenever the
+    /// token is free. The lock is held from `update` to the first wait.
+    fn await_token(&self, my: u64, update: impl FnOnce(&mut ClockInner)) {
         let mut st = self.inner.lock();
-        st.threads.insert(my, ThreadState::Runnable);
-        loop {
-            if st.running == Some(my) {
-                break;
-            }
+        update(&mut st);
+        while st.running != Some(my) {
             if st.running.is_none() {
                 self.schedule_locked(&mut st);
-                continue;
+            } else {
+                self.cvar.wait(&mut st);
             }
-            self.cvar.wait(&mut st);
         }
-        drop(st);
-        out
     }
 
     /// Pick the next thread to run. Requires `running == None`.

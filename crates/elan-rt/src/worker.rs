@@ -36,8 +36,20 @@
 //! crashed worker restarts as `WorkerRole::Rejoin`, presenting its
 //! last-known term and boundary iteration, and re-enters through the
 //! same chunked state-replication path a joiner uses.
+//!
+//! Every wait on the AM is one pump. The worker's IO half (`Link`: its
+//! endpoint, heartbeat timer and term fence) offers two steps: `beat`
+//! stops a crashed worker, runs the retry tracker and beacons a due
+//! heartbeat; `pump` returns one message past the term fence, either
+//! blocking up to one tick or reading only what already arrived. The
+//! admission wait, the allreduce callback, the boundary drain and the
+//! park loop are all built from these two. Every step returns its exit
+//! as an error, so the run ends in one place: a worker that left
+//! publishes its final not-alive view there, and a crashed one exits
+//! without a word.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,11 +59,12 @@ use elan_core::messages::{ChunkAssembler, ChunkPlan, StateKind};
 use elan_core::state::WorkerId;
 use elan_sim::{SimDuration, SimTime};
 
-use crate::bus::{EndpointId, RtMsg};
+use crate::bus::{Bus, EndpointId, RtMsg};
 use crate::comm::{AllreduceOutcome, CommGroup};
 use crate::liveness::SharedControl;
 use crate::obs::EventKind;
 use crate::reliable::ReliableEndpoint;
+use crate::runtime::RuntimeConfig;
 use crate::time::{sim_to_std, std_to_sim, TimeSource};
 
 /// Per-worker observable state, published after every iteration.
@@ -74,31 +87,6 @@ pub struct WorkerView {
 
 /// Shared telemetry map read by the controller.
 pub(crate) type Telemetry = Arc<Mutex<HashMap<WorkerId, WorkerView>>>;
-
-/// Static configuration for one worker thread.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WorkerConfig {
-    /// This worker's id.
-    pub id: WorkerId,
-    /// Parameter-buffer length.
-    pub param_elems: usize,
-    /// Iterations between coordinations.
-    pub coordination_interval: u64,
-    /// SGD learning rate.
-    pub learning_rate: f32,
-    /// Samples consumed per iteration (advances the data cursor).
-    pub total_batch: u32,
-    /// Liveness-beacon period.
-    pub hb_period: Duration,
-    /// Receive-poll granularity (also paces retry ticks while parked).
-    pub tick: Duration,
-    /// Elements per [`RtMsg::StateChunk`] when replicating state.
-    pub replication_chunk_elems: usize,
-    /// Simulated forward/backward cost per iteration. `ZERO` trains at
-    /// full speed; nonzero paces the virtual clock (see
-    /// `RuntimeConfig::compute_us`).
-    pub compute: Duration,
-}
 
 /// How a worker enters the job.
 #[derive(Debug, Clone)]
@@ -200,18 +188,6 @@ pub fn checksum(buf: &[f32]) -> u64 {
 /// digest matches every witness's.
 pub(crate) fn state_digest(params: &[f32], momentum: &[f32]) -> u64 {
     checksum(params) ^ checksum(momentum).rotate_left(1)
-}
-
-/// A witness's verdict on a joiner's claimed digest `probe`, given the
-/// digest of the state the witness holds.
-fn witness_vote(witness: WorkerId, held: u64, subject: WorkerId, epoch: u64, probe: u64) -> RtMsg {
-    RtMsg::WitnessVote {
-        witness,
-        subject,
-        epoch,
-        admit: probe == held,
-        digest: held,
-    }
 }
 
 /// One prepared state chunk: `(kind, index, total, offset, payload)`.
@@ -357,8 +333,29 @@ impl SnapshotAssembly {
 /// must not reuse its crashed incarnation's ids: the AM's dedup filter
 /// still holds them and would drop the new incarnation's messages as
 /// duplicates. The incarnation takes bits 24–30 (bit 31 marks the AM).
-pub(crate) fn sender_owner(id: WorkerId, incarnation: u32) -> u32 {
+fn sender_owner(id: WorkerId, incarnation: u32) -> u32 {
     (16 + id.0) | ((incarnation & 0x7f) << 24)
+}
+
+/// Registers worker `id`'s bus endpoint and wraps it in the reliable
+/// layer for incarnation `incarnation`. Call on the spawning side, so the
+/// endpoint exists before the AM can address the worker. Workers retry
+/// forever; the AM decides who is dead.
+pub(crate) fn worker_endpoint(
+    bus: &Bus,
+    id: WorkerId,
+    incarnation: u32,
+    cfg: &RuntimeConfig,
+    ctrl: &SharedControl,
+) -> ReliableEndpoint {
+    ReliableEndpoint::new(
+        bus.clone(),
+        bus.register(EndpointId::Worker(id)),
+        sender_owner(id, incarnation),
+        Duration::from_millis(cfg.retry_timeout_ms),
+        None,
+        Arc::clone(&ctrl.metrics),
+    )
 }
 
 /// The fencing term carried by an AM-originated control message, if any.
@@ -401,46 +398,6 @@ fn fence(highest_term: &mut u64, msg: RtMsg, rep: &ReliableEndpoint) -> Option<R
     }
 }
 
-/// (Re-)announces this worker to the AM: joiners report readiness,
-/// rejoiners present their crash incarnation's credentials, and
-/// open-membership joiners send `JoinRequest` — carrying their warmup
-/// digest claim (`digest`) once state has landed.
-fn announce(
-    rep: &mut ReliableEndpoint,
-    id: WorkerId,
-    role: &WorkerRole,
-    term: u64,
-    iteration: u64,
-    epoch: u64,
-    digest: Option<u64>,
-) {
-    match role {
-        WorkerRole::Rejoin { .. } => {
-            rep.send(
-                EndpointId::Am,
-                RtMsg::Rejoin {
-                    worker: id,
-                    term,
-                    iteration,
-                },
-            );
-        }
-        WorkerRole::OpenJoin { .. } => {
-            rep.send(
-                EndpointId::Am,
-                RtMsg::JoinRequest {
-                    worker: id,
-                    epoch,
-                    digest,
-                },
-            );
-        }
-        _ => {
-            rep.send(EndpointId::Am, RtMsg::Report { worker: id });
-        }
-    }
-}
-
 /// True (and rearms the timer) when a heartbeat is due.
 ///
 /// A fresh timer (`None`) fires immediately — which is how the worker
@@ -458,116 +415,224 @@ fn heartbeat_due(last: &mut Option<SimTime>, now: SimTime, period: SimDuration) 
     }
 }
 
-/// Runs the worker until it is told to leave (or until a chaos test
+/// Runs worker `id` until it leaves the job (or until a chaos test
 /// orders it to play dead, in which case it exits *silently* — a crashed
 /// process does not say goodbye).
 ///
 /// The worker publishes [`WorkerView`]s into `telemetry` every iteration
-/// and marks itself not-alive when it exits cleanly.
+/// and marks itself not-alive when it leaves.
 pub(crate) fn run_worker(
-    cfg: WorkerConfig,
-    mut rep: ReliableEndpoint,
+    id: WorkerId,
+    cfg: RuntimeConfig,
+    rep: ReliableEndpoint,
     comm: Arc<CommGroup>,
     telemetry: Telemetry,
     role: WorkerRole,
     ctrl: Arc<SharedControl>,
 ) {
-    let time: TimeSource = rep.time().clone();
-    let hb_period = std_to_sim(cfg.hb_period);
-    let mut params = vec![0.5f32; cfg.param_elems];
-    let mut momentum = vec![0.0f32; cfg.param_elems];
-    let mut grad = vec![0.0f32; cfg.param_elems];
-    let mut iteration: u64 = 0;
-    let mut data_cursor: u64 = 0;
-    let mut stalled = std::time::Duration::ZERO;
-    // A fresh (`None`) timer beacons immediately so the failure detector
-    // sees us early.
-    let mut last_hb: Option<SimTime> = None;
-    // Resume-wave staleness guard: only newer generations un-park us.
-    let mut last_seen_gen: u64 = comm.generation();
-    // Highest fencing term observed; stale-term AM traffic is dropped.
-    let mut highest_term: u64 = 0;
+    let mut worker = Worker {
+        link: Link {
+            id,
+            time: rep.time().clone(),
+            rep,
+            ctrl,
+            hb_period: std_to_sim(Duration::from_millis(cfg.hb_period_ms)),
+            tick: cfg.tick(),
+            last_hb: None,
+            highest_term: 0,
+        },
+        params: vec![0.5; cfg.param_elems],
+        momentum: vec![0.0; cfg.param_elems],
+        grad: vec![0.0; cfg.param_elems],
+        iteration: 0,
+        data_cursor: 0,
+        stalled: Duration::ZERO,
+        last_seen_gen: comm.generation(),
+        bounds: Bounds::new(cfg.coordination_interval, 0),
+        cfg,
+        comm,
+        telemetry,
+    };
+    match &role {
+        WorkerRole::Restored {
+            params,
+            momentum,
+            iteration,
+            data_cursor,
+        } => {
+            worker.params.copy_from_slice(params);
+            worker.momentum.copy_from_slice(momentum);
+            worker.iteration = *iteration;
+            worker.data_cursor = *data_cursor;
+        }
+        WorkerRole::Rejoin { term, iteration } => {
+            worker.link.highest_term = *term;
+            worker.iteration = *iteration;
+        }
+        _ => {}
+    }
+    if let Err(Exit::Left) = worker.work(&role) {
+        worker.publish(false);
+    }
+}
 
-    if let WorkerRole::Restored {
-        params: p,
-        momentum: m,
-        iteration: it,
-        data_cursor: dc,
-    } = &role
-    {
-        params.copy_from_slice(p);
-        momentum.copy_from_slice(m);
-        iteration = *it;
-        data_cursor = *dc;
+/// How a worker's run ends.
+enum Exit {
+    /// It left the job — a `Leave`, an eviction, or a shutdown while it
+    /// still waited for admission — and publishes its final view.
+    Left,
+    /// Chaos killed it: it vanishes without a word.
+    Crashed,
+}
+
+/// The worker's IO half: its endpoint, its liveness beacon and its term
+/// fence. Every wait on the AM is a loop of [`beat`](Self::beat) then
+/// [`pump`](Self::pump)`(true)`; a drain of what already arrived is
+/// `pump(false)` until it returns `None`.
+struct Link {
+    id: WorkerId,
+    rep: ReliableEndpoint,
+    time: TimeSource,
+    ctrl: Arc<SharedControl>,
+    hb_period: SimDuration,
+    /// Receive-poll granularity (also paces retry ticks while parked).
+    tick: Duration,
+    /// A fresh (`None`) timer beacons immediately so the failure
+    /// detector sees the worker early.
+    last_hb: Option<SimTime>,
+    /// Highest fencing term observed; stale-term AM traffic is dropped.
+    highest_term: u64,
+}
+
+impl Link {
+    fn crashed(&self) -> bool {
+        self.ctrl.worker_crashed(self.id)
     }
-    if let WorkerRole::Rejoin {
-        term,
-        iteration: it,
-    } = &role
-    {
-        highest_term = *term;
-        iteration = *it;
+
+    /// Keeps the worker alive on the wire: stops a crashed worker, runs
+    /// the retry tracker (a joiner owed dropped `StateChunk`s may be the
+    /// very member an allreduce waits on), and beacons a `Heartbeat` when
+    /// one is due.
+    fn beat(&mut self, iteration: u64) -> Result<(), Exit> {
+        if self.crashed() {
+            return Err(Exit::Crashed);
+        }
+        let _ = self.rep.tick();
+        if heartbeat_due(&mut self.last_hb, self.time.now(), self.hb_period) {
+            let beacon = RtMsg::Heartbeat {
+                worker: self.id,
+                iteration,
+            };
+            self.rep.send_unreliable(EndpointId::Am, beacon);
+        }
+        Ok(())
     }
-    if matches!(
-        role,
-        WorkerRole::Joining | WorkerRole::Rejoin { .. } | WorkerRole::OpenJoin { .. }
-    ) {
-        // Step ②: report readiness after "initialization" (the buffer
-        // allocation above), then wait for state replication (step ④).
-        // Rejoiners announce with their crash credentials instead; the
-        // announce is re-sent periodically because an AM that is
-        // mid-adjustment defers admission without replying.
+
+    /// The next message past the term fence. With `wait` it blocks up to
+    /// one tick and returns `None` on a timeout or a fenced message, so
+    /// the caller beats again; without, it reads only what already
+    /// arrived and returns `None` once the inbox is empty.
+    fn pump(&mut self, wait: bool) -> Option<RtMsg> {
+        loop {
+            let (_, msg) = if wait {
+                self.rep.recv_timeout(self.tick)?
+            } else {
+                self.rep.try_recv()?
+            };
+            let msg = fence(&mut self.highest_term, msg, &self.rep);
+            if msg.is_some() || wait {
+                return msg;
+            }
+        }
+    }
+
+    /// Sends `msg` to the AM, reliably.
+    fn tell_am(&mut self, msg: RtMsg) {
+        self.rep.send(EndpointId::Am, msg);
+    }
+
+    /// Time elapsed on this worker's clock since `at`.
+    fn since(&self, at: SimTime) -> SimDuration {
+        self.time.now().saturating_duration_since(at)
+    }
+
+    fn note(&self, kind: EventKind) {
+        if let Some(journal) = self.rep.bus().journal() {
+            journal.emit(kind);
+        }
+    }
+}
+
+/// One worker incarnation: its IO half and the training state each SGD
+/// step advances.
+struct Worker {
+    link: Link,
+    cfg: RuntimeConfig,
+    comm: Arc<CommGroup>,
+    telemetry: Telemetry,
+    params: Vec<f32>,
+    momentum: Vec<f32>,
+    grad: Vec<f32>,
+    iteration: u64,
+    data_cursor: u64,
+    /// See [`WorkerView::stalled`].
+    stalled: Duration,
+    /// Resume-wave staleness guard: only newer generations un-park us.
+    last_seen_gen: u64,
+    bounds: Bounds,
+}
+
+impl Worker {
+    /// Enters the job, then trains until it exits. Only returns an exit.
+    fn work(&mut self, role: &WorkerRole) -> Result<Infallible, Exit> {
+        if matches!(
+            role,
+            WorkerRole::Joining | WorkerRole::Rejoin { .. } | WorkerRole::OpenJoin { .. }
+        ) {
+            self.enter(role)?;
+        }
+        self.publish(true);
+        // Training starts (or resumes) at a boundary the AM has released.
+        self.bounds.released = self.iteration;
+        // AM messages read while blocked in an allreduce, served at the
+        // next boundary.
+        let mut held = Vec::new();
+        loop {
+            let recalled = self.iterate(&mut held)?;
+            if self
+                .iteration
+                .is_multiple_of(self.cfg.coordination_interval)
+            {
+                self.at_boundary(recalled, &mut held)?;
+            }
+        }
+    }
+
+    /// Step ②: reports readiness after "initialization" (the buffer
+    /// allocation), then waits for state replication (step ④) and the
+    /// `Resume` that starts training. Rejoiners announce with their crash
+    /// credentials instead.
+    fn enter(&mut self, role: &WorkerRole) -> Result<(), Exit> {
         let open_join = matches!(role, WorkerRole::OpenJoin { .. });
-        let corrupt_mask = match role {
-            // Fault injection: flip digest bits so witnesses must evict.
-            WorkerRole::OpenJoin { corrupt: true } => 0xdead_beef_u64,
-            _ => 0,
-        };
         // The epoch the AM last announced; JoinRequests carry it so the
         // machine can tell a fresh announce from a stale one.
         let mut known_epoch: u64 = 0;
-        announce(
-            &mut rep,
-            cfg.id,
-            &role,
-            highest_term,
-            iteration,
-            known_epoch,
-            None,
-        );
-        let mut last_announce = time.now();
         let mut have_state = false;
+        let mut last_announce = self.announce(role, known_epoch, have_state);
         let mut pending_resume: Option<u64> = None;
         let mut assembly = SnapshotAssembly::new();
         loop {
-            if ctrl.worker_crashed(cfg.id) {
-                return;
-            }
-            if open_join && ctrl.shutting_down() {
+            if open_join && self.link.ctrl.shutting_down() {
                 // A deferred or window-parked joiner is not a member: the
                 // AM's `Stop` never sends it a `Leave`, so it must notice
                 // the shutdown itself or the teardown join would hang.
-                publish(
-                    &telemetry,
-                    cfg.id,
-                    iteration,
-                    data_cursor,
-                    &params,
-                    false,
-                    stalled,
-                );
-                return;
+                return Err(if self.link.crashed() {
+                    Exit::Crashed
+                } else {
+                    Exit::Left
+                });
             }
-            let _ = rep.tick();
-            if heartbeat_due(&mut last_hb, time.now(), hb_period) {
-                rep.send_unreliable(
-                    EndpointId::Am,
-                    RtMsg::Heartbeat {
-                        worker: cfg.id,
-                        iteration,
-                    },
-                );
-            }
+            self.link.beat(self.iteration)?;
             // Re-announce at heartbeat cadence until state arrives. The
             // transport retries each announce, but its budget is finite: a
             // joiner whose one-shot Report falls inside a partition window
@@ -579,33 +644,17 @@ pub(crate) fn run_worker(
             // announcing even after state lands: its digest claim may have
             // died with a failed-over AM, and a deferred joiner must
             // re-present itself at the next epoch's window.
-            if (!have_state || open_join)
-                && time.now().saturating_duration_since(last_announce) >= hb_period
-            {
-                let claim = (open_join && have_state)
-                    .then(|| state_digest(&params, &momentum) ^ corrupt_mask);
-                announce(
-                    &mut rep,
-                    cfg.id,
-                    &role,
-                    highest_term,
-                    iteration,
-                    known_epoch,
-                    claim,
-                );
-                last_announce = time.now();
+            if (!have_state || open_join) && self.link.since(last_announce) >= self.link.hb_period {
+                last_announce = self.announce(role, known_epoch, have_state);
             }
-            let Some((_, msg)) = rep.recv_timeout(cfg.tick) else {
-                continue;
-            };
-            let Some(msg) = fence(&mut highest_term, msg, &rep) else {
+            let Some(msg) = self.link.pump(true) else {
                 continue;
             };
             match msg {
                 RtMsg::StateChunk {
                     kind,
-                    iteration: it,
-                    data_cursor: dc,
+                    iteration,
+                    data_cursor,
                     index,
                     total,
                     offset,
@@ -615,145 +664,113 @@ pub(crate) fn run_worker(
                     // from an AM-recovery replay is harmless (state is
                     // bit-identical at a boundary) and dedup'd per chunk.
                     // Never step backwards.
-                    if let Some((it, dc)) = assembly.offer(
+                    let Some((it, dc)) = assembly.offer(
                         kind,
-                        it,
-                        dc,
+                        iteration,
+                        data_cursor,
                         index,
                         total,
                         offset,
                         &data,
-                        &mut params,
-                        &mut momentum,
-                    ) {
-                        if let Some(journal) = rep.bus().journal() {
-                            journal.emit(EventKind::SnapshotApplied {
-                                worker: cfg.id,
-                                iteration: it,
-                            });
-                        }
-                        if it >= iteration {
-                            iteration = it;
-                            data_cursor = dc;
-                            have_state = true;
-                        }
-                        if open_join && have_state {
-                            // Claim the warmup digest right away — the
-                            // witness round gates the whole cohort's
-                            // resume, so don't wait out a heartbeat.
-                            let claim = Some(state_digest(&params, &momentum) ^ corrupt_mask);
-                            announce(
-                                &mut rep,
-                                cfg.id,
-                                &role,
-                                highest_term,
-                                iteration,
-                                known_epoch,
-                                claim,
-                            );
-                            last_announce = time.now();
-                        }
-                        if let Some(generation) = pending_resume.take() {
-                            last_seen_gen = generation;
-                            break;
-                        }
+                        &mut self.params,
+                        &mut self.momentum,
+                    ) else {
+                        continue;
+                    };
+                    self.link.note(EventKind::SnapshotApplied {
+                        worker: self.link.id,
+                        iteration: it,
+                    });
+                    if it >= self.iteration {
+                        self.iteration = it;
+                        self.data_cursor = dc;
+                        have_state = true;
+                    }
+                    if open_join && have_state {
+                        // Claim the warmup digest right away — the
+                        // witness round gates the whole cohort's resume,
+                        // so don't wait out a heartbeat.
+                        last_announce = self.announce(role, known_epoch, have_state);
+                    }
+                    if let Some(generation) = pending_resume.take() {
+                        self.last_seen_gen = generation;
+                        return Ok(());
                     }
                 }
-                RtMsg::Resume { generation, .. } if generation > last_seen_gen => {
+                RtMsg::Resume { generation, .. } if generation > self.last_seen_gen => {
                     if have_state {
-                        last_seen_gen = generation;
-                        break;
+                        self.last_seen_gen = generation;
+                        return Ok(());
                     }
                     // Resume overtook the transfer (reordered bus): hold it
                     // until the state lands.
                     pending_resume = Some(pending_resume.map_or(generation, |g| g.max(generation)));
                 }
-                RtMsg::Leave { .. } => {
-                    publish(
-                        &telemetry,
-                        cfg.id,
-                        iteration,
-                        data_cursor,
-                        &params,
-                        false,
-                        stalled,
-                    );
-                    return;
-                }
-                RtMsg::EpochAdvance { epoch, .. } => {
-                    // Track the AM's announced epoch so (re-)announces
-                    // carry a current window reference.
-                    known_epoch = known_epoch.max(epoch);
-                }
+                RtMsg::Leave { .. } => return Err(Exit::Left),
+                // Track the AM's announced epoch so (re-)announces carry a
+                // current window reference.
+                RtMsg::EpochAdvance { epoch, .. } => known_epoch = known_epoch.max(epoch),
+                // An admitted joiner is a member of the epoch machine
+                // before its `Resume`, so it can be sampled as a witness:
+                // it holds the boundary state it was sent.
                 RtMsg::WitnessQuery {
                     subject,
                     epoch,
                     probe,
                     ..
-                } if have_state => {
-                    // An admitted joiner is a member of the epoch machine
-                    // before its `Resume`, so it can be sampled as a
-                    // witness: it holds the boundary state it was sent.
-                    let held = state_digest(&params, &momentum);
-                    let vote = witness_vote(cfg.id, held, subject, epoch, probe);
-                    rep.send(EndpointId::Am, vote);
-                }
+                } if have_state => self.witness(subject, epoch, probe),
+                // A replacement AM solicits state afresh (§V-D).
                 RtMsg::AmReset { .. } => {
-                    // A replacement AM solicits state afresh (§V-D).
-                    let claim = (open_join && have_state)
-                        .then(|| state_digest(&params, &momentum) ^ corrupt_mask);
-                    announce(
-                        &mut rep,
-                        cfg.id,
-                        &role,
-                        highest_term,
-                        iteration,
-                        known_epoch,
-                        claim,
-                    );
-                    last_announce = time.now();
+                    last_announce = self.announce(role, known_epoch, have_state);
                 }
                 _ => {}
             }
         }
     }
-    publish(
-        &telemetry,
-        cfg.id,
-        iteration,
-        data_cursor,
-        &params,
-        true,
-        stalled,
-    );
-    // Training starts (or resumes) at a boundary the AM has released.
-    let mut bounds = Bounds::new(cfg.coordination_interval, iteration);
-    // AM messages read while blocked in an allreduce, served at the next
-    // boundary.
-    let mut held: Vec<RtMsg> = Vec::new();
 
-    loop {
-        if ctrl.worker_crashed(cfg.id) {
-            return;
-        }
-        let _ = rep.tick();
-        if heartbeat_due(&mut last_hb, time.now(), hb_period) {
-            rep.send_unreliable(
-                EndpointId::Am,
-                RtMsg::Heartbeat {
-                    worker: cfg.id,
-                    iteration,
-                },
-            );
-        }
+    /// (Re-)announces this worker to the AM: joiners report readiness,
+    /// rejoiners present their crash incarnation's credentials, and
+    /// open-membership joiners send `JoinRequest` — carrying their warmup
+    /// digest claim once state has landed. Returns when it announced.
+    fn announce(&mut self, role: &WorkerRole, epoch: u64, have_state: bool) -> SimTime {
+        let worker = self.link.id;
+        let msg = match role {
+            WorkerRole::Rejoin { .. } => RtMsg::Rejoin {
+                worker,
+                term: self.link.highest_term,
+                iteration: self.iteration,
+            },
+            WorkerRole::OpenJoin { corrupt } => RtMsg::JoinRequest {
+                worker,
+                epoch,
+                digest: have_state.then(|| {
+                    // Fault injection: flip digest bits so witnesses
+                    // must evict.
+                    let mask = if *corrupt { 0xdead_beef_u64 } else { 0 };
+                    state_digest(&self.params, &self.momentum) ^ mask
+                }),
+            },
+            _ => RtMsg::Report { worker },
+        };
+        self.link.tell_am(msg);
+        self.link.time.now()
+    }
+
+    /// One training iteration: the synthetic forward/backward, the
+    /// gradient allreduce and the SGD step. Returns whether the AM
+    /// recalled the worker to the boundary this round followed.
+    fn iterate(&mut self, held: &mut Vec<RtMsg>) -> Result<bool, Exit> {
+        self.link.beat(self.iteration)?;
         // Forward/backward: the synthetic kernel. The optional compute
         // cost parks this worker so the virtual clock can advance while
         // the cohort trains (time.sleep may return early on a wake; that
         // only shortens the pause, never blocks progress).
-        if !cfg.compute.is_zero() {
-            time.sleep(cfg.compute);
+        if self.cfg.compute_us != 0 {
+            self.link
+                .time
+                .sleep(Duration::from_micros(self.cfg.compute_us));
         }
-        gradient(cfg.id, iteration, &mut grad);
+        gradient(self.link.id, self.iteration, &mut self.grad);
         // Gradient aggregation over the collective group. The group picks
         // the engine (flat / chunked / hierarchical) per round from the
         // contributor set and vector length; workers just contribute and
@@ -762,241 +779,232 @@ pub(crate) fn run_worker(
         // read the AM's messages (served at the next boundary): a park
         // order at the boundary this round follows recalls us to it,
         // because a member that crashed there holds the round forever.
-        let outcome = {
-            let rep = &mut rep;
-            let last_hb = &mut last_hb;
-            let ctrl = &ctrl;
-            let time = &time;
-            let held = &mut held;
-            let highest_term = &mut highest_term;
-            let interval = cfg.coordination_interval;
-            comm.allreduce_with(cfg.id, &grad, move || {
-                // Keep the retry tracker running while blocked: a joiner we
-                // owe (dropped) StateChunks may be the very member this
-                // round is waiting on — without resends here the round can
-                // never complete.
-                let _ = rep.tick();
-                if !ctrl.worker_crashed(cfg.id) && heartbeat_due(last_hb, time.now(), hb_period) {
-                    rep.send_unreliable(
-                        EndpointId::Am,
-                        RtMsg::Heartbeat {
-                            worker: cfg.id,
-                            iteration,
-                        },
-                    );
-                }
-                let mut recall = false;
-                while let Some((_, msg)) = rep.try_recv() {
-                    let Some(msg) = fence(highest_term, msg, rep) else {
-                        continue;
-                    };
-                    match msg {
-                        RtMsg::Park { boundary, .. } => {
-                            recall |= boundary == iteration && iteration.is_multiple_of(interval);
-                        }
-                        RtMsg::AmReset { .. } => {
-                            // A successor never saw the boundary we passed.
-                            let boundary = iteration - iteration % interval;
-                            if boundary > 0 {
-                                rep.send(
-                                    EndpointId::Am,
-                                    RtMsg::Passed {
-                                        worker: cfg.id,
-                                        boundary,
-                                    },
-                                );
-                            }
-                        }
-                        _ => {}
+        let (iteration, interval) = (self.iteration, self.cfg.coordination_interval);
+        let outcome = self.comm.allreduce_with(self.link.id, &self.grad, || {
+            if self.link.beat(iteration).is_err() {
+                return false;
+            }
+            let mut recall = false;
+            while let Some(msg) = self.link.pump(false) {
+                match msg {
+                    RtMsg::Park { boundary, .. } => {
+                        recall |= boundary == iteration && iteration.is_multiple_of(interval);
                     }
-                    held.push(msg);
+                    // A successor never saw the boundary we passed.
+                    RtMsg::AmReset { .. } if iteration >= interval => {
+                        let passed = RtMsg::Passed {
+                            worker: self.link.id,
+                            boundary: iteration - iteration % interval,
+                        };
+                        self.link.tell_am(passed);
+                    }
+                    _ => {}
                 }
-                recall
-            })
-        };
-        let recalled = match outcome {
+                held.push(msg);
+            }
+            recall
+        });
+        match outcome {
             AllreduceOutcome::Sum { sum, world } => {
-                bounds.coupled(world);
+                self.bounds.coupled(world);
                 // Optimizer step: SGD with momentum on the averaged
                 // gradient. The world size is the one captured with this
                 // round's sum, so an eviction mid-round cannot skew the
                 // average.
                 let world = world.max(1) as f32;
-                for ((w, m), &s) in params.iter_mut().zip(momentum.iter_mut()).zip(sum.iter()) {
+                let lr = self.cfg.learning_rate;
+                for ((w, m), &s) in self.params.iter_mut().zip(&mut self.momentum).zip(&*sum) {
                     *m = 0.9 * *m + s / world;
-                    *w -= cfg.learning_rate * *m;
+                    *w -= lr * *m;
                 }
-                iteration += 1;
-                data_cursor += cfg.total_batch as u64;
-                if ctrl.worker_crashed(cfg.id) {
-                    return;
+                self.iteration += 1;
+                self.data_cursor += self.cfg.total_batch as u64;
+                if self.link.crashed() {
+                    return Err(Exit::Crashed);
                 }
-                publish(
-                    &telemetry,
-                    cfg.id,
-                    iteration,
-                    data_cursor,
-                    &params,
-                    true,
-                    stalled,
-                );
-                false
+                self.publish(true);
+                Ok(false)
             }
             // Recalled: back to the boundary this round followed, where
             // the AM ordered us to park.
-            AllreduceOutcome::Withdrawn => true,
-            AllreduceOutcome::NotMember => {
-                // Evicted (declared dead) or membership changed without a
-                // Leave: exit quietly rather than deadlock the group.
-                if !ctrl.worker_crashed(cfg.id) {
-                    publish(
-                        &telemetry,
-                        cfg.id,
-                        iteration,
-                        data_cursor,
-                        &params,
-                        false,
-                        stalled,
-                    );
-                }
-                return;
+            AllreduceOutcome::Withdrawn => Ok(true),
+            // Evicted (declared dead) or membership changed without a
+            // Leave: exit quietly rather than deadlock the group.
+            AllreduceOutcome::NotMember if self.link.crashed() => Err(Exit::Crashed),
+            // Or we already contributed to this round — a protocol bug (or
+            // a replayed thread). The group rejected the second
+            // contribution rather than overwriting the first; exit rather
+            // than train on a sum we never observed.
+            AllreduceOutcome::NotMember | AllreduceOutcome::DuplicateContribution => {
+                Err(Exit::Left)
             }
-            AllreduceOutcome::DuplicateContribution => {
-                // We already contributed to this round — a protocol bug
-                // (or a replayed thread). The group rejected the second
-                // contribution rather than overwriting the first; exit
-                // rather than train on a sum we never observed.
-                publish(
-                    &telemetry,
-                    cfg.id,
-                    iteration,
-                    data_cursor,
-                    &params,
-                    false,
-                    stalled,
-                );
-                return;
-            }
-        };
+        }
+    }
 
-        // Coordination boundary (step ③): read what the AM sent while we
-        // trained, then pass or park.
-        if iteration.is_multiple_of(cfg.coordination_interval) {
-            if !recalled && ctrl.take_worker_boundary_crash(cfg.id, iteration) {
-                // Chaos-injected crash: die silently after the SGD step
-                // but before reporting, leaving the boundary hanging.
-                // The restarted incarnation presents these credentials.
-                ctrl.record_worker_crash(cfg.id, highest_term, iteration);
-                return;
-            }
-            let mut here = Boundary {
-                cfg: &cfg,
-                iteration,
-                data_cursor,
-                params: &params,
-                momentum: &momentum,
-                chunks: None,
-            };
-            let mut leave = false;
-            for msg in held.drain(..) {
-                if !leave {
-                    let flow = here.serve(msg, false, &mut rep, &mut bounds, &mut last_seen_gen);
-                    leave = matches!(flow, Flow::Leave);
-                }
-            }
-            while !leave {
-                let Some((_, msg)) = rep.try_recv() else {
-                    break;
-                };
-                let Some(msg) = fence(&mut highest_term, msg, &rep) else {
-                    continue;
-                };
-                let flow = here.serve(msg, false, &mut rep, &mut bounds, &mut last_seen_gen);
-                leave = matches!(flow, Flow::Leave);
-            }
-            if leave {
-                publish(
-                    &telemetry,
-                    cfg.id,
-                    iteration,
-                    data_cursor,
-                    &params,
-                    false,
-                    stalled,
-                );
-                return;
-            }
-            // A recall stands until the AM releases the boundary; a
-            // recalled worker already reported passing it.
-            let park = if recalled {
-                bounds.released < iteration
-            } else {
-                bounds.parks_at(iteration)
-            };
-            if !park {
-                if !recalled {
-                    let passed = RtMsg::Passed {
-                        worker: cfg.id,
-                        boundary: iteration,
-                    };
-                    rep.send(EndpointId::Am, passed);
-                }
-                continue;
-            }
-            let parked_at = time.now();
-            if let Some(journal) = rep.bus().journal() {
-                journal.emit(EventKind::WorkerParked {
-                    worker: cfg.id,
+    /// Coordination boundary (step ③): serves what the AM sent while the
+    /// worker trained, then passes or parks.
+    fn at_boundary(&mut self, recalled: bool, held: &mut Vec<RtMsg>) -> Result<(), Exit> {
+        let (id, iteration) = (self.link.id, self.iteration);
+        if !recalled && self.link.ctrl.take_worker_boundary_crash(id, iteration) {
+            // Chaos-injected crash: die silently after the SGD step but
+            // before reporting, leaving the boundary hanging. The
+            // restarted incarnation presents these credentials.
+            let term = self.link.highest_term;
+            self.link.ctrl.record_worker_crash(id, term, iteration);
+            return Err(Exit::Crashed);
+        }
+        // Transfers and checkpoints at this boundary share one snapshot.
+        let mut chunks = None;
+        let mut held = held.drain(..);
+        while let Some(msg) = held.next().or_else(|| self.link.pump(false)) {
+            self.serve(msg, false, &mut chunks)?;
+        }
+        // A recall stands until the AM releases the boundary; a recalled
+        // worker already reported passing it.
+        let park = if recalled {
+            self.bounds.released < iteration
+        } else {
+            self.bounds.parks_at(iteration)
+        };
+        if !park {
+            if !recalled {
+                let passed = RtMsg::Passed {
+                    worker: id,
                     boundary: iteration,
+                };
+                self.link.tell_am(passed);
+            }
+            return Ok(());
+        }
+        let parked_at = self.link.time.now();
+        self.link.note(EventKind::WorkerParked {
+            worker: id,
+            boundary: iteration,
+        });
+        self.link.tell_am(RtMsg::Coordinate {
+            worker: id,
+            iteration,
+        });
+        let mut released = Ok(false);
+        while let Ok(false) = released {
+            self.link.beat(iteration)?;
+            if let Some(msg) = self.link.pump(true) {
+                released = self.serve(msg, true, &mut chunks);
+            }
+        }
+        self.stalled += sim_to_std(self.link.since(parked_at));
+        released.map(drop)
+    }
+
+    /// Serves one AM message at this boundary. Release tokens update
+    /// `bounds`; a parked worker is released (`Ok(true)`) by the
+    /// `Proceed` of its own boundary, a park order further on, or a fresh
+    /// `Resume`. `chunks` is the boundary's snapshot, built on the first
+    /// transfer or checkpoint order and `Arc`-shared across destinations.
+    fn serve(
+        &mut self,
+        msg: RtMsg,
+        parked: bool,
+        chunks: &mut Option<Vec<PreparedChunk>>,
+    ) -> Result<bool, Exit> {
+        let (id, iteration) = (self.link.id, self.iteration);
+        match msg {
+            // Only the release of *this* boundary counts — a
+            // chaos-delayed Proceed from an earlier round is stale.
+            RtMsg::Proceed { boundary, .. } => {
+                self.bounds.released = self.bounds.released.max(boundary);
+                return Ok(boundary == iteration);
+            }
+            RtMsg::Park { boundary, .. } => {
+                self.bounds.park_at = self.bounds.park_at.max(boundary);
+                return Ok(boundary > iteration);
+            }
+            RtMsg::Resume { generation, .. } if generation > self.last_seen_gen => {
+                self.last_seen_gen = generation;
+                self.bounds.released = self.bounds.released.max(iteration);
+                return Ok(true);
+            }
+            RtMsg::TransferOrder { dst, .. } => {
+                // Step ④: stream training state to the joiner as
+                // interleaved params/momentum chunks.
+                self.stream(EndpointId::Worker(dst), chunks);
+                self.link.tell_am(RtMsg::TransferDone { src: id, dst });
+            }
+            RtMsg::CheckpointOrder { .. } => {
+                // The S&R path, live: stream the snapshot to the
+                // controller, chunked like any other replication.
+                self.stream(EndpointId::Controller, chunks);
+                self.link.tell_am(RtMsg::TransferDone { src: id, dst: id });
+            }
+            // Witness step: every member is parked at the boundary the
+            // joiner's state was streamed from, so an honest claim matches
+            // our boundary state bit-exactly.
+            RtMsg::WitnessQuery {
+                subject,
+                epoch,
+                probe,
+                ..
+            } => self.witness(subject, epoch, probe),
+            RtMsg::Leave { .. } => return Err(Exit::Left),
+            RtMsg::AmReset { .. } if parked => {
+                // A replacement AM lost its predecessor's inbox:
+                // re-announce that we are parked at this boundary.
+                self.link.tell_am(RtMsg::Coordinate {
+                    worker: id,
+                    iteration,
                 });
             }
-            rep.send(
-                EndpointId::Am,
-                RtMsg::Coordinate {
-                    worker: cfg.id,
-                    iteration,
-                },
-            );
-            loop {
-                if ctrl.worker_crashed(cfg.id) {
-                    return;
-                }
-                let _ = rep.tick();
-                if heartbeat_due(&mut last_hb, time.now(), hb_period) {
-                    rep.send_unreliable(
-                        EndpointId::Am,
-                        RtMsg::Heartbeat {
-                            worker: cfg.id,
-                            iteration,
-                        },
-                    );
-                }
-                let Some((_, msg)) = rep.recv_timeout(cfg.tick) else {
-                    continue;
-                };
-                let Some(msg) = fence(&mut highest_term, msg, &rep) else {
-                    continue;
-                };
-                match here.serve(msg, true, &mut rep, &mut bounds, &mut last_seen_gen) {
-                    Flow::Stay => {}
-                    Flow::Release => break,
-                    Flow::Leave => {
-                        stalled += sim_to_std(time.now().saturating_duration_since(parked_at));
-                        publish(
-                            &telemetry,
-                            cfg.id,
-                            iteration,
-                            data_cursor,
-                            &params,
-                            false,
-                            stalled,
-                        );
-                        return;
-                    }
-                }
-            }
-            stalled += sim_to_std(time.now().saturating_duration_since(parked_at));
+            _ => {}
         }
+        Ok(false)
+    }
+
+    /// Streams this boundary's snapshot to `to`, building its chunks on
+    /// first use.
+    fn stream(&mut self, to: EndpointId, chunks: &mut Option<Vec<PreparedChunk>>) {
+        let chunks = chunks.get_or_insert_with(|| {
+            build_state_chunks(
+                &self.params,
+                &self.momentum,
+                self.cfg.replication_chunk_elems,
+            )
+        });
+        send_snapshot(
+            &mut self.link.rep,
+            to,
+            chunks,
+            self.iteration,
+            self.data_cursor,
+        );
+        self.link.note(EventKind::SnapshotStreamed {
+            worker: self.link.id,
+            chunks: chunks.len() as u32,
+        });
+    }
+
+    /// Votes on a joiner's claimed digest `probe` with the digest of the
+    /// state this worker holds.
+    fn witness(&mut self, subject: WorkerId, epoch: u64, probe: u64) {
+        let held = state_digest(&self.params, &self.momentum);
+        let vote = RtMsg::WitnessVote {
+            witness: self.link.id,
+            subject,
+            epoch,
+            admit: probe == held,
+            digest: held,
+        };
+        self.link.tell_am(vote);
+    }
+
+    fn publish(&self, alive: bool) {
+        let view = WorkerView {
+            iteration: self.iteration,
+            data_cursor: self.data_cursor,
+            params_checksum: checksum(&self.params),
+            alive,
+            stalled: self.stalled,
+        };
+        self.telemetry.lock().insert(self.link.id, view);
     }
 }
 
@@ -1045,146 +1053,6 @@ impl Bounds {
             b > self.released + self.slack
         }
     }
-}
-
-/// What a message read at a boundary does to the worker.
-enum Flow {
-    /// Nothing that ends a park.
-    Stay,
-    /// A parked worker trains on.
-    Release,
-    /// The worker leaves the job.
-    Leave,
-}
-
-/// One coordination boundary as the worker serves it: the state every
-/// transfer and checkpoint at this boundary streams, and its chunks,
-/// built on the first such order and `Arc`-shared across destinations.
-struct Boundary<'a> {
-    cfg: &'a WorkerConfig,
-    iteration: u64,
-    data_cursor: u64,
-    params: &'a [f32],
-    momentum: &'a [f32],
-    chunks: Option<Vec<PreparedChunk>>,
-}
-
-impl Boundary<'_> {
-    /// Serves one AM message at this boundary. Release tokens update
-    /// `bounds`; a parked worker is released by the `Proceed` of its own
-    /// boundary, a park order further on, or a fresh `Resume`.
-    fn serve(
-        &mut self,
-        msg: RtMsg,
-        parked: bool,
-        rep: &mut ReliableEndpoint,
-        bounds: &mut Bounds,
-        last_seen_gen: &mut u64,
-    ) -> Flow {
-        let (id, iteration) = (self.cfg.id, self.iteration);
-        match msg {
-            // Only the release of *this* boundary counts — a
-            // chaos-delayed Proceed from an earlier round is stale.
-            RtMsg::Proceed { boundary, .. } => {
-                bounds.released = bounds.released.max(boundary);
-                if boundary == iteration {
-                    return Flow::Release;
-                }
-            }
-            RtMsg::Park { boundary, .. } => {
-                bounds.park_at = bounds.park_at.max(boundary);
-                if boundary > iteration {
-                    return Flow::Release;
-                }
-            }
-            RtMsg::Resume { generation, .. } if generation > *last_seen_gen => {
-                *last_seen_gen = generation;
-                bounds.released = bounds.released.max(iteration);
-                return Flow::Release;
-            }
-            RtMsg::TransferOrder { dst, .. } => {
-                // Step ④: stream training state to the joiner as
-                // interleaved params/momentum chunks.
-                self.stream(rep, EndpointId::Worker(dst));
-                rep.send(EndpointId::Am, RtMsg::TransferDone { src: id, dst });
-            }
-            RtMsg::CheckpointOrder { .. } => {
-                // The S&R path, live: stream the snapshot to the
-                // controller, chunked like any other replication.
-                self.stream(rep, EndpointId::Controller);
-                rep.send(EndpointId::Am, RtMsg::TransferDone { src: id, dst: id });
-            }
-            RtMsg::WitnessQuery {
-                subject,
-                epoch,
-                probe,
-                ..
-            } => {
-                // Witness step: recompute the digest over *our* boundary
-                // state and vote on the joiner's claim. Queries go out
-                // while every member is parked at the boundary the
-                // joiner's state was streamed from, so an honest claim
-                // matches bit-exactly.
-                let held = state_digest(self.params, self.momentum);
-                rep.send(
-                    EndpointId::Am,
-                    witness_vote(id, held, subject, epoch, probe),
-                );
-            }
-            RtMsg::Leave { .. } => return Flow::Leave,
-            RtMsg::AmReset { .. } if parked => {
-                // A replacement AM lost its predecessor's inbox:
-                // re-announce that we are parked at this boundary.
-                rep.send(
-                    EndpointId::Am,
-                    RtMsg::Coordinate {
-                        worker: id,
-                        iteration,
-                    },
-                );
-            }
-            _ => {}
-        }
-        Flow::Stay
-    }
-
-    /// Streams this boundary's snapshot to `to`.
-    fn stream(&mut self, rep: &mut ReliableEndpoint, to: EndpointId) {
-        let (params, momentum, elems) =
-            (self.params, self.momentum, self.cfg.replication_chunk_elems);
-        let chunks = self
-            .chunks
-            .get_or_insert_with(|| build_state_chunks(params, momentum, elems));
-        send_snapshot(rep, to, chunks, self.iteration, self.data_cursor);
-        if let Some(journal) = rep.bus().journal() {
-            journal.emit(EventKind::SnapshotStreamed {
-                worker: self.cfg.id,
-                chunks: chunks.len() as u32,
-            });
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn publish(
-    telemetry: &Telemetry,
-    id: WorkerId,
-    iteration: u64,
-    data_cursor: u64,
-    params: &[f32],
-    alive: bool,
-    stalled: std::time::Duration,
-) {
-    telemetry.lock().insert(
-        id,
-        WorkerView {
-            iteration,
-            data_cursor,
-            params_checksum: checksum(params),
-            alive,
-            stalled,
-        },
-    );
 }
 
 #[cfg(test)]

@@ -96,7 +96,8 @@ const RAW_RECV_RECEIVERS: &[&str] = &["receiver", "rx"];
 /// One OS-blocking operation performed directly by a function.
 #[derive(Debug, Clone)]
 pub struct BlockingOp {
-    /// Human-readable op, e.g. `write_all(..)`, `join()`, `thread::park`.
+    /// Human-readable op, e.g. `write_all(..)`, `join()`, `thread::park`,
+    /// `thread::sleep`.
     pub what: String,
     pub line: u32,
     /// Lock names of all guards live at the op.
@@ -532,7 +533,7 @@ fn scan_fn(
                 Some(format!("{name}()"))
             } else if dotted_blocking {
                 Some(format!("{name}(..)"))
-            } else if (name == "park" || name == "park_timeout")
+            } else if (name == "park" || name == "park_timeout" || name == "sleep")
                 && i >= 2
                 && toks[i - 1].is("::")
                 && toks[i - 2].is_ident("thread")

@@ -1,9 +1,9 @@
 //! Virtual-time safety (VIRTUAL_TIME_UNSAFE): under the seeded virtual
 //! clock, a thread that parks in a *real* OS wait (`join()`, raw channel
-//! `recv_timeout`, stream reads, condvar waits) never advances virtual
-//! time, so the whole scheduler silently hangs. Every blocking op
-//! reachable from a runtime entry point — the worker loop, the AM
-//! thread, the liveness watchdog — must either route through a
+//! `recv_timeout`, stream reads, condvar waits, `thread::sleep`) never
+//! advances virtual time, so the whole scheduler silently hangs. Every
+//! blocking op reachable from a runtime entry point — the worker loop,
+//! the AM thread, the liveness watchdog — must either route through a
 //! virtual-dispatching module or pass through `TimeSource::blocking(..)`,
 //! the explicit escape hatch that tells the clock a real wait is in
 //! flight (DESIGN.md §12/§16).
@@ -144,6 +144,26 @@ mod tests {
         let d = check("fn watchdog_thread(receiver: &R) { receiver.recv_timeout(t); }");
         assert_eq!(d.len(), 1, "got {d:?}");
         assert!(d[0].detail.contains("recv_timeout"));
+    }
+
+    #[test]
+    fn raw_wait_behind_a_method_call_fires_from_entry() {
+        for (wait, detail) in [
+            ("self.receiver.recv_timeout(t)", "recv_timeout(..)"),
+            ("std::thread::sleep(t)", "thread::sleep"),
+        ] {
+            let d = check(&format!(
+                "fn run_worker(w: W) {{ w.pump(); }}\n\
+                 impl Worker {{ fn pump(&mut self) {{ {wait}; }} }}"
+            ));
+            assert_eq!(d.len(), 1, "{wait}: {d:?}");
+            assert!(
+                d[0].message.contains("`Worker::pump` (t.rs:2)"),
+                "{}",
+                d[0].message
+            );
+            assert_eq!(d[0].detail, detail);
+        }
     }
 
     #[test]

@@ -152,32 +152,37 @@ fn fill(seed: u64, len: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Times `rounds` collective rounds of `run` across `world` threads and
-/// returns throughput in contributed elements/second. The timer starts at
-/// a barrier *after* the warm-up rounds, so thread spawn and pool
-/// warm-up are excluded.
-fn time_rounds<F>(world: u32, len: usize, rounds: u64, run: F) -> f64
-where
-    F: Fn(WorkerId, &[f32]) -> AllreduceOutcome + Sync,
-{
-    let mut reps: Vec<f64> = (0..TIMING_REPS)
-        .map(|_| time_rounds_once(world, len, rounds, &run))
-        .collect();
-    reps.sort_by(|a, b| a.total_cmp(b));
-    reps[reps.len() / 2]
+/// An allreduce engine under test: one worker's contribution in, the
+/// round's outcome out.
+type Engine<'a> = dyn Fn(WorkerId, &[f32]) -> AllreduceOutcome + Sync + 'a;
+
+/// Times `rounds` collective rounds of each engine across `world`
+/// threads and returns each one's median throughput in contributed
+/// elements/second. The engines run in alternating repetitions, the
+/// first one first in even reps and the second first in odd ones, so
+/// both see the same host load.
+fn time_rounds(world: u32, len: usize, rounds: u64, engines: [&Engine<'_>; 2]) -> [f64; 2] {
+    let mut reps = [Vec::new(), Vec::new()];
+    for rep in 0..TIMING_REPS {
+        for e in [rep % 2, 1 - rep % 2] {
+            reps[e].push(time_rounds_once(world, len, rounds, engines[e]));
+        }
+    }
+    reps.map(|mut r| {
+        r.sort_by(f64::total_cmp);
+        r[r.len() / 2]
+    })
 }
 
-/// One timing repetition of [`time_rounds`].
-fn time_rounds_once<F>(world: u32, len: usize, rounds: u64, run: F) -> f64
-where
-    F: Fn(WorkerId, &[f32]) -> AllreduceOutcome + Sync,
-{
+/// One timing repetition of one engine: the timer starts at a barrier
+/// *after* the warm-up rounds, so thread spawn and pool warm-up are
+/// excluded.
+fn time_rounds_once(world: u32, len: usize, rounds: u64, run: &Engine<'_>) -> f64 {
     let inputs: Vec<Vec<f32>> = (0..world).map(|w| fill(w as u64 + 1, len)).collect();
     let barrier = Barrier::new(world as usize + 1);
     let secs = thread::scope(|s| {
         let handles: Vec<_> = (0..world as usize)
             .map(|w| {
-                let run = &run;
                 let input = &inputs[w];
                 let barrier = &barrier;
                 s.spawn(move || {
@@ -216,7 +221,6 @@ where
 pub fn bench_allreduce(world: u32, len: usize, rounds: u64) -> AllreducePoint {
     let members: Vec<WorkerId> = (0..world).map(WorkerId).collect();
     let naive_group = NaiveCommGroup::new(members.iter().copied(), len);
-    let naive = time_rounds(world, len, rounds, |w, d| naive_group.allreduce(w, d));
     let adaptive_group = CommGroup::with_tuning(
         members.iter().copied(),
         len,
@@ -224,7 +228,14 @@ pub fn bench_allreduce(world: u32, len: usize, rounds: u64) -> AllreducePoint {
         Some(CommTopology::default()),
     );
     let path = adaptive_group.planned_path();
-    let adaptive = time_rounds(world, len, rounds, |w, d| adaptive_group.allreduce(w, d));
+    let [naive, adaptive] = time_rounds(
+        world,
+        len,
+        rounds,
+        [&|w, d| naive_group.allreduce(w, d), &|w, d| {
+            adaptive_group.allreduce(w, d)
+        }],
+    );
     AllreducePoint {
         world,
         len,

@@ -301,17 +301,6 @@ pub struct Envelope {
     pub body: RtMsg,
 }
 
-/// Per-destination delivery counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EndpointStats {
-    /// Sends addressed to this endpoint.
-    pub sent: u64,
-    /// Messages actually enqueued (post-chaos, endpoint registered).
-    pub delivered: u64,
-    /// Messages addressed to an unregistered or departed endpoint.
-    pub dead_letters: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,15 +1,16 @@
-//! The control-plane message bus: crossbeam channels with named endpoints.
+//! The control-plane message bus: named endpoints over a [`Transport`].
 //!
 //! Stands in for the paper's ZeroMQ sockets (§V-D). Each participant owns
 //! an [`Endpoint`] (its receive queue); anyone holding the [`Bus`] can
-//! send to any endpoint by id. Per-receiver FIFO ordering is inherited
-//! from the underlying channel — unless a [`ChaosPolicy`] is attached, in
-//! which case messages may be dropped, duplicated, or delayed, and the
-//! [`crate::reliable`] layer is responsible for masking the damage.
+//! send to any endpoint by id. Delivery is per-receiver FIFO and
+//! at-most-once: on the in-memory transport a
+//! [`ChaosPolicy`](crate::chaos::ChaosPolicy) may drop, duplicate, or
+//! delay messages, and the [`crate::reliable`] layer is responsible for
+//! masking the damage.
 //!
-//! The bus also keeps per-endpoint delivery statistics and a dead-letter
-//! counter (sends to unregistered or departed endpoints), which the
-//! shutdown report surfaces.
+//! Sends to unregistered or departed endpoints are dead letters: the
+//! transport counts them (the shutdown report's `dead_letters`) and
+//! journals each as `DeadLetter { to }`, heartbeats and acks excepted.
 
 use std::fmt;
 use std::sync::Arc;
@@ -20,12 +21,12 @@ use parking_lot::Mutex;
 
 use elan_core::messages::MsgIdAllocator;
 
-use crate::chaos::{ChaosPolicy, ChaosStats, PartitionWindow};
+use crate::chaos::{ChaosStats, PartitionWindow};
 use crate::obs::EventJournal;
 use crate::time::TimeSource;
 use crate::transport::{MemoryTransport, Transport};
 
-pub use elan_core::protocol::{EndpointId, EndpointStats, Envelope, RtMsg};
+pub use elan_core::protocol::{EndpointId, Envelope, RtMsg};
 
 /// A handle on a [`Transport`]: the shared registry of endpoints every
 /// runtime component sends through.
@@ -73,54 +74,6 @@ impl fmt::Debug for Bus {
     }
 }
 
-/// Fluent construction of an in-memory [`Bus`], mirroring
-/// `ElasticRuntime::builder()`: chaos, journal and clock are all optional.
-#[derive(Default)]
-pub(crate) struct BusBuilder {
-    chaos: Option<ChaosPolicy>,
-    journal: Option<Arc<EventJournal>>,
-    time: Option<TimeSource>,
-}
-
-impl fmt::Debug for BusBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BusBuilder")
-            .field("chaos", &self.chaos.is_some())
-            .field("journal", &self.journal.is_some())
-            .field("time", &self.time)
-            .finish()
-    }
-}
-
-impl BusBuilder {
-    /// Routes every send through the given fault-injection policy.
-    pub fn chaos(mut self, policy: ChaosPolicy) -> Self {
-        self.chaos = Some(policy);
-        self
-    }
-
-    /// Attaches an event journal: the transport emits dead-letter and
-    /// chaos events into it.
-    pub fn journal(mut self, journal: Arc<EventJournal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// The clock the bus (and everything holding it) ticks on. Defaults
-    /// to [`TimeSource::real`].
-    pub fn time(mut self, time: TimeSource) -> Self {
-        self.time = Some(time);
-        self
-    }
-
-    /// Builds the in-memory bus.
-    pub fn build(self) -> Bus {
-        let time = self.time.unwrap_or_else(TimeSource::real);
-        let transport = MemoryTransport::new(self.chaos, self.journal, time);
-        Bus::with_transport(Arc::new(transport))
-    }
-}
-
 /// A participant's receive side.
 #[derive(Debug)]
 pub struct Endpoint {
@@ -140,13 +93,7 @@ impl Endpoint {
 impl Bus {
     /// Creates an empty in-memory bus with no fault injection.
     pub fn new() -> Self {
-        BusBuilder::default().build()
-    }
-
-    /// Starts building an in-memory bus:
-    /// `Bus::builder().chaos(policy).journal(j).time(t).build()`.
-    pub(crate) fn builder() -> BusBuilder {
-        BusBuilder::default()
+        Bus::with_transport(Arc::new(MemoryTransport::default()))
     }
 
     /// Wraps an already-configured transport (in-memory or socket). The
@@ -288,7 +235,27 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosPolicy;
+    use crate::obs::EventKind;
     use elan_core::state::WorkerId;
+
+    /// An in-memory bus journalling into a fresh journal.
+    fn journalled_bus() -> (Bus, Arc<EventJournal>) {
+        let journal = Arc::new(EventJournal::new(16, Vec::new()));
+        let transport = MemoryTransport::new(None, Some(Arc::clone(&journal)), TimeSource::real());
+        (Bus::with_transport(Arc::new(transport)), journal)
+    }
+
+    /// The destinations of every journalled dead letter, in order.
+    fn dead_letters_to(journal: &EventJournal) -> Vec<EndpointId> {
+        let events = journal.events().into_iter();
+        events
+            .filter_map(|e| match e.kind {
+                EventKind::DeadLetter { to } => Some(to),
+                _ => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn roundtrip_between_endpoints() {
@@ -309,10 +276,10 @@ mod tests {
 
     #[test]
     fn send_to_missing_endpoint_is_a_dead_letter() {
-        let bus = Bus::new();
+        let (bus, journal) = journalled_bus();
         assert!(!bus.send(EndpointId::Am, RtMsg::Stop { seq: 0 }));
-        assert_eq!(bus.transport().stats(EndpointId::Am).dead_letters, 1);
         assert_eq!(bus.total_dead_letters(), 1);
+        assert_eq!(dead_letters_to(&journal), [EndpointId::Am]);
     }
 
     #[test]
@@ -323,30 +290,6 @@ mod tests {
         bus.unregister(EndpointId::Controller);
         assert!(bus.is_empty());
         assert!(!bus.send(EndpointId::Controller, RtMsg::Ack { seq: 0 }));
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn duplicate_registration_panics() {
-        let bus = Bus::new();
-        let _a = bus.register(EndpointId::Am);
-        let _b = bus.register(EndpointId::Am);
-    }
-
-    #[test]
-    fn per_receiver_fifo_order() {
-        let bus = Bus::new();
-        let w = bus.register(EndpointId::Worker(WorkerId(1)));
-        bus.send(
-            EndpointId::Worker(WorkerId(1)),
-            RtMsg::Proceed {
-                boundary: 1,
-                term: 1,
-            },
-        );
-        bus.send(EndpointId::Worker(WorkerId(1)), RtMsg::Leave { term: 1 });
-        assert!(matches!(w.try_recv().unwrap().body, RtMsg::Proceed { .. }));
-        assert!(matches!(w.try_recv().unwrap().body, RtMsg::Leave { .. }));
     }
 
     #[test]
@@ -364,40 +307,35 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_sends_and_deliveries() {
-        let bus = Bus::new();
-        let _w = bus.register(EndpointId::Worker(WorkerId(0)));
+    fn deliveries_are_not_dead_letters() {
+        let (bus, journal) = journalled_bus();
+        let w = bus.register(EndpointId::Worker(WorkerId(0)));
         for _ in 0..3 {
-            bus.send(EndpointId::Worker(WorkerId(0)), RtMsg::Leave { term: 0 });
+            assert!(bus.send(EndpointId::Worker(WorkerId(0)), RtMsg::Leave { term: 0 }));
         }
         bus.send(EndpointId::Am, RtMsg::Leave { term: 0 }); // dead letter
-        let s = bus.transport().stats(EndpointId::Worker(WorkerId(0)));
-        assert_eq!(s.sent, 3);
-        assert_eq!(s.delivered, 3);
-        assert_eq!(s.dead_letters, 0);
-        assert_eq!(bus.transport().stats(EndpointId::Am).dead_letters, 1);
-        assert_eq!(bus.transport().all_stats().len(), 2);
+        assert_eq!(std::iter::from_fn(|| w.try_recv()).count(), 3);
+        assert_eq!(bus.total_dead_letters(), 1);
+        assert_eq!(dead_letters_to(&journal), [EndpointId::Am]);
     }
 
     #[test]
     fn envelopes_survive_unregistered_receiver_drop() {
         // Receiver dropped without unregister (crashed worker): sends
         // become dead letters, not panics.
-        let bus = Bus::new();
+        let (bus, journal) = journalled_bus();
         let w = bus.register(EndpointId::Worker(WorkerId(7)));
         drop(w);
         assert!(bus.send(EndpointId::Worker(WorkerId(7)), RtMsg::Leave { term: 0 }));
-        assert_eq!(
-            bus.transport()
-                .stats(EndpointId::Worker(WorkerId(7)))
-                .dead_letters,
-            1
-        );
+        assert_eq!(bus.total_dead_letters(), 1);
+        assert_eq!(dead_letters_to(&journal), [EndpointId::Worker(WorkerId(7))]);
     }
 
     #[test]
     fn chaotic_bus_reports_stats() {
-        let bus = Bus::builder().chaos(ChaosPolicy::new(9).drop(1.0)).build();
+        let policy = ChaosPolicy::new(9).drop(1.0);
+        let transport = MemoryTransport::new(Some(policy), None, TimeSource::real());
+        let bus = Bus::with_transport(Arc::new(transport));
         let w = bus.register(EndpointId::Worker(WorkerId(0)));
         bus.send(EndpointId::Worker(WorkerId(0)), RtMsg::Leave { term: 0 });
         assert!(w.try_recv().is_none());

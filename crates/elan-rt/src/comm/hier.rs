@@ -49,8 +49,9 @@ use super::chunked::DEFAULT_CHUNK_ELEMS;
 ///
 /// Wraps an [`elan_topology`] [`Placement`] (worker id = rank) and
 /// answers the only question the data plane asks: which node/socket
-/// locality domain does a worker live in? Handed to the runtime via
-/// `ElasticRuntime::builder().topology(...)`.
+/// locality domain does a worker live in? The runtime uses
+/// [`CommTopology::default`]; a bare group takes any topology through
+/// [`CommGroup::with_tuning`](super::CommGroup::with_tuning).
 #[derive(Debug, Clone)]
 pub struct CommTopology {
     placement: Placement,

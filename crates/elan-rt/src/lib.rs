@@ -54,7 +54,7 @@ pub mod time;
 pub mod transport;
 pub mod worker;
 
-pub use bus::{Bus, Endpoint, EndpointId, EndpointStats, Envelope, RtMsg};
+pub use bus::{Bus, Endpoint, EndpointId, Envelope, RtMsg};
 pub use chaos::ChaosPolicy;
 pub use comm::{
     reference_sum, AllreduceOutcome, CommGroup, CommTopology, ReducePath, TuningProfile,

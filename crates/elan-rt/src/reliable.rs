@@ -345,6 +345,7 @@ impl ReliableEndpoint {
 mod tests {
     use super::*;
     use crate::chaos::ChaosPolicy;
+    use crate::transport::MemoryTransport;
     use elan_core::state::WorkerId;
 
     /// A virtual-time bus with the test thread registered as the only
@@ -353,11 +354,8 @@ mod tests {
     fn vbus(seed: u64, policy: Option<ChaosPolicy>) -> (Bus, TimeSource) {
         let time = TimeSource::virtual_seeded(seed);
         time.register_current();
-        let mut builder = Bus::builder().time(time.clone());
-        if let Some(policy) = policy {
-            builder = builder.chaos(policy);
-        }
-        (builder.build(), time)
+        let transport = MemoryTransport::new(policy, None, time.clone());
+        (Bus::with_transport(Arc::new(transport)), time)
     }
 
     fn pair(bus: &Bus, metrics: &Arc<RtMetrics>) -> (ReliableEndpoint, ReliableEndpoint) {

@@ -41,7 +41,7 @@ use crate::obs::{
 };
 use crate::reliable::{ReliableEndpoint, RtMetricsSnapshot, REMOTE_FIRST_CONTACT_GRACE_MS};
 use crate::time::{std_to_sim, TimeSource};
-use crate::transport::Transport;
+use crate::transport::{MemoryTransport, Transport};
 use crate::worker::{
     run_worker, worker_endpoint, SnapshotAssembly, Telemetry, WorkerRole, WorkerView,
 };
@@ -253,7 +253,6 @@ pub struct RuntimeBuilder {
     restore: Option<CheckpointSnapshot>,
     sinks: Vec<Arc<dyn EventSink>>,
     time: TimeSource,
-    topology: Option<CommTopology>,
     transport: Option<Arc<dyn Transport>>,
     remote_workers: bool,
 }
@@ -266,7 +265,6 @@ impl std::fmt::Debug for RuntimeBuilder {
             .field("restore", &self.restore.is_some())
             .field("sinks", &self.sinks.len())
             .field("time", &self.time)
-            .field("topology", &self.topology.is_some())
             .field("transport", &self.transport.is_some())
             .field("remote_workers", &self.remote_workers)
             .finish()
@@ -281,7 +279,6 @@ impl RuntimeBuilder {
             restore: None,
             sinks: Vec::new(),
             time: TimeSource::real(),
-            topology: None,
             transport: None,
             remote_workers: false,
         }
@@ -354,15 +351,6 @@ impl RuntimeBuilder {
     /// [`ElasticRuntime::shutdown`].
     pub fn time(mut self, time: TimeSource) -> Self {
         self.time = time;
-        self
-    }
-
-    /// Describes where each worker "lives" in the cluster hierarchy for
-    /// the adaptive allreduce's hierarchical path ([`CommTopology`]).
-    /// Defaults to `CommTopology::planning_default` — the same 64-node
-    /// shape the replication planner assumes, workers placed linearly.
-    pub fn topology(mut self, topology: CommTopology) -> Self {
-        self.topology = Some(topology);
         self
     }
 
@@ -461,7 +449,6 @@ impl ElasticRuntime {
             restore,
             sinks,
             time,
-            topology,
             transport,
             remote_workers,
         } = builder;
@@ -478,15 +465,11 @@ impl ElasticRuntime {
                 transport.attach(Some(Arc::clone(&obs.journal)), time.clone());
                 Bus::with_transport(transport)
             }
-            None => {
-                let mut bus_builder = Bus::builder()
-                    .journal(Arc::clone(&obs.journal))
-                    .time(time.clone());
-                if let Some(policy) = chaos {
-                    bus_builder = bus_builder.chaos(policy);
-                }
-                bus_builder.build()
-            }
+            None => Bus::with_transport(Arc::new(MemoryTransport::new(
+                chaos,
+                Some(Arc::clone(&obs.journal)),
+                time.clone(),
+            ))),
         };
         let metrics = Arc::clone(&obs.rt);
         let ctrl = Arc::new(SharedControl::with_time(
@@ -509,14 +492,14 @@ impl ElasticRuntime {
         ctrl.persist(AmDurable::founding(members.clone()));
 
         // The adaptive allreduce needs its crossovers (pinned on every
-        // clock, so dispatch never depends on host load) and a topology
-        // for the hierarchical path's node/socket grouping.
-        let comm_topology = topology.unwrap_or_default();
+        // clock, so dispatch never depends on host load) and the default
+        // planning topology for the hierarchical path's node/socket
+        // grouping.
         let comm = Arc::new(CommGroup::with_tuning(
             members.iter().copied(),
             cfg.param_elems,
             TuningProfile::pinned(),
-            Some(comm_topology),
+            Some(CommTopology::default()),
         ));
         comm.set_journal(Arc::clone(&ctrl.obs.journal));
         comm.set_time(time.clone());

@@ -1,36 +1,27 @@
 //! The in-process transport: crossbeam channels with optional chaos.
 //!
-//! This is the original `Bus` delivery engine, extracted behind the
-//! [`Transport`] trait. Behavior is unchanged — the deterministic
-//! simulation suite produces byte-identical journals on the same seeds —
-//! which is the whole point of the split: sockets get their own
-//! implementation without perturbing the sim.
+//! The shared [`TransportCore`] carries the endpoint registry, the
+//! journal and clock binding and the dead-letter count; this transport
+//! adds only the deterministic chaos engine every send may pass
+//! through. The deterministic simulation suite runs on it, so its
+//! journals are byte-identical on the same seeds.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use crate::bus::{Endpoint, EndpointId, EndpointStats, Envelope, RtMsg};
+use crate::bus::{EndpointId, Envelope};
 use crate::chaos::{ChaosEngine, ChaosPolicy, ChaosStats, PartitionWindow};
 use crate::obs::{EventJournal, EventKind};
 use crate::time::TimeSource;
 
-use super::Transport;
+use super::{is_noise, Transport, TransportCore};
 
 /// Crossbeam-channel delivery with optional deterministic fault
 /// injection — one process, many threads, virtual-time aware.
 pub struct MemoryTransport {
-    senders: RwLock<HashMap<EndpointId, Sender<Envelope>>>,
-    stats: Mutex<HashMap<EndpointId, EndpointStats>>,
+    core: TransportCore,
     chaos: Option<Mutex<ChaosEngine>>,
-    /// The runtime's event journal, when observability is attached: the
-    /// transport emits dead-letter and chaos events into it.
-    journal: RwLock<Option<Arc<EventJournal>>>,
-    /// The runtime's clock; replaceable via [`Transport::attach`] until
-    /// the first endpoint registers.
-    time: RwLock<TimeSource>,
 }
 
 impl Default for MemoryTransport {
@@ -54,40 +45,34 @@ impl MemoryTransport {
         time: TimeSource,
     ) -> Self {
         MemoryTransport {
-            senders: RwLock::new(HashMap::new()),
-            stats: Mutex::new(HashMap::new()),
+            core: TransportCore::new(journal, time),
             chaos: chaos.map(|policy| Mutex::new(ChaosEngine::new(policy))),
-            journal: RwLock::new(journal),
-            time: RwLock::new(time),
+        }
+    }
+
+    /// Delivers to a local endpoint or books a dead letter. Returns
+    /// whether `to` is registered.
+    fn deliver(&self, to: EndpointId, env: Envelope) -> bool {
+        match self.core.deliver_local(to, env) {
+            Ok(_) => true,
+            Err(env) => {
+                self.core.dead_letter(to, is_noise(&env.body));
+                false
+            }
         }
     }
 }
 
 impl Transport for MemoryTransport {
-    fn register(&self, id: EndpointId) -> Endpoint {
-        let (tx, rx) = unbounded();
-        let prev = self.senders.write().insert(id, tx);
-        assert!(prev.is_none(), "endpoint {id} registered twice");
-        Endpoint::assemble(id, rx, self.time.read().clone())
-    }
-
-    fn unregister(&self, id: EndpointId) {
-        self.senders.write().remove(&id);
+    fn core(&self) -> &TransportCore {
+        &self.core
     }
 
     fn send_envelope(&self, to: EndpointId, env: Envelope) -> bool {
-        {
-            let mut stats = self.stats.lock();
-            stats.entry(to).or_default().sent += 1;
-        }
-        let time = self.time.read().clone();
-        let journal = self.journal.read().clone();
-        // Heartbeats and transport acks dominate chaotic traffic; their
-        // fates stay out of the journal so the ring retains the events
-        // that matter for adjustment forensics.
-        let noisy = matches!(env.body, RtMsg::Heartbeat { .. } | RtMsg::MsgAck { .. });
-        let deliveries = match &self.chaos {
+        let time = self.core.time();
+        let registered = match &self.chaos {
             Some(engine) => {
+                let noise = is_noise(&env.body);
                 let now = time.now();
                 let mut engine = engine.lock();
                 // Window lifecycle transitions are observed on sends; with
@@ -96,62 +81,30 @@ impl Transport for MemoryTransport {
                 let (started, healed) = engine.poll_windows(now);
                 let (deliveries, fate) = engine.route(now, to, env);
                 drop(engine);
-                if let Some(journal) = journal.as_ref() {
+                if let Some(journal) = self.core.journal() {
                     for name in started {
                         journal.emit(EventKind::PartitionStart { name });
                     }
                     for name in healed {
                         journal.emit(EventKind::PartitionHeal { name });
                     }
-                    if let (Some(fate), false) = (fate, noisy) {
+                    if let (Some(fate), false) = (fate, noise) {
                         journal.emit(EventKind::ChaosInjected { fate, to });
                     }
                 }
-                deliveries
-            }
-            None => vec![(to, env)],
-        };
-        for (dst, envelope) in deliveries {
-            let env_noisy = matches!(
-                envelope.body,
-                RtMsg::Heartbeat { .. } | RtMsg::MsgAck { .. }
-            );
-            let delivered = match self.senders.read().get(&dst) {
-                Some(tx) => tx.send(envelope).is_ok(),
-                None => false,
-            };
-            let mut stats = self.stats.lock();
-            let entry = stats.entry(dst).or_default();
-            if delivered {
-                entry.delivered += 1;
-            } else {
-                entry.dead_letters += 1;
-                if let (Some(journal), false) = (journal.as_ref(), env_noisy) {
-                    journal.emit(EventKind::DeadLetter { to: dst });
+                for (dst, envelope) in deliveries {
+                    self.deliver(dst, envelope);
                 }
+                self.core.is_local(to)
             }
-        }
-        let registered = self.senders.read().contains_key(&to);
+            None => self.deliver(to, env),
+        };
         // Under virtual time, parked receivers re-check their queues only
         // when woken; publish the delivery. (No transport lock is held
         // here, and `wake_all` only flips scheduler states — it never
         // blocks.)
         time.wake_all();
         registered
-    }
-
-    fn stats(&self, id: EndpointId) -> EndpointStats {
-        self.stats.lock().get(&id).copied().unwrap_or_default()
-    }
-
-    fn all_stats(&self) -> Vec<(EndpointId, EndpointStats)> {
-        let mut v: Vec<_> = self.stats.lock().iter().map(|(&k, &s)| (k, s)).collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
-
-    fn total_dead_letters(&self) -> u64 {
-        self.stats.lock().values().map(|s| s.dead_letters).sum()
     }
 
     fn chaos_stats(&self) -> Option<ChaosStats> {
@@ -161,7 +114,7 @@ impl Transport for MemoryTransport {
     fn is_partitioned(&self, a: EndpointId, b: EndpointId) -> bool {
         match &self.chaos {
             Some(engine) => {
-                let now = self.time.read().now();
+                let now = self.core.time().now();
                 engine.lock().is_partitioned(now, a, b)
             }
             None => false,
@@ -176,22 +129,5 @@ impl Transport for MemoryTransport {
             }
             None => false,
         }
-    }
-
-    fn attach(&self, journal: Option<Arc<EventJournal>>, time: TimeSource) {
-        *self.journal.write() = journal;
-        *self.time.write() = time;
-    }
-
-    fn journal(&self) -> Option<Arc<EventJournal>> {
-        self.journal.read().clone()
-    }
-
-    fn time(&self) -> TimeSource {
-        self.time.read().clone()
-    }
-
-    fn endpoint_count(&self) -> usize {
-        self.senders.read().len()
     }
 }

@@ -42,16 +42,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use elan_core::codec::{decode_frame, encode_frame, WireFrame, MAX_FRAME_LEN};
 
-use crate::bus::{Endpoint, EndpointId, EndpointStats, Envelope, RtMsg};
-use crate::obs::{EventJournal, EventKind};
+use crate::bus::{Endpoint, EndpointId, Envelope};
 use crate::time::TimeSource;
 
-use super::Transport;
+use super::{is_noise, Transport, TransportCore};
 
 /// Bytes in the little-endian length prefix preceding every frame.
 const LEN_PREFIX: usize = 4;
@@ -143,91 +141,70 @@ fn read_frame(stream: &mut Stream, buf: &mut Vec<u8>) -> io::Result<()> {
 }
 
 struct Shared {
-    /// Endpoints living in this process, by id.
-    local: RwLock<HashMap<EndpointId, Sender<Envelope>>>,
+    core: TransportCore,
     /// Hub only: remote endpoint → the connection it announced on.
     routes: RwLock<HashMap<EndpointId, Arc<ConnWriter>>>,
     /// Client only: the single connection to the hub.
     uplink: RwLock<Option<Arc<ConnWriter>>>,
-    stats: Mutex<HashMap<EndpointId, EndpointStats>>,
-    journal: RwLock<Option<Arc<EventJournal>>>,
-    time: RwLock<TimeSource>,
 }
 
 impl Shared {
     fn new() -> Self {
         Shared {
-            local: RwLock::new(HashMap::new()),
+            core: TransportCore::new(None, TimeSource::real()),
             routes: RwLock::new(HashMap::new()),
             uplink: RwLock::new(None),
-            stats: Mutex::new(HashMap::new()),
-            journal: RwLock::new(None),
-            time: RwLock::new(TimeSource::real()),
         }
     }
 
     /// Delivers `env` to `to` — local channel first, then a remote
-    /// route, then the uplink — and books delivered/dead-letter stats.
-    /// Returns whether a destination was known at all.
+    /// route, then the uplink — and books a dead letter when that fails.
+    /// Returns whether it was delivered.
     ///
     /// `wire`, when given, is the length-prefixed frame `Msg { to, env }`
     /// exactly as it was read and decoded off a connection: a remote
     /// destination gets those verified bytes instead of a re-encoding.
     fn deliver(&self, to: EndpointId, env: Envelope, wire: Option<&[u8]>) -> bool {
-        let noisy = matches!(env.body, RtMsg::Heartbeat { .. } | RtMsg::MsgAck { .. });
-        // Clone the sender out of the guard: an `if let` scrutinee guard
-        // would otherwise stay live through the `else` branch, holding the
-        // `local` read lock across the blocking socket write below.
-        let local_tx = self.local.read().get(&to).cloned();
-        let delivered = if let Some(tx) = local_tx {
-            tx.send(env).is_ok()
-        } else {
-            let writer = self
-                .routes
-                .read()
-                .get(&to)
-                .cloned()
-                .or_else(|| self.uplink.read().clone());
-            match writer {
-                Some(w) => {
-                    let ok = match wire {
-                        Some(bytes) => {
-                            // Only the verified bytes travel on; free the
-                            // decoded copy before blocking on the write.
-                            drop(env);
-                            w.write_prefixed(bytes)
-                        }
-                        None => w.write_frame(&WireFrame::Msg { to, env }),
-                    }
-                    .is_ok();
-                    if !ok {
-                        // The connection is gone; forget the route so
-                        // later sends dead-letter immediately instead of
-                        // hitting a broken pipe each time.
-                        let mut routes = self.routes.write();
-                        if let Some(cur) = routes.get(&to) {
-                            if Arc::ptr_eq(cur, &w) {
-                                routes.remove(&to);
-                            }
-                        }
-                    }
-                    ok
-                }
-                None => false,
-            }
+        let env = match self.core.deliver_local(to, env) {
+            Ok(delivered) => return delivered,
+            Err(env) => env,
         };
-        let mut stats = self.stats.lock();
-        let entry = stats.entry(to).or_default();
-        if delivered {
-            entry.delivered += 1;
-        } else {
-            entry.dead_letters += 1;
-            drop(stats);
-            if !noisy {
-                if let Some(journal) = self.journal.read().as_ref() {
-                    journal.emit(EventKind::DeadLetter { to });
+        let noise = is_noise(&env.body);
+        let writer = self
+            .routes
+            .read()
+            .get(&to)
+            .cloned()
+            .or_else(|| self.uplink.read().clone());
+        let delivered = match writer {
+            Some(w) => {
+                let ok = match wire {
+                    Some(bytes) => {
+                        // Only the verified bytes travel on; free the
+                        // decoded copy before blocking on the write.
+                        drop(env);
+                        w.write_prefixed(bytes)
+                    }
+                    None => w.write_frame(&WireFrame::Msg { to, env }),
                 }
+                .is_ok();
+                if !ok {
+                    // The connection is gone; forget the route so
+                    // later sends dead-letter immediately instead of
+                    // hitting a broken pipe each time.
+                    let mut routes = self.routes.write();
+                    if let Some(cur) = routes.get(&to) {
+                        if Arc::ptr_eq(cur, &w) {
+                            routes.remove(&to);
+                        }
+                    }
+                }
+                ok
             }
+            None => false,
+        };
+        if !delivered {
+            self.core.dead_letter(to, noise);
         }
         delivered
     }
@@ -309,7 +286,7 @@ impl SocketTransport {
     /// `"unix:/path"`) and starts accepting worker connections.
     ///
     /// The accept thread holds the hub weakly, so once the transport and
-    /// its connections are gone their routes, stats and journal are
+    /// its connections are gone their routes, registry and journal are
     /// freed; dropping the transport also stops the thread and closes
     /// the listener.
     ///
@@ -467,10 +444,12 @@ fn client_conn_loop(shared: &Arc<Shared>, mut stream: Stream) {
 }
 
 impl Transport for SocketTransport {
+    fn core(&self) -> &TransportCore {
+        &self.shared.core
+    }
+
     fn register(&self, id: EndpointId) -> Endpoint {
-        let (tx, rx) = unbounded();
-        let prev = self.shared.local.write().insert(id, tx);
-        assert!(prev.is_none(), "endpoint {id} registered twice");
+        let endpoint = self.shared.core.register(id);
         // Announce the endpoint upstream so the hub can route to it.
         // A write failure means the hub is gone; the reader loop has
         // noticed (or will), and registration itself still succeeds —
@@ -482,66 +461,11 @@ impl Transport for SocketTransport {
         if let Some(uplink) = uplink {
             let _ = uplink.write_frame(&WireFrame::Hello { from: id });
         }
-        Endpoint::assemble(id, rx, self.shared.time.read().clone())
-    }
-
-    fn unregister(&self, id: EndpointId) {
-        self.shared.local.write().remove(&id);
+        endpoint
     }
 
     fn send_envelope(&self, to: EndpointId, env: Envelope) -> bool {
-        {
-            let mut stats = self.shared.stats.lock();
-            stats.entry(to).or_default().sent += 1;
-        }
         self.shared.deliver(to, env, None)
-    }
-
-    fn stats(&self, id: EndpointId) -> EndpointStats {
-        self.shared
-            .stats
-            .lock()
-            .get(&id)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    fn all_stats(&self) -> Vec<(EndpointId, EndpointStats)> {
-        let mut v: Vec<_> = self
-            .shared
-            .stats
-            .lock()
-            .iter()
-            .map(|(&k, &s)| (k, s))
-            .collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
-
-    fn total_dead_letters(&self) -> u64 {
-        self.shared
-            .stats
-            .lock()
-            .values()
-            .map(|s| s.dead_letters)
-            .sum()
-    }
-
-    fn attach(&self, journal: Option<Arc<EventJournal>>, time: TimeSource) {
-        *self.shared.journal.write() = journal;
-        *self.shared.time.write() = time;
-    }
-
-    fn journal(&self) -> Option<Arc<EventJournal>> {
-        self.shared.journal.read().clone()
-    }
-
-    fn time(&self) -> TimeSource {
-        self.shared.time.read().clone()
-    }
-
-    fn endpoint_count(&self) -> usize {
-        self.shared.local.read().len()
     }
 
     fn supports_virtual_time(&self) -> bool {
@@ -552,21 +476,11 @@ impl Transport for SocketTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::Bus;
+    use crate::bus::{Bus, RtMsg};
+    use crate::obs::EventJournal;
+    use crate::transport::tests::{dead_letters_to, uds_pair, RECV_WINDOW};
     use elan_core::state::WorkerId;
     use std::time::Duration;
-
-    /// Generous receive window for loopback delivery; sub-millisecond in
-    /// practice, but CI machines stall.
-    const RECV_WINDOW: Duration = Duration::from_secs(5);
-
-    fn uds_pair(name: &str) -> Result<(SocketTransport, SocketTransport), String> {
-        let path = std::env::temp_dir().join(format!("elan-sock-{}-{name}", std::process::id()));
-        let addr = format!("unix:{}", path.display());
-        let hub = SocketTransport::listen(&addr).map_err(|e| format!("listen {addr}: {e}"))?;
-        let client = SocketTransport::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        Ok((hub, client))
-    }
 
     #[test]
     fn uds_roundtrip_hub_to_client_and_back() -> Result<(), String> {
@@ -819,15 +733,13 @@ mod tests {
     #[test]
     fn unknown_destination_is_a_dead_letter() -> Result<(), String> {
         let (hub, _client) = uds_pair("deadletter")?;
+        let journal = Arc::new(EventJournal::new(16, Vec::new()));
+        hub.attach(Some(Arc::clone(&journal)), TimeSource::real());
         let hub_bus = Bus::with_transport(Arc::new(hub));
-        assert!(!hub_bus.send(EndpointId::Worker(WorkerId(9)), RtMsg::Leave { term: 0 }));
-        assert_eq!(
-            hub_bus
-                .transport()
-                .stats(EndpointId::Worker(WorkerId(9)))
-                .dead_letters,
-            1
-        );
+        let to = EndpointId::Worker(WorkerId(9));
+        assert!(!hub_bus.send(to, RtMsg::Leave { term: 0 }));
+        assert_eq!(hub_bus.transport().total_dead_letters(), 1);
+        assert_eq!(dead_letters_to(&journal), [to]);
         Ok(())
     }
 
@@ -837,7 +749,7 @@ mod tests {
         let shared = Arc::downgrade(&hub.shared);
         let addr = hub.local_addr().to_string();
         drop(hub);
-        // The accept thread must not keep the routes, stats and journal
+        // The accept thread must not keep the routes, registry and journal
         // of a transport nobody can reach...
         assert!(shared.upgrade().is_none(), "accept thread pins the hub");
         // ...and it has exited and closed the listener: nobody answers.

@@ -1170,9 +1170,11 @@ mod tests {
         use crate::bus::Bus;
         use crate::obs::EventJournal;
         use crate::reliable::RtMetrics;
+        use crate::transport::MemoryTransport;
 
         let journal = Arc::new(EventJournal::new(16, Vec::new()));
-        let bus = Bus::builder().journal(Arc::clone(&journal)).build();
+        let transport = MemoryTransport::new(None, Some(Arc::clone(&journal)), TimeSource::real());
+        let bus = Bus::with_transport(Arc::new(transport));
         let rep = ReliableEndpoint::new(
             bus.clone(),
             bus.register(EndpointId::Worker(WorkerId(0))),

@@ -36,7 +36,7 @@ use crate::naive::NaiveCommGroup;
 /// zero-allocation steady state).
 const WARMUP_ROUNDS: u64 = 2;
 
-/// Independent timing repetitions per allreduce measurement; the
+/// Fewest independent timing repetitions per allreduce measurement; the
 /// reported throughput is the **median** rep. A single rep samples
 /// whatever the host scheduler was doing during that window — on small
 /// or shared machines the same binary swings tens of percent between
@@ -46,6 +46,17 @@ const WARMUP_ROUNDS: u64 = 2;
 /// warm up across reps and erase the naive baseline's intrinsic
 /// fresh-allocation churn. Both engines get the identical treatment.
 const TIMING_REPS: usize = 3;
+
+/// Timed seconds each engine must accumulate before a cell stops adding
+/// reps. A short-vector cell's rep lasts only a millisecond or two (128
+/// rounds of ~10 µs at `len = 1024` in quick mode), the same size as a
+/// host-scheduling hiccup, so a median of three such reps is a coin flip
+/// on the near-tied flat cells; more reps fill this window instead.
+const MIN_TIMED_SECS: f64 = 0.3;
+
+/// Upper bound on reps per engine, so a pathologically fast cell cannot
+/// spin for long.
+const MAX_TIMING_REPS: usize = 256;
 
 /// One allreduce measurement: both implementations on identical inputs.
 #[derive(Debug, Clone, Copy)]
@@ -160,13 +171,21 @@ type Engine<'a> = dyn Fn(WorkerId, &[f32]) -> AllreduceOutcome + Sync + 'a;
 /// threads and returns each one's median throughput in contributed
 /// elements/second. The engines run in alternating repetitions, the
 /// first one first in even reps and the second first in odd ones, so
-/// both see the same host load.
+/// both see the same host load. Reps continue past [`TIMING_REPS`] until
+/// both engines have been timed for [`MIN_TIMED_SECS`] (at most
+/// [`MAX_TIMING_REPS`] reps).
 fn time_rounds(world: u32, len: usize, rounds: u64, engines: [&Engine<'_>; 2]) -> [f64; 2] {
+    let elems = (world as f64) * (len as f64) * (rounds as f64);
     let mut reps = [Vec::new(), Vec::new()];
-    for rep in 0..TIMING_REPS {
+    let mut timed = [0.0f64; 2];
+    let mut rep = 0;
+    while rep < TIMING_REPS || (rep < MAX_TIMING_REPS && timed[0].min(timed[1]) < MIN_TIMED_SECS) {
         for e in [rep % 2, 1 - rep % 2] {
-            reps[e].push(time_rounds_once(world, len, rounds, engines[e]));
+            let secs = time_rounds_once(world, len, rounds, engines[e]);
+            timed[e] += secs;
+            reps[e].push(elems / secs);
         }
+        rep += 1;
     }
     reps.map(|mut r| {
         r.sort_by(f64::total_cmp);
@@ -174,13 +193,13 @@ fn time_rounds(world: u32, len: usize, rounds: u64, engines: [&Engine<'_>; 2]) -
     })
 }
 
-/// One timing repetition of one engine: the timer starts at a barrier
-/// *after* the warm-up rounds, so thread spawn and pool warm-up are
-/// excluded.
+/// One timing repetition of one engine, in seconds: the timer starts at
+/// a barrier *after* the warm-up rounds, so thread spawn and pool
+/// warm-up are excluded.
 fn time_rounds_once(world: u32, len: usize, rounds: u64, run: &Engine<'_>) -> f64 {
     let inputs: Vec<Vec<f32>> = (0..world).map(|w| fill(w as u64 + 1, len)).collect();
     let barrier = Barrier::new(world as usize + 1);
-    let secs = thread::scope(|s| {
+    thread::scope(|s| {
         let handles: Vec<_> = (0..world as usize)
             .map(|w| {
                 let input = &inputs[w];
@@ -208,8 +227,7 @@ fn time_rounds_once(world: u32, len: usize, rounds: u64, run: &Engine<'_>) -> f6
             h.join().expect("bench worker");
         }
         t0.elapsed().as_secs_f64()
-    });
-    (world as f64) * (len as f64) * (rounds as f64) / secs
+    })
 }
 
 /// Benchmarks both allreduce implementations at one `(world, len)` point.

@@ -62,7 +62,7 @@ pub use elasticity::{
 };
 pub use error::ElanError;
 pub use obs::{
-    AdjustmentPhase, Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot,
+    AdjustmentPhase, Counter, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot,
     PhaseWindow,
 };
 pub use scaling::{hybrid_scale, ProgressiveLrRamp, ScalingDecision, ScalingMode};

@@ -9,7 +9,7 @@
 //!   taxonomy, so a live trace, a simulated run, and a bench report all
 //!   speak the same phase names.
 //! - [`MetricsRegistry`] is a process-wide registry of named
-//!   [`Counter`]s, [`Gauge`]s, and [`Histogram`]s. Handles are cheap
+//!   [`Counter`]s and [`Histogram`]s. Handles are cheap
 //!   `Arc`-backed atomics: registering is locked, *recording is
 //!   lock-free*, which is what lets the hot paths of the runtime count
 //!   resends and chunks without serializing on a metrics mutex.
@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One step of the 5-step adjustment pipeline (§V-B).
@@ -144,72 +144,33 @@ impl Counter {
     }
 }
 
-/// A named signed gauge (set/add semantics).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Sets the gauge to `v`.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the gauge by `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Power-of-two bucket boundaries: bucket `i` counts values `v` with
-/// `2^(i-1) < v <= 2^i` (bucket 0 counts 0 and 1).
-const HIST_BUCKETS: usize = 64;
-
 #[derive(Debug)]
 struct HistInner {
-    buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
 }
 
-impl Default for HistInner {
-    fn default() -> Self {
-        HistInner {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A lock-free log₂-bucketed histogram of `u64` samples (typically
-/// microsecond latencies).
+/// A lock-free summary (count, sum, min, max) of `u64` samples
+/// (typically microsecond latencies).
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistInner>);
 
 impl Default for Histogram {
     fn default() -> Self {
-        let inner = HistInner {
+        Histogram(Arc::new(HistInner {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
-            ..HistInner::default()
-        };
-        Histogram(Arc::new(inner))
+            max: AtomicU64::new(0),
+        }))
     }
 }
 
 impl Histogram {
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let bucket = (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.0.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(v, Ordering::Relaxed);
         self.0.min.fetch_min(v, Ordering::Relaxed);
@@ -259,13 +220,12 @@ impl HistogramSummary {
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Histogram>,
 }
 
 /// A registry of named metrics.
 ///
-/// `counter`/`gauge`/`histogram` are get-or-create: every caller asking
+/// `counter`/`histogram` are get-or-create: every caller asking
 /// for the same name shares the same underlying atomic, so subsystems
 /// can be wired independently and still aggregate. Registration takes a
 /// short lock; recording through the returned handles is lock-free.
@@ -289,15 +249,6 @@ impl MetricsRegistry {
         inner.counters.entry(name.into()).or_default().clone()
     }
 
-    /// Returns (creating if needed) the gauge named `name`.
-    pub fn gauge(&self, name: impl Into<String>) -> Gauge {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.gauges.entry(name.into()).or_default().clone()
-    }
-
     /// Returns (creating if needed) the histogram named `name`.
     pub fn histogram(&self, name: impl Into<String>) -> Histogram {
         let mut inner = self
@@ -319,11 +270,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
             histograms: inner
                 .histograms
                 .iter()
@@ -338,8 +284,6 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
@@ -350,22 +294,10 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Gauge value, or 0 when absent.
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges.get(name).copied().unwrap_or(0)
-    }
-
     /// Serializes the snapshot as a JSON object (dependency-free).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"counters\": {");
         for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{}\": {}", json_escape(k), v));
-        }
-        s.push_str("\n  },\n  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -437,15 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_adjust() {
-        let reg = MetricsRegistry::new();
-        let g = reg.gauge("world");
-        g.set(4);
-        g.add(-1);
-        assert_eq!(reg.snapshot().gauge("world"), 3);
-    }
-
-    #[test]
     fn histogram_summary_tracks_extremes() {
         let h = Histogram::default();
         assert_eq!(h.summary(), HistogramSummary::default());
@@ -464,11 +387,9 @@ mod tests {
     fn snapshot_json_is_wellformed() {
         let reg = MetricsRegistry::new();
         reg.counter("a.b").inc();
-        reg.gauge("g").set(-2);
         reg.histogram("h").record(7);
         let json = reg.snapshot().to_json();
         assert!(json.contains("\"a.b\": 1"));
-        assert!(json.contains("\"g\": -2"));
         assert!(json.contains("\"count\": 1"));
     }
 

@@ -15,7 +15,7 @@ use crate::comm::CommGroup;
 use crate::liveness::{HeartbeatMonitor, SharedControl};
 use crate::obs::EventKind;
 use crate::reliable::ReliableEndpoint;
-use crate::runtime::RuntimeConfig;
+use crate::runtime::{RuntimeConfig, HB_TIMEOUT, RETRY_TIMEOUT, TICK};
 
 /// High bit of the AM's message-id owner: replacement AMs get fresh
 /// sender streams (`AM_OWNER_FLAG | epoch`), so their messages are never
@@ -37,7 +37,7 @@ pub(crate) fn am_thread(
         bus,
         endpoint,
         AM_OWNER_FLAG | epoch as u32,
-        Duration::from_millis(cfg.retry_timeout_ms),
+        RETRY_TIMEOUT,
         Some(cfg.retry_max_attempts),
         Arc::clone(&ctrl.metrics),
     );
@@ -47,9 +47,8 @@ pub(crate) fn am_thread(
     let durable = ctrl.bump_term(epoch);
     let term = durable.term;
     ctrl.obs.journal.emit(EventKind::TermBump { term });
-    let (ms, timeout) = (Duration::from_millis, cfg.hb_timeout_ms);
-    let grace = ctrl.first_contact_grace_ms.load(Ordering::SeqCst);
-    let hb = HeartbeatMonitor::with_grace(ms(timeout), ms(grace.max(timeout)));
+    let grace = Duration::from_millis(ctrl.first_contact_grace_ms.load(Ordering::SeqCst));
+    let hb = HeartbeatMonitor::with_grace(HB_TIMEOUT, grace.max(HB_TIMEOUT));
     let mut acts = Actions::default();
     // Only AMs reconfigure the collective, each behind a persisted record,
     // so this read stays current until this incarnation's own orders.
@@ -59,7 +58,6 @@ pub(crate) fn am_thread(
     let open = cfg.open_membership;
     let core = AmCore::incarnate(epoch, durable, interval, open, hb, now, &mut acts);
     let mut am = Driver {
-        cfg,
         rep,
         comm,
         ctrl,
@@ -84,7 +82,6 @@ fn now(rep: &ReliableEndpoint, ctrl: &SharedControl, generation: u64) -> Now {
 }
 
 struct Driver {
-    cfg: RuntimeConfig,
     rep: ReliableEndpoint,
     comm: Arc<CommGroup>,
     ctrl: Arc<SharedControl>,
@@ -121,7 +118,7 @@ impl Driver {
             if !self.step(Event::Tick) || self.core.fenced() {
                 return;
             }
-            if let Some((from, msg)) = self.rep.recv_timeout(self.cfg.tick()) {
+            if let Some((from, msg)) = self.rep.recv_timeout(TICK) {
                 if let RtMsg::Heartbeat { worker, iteration } = msg {
                     // The controller's progress view when workers are
                     // remote processes (the in-process telemetry map

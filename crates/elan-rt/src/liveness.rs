@@ -17,7 +17,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
@@ -29,7 +28,7 @@ use elan_sim::{SimDuration, SimTime};
 
 use crate::obs::{EventKind, Obs};
 use crate::reliable::RtMetrics;
-use crate::time::{std_to_sim, TimeSource};
+use crate::time::{std_to_sim, JoinHandle, TimeSource};
 
 /// Where an armed AM crash fires (test hook for recovery scenarios).
 ///

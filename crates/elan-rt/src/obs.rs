@@ -837,7 +837,7 @@ pub struct Obs {
     /// completion is one-shot. Only the span methods below touch it, so
     /// every transition is journalled.
     traces: Mutex<TraceState>,
-    /// Named counters/gauges/histograms.
+    /// Named counters and histograms.
     pub registry: MetricsRegistry,
     /// Reliable-messaging counters, registered in `registry` under
     /// `rt.*` names.

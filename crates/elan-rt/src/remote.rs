@@ -35,7 +35,6 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -45,7 +44,7 @@ use crate::bus::{Bus, EndpointId};
 use crate::comm::{CommGroup, TuningProfile};
 use crate::liveness::SharedControl;
 use crate::obs::{Obs, DEFAULT_RING_CAPACITY};
-use crate::runtime::RuntimeConfig;
+use crate::runtime::{RuntimeConfig, LEASE_TTL};
 use crate::time::TimeSource;
 use crate::transport::{SocketTransport, Transport};
 use crate::worker::{run_worker, worker_endpoint, Telemetry, WorkerRole, WorkerView};
@@ -106,8 +105,10 @@ impl RemoteRole {
 ///
 /// `cfg` must agree with the coordinator's [`RuntimeConfig`] on the
 /// training-shape fields (`param_elems`, `coordination_interval`,
-/// `learning_rate`, `total_batch`, `replication_chunk_elems`); the
-/// timing fields only pace this process's own loops.
+/// `learning_rate`, `total_batch`, `replication_chunk_elems`);
+/// `compute_us` only paces this process's own loop. The heartbeat,
+/// retry and poll periods are fixed runtime constants, the same on both
+/// sides.
 pub fn run_remote_worker(
     addr: &str,
     id: WorkerId,
@@ -124,11 +125,7 @@ pub fn run_remote_worker(
     // registration, and the bus caches journal/time when wrapped.
     transport.attach(Some(Arc::clone(&obs.journal)), time.clone());
     let bus = Bus::with_transport(transport);
-    let ctrl = Arc::new(SharedControl::with_time(
-        Duration::from_millis(cfg.lease_ttl_ms),
-        obs,
-        time.clone(),
-    ));
+    let ctrl = Arc::new(SharedControl::with_time(LEASE_TTL, obs, time.clone()));
     let comm = Arc::new(CommGroup::with_tuning(
         [id],
         cfg.param_elems,
@@ -146,7 +143,7 @@ pub fn run_remote_worker(
         WorkerRole::Rejoin { .. } => std::process::id() % 127 + 1,
         _ => 0,
     };
-    let rep = worker_endpoint(&bus, id, incarnation, &cfg, &ctrl);
+    let rep = worker_endpoint(&bus, id, incarnation, &ctrl);
     run_worker(id, cfg, rep, comm, Arc::clone(&telemetry), role, ctrl);
     bus.unregister(EndpointId::Worker(id));
     let view = telemetry.lock().get(&id).copied();

@@ -19,7 +19,6 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -40,7 +39,7 @@ use crate::obs::{
     TraceKind, DEFAULT_RING_CAPACITY,
 };
 use crate::reliable::{ReliableEndpoint, RtMetricsSnapshot, REMOTE_FIRST_CONTACT_GRACE_MS};
-use crate::time::{std_to_sim, TimeSource};
+use crate::time::{std_to_sim, JoinHandle, TimeSource};
 use crate::transport::{MemoryTransport, Transport};
 use crate::worker::{
     run_worker, worker_endpoint, SnapshotAssembly, Telemetry, WorkerRole, WorkerView,
@@ -49,6 +48,19 @@ use crate::worker::{
 /// How often the controller re-issues an unacknowledged operation at the
 /// application level (covers AM failovers that swallowed the original).
 const OP_RESEND_EVERY: SimDuration = SimDuration::from_millis(400);
+
+/// Worker liveness-beacon period.
+pub(crate) const HB_PERIOD: Duration = Duration::from_millis(25);
+/// Silence after which the AM declares a worker dead.
+pub(crate) const HB_TIMEOUT: Duration = Duration::from_millis(400);
+/// AM lease TTL; the watchdog elects a replacement past this.
+pub(crate) const LEASE_TTL: Duration = Duration::from_millis(200);
+/// Watchdog poll period.
+const WATCHDOG_POLL: Duration = Duration::from_millis(40);
+/// Reliable-messaging ack timeout before a resend.
+pub(crate) const RETRY_TIMEOUT: Duration = Duration::from_millis(60);
+/// Control-loop receive-poll granularity.
+pub(crate) const TICK: Duration = Duration::from_millis(20);
 
 /// Configuration of a live elastic job.
 #[derive(Debug, Clone, Copy)]
@@ -63,20 +75,8 @@ pub struct RuntimeConfig {
     pub learning_rate: f32,
     /// Samples consumed per iteration.
     pub total_batch: u32,
-    /// Worker liveness-beacon period (ms).
-    pub hb_period_ms: u64,
-    /// Silence after which the AM declares a worker dead (ms).
-    pub hb_timeout_ms: u64,
-    /// AM lease TTL (ms); the watchdog elects a replacement past this.
-    pub lease_ttl_ms: u64,
-    /// Watchdog poll period (ms).
-    pub watchdog_poll_ms: u64,
-    /// Reliable-messaging ack timeout before a resend (ms).
-    pub retry_timeout_ms: u64,
     /// AM-side send attempts before presuming the peer dead.
     pub retry_max_attempts: u32,
-    /// Control-loop receive-poll granularity (ms).
-    pub tick_ms: u64,
     /// Elements per `StateChunk` message when replicating state.
     pub replication_chunk_elems: usize,
     /// Simulated forward/backward cost per iteration (µs). `0` (the
@@ -105,23 +105,13 @@ impl RuntimeConfig {
             coordination_interval: 5,
             learning_rate: 0.05,
             total_batch: 128,
-            hb_period_ms: 25,
-            hb_timeout_ms: 400,
-            lease_ttl_ms: 200,
-            watchdog_poll_ms: 40,
-            retry_timeout_ms: 60,
             retry_max_attempts: 8,
-            tick_ms: 20,
             // 1024-elem test configs stream 4 chunks per buffer, so the
             // chunked path is exercised even by the small profile.
             replication_chunk_elems: 256,
             compute_us: 0,
             open_membership: None,
         }
-    }
-
-    pub(crate) fn tick(&self) -> Duration {
-        Duration::from_millis(self.tick_ms)
     }
 }
 
@@ -441,7 +431,6 @@ impl ElasticRuntime {
         RuntimeBuilder::new()
     }
 
-    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (OS thread spawn)
     fn launch(builder: RuntimeBuilder) -> Self {
         let RuntimeBuilder {
             cfg,
@@ -472,11 +461,7 @@ impl ElasticRuntime {
             ))),
         };
         let metrics = Arc::clone(&obs.rt);
-        let ctrl = Arc::new(SharedControl::with_time(
-            Duration::from_millis(cfg.lease_ttl_ms),
-            obs,
-            time.clone(),
-        ));
+        let ctrl = Arc::new(SharedControl::with_time(LEASE_TTL, obs, time.clone()));
         if remote_workers {
             // Founding workers are OS processes an external orchestrator
             // spawns after this returns: give their first contact room
@@ -509,7 +494,7 @@ impl ElasticRuntime {
             bus.clone(),
             bus.register(EndpointId::Controller),
             1,
-            Duration::from_millis(cfg.retry_timeout_ms),
+            RETRY_TIMEOUT,
             None, // the controller retries forever — failover will answer
             Arc::clone(&metrics),
         );
@@ -518,15 +503,9 @@ impl ElasticRuntime {
         ctrl.am_handles.lock().push(am_handle);
         let watchdog = {
             let (bus, comm, ctrl) = (bus.clone(), Arc::clone(&comm), Arc::clone(&ctrl));
-            let time = time.clone();
-            let slot = time.create_thread();
-            thread::Builder::new()
-                .name("elan-watchdog".into())
-                .spawn(move || {
-                    let _clock = time.adopt(slot);
-                    watchdog_thread(cfg, bus, comm, ctrl)
-                })
-                .expect("spawn watchdog thread")
+            time.spawn("elan-watchdog".into(), move || {
+                watchdog_thread(cfg, bus, comm, ctrl)
+            })
         };
 
         let mut rt = ElasticRuntime {
@@ -564,23 +543,16 @@ impl ElasticRuntime {
         rt
     }
 
-    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (OS thread spawn)
     fn spawn_worker(&mut self, id: WorkerId, role: WorkerRole) {
         let incarnation = self.restarts.get(&id).copied().unwrap_or(0);
-        let rep = worker_endpoint(&self.bus, id, incarnation, &self.cfg, &self.ctrl);
+        let rep = worker_endpoint(&self.bus, id, incarnation, &self.ctrl);
         let cfg = self.cfg;
         let comm = Arc::clone(&self.comm);
         let telemetry = Arc::clone(&self.telemetry);
         let ctrl = Arc::clone(&self.ctrl);
-        let time = self.bus.time().clone();
-        let slot = time.create_thread();
-        let handle = thread::Builder::new()
-            .name(format!("elan-{id}"))
-            .spawn(move || {
-                let _clock = time.adopt(slot);
-                run_worker(id, cfg, rep, comm, telemetry, role, ctrl)
-            })
-            .expect("spawn worker thread");
+        let handle = self.bus.time().spawn(format!("elan-{id}"), move || {
+            run_worker(id, cfg, rep, comm, telemetry, role, ctrl)
+        });
         self.worker_handles.insert(id, handle);
     }
 
@@ -684,7 +656,6 @@ impl ElasticRuntime {
     /// If `worker` was never ordered to crash (no play-dead flag and no
     /// armed boundary crash point): joining a live worker thread would
     /// block forever, so the misuse is rejected loudly instead.
-    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (worker join)
     pub fn restart_worker(&mut self, worker: WorkerId) {
         // Crash evidence lives in one of three places depending on how far
         // the crash has progressed: the play-dead flag, a still-armed
@@ -700,10 +671,8 @@ impl ElasticRuntime {
             "restart_worker({worker:?}): worker was never ordered to crash; \
              joining its live thread would hang forever"
         );
-        let time = self.bus.time().clone();
         if let Some(h) = self.worker_handles.remove(&worker) {
-            time.blocking(|| h.join())
-                .expect("crashed worker thread exits");
+            h.join();
         }
         self.bus.unregister(EndpointId::Worker(worker));
         // A worker that died before recording credentials (or was ordered
@@ -799,7 +768,7 @@ impl ElasticRuntime {
         let mut last_send = time.now();
         loop {
             let _ = self.rep.tick();
-            let answer = self.rep.recv_timeout(self.cfg.tick());
+            let answer = self.rep.recv_timeout(TICK);
             if let Some(out) = answer.and_then(|(_, msg)| reply(msg)) {
                 return out;
             }
@@ -864,7 +833,6 @@ impl ElasticRuntime {
         }
     }
 
-    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (worker join)
     fn adjust_to(&mut self, target: Vec<WorkerId>, kind: TraceKind) {
         let current = self.members();
         let joining: Vec<WorkerId> = target
@@ -897,14 +865,9 @@ impl ElasticRuntime {
             },
             seq,
         );
-        // Reap leavers. The join is an OS-blocking wait on a thread that
-        // may still need to be scheduled to finish, so on a virtual clock
-        // it must run as an external section.
-        let time = self.bus.time().clone();
         for w in leaving {
             if let Some(h) = self.worker_handles.remove(&w) {
-                time.blocking(|| h.join())
-                    .expect("worker thread exits cleanly");
+                h.join();
             }
             self.bus.unregister(EndpointId::Worker(w));
         }
@@ -983,27 +946,23 @@ impl ElasticRuntime {
 
     /// Stops the job at the next coordination boundary and returns the
     /// final report.
-    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (teardown joins)
     pub fn shutdown(mut self) -> ShutdownReport {
         let seq = self.take_seq();
         self.op_roundtrip(RtMsg::Stop { seq }, seq);
         self.ctrl.shutdown.store(true, Ordering::SeqCst);
-        let time = self.bus.time().clone();
         for (_, h) in std::mem::take(&mut self.worker_handles) {
-            time.blocking(|| h.join())
-                .expect("worker thread exits cleanly");
+            h.join();
         }
         if let Some(h) = self.watchdog.take() {
-            time.blocking(|| h.join())
-                .expect("watchdog thread exits cleanly");
+            h.join();
         }
         let ams: Vec<JoinHandle<()>> = self.ctrl.am_handles.lock().drain(..).collect();
         for h in ams {
-            time.blocking(|| h.join()).expect("AM thread exits cleanly");
+            h.join();
         }
         // Release the controller thread from the (virtual) clock: the
         // runtime is gone and the caller's thread must not stay scheduled.
-        time.deregister();
+        self.bus.time().deregister();
         ShutdownReport {
             final_world_size: self.members().len() as u32,
             workers: self.snapshot(),
@@ -1019,7 +978,6 @@ impl ElasticRuntime {
 }
 
 /// Spawns one AM incarnation; epoch 0 is the founding AM.
-#[allow(clippy::expect_used)] // waived: see verify-allow.toml (OS thread spawn)
 fn spawn_am(
     cfg: RuntimeConfig,
     bus: &Bus,
@@ -1029,16 +987,12 @@ fn spawn_am(
 ) -> JoinHandle<()> {
     let endpoint = bus.register(EndpointId::Am);
     let lease = ctrl.grant_lease();
-    let time = bus.time().clone();
-    let slot = time.create_thread();
     let (bus, comm, ctrl) = (bus.clone(), Arc::clone(comm), Arc::clone(ctrl));
-    thread::Builder::new()
-        .name(format!("elan-am-e{epoch}"))
-        .spawn(move || {
-            let _clock = time.adopt(slot);
+    bus.time()
+        .clone()
+        .spawn(format!("elan-am-e{epoch}"), move || {
             am_thread(cfg, bus, endpoint, comm, ctrl, epoch, lease)
         })
-        .expect("spawn AM thread")
 }
 
 /// Polls the AM lease; when it lapses (the AM died or was crashed), bumps
@@ -1046,8 +1000,7 @@ fn spawn_am(
 /// record — Elan's watchdog-driven AM failover.
 fn watchdog_thread(cfg: RuntimeConfig, bus: Bus, comm: Arc<CommGroup>, ctrl: Arc<SharedControl>) {
     loop {
-        bus.time()
-            .sleep(Duration::from_millis(cfg.watchdog_poll_ms));
+        bus.time().sleep(WATCHDOG_POLL);
         if ctrl.shutting_down() {
             return;
         }

@@ -27,9 +27,20 @@
 //!
 //! - parks (`TimeSource::park_until` /
 //!   [`TimeSource::sleep`]), or
-//! - enters an OS-blocking section ([`TimeSource::blocking`], used around
-//!   `JoinHandle::join`), or
+//! - joins a child that is still registered (`JoinHandle::join`), or
 //! - deregisters on exit.
+//!
+//! # Thread lifecycle
+//!
+//! Every runtime thread starts through `TimeSource::spawn`. The spawner
+//! reserves the child's id, so ids follow spawn order, not OS start-up
+//! order. The child waits for the token before its first instruction and
+//! deregisters only after its closure and captures are dropped. A join
+//! parks the caller until the child deregisters; the child, holding the
+//! token as it leaves, makes the joiner runnable, so the joiner resumes
+//! at the child's exit instant on every run of a seed. Only then does it
+//! wait for the OS thread. No registered thread ever waits on the OS
+//! outside the scheduler, so no wall-clock moment enters a schedule.
 //!
 //! When no registered thread is runnable, the coordinator auto-advances
 //! virtual time to the earliest pending deadline and wakes every thread
@@ -61,13 +72,6 @@ pub fn std_to_sim(d: Duration) -> SimDuration {
 pub(crate) fn sim_to_std(d: SimDuration) -> Duration {
     Duration::from_nanos(d.as_nanos())
 }
-
-/// Identity of a registered virtual-clock thread, handed out by
-/// [`TimeSource::create_thread`] *before* the OS thread is spawned so that
-/// thread identity is assigned deterministically by the spawner, not by OS
-/// scheduling order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ThreadSlot(u64);
 
 thread_local! {
     /// Virtual-thread id of the current OS thread, if registered.
@@ -182,25 +186,34 @@ impl TimeSource {
         }
     }
 
-    /// Reserve a deterministic identity for a thread about to be spawned.
-    /// Call on the spawning thread, then hand the slot to the child which
-    /// must [`TimeSource::adopt`] it first thing.
-    pub(crate) fn create_thread(&self) -> ThreadSlot {
-        match &self.0 {
-            Src::Real(_) => ThreadSlot(u64::MAX),
-            Src::Virtual(v) => v.create_thread(),
-        }
-    }
-
-    /// Bind the calling OS thread to a reserved slot and wait to be
-    /// scheduled. Returns a guard that deregisters the thread when dropped
-    /// (including on panic, so a crashed thread cannot wedge the clock).
-    #[must_use = "dropping the guard deregisters the thread immediately"]
-    pub(crate) fn adopt(&self, slot: ThreadSlot) -> SlotGuard {
-        if let Src::Virtual(v) = &self.0 {
-            v.adopt(slot);
-        }
-        SlotGuard { time: self.clone() }
+    /// Start a named OS thread running `f` on this clock.
+    ///
+    /// On a virtual clock the child's scheduler slot is reserved here, on
+    /// the spawning thread, so slot ids follow spawn order rather than OS
+    /// start-up order. The child waits for the run token before running
+    /// `f`, and leaves the scheduler only after `f` and everything it
+    /// captured are dropped, so those drops run under the token too. A
+    /// panicking child still leaves, so it cannot wedge the clock. On the
+    /// real clock this is a plain `thread::Builder::spawn`.
+    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (OS thread spawn)
+    pub(crate) fn spawn<T, F>(&self, name: String, f: F) -> JoinHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let slot = match &self.0 {
+            Src::Real(_) => None,
+            Src::Virtual(v) => Some((Arc::clone(v), v.create_thread())),
+        };
+        let child = slot.clone();
+        let thread = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || {
+                let _slot = child.map(|(v, id)| SlotGuard::adopt(v, id));
+                f()
+            })
+            .expect("the OS refused to start a runtime thread");
+        JoinHandle { thread, slot }
     }
 
     /// Register the *calling* thread (used for the controller thread that
@@ -208,8 +221,8 @@ impl TimeSource {
     /// shutdown. No-op on the real clock.
     pub(crate) fn register_current(&self) {
         if let Src::Virtual(v) = &self.0 {
-            let slot = v.create_thread();
-            v.adopt(slot);
+            let id = v.create_thread();
+            v.adopt(id);
         }
     }
 
@@ -220,28 +233,49 @@ impl TimeSource {
             v.deregister();
         }
     }
+}
 
-    /// Run `f` as an *external* section: the calling thread gives up the
-    /// run token and stops participating in virtual scheduling while `f`
-    /// runs (so `f` may block on the OS — e.g. `JoinHandle::join` on a
-    /// registered thread that still needs to be scheduled to finish). The
-    /// thread re-enters the scheduler before returning.
-    pub fn blocking<R>(&self, f: impl FnOnce() -> R) -> R {
-        match &self.0 {
-            Src::Real(_) => f(),
-            Src::Virtual(v) => v.blocking(f),
+/// A thread started by [`TimeSource::spawn`].
+pub(crate) struct JoinHandle<T> {
+    thread: std::thread::JoinHandle<T>,
+    /// The child's clock and scheduler id, on a virtual clock.
+    slot: Option<(Arc<VirtualClock>, u64)>,
+}
+
+impl<T> JoinHandle<T> {
+    /// Wait for the thread to finish and return its result, re-raising a
+    /// panic of the child as a panic of the caller.
+    ///
+    /// On a virtual clock a registered caller parks in the scheduler
+    /// until the child leaves it; the child, holding the run token as it
+    /// leaves, makes the caller runnable, so the caller resumes at the
+    /// child's exit instant on every run of a seed. Only then does the
+    /// caller wait for the OS thread, which by that point runs no
+    /// scheduled code. On the real clock this is a plain `join`.
+    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (thread join)
+    pub(crate) fn join(self) -> T {
+        if let Some((v, id)) = &self.slot {
+            v.await_exit(*id);
         }
+        self.thread.join().expect("a runtime thread panicked")
     }
 }
 
-/// Deregistration guard returned by [`TimeSource::adopt`].
-pub(crate) struct SlotGuard {
-    time: TimeSource,
+/// Scheduler membership of a [`TimeSource::spawn`]ed thread: binds the
+/// thread to its reserved slot on creation and deregisters it on drop,
+/// including on panic.
+struct SlotGuard(Arc<VirtualClock>);
+
+impl SlotGuard {
+    fn adopt(clock: Arc<VirtualClock>, id: u64) -> SlotGuard {
+        clock.adopt(id);
+        SlotGuard(clock)
+    }
 }
 
 impl Drop for SlotGuard {
     fn drop(&mut self) {
-        self.time.deregister();
+        self.0.deregister();
     }
 }
 
@@ -282,8 +316,8 @@ enum ThreadState {
     Runnable,
     /// Waiting for a wake-up, optionally with a virtual deadline.
     Parked { deadline: Option<u64> },
-    /// Outside the virtual world in an OS-blocking section.
-    External,
+    /// Waiting for thread `child` to leave the scheduler.
+    Joining { child: u64 },
 }
 
 impl VirtualClock {
@@ -301,23 +335,33 @@ impl VirtualClock {
         }
     }
 
-    fn create_thread(&self) -> ThreadSlot {
+    /// Reserve the next thread id, runnable from the start.
+    fn create_thread(&self) -> u64 {
         let mut st = self.inner.lock();
         let id = st.next_id;
         st.next_id += 1;
         st.threads.insert(id, ThreadState::Runnable);
-        ThreadSlot(id)
+        id
     }
 
-    fn adopt(&self, slot: ThreadSlot) {
-        CURRENT.set(Some(slot.0));
-        self.await_token(slot.0, |_| {});
+    /// Bind the calling OS thread to the reserved id `my` and wait for
+    /// the run token.
+    fn adopt(&self, my: u64) {
+        CURRENT.set(Some(my));
+        self.await_token(my, |_| {});
     }
 
+    /// Leave the scheduler, making every thread joining this one
+    /// runnable.
     fn deregister(&self) {
         let Some(my) = CURRENT.take() else { return };
         let mut st = self.inner.lock();
         st.threads.remove(&my);
+        for s in st.threads.values_mut() {
+            if *s == (ThreadState::Joining { child: my }) {
+                *s = ThreadState::Runnable;
+            }
+        }
         if st.running == Some(my) {
             st.running = None;
             self.schedule_locked(&mut st);
@@ -339,10 +383,7 @@ impl VirtualClock {
                 Some(my),
                 "parking thread must hold the run token"
             );
-            st.threads.insert(my, ThreadState::Parked { deadline });
-            st.running = None;
-            self.schedule_locked(st);
-            self.cvar.notify_all();
+            self.release_locked(st, my, ThreadState::Parked { deadline });
         });
     }
 
@@ -363,24 +404,25 @@ impl VirtualClock {
         self.cvar.notify_all();
     }
 
-    fn blocking<R>(&self, f: impl FnOnce() -> R) -> R {
-        let Some(my) = CURRENT.get() else {
-            return f();
-        };
-        {
-            let mut st = self.inner.lock();
-            st.threads.insert(my, ThreadState::External);
-            if st.running == Some(my) {
-                st.running = None;
-                self.schedule_locked(&mut st);
-            }
-            self.cvar.notify_all();
-        }
-        let out = f();
+    /// Park the calling thread until thread `child` has deregistered. An
+    /// unregistered caller returns at once: it is not scheduled, so its
+    /// OS join cannot hold anyone up.
+    fn await_exit(&self, child: u64) {
+        let Some(my) = CURRENT.get() else { return };
         self.await_token(my, |st| {
-            st.threads.insert(my, ThreadState::Runnable);
+            if st.threads.contains_key(&child) {
+                self.release_locked(st, my, ThreadState::Joining { child });
+            }
         });
-        out
+    }
+
+    /// Put thread `my`, which holds the run token, into `state` and hand
+    /// the token on.
+    fn release_locked(&self, st: &mut ClockInner, my: u64, state: ThreadState) {
+        st.threads.insert(my, state);
+        st.running = None;
+        self.schedule_locked(st);
+        self.cvar.notify_all();
     }
 
     /// Lock the clock, apply `update`, then wait on the condvar until
@@ -403,10 +445,9 @@ impl VirtualClock {
     /// 1. If any thread is `Runnable`, pick one with the seeded PRNG.
     /// 2. Otherwise advance `now` to the earliest parked deadline and wake
     ///    every thread whose deadline has arrived, then pick.
-    /// 3. Otherwise, if a thread is in an external section, leave the token
-    ///    unassigned — the external thread restarts scheduling on re-entry.
-    /// 4. Otherwise every registered thread is parked without a deadline:
-    ///    the virtual world can never progress again. Panic with a dump.
+    /// 3. Otherwise every registered thread is parked without a deadline
+    ///    or joining one that is: the virtual world can never progress
+    ///    again. Panic with a dump.
     fn schedule_locked(&self, st: &mut ClockInner) {
         if st.running.is_some() {
             return;
@@ -448,14 +489,12 @@ impl VirtualClock {
                 }
                 continue;
             }
-            if st.threads.is_empty() || st.threads.values().any(|s| *s == ThreadState::External) {
-                // Nothing to schedule right now; an external section (or a
-                // late registration) will restart the scheduler.
+            if st.threads.is_empty() {
                 return;
             }
             panic!(
                 "virtual deadlock at t={}ns: every registered thread is parked \
-                 without a deadline: {:?}",
+                 without a deadline or joining one that is: {:?}",
                 st.now, st.threads
             );
         }
@@ -475,6 +514,7 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc as StdArc;
 
@@ -487,6 +527,10 @@ mod tests {
         }
     }
 
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_nanos(n * 1_000_000)
+    }
+
     #[test]
     fn real_time_is_monotonic_from_epoch() {
         let t = TimeSource::real();
@@ -496,12 +540,18 @@ mod tests {
     }
 
     #[test]
+    fn real_clock_spawn_and_join_are_plain_threads() {
+        let t = TimeSource::real();
+        assert_eq!(t.spawn("plain".into(), || 5u8).join(), 5);
+    }
+
+    #[test]
     fn virtual_sleep_advances_exactly() {
         let t = TimeSource::virtual_seeded(7);
         t.register_current();
         assert_eq!(t.now(), SimTime::ZERO);
         t.sleep(Duration::from_millis(5));
-        assert_eq!(t.now(), SimTime::from_nanos(5_000_000));
+        assert_eq!(t.now(), ms(5));
         t.sleep(Duration::from_micros(1));
         assert_eq!(t.now(), SimTime::from_nanos(5_001_000));
         t.deregister();
@@ -520,27 +570,29 @@ mod tests {
         t.deregister();
     }
 
-    /// Two child threads interleave sleeps; the observed order must be a
-    /// pure function of the seed.
+    /// Three children log and sleep in steps of different lengths while
+    /// the parent joins them one by one, logging each join with its
+    /// virtual instant. The joins land between the survivors' sleeps, so
+    /// the log is a pure function of the seed only if a joiner resumes at
+    /// a scheduled moment.
     fn interleaving(seed: u64) -> Vec<u64> {
         let t = TimeSource::virtual_seeded(seed);
         let log = StdArc::new(Mutex::new(Vec::new()));
         t.register_current();
-        let mut handles = Vec::new();
-        for id in 0..3u64 {
-            let slot = t.create_thread();
-            let t2 = t.clone();
-            let log2 = StdArc::clone(&log);
-            handles.push(std::thread::spawn(move || {
-                let _reg = t2.adopt(slot);
-                for step in 0..4u64 {
-                    log2.lock().push(id * 100 + step);
-                    t2.sleep(Duration::from_millis(1 + id));
-                }
-            }));
-        }
-        for h in handles {
-            t.blocking(|| h.join()).ok();
+        let children: Vec<JoinHandle<()>> = (0..3u64)
+            .map(|id| {
+                let (t2, log2) = (t.clone(), StdArc::clone(&log));
+                t.spawn(format!("child-{id}"), move || {
+                    for step in 0..8u64 {
+                        log2.lock().push(id * 100 + step);
+                        t2.sleep(Duration::from_millis(1 + id));
+                    }
+                })
+            })
+            .collect();
+        for (k, child) in (0u64..).zip(children) {
+            child.join();
+            log.lock().extend([900 + k, t.now().as_nanos()]);
         }
         t.deregister();
         let out = log.lock().clone();
@@ -549,8 +601,12 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
-        assert_eq!(interleaving(42), interleaving(42));
-        assert_eq!(interleaving(7), interleaving(7));
+        for seed in [42, 7] {
+            let first = interleaving(seed);
+            for run in 1..20 {
+                assert_eq!(interleaving(seed), first, "seed {seed}, run {run}");
+            }
+        }
     }
 
     #[test]
@@ -570,11 +626,8 @@ mod tests {
         let t = TimeSource::virtual_seeded(3);
         t.register_current();
         let flag = StdArc::new(AtomicU64::new(0));
-        let slot = t.create_thread();
-        let t2 = t.clone();
-        let flag2 = StdArc::clone(&flag);
-        let h = std::thread::spawn(move || {
-            let _reg = t2.adopt(slot);
+        let (t2, flag2) = (t.clone(), StdArc::clone(&flag));
+        let child = t.spawn("waiter".into(), move || {
             while flag2.load(Ordering::SeqCst) == 0 {
                 park(&t2);
             }
@@ -584,26 +637,39 @@ mod tests {
         t.sleep(Duration::from_millis(1));
         flag.store(1, Ordering::SeqCst);
         t.wake_all();
-        t.blocking(|| h.join()).ok();
+        child.join();
         assert_eq!(flag.load(Ordering::SeqCst), 2);
         t.deregister();
     }
 
     #[test]
-    fn blocking_releases_the_token_for_children() {
+    fn join_releases_the_token_for_children() {
         let t = TimeSource::virtual_seeded(1);
         t.register_current();
-        let slot = t.create_thread();
         let t2 = t.clone();
-        let h = std::thread::spawn(move || {
-            let _reg = t2.adopt(slot);
+        let child = t.spawn("sleeper".into(), move || {
             t2.sleep(Duration::from_millis(10));
             99u32
         });
-        // Joining inside `blocking` lets the child be scheduled to finish.
-        let got = t.blocking(|| h.join()).ok();
-        assert_eq!(got, Some(99));
-        assert_eq!(t.now(), SimTime::from_nanos(10_000_000));
+        // The joiner parks in the scheduler, so the child gets the token.
+        assert_eq!(child.join(), 99);
+        assert_eq!(t.now(), ms(10));
+        t.deregister();
+    }
+
+    #[test]
+    fn join_resumes_at_the_child_exit_instant() {
+        let t = TimeSource::virtual_seeded(11);
+        t.register_current();
+        let (ta, tb) = (t.clone(), t.clone());
+        let short = t.spawn("short".into(), move || ta.sleep(Duration::from_millis(3)));
+        let long = t.spawn("long".into(), move || tb.sleep(Duration::from_millis(10)));
+        short.join();
+        // Time must not run on to the long child's deadline before the
+        // joiner is back on the token.
+        assert_eq!(t.now(), ms(3));
+        long.join();
+        assert_eq!(t.now(), ms(10));
         t.deregister();
     }
 
@@ -616,19 +682,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "virtual deadlock")]
+    fn joining_a_child_parked_forever_is_a_deadlock() {
+        let t = TimeSource::virtual_seeded(6);
+        t.register_current();
+        let t2 = t.clone();
+        let child = t.spawn("stuck".into(), move || park(&t2));
+        // Let the child reach its park, so the join is the last move.
+        t.sleep(Duration::from_millis(1));
+        child.join();
+    }
+
+    #[test]
     fn slot_guard_deregisters_on_panic() {
         let t = TimeSource::virtual_seeded(9);
         t.register_current();
-        let slot = t.create_thread();
-        let t2 = t.clone();
-        let h = std::thread::spawn(move || {
-            let _reg = t2.adopt(slot);
-            panic!("child dies");
-        });
+        let child: JoinHandle<()> = t.spawn("doomed".into(), || panic!("child dies"));
         // If the guard failed to deregister, this join would wedge the
-        // clock: the parent would block while the dead child still owned a
+        // clock: the parent would wait on a dead child that still owned a
         // scheduler entry with no deadline.
-        let joined = t.blocking(|| h.join());
+        let joined = catch_unwind(AssertUnwindSafe(|| child.join()));
         assert!(joined.is_err());
         t.sleep(Duration::from_millis(1)); // clock still functional
         t.deregister();

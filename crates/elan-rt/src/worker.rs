@@ -64,7 +64,7 @@ use crate::comm::{AllreduceOutcome, CommGroup};
 use crate::liveness::SharedControl;
 use crate::obs::EventKind;
 use crate::reliable::ReliableEndpoint;
-use crate::runtime::RuntimeConfig;
+use crate::runtime::{RuntimeConfig, HB_PERIOD, RETRY_TIMEOUT, TICK};
 use crate::time::{sim_to_std, std_to_sim, TimeSource};
 
 /// Per-worker observable state, published after every iteration.
@@ -345,14 +345,13 @@ pub(crate) fn worker_endpoint(
     bus: &Bus,
     id: WorkerId,
     incarnation: u32,
-    cfg: &RuntimeConfig,
     ctrl: &SharedControl,
 ) -> ReliableEndpoint {
     ReliableEndpoint::new(
         bus.clone(),
         bus.register(EndpointId::Worker(id)),
         sender_owner(id, incarnation),
-        Duration::from_millis(cfg.retry_timeout_ms),
+        RETRY_TIMEOUT,
         None,
         Arc::clone(&ctrl.metrics),
     )
@@ -436,8 +435,8 @@ pub(crate) fn run_worker(
             time: rep.time().clone(),
             rep,
             ctrl,
-            hb_period: std_to_sim(Duration::from_millis(cfg.hb_period_ms)),
-            tick: cfg.tick(),
+            hb_period: std_to_sim(HB_PERIOD),
+            tick: TICK,
             last_hb: None,
             highest_term: 0,
         },

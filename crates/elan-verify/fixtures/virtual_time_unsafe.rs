@@ -3,9 +3,9 @@
 // Known-bad: the worker loop reaps a helper thread with a raw
 // `join()`. Under the seeded virtual clock a real OS wait never
 // advances virtual time, so the whole scheduler hangs silently. The
-// wait must park through TimeSource, or be wrapped in
-// `TimeSource::blocking(..)` so the clock knows a thread is
-// legitimately off-world (DESIGN.md §12/§16).
+// thread must be started with `TimeSource::spawn` and joined through its
+// handle, which parks in the scheduler until the child has left it
+// (DESIGN.md §12/§16).
 //
 // This file is a checker fixture, not part of the build.
 

@@ -1,18 +1,20 @@
-//! Interprocedural reachability engine: a cross-crate, name-based call
-//! graph over every scan root, with per-function *effect sets* extracted
-//! in one token pass — locks acquired, guards live at each call site,
-//! OS-blocking operations, bus sends, `RtMsg` constructions, and the
-//! `blocking()` escape hatch. Rules consume the graph through fixpoint
-//! helpers ([`Engine::reach_paths`]) that record the call chain hop by
-//! hop, so a diagnostic can print `fn a → fn b → write_all(..)` with a
-//! file:line for every hop (DESIGN.md §16).
+//! Interprocedural reachability engine: a cross-crate call graph over
+//! every scan root, with per-function *effect sets* extracted in one
+//! token pass — locks acquired, guards live at each call site,
+//! OS-blocking operations, bus sends and `RtMsg` constructions. Rules
+//! consume the graph through fixpoint helpers ([`Engine::reach_paths`])
+//! that record the call chain hop by hop, so a diagnostic can print
+//! `fn a → fn b → write_all(..)` with a file:line for every hop
+//! (DESIGN.md §16).
 //!
-//! Resolution is by simple name: candidates in the caller's own crate
-//! win; only when the caller's crate defines no function of that name
-//! does the search widen to the whole workspace (the facade bins call
-//! into `elan-rt`, integration tests call into every crate). Names with
-//! more than [`MAX_RESOLVE`] candidates are dropped as noise, exactly
-//! like the PR 4 lock analysis this generalises.
+//! Resolution reads the receiver where the source names it: `self.f(..)`
+//! and `Self::f(..)` resolve to the enclosing impl's `f`, `Type::f(..)` to
+//! `Type`'s, when that impl defines one. Every other call resolves by
+//! simple name: candidates in the caller's own crate win; only when the
+//! caller's crate defines no function of that name does the search widen
+//! to the whole workspace (the facade bins call into `elan-rt`,
+//! integration tests call into every crate). Names with more than
+//! [`MAX_RESOLVE`] candidates are dropped as noise.
 
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
@@ -108,8 +110,6 @@ pub struct BlockingOp {
     /// `s = self.stream.lock()`) — blocking on your own lock is the
     /// intended use, but the op still blocks callers holding *other* locks.
     pub self_guard: bool,
-    /// Inside a `.blocking(..)` escape-hatch closure.
-    pub escaped: bool,
 }
 
 /// One call site inside a function body.
@@ -119,8 +119,9 @@ pub struct CallSite {
     pub line: u32,
     /// Lock names of all guards live at the call.
     pub holding: Vec<String>,
-    /// Inside a `.blocking(..)` escape-hatch closure.
-    pub escaped: bool,
+    /// The impl the call names: the enclosing one for `self.f(..)` and
+    /// `Self::f(..)`, `Type` for `Type::f(..)`.
+    pub owner: Option<String>,
 }
 
 /// An `RtMsg::Variant` value construction (expression position only).
@@ -177,7 +178,6 @@ pub fn format_path(path: &[Hop], detail: &str) -> String {
 
 pub struct Engine {
     pub fns: Vec<FnEffects>,
-    by_crate_name: HashMap<(String, String), Vec<usize>>,
     by_name: HashMap<String, Vec<usize>>,
 }
 
@@ -193,7 +193,6 @@ impl Engine {
             .flat_map(|f| f.rwlock_fields.iter().cloned())
             .collect();
         let mut fns = Vec::new();
-        let mut by_crate_name: HashMap<(String, String), Vec<usize>> = HashMap::new();
         let mut by_name: HashMap<String, Vec<usize>> = HashMap::new();
         for (fi, file) in ws.files.iter().enumerate() {
             let bodies: Vec<Range<usize>> = file.functions.iter().map(|f| f.body.clone()).collect();
@@ -211,47 +210,56 @@ impl Engine {
                     .collect();
                 let idx = fns.len();
                 fns.push(scan_fn(file, fi, f, &rwlock_fields, &nested));
-                by_crate_name
-                    .entry((file.crate_name.clone(), f.name.clone()))
-                    .or_default()
-                    .push(idx);
                 by_name.entry(f.name.clone()).or_default().push(idx);
             }
         }
-        Engine {
-            fns,
-            by_crate_name,
-            by_name,
-        }
+        Engine { fns, by_name }
     }
 
-    /// Resolve a callee name from the caller's crate; same-crate candidates
-    /// win, cross-crate is the fallback when the caller's crate has none.
-    pub fn resolve(&self, ws: &Workspace, caller: usize, callee: &str) -> Vec<usize> {
-        let crate_name = &ws.files[self.fns[caller].file].crate_name;
-        let local = self
-            .by_crate_name
-            .get(&(crate_name.clone(), callee.to_string()));
-        let candidates = match local {
-            Some(v) if !v.is_empty() => v,
-            _ => match self.by_name.get(callee) {
-                Some(v) => v,
-                None => return Vec::new(),
-            },
+    /// Resolve a call site of function `caller`: to the named impl's
+    /// method when the call names an impl that defines one, otherwise by
+    /// simple name. Either way same-crate candidates win, and cross-crate
+    /// is the fallback when the caller's crate has none.
+    pub fn resolve(&self, ws: &Workspace, caller: usize, call: &CallSite) -> Vec<usize> {
+        let Some(all) = self.by_name.get(&call.callee) else {
+            return Vec::new();
         };
+        let crate_name = &ws.files[self.fns[caller].file].crate_name;
+        let prefer_local = |found: Vec<usize>| {
+            let local: Vec<usize> = found
+                .iter()
+                .copied()
+                .filter(|&i| &ws.files[self.fns[i].file].crate_name == crate_name)
+                .collect();
+            if local.is_empty() {
+                found
+            } else {
+                local
+            }
+        };
+        if let Some(owner) = &call.owner {
+            let qual = format!("{owner}::{}", call.callee);
+            let typed: Vec<usize> = all
+                .iter()
+                .copied()
+                .filter(|&i| self.fns[i].qual == qual)
+                .collect();
+            if !typed.is_empty() {
+                return prefer_local(typed);
+            }
+        }
+        let candidates = prefer_local(all.clone());
         if candidates.len() > MAX_RESOLVE {
             return Vec::new();
         }
-        candidates.clone()
+        candidates
     }
 
     /// Shortest call paths from every function to a direct effect.
     ///
     /// `direct[i]` is `Some((detail, line))` when function `i` performs the
     /// effect in its own body; `skip(i)` drops function `i` from the graph
-    /// entirely (exempt modules); `cut_escaped` stops propagation through
-    /// call sites inside a `.blocking(..)` closure (the virtual-time escape
-    /// hatch legitimises everything behind it).
+    /// entirely (exempt modules).
     ///
     /// Returns, per function, the hop list and the effect detail. The last
     /// hop's line is the effect line; earlier hops carry their call-site
@@ -261,7 +269,6 @@ impl Engine {
         ws: &Workspace,
         direct: &[Option<(String, u32)>],
         skip: &dyn Fn(usize) -> bool,
-        cut_escaped: bool,
     ) -> Vec<Option<(Vec<Hop>, String)>> {
         let mut out: Vec<Option<(Vec<Hop>, String)>> = (0..self.fns.len()).map(|_| None).collect();
         for (i, d) in direct.iter().enumerate() {
@@ -289,10 +296,7 @@ impl Engine {
                     continue;
                 }
                 for c in &self.fns[i].calls {
-                    if cut_escaped && c.escaped {
-                        continue;
-                    }
-                    for t in self.resolve(ws, i, &c.callee) {
+                    for t in self.resolve(ws, i, c) {
                         if t == i || skip(t) {
                             continue;
                         }
@@ -343,19 +347,8 @@ fn scan_fn(
         fence_aware: false,
     };
 
-    // Pre-pass: `.blocking(..)` escape regions.
-    let mut escapes: Vec<Range<usize>> = Vec::new();
-    for i in f.body.clone() {
-        if toks[i].is_ident("blocking")
-            && i > f.body.start
-            && toks[i - 1].is(".")
-            && i + 1 < f.body.end
-            && toks[i + 1].is("(")
-        {
-            escapes.push(i + 1..crate::model::match_bracket(toks, i + 1, "(", ")"));
-        }
-    }
-    let escaped_at = |i: usize| escapes.iter().any(|r| r.contains(&i));
+    // The impl this function belongs to, for `self.f(..)`/`Self::f(..)`.
+    let own_impl = f.qual.rsplit_once("::").map(|(ty, _)| ty.to_string());
 
     struct Guard {
         lock: String,
@@ -572,7 +565,6 @@ fn scan_fn(
                     holding: guards.iter().map(|g| g.lock.clone()).collect(),
                     released,
                     self_guard,
-                    escaped: escaped_at(i),
                 });
                 i += 1;
                 continue;
@@ -608,11 +600,17 @@ fn scan_fn(
             && toks[i + 1].is("(")
             && !CALL_SKIP.contains(&t.text.as_str())
         {
+            let owner = match (i >= f.body.start + 2).then(|| (&toks[i - 2], &toks[i - 1])) {
+                Some((r, d)) if d.is(".") && r.is_ident("self") => own_impl.clone(),
+                Some((r, d)) if d.is("::") && r.is_ident("Self") => own_impl.clone(),
+                Some((r, d)) if d.is("::") && r.kind == TokKind::Ident => Some(r.text.clone()),
+                _ => None,
+            };
             info.calls.push(CallSite {
                 callee: t.text.clone(),
                 line: t.line,
                 holding: guards.iter().map(|g| g.lock.clone()).collect(),
-                escaped: escaped_at(i),
+                owner,
             });
         }
         i += 1;
@@ -721,15 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_escape_hatch_is_recorded() {
-        let w = ws("fn f(time: &T, h: H) { time.blocking(|| h.join()); }");
-        let eng = Engine::build(&w);
-        let f = fx(&eng, "f");
-        assert_eq!(f.blocking[0].what, "join()");
-        assert!(f.blocking[0].escaped);
-    }
-
-    #[test]
     fn join_with_args_is_not_blocking() {
         let w = ws("fn f(parts: &[String]) -> String { parts.join(s) }");
         let eng = Engine::build(&w);
@@ -781,7 +770,7 @@ mod tests {
             .iter()
             .map(|f| f.blocking.first().map(|b| (b.what.clone(), b.line)))
             .collect();
-        let paths = eng.reach_paths(&w, &direct, &|_| false, false);
+        let paths = eng.reach_paths(&w, &direct, &|_| false);
         let ai = eng.fns.iter().position(|f| f.name == "a").expect("a");
         let (hops, detail) = paths[ai].as_ref().expect("a reaches write_all");
         assert_eq!(hops.len(), 2);
@@ -793,20 +782,44 @@ mod tests {
         assert!(rendered.contains("`b` (t.rs:2)"), "{rendered}");
     }
 
-    #[test]
-    fn cut_escaped_stops_propagation() {
-        let w = ws("fn a(time: &T, s: &S) { time.blocking(|| b(s)); }\n\
-             fn b(s: &S) { s.sock.write_all(buf); }");
-        let eng = Engine::build(&w);
-        let direct: Vec<Option<(String, u32)>> = eng
+    /// Callee quals `a`'s call sites resolve to.
+    fn targets(eng: &Engine, w: &Workspace, caller: &str) -> Vec<String> {
+        let ai = eng
             .fns
             .iter()
-            .map(|f| f.blocking.first().map(|b| (b.what.clone(), b.line)))
-            .collect();
-        let ai = eng.fns.iter().position(|f| f.name == "a").expect("a");
-        let cut = eng.reach_paths(&w, &direct, &|_| false, true);
-        assert!(cut[ai].is_none(), "escaped call must not propagate");
-        let uncut = eng.reach_paths(&w, &direct, &|_| false, false);
-        assert!(uncut[ai].is_some(), "without the cut the path exists");
+            .position(|f| f.qual == caller)
+            .expect("caller");
+        eng.fns[ai]
+            .calls
+            .iter()
+            .flat_map(|c| eng.resolve(w, ai, c))
+            .map(|t| eng.fns[t].qual.clone())
+            .collect()
+    }
+
+    #[test]
+    fn named_receivers_resolve_to_their_impl() {
+        let w = ws("struct A; struct B;\n\
+             impl A { fn run(&self) {} fn go(&self) { self.run(); } fn new() -> A { Self::make() } \
+             fn make() -> A { A } }\n\
+             impl B { fn run(&self) {} fn make() -> B { B } }\n\
+             fn top(a: &A) { B::run(b); A::make(); }");
+        let eng = Engine::build(&w);
+        assert_eq!(targets(&eng, &w, "A::go"), ["A::run"]);
+        assert_eq!(targets(&eng, &w, "A::new"), ["A::make"]);
+        assert_eq!(targets(&eng, &w, "top"), ["B::run", "A::make"]);
+    }
+
+    #[test]
+    fn unnamed_or_unknown_receivers_fall_back_to_the_name() {
+        let w = ws("struct A; struct B;\n\
+             impl A { fn run(&self) {} }\n\
+             impl B { fn run(&self) {} }\n\
+             fn top(a: &A) { a.run(); C::run(c); }");
+        let eng = Engine::build(&w);
+        assert_eq!(
+            targets(&eng, &w, "top"),
+            ["A::run", "B::run", "A::run", "B::run"]
+        );
     }
 }

@@ -31,8 +31,8 @@
 //!   (stream IO, `join()`, `accept()`, condvar waits, raw `recv`) while a
 //!   guard is live, directly or through the call graph (DESIGN.md §16).
 //! - **Virtual-time safety** (`VIRTUAL_TIME_UNSAFE`): real blocking ops
-//!   reachable from runtime entry points without the `blocking()` escape
-//!   hatch hang the seeded scheduler (DESIGN.md §12/§16).
+//!   reachable from runtime entry points outside the virtual-dispatching
+//!   modules hang the seeded scheduler (DESIGN.md §12/§16).
 //! - **Term-fenced sends** (`TERM_FENCED_SEND`): AM-originated authority
 //!   messages carry a fencing term and only flow on `persist_fenced`-
 //!   guarded paths (DESIGN.md §13/§16).
@@ -42,7 +42,8 @@
 //!
 //! The lock, blocking, virtual-time, and fencing rules share one
 //! interprocedural reachability engine ([`engine::Engine`]): a cross-crate
-//! name-based call graph with per-function effect sets and call-path
+//! call graph, receiver-aware where the source names the impl and
+//! name-based otherwise, with per-function effect sets and call-path
 //! attribution, so diagnostics print every hop with file:line.
 //!
 //! Diagnostics carry `file:line`, an invariant ID, and a fix hint; waivers

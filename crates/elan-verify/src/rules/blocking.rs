@@ -24,16 +24,14 @@ const HINT: &str = "hoist the blocking op out of the critical section: clone wha
      need out of the guard, drop it, then block (see DESIGN.md §16)";
 
 pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
-    // Reach set: any blocking op counts, self-guard or escaped included —
-    // a `blocking()` closure still parks the OS thread while the *caller's*
-    // guard is held, and a self-guard write still blocks callers holding
-    // other locks.
+    // Reach set: any blocking op counts, self-guard included — a
+    // self-guard write still blocks callers holding other locks.
     let direct: Vec<Option<(String, u32)>> = eng
         .fns
         .iter()
         .map(|f| f.blocking.first().map(|b| (b.what.clone(), b.line)))
         .collect();
-    let paths = eng.reach_paths(ws, &direct, &|_| false, false);
+    let paths = eng.reach_paths(ws, &direct, &|_| false);
 
     let mut diags = Vec::new();
     for (idx, f) in eng.fns.iter().enumerate() {
@@ -71,7 +69,7 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
             if c.holding.is_empty() {
                 continue;
             }
-            for t in eng.resolve(ws, idx, &c.callee) {
+            for t in eng.resolve(ws, idx, c) {
                 if t == idx {
                     continue;
                 }

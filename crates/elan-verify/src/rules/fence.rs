@@ -40,7 +40,7 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
     let mut has_caller = vec![false; n];
     for idx in 0..n {
         for c in &eng.fns[idx].calls {
-            for t in eng.resolve(ws, idx, &c.callee) {
+            for t in eng.resolve(ws, idx, c) {
                 if t != idx {
                     has_caller[t] = true;
                 }
@@ -63,7 +63,7 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
                 continue;
             };
             for c in &eng.fns[idx].calls {
-                for t in eng.resolve(ws, idx, &c.callee) {
+                for t in eng.resolve(ws, idx, c) {
                     if t == idx || eng.fns[t].fence_aware || unfenced[t].is_some() {
                         continue;
                     }

@@ -40,7 +40,7 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
         let mut changed = false;
         for idx in 0..n {
             for c in &eng.fns[idx].calls {
-                for g in eng.resolve(ws, idx, &c.callee) {
+                for g in eng.resolve(ws, idx, c) {
                     if g == idx {
                         continue;
                     }
@@ -78,7 +78,7 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
             ));
         }
         for c in &info.calls {
-            for g in eng.resolve(ws, idx, &c.callee) {
+            for g in eng.resolve(ws, idx, c) {
                 if g == idx {
                     continue;
                 }

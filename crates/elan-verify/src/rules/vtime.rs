@@ -3,13 +3,14 @@
 //! `recv_timeout`, stream reads, condvar waits, `thread::sleep`) never
 //! advances virtual time, so the whole scheduler silently hangs. Every
 //! blocking op reachable from a runtime entry point — the worker loop,
-//! the AM thread, the liveness watchdog — must either route through a
-//! virtual-dispatching module or pass through `TimeSource::blocking(..)`,
-//! the explicit escape hatch that tells the clock a real wait is in
-//! flight (DESIGN.md §12/§16).
+//! the AM thread, the liveness watchdog — must route through a
+//! virtual-dispatching module (DESIGN.md §12/§16). There is no escape
+//! hatch: a thread joins another through `time::JoinHandle::join`, which
+//! parks in the scheduler until the child has left it.
 //!
 //! Exempt modules are the ones that *implement* the dispatch and are
-//! therefore allowed to touch both arms: `time.rs` (the clock itself),
+//! therefore allowed to touch both arms: `time.rs` (the clock itself,
+//! including thread spawn and join),
 //! `bus.rs` (`Endpoint::recv*` picks the virtual or crossbeam arm),
 //! `comm/` (allreduce waits park via the clock), and `transport/` (real
 //! sockets only ever run in real-time mode; the builder rejects a
@@ -42,20 +43,12 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
         let file = &ws.files[eng.fns[i].file];
         file.crate_name != SCOPE_CRATE || exempt_file(&file.rel)
     };
-    // Only non-escaped ops count: `time.blocking(|| h.join())` is the
-    // sanctioned way to do a real wait, and propagation is cut at escaped
-    // call sites for the same reason.
     let direct: Vec<Option<(String, u32)>> = eng
         .fns
         .iter()
-        .map(|f| {
-            f.blocking
-                .iter()
-                .find(|b| !b.escaped)
-                .map(|b| (b.what.clone(), b.line))
-        })
+        .map(|f| f.blocking.first().map(|b| (b.what.clone(), b.line)))
         .collect();
-    let paths = eng.reach_paths(ws, &direct, &skip, true);
+    let paths = eng.reach_paths(ws, &direct, &skip);
 
     let mut diags = Vec::new();
     for (idx, f) in eng.fns.iter().enumerate() {
@@ -72,14 +65,13 @@ pub fn run(ws: &Workspace, eng: &Engine) -> Vec<Diagnostic> {
             f.qual.clone(),
             detail.clone(),
             format!(
-                "entry point `{}` reaches real OS-blocking `{detail}` outside the \
-                 `blocking()` escape hatch: {}",
+                "entry point `{}` reaches real OS-blocking `{detail}`: {}",
                 f.name,
                 format_path(hops, detail)
             ),
-            "park through TimeSource (park_until / recv via the bus) or wrap the \
-             real wait in TimeSource::blocking(..) so the virtual clock knows a \
-             thread is legitimately off-world (DESIGN.md §12)",
+            "park through TimeSource (park_until / recv via the bus), and start and \
+             join threads with TimeSource::spawn and its JoinHandle::join, which \
+             park in the virtual scheduler (DESIGN.md §12)",
         ));
     }
     diags
@@ -116,21 +108,12 @@ mod tests {
     }
 
     #[test]
-    fn blocking_escape_hatch_is_clean() {
-        let d = check(
-            "fn run_worker(time: &T, h: H) { reap(time, h); }\n\
-             fn reap(time: &T, h: H) { time.blocking(|| h.join()); }",
-        );
-        assert!(d.is_empty(), "got {d:?}");
-    }
-
-    #[test]
-    fn escaped_call_site_cuts_propagation() {
+    fn a_closure_is_no_escape_hatch() {
         let d = check(
             "fn am_thread(time: &T, h: H) { time.blocking(|| reap(h)); }\n\
              fn reap(h: H) { let _ = h.join(); }",
         );
-        assert!(d.is_empty(), "got {d:?}");
+        assert_eq!(d.len(), 1, "got {d:?}");
     }
 
     #[test]

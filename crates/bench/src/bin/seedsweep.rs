@@ -19,9 +19,7 @@
 //!   scale-out mid-run;
 //! - `partition` — a scripted 500ms window isolating the acting AM while
 //!   a scale-out is requested: the watchdog must elect a term-fenced
-//!   successor that completes the adjustment, and on top of the journal
-//!   hash every run is replayed through [`check_term_safety`] (at most
-//!   one AM acting per term, no post-fence effects);
+//!   successor that completes the adjustment;
 //! - `allreduce-adjust` — a nine-worker job whose gradient vectors sit
 //!   above the pinned flat crossover, so the dispatcher runs the
 //!   hierarchical path, with a scale-out landing mid-run: proves that
@@ -30,14 +28,14 @@
 //!   part of the hash);
 //! - `churn` — a 1 000-member scripted join/leave/crash storm over the
 //!   open-membership epoch machine (DESIGN.md §17) with corrupt-digest
-//!   joiners and partition windows: on top of the journal hash, every
-//!   run is replayed through [`check_epoch_safety`] (no un-warmed
-//!   member enters `Train`, membership within bounds, epochs
-//!   monotonic).
+//!   joiners and partition windows.
 //!
-//! The `chaos`, `partition` and `allreduce-adjust` runs are also replayed
-//! through [`check_boundary_agreement`]: the AM acts only on a boundary
-//! every member parked at, and no dismissed member trains past it.
+//! On top of the journal hash, every run of every scenario is replayed
+//! through the journal [`audit`]: at most one AM acting per term and no
+//! post-fence effects; no un-warmed member entering `Train`, membership
+//! within bounds and monotonic epochs; and the AM acting only on a
+//! boundary every member parked at, with no dismissed member training
+//! past it. A run that fails the audit is a failed seed.
 //!
 //! `--quick` sweeps 64 seeds (the CI smoke configuration); the default
 //! sweep is 256. Exit status is non-zero iff any seed diverged or failed.
@@ -48,8 +46,8 @@ use std::time::Duration;
 
 use elan_rt::epoch::{run_churn, ChurnConfig};
 use elan_rt::{
-    check_boundary_agreement, check_epoch_safety, check_term_safety, ChaosPolicy, ElasticRuntime,
-    EndpointId, RuntimeConfig, TimeSource, TuningProfile,
+    audit, ChaosPolicy, ElasticRuntime, EndpointId, Event, EventKind, ReducePath, RuntimeConfig,
+    TimeSource, TuningProfile,
 };
 
 /// FNV-1a offset basis.
@@ -99,9 +97,8 @@ impl Scenario {
 }
 
 /// The chaos e2e scenario under virtual time: a lossy, delaying,
-/// duplicating bus and a live scale-out. Returns the journal, rendered
-/// line-by-line.
-fn chaos_scenario(seed: u64) -> Vec<String> {
+/// duplicating bus and a live scale-out. Returns the journal.
+fn chaos_scenario(seed: u64) -> Vec<Event> {
     let mut cfg = RuntimeConfig::small(2);
     cfg.retry_max_attempts = 12;
     let chaos = ChaosPolicy::new(seed)
@@ -119,26 +116,15 @@ fn chaos_scenario(seed: u64) -> Vec<String> {
     rt.run_until_iteration(16);
     let report = rt.shutdown();
     assert!(report.states_consistent(), "replicas diverged");
-    audit_boundaries(&report.events);
-    report.events.iter().map(|e| format!("{e:?}")).collect()
-}
-
-/// Fails the run unless the AM acted only on agreed boundaries.
-fn audit_boundaries(events: &[elan_rt::Event]) {
-    let agreement = check_boundary_agreement(events);
-    assert!(
-        agreement.is_safe(),
-        "boundary agreement violated: {agreement}"
-    );
+    report.events
 }
 
 /// The partition e2e scenario: a 500ms scripted window cuts the acting
 /// AM off from workers, controller, and store while a scale-out is
 /// requested. The lease lapses, a successor is elected at a higher
 /// fencing term, the old AM's persist-before-act probe bounces, and the
-/// adjustment completes under the new term. On top of the determinism
-/// hash, the journal is replayed through the term-safety checker.
-fn partition_scenario(seed: u64) -> Vec<String> {
+/// adjustment completes under the new term.
+fn partition_scenario(seed: u64) -> Vec<Event> {
     let mut cfg = RuntimeConfig::small(3);
     cfg.retry_max_attempts = 12;
     // The policy scripts no probabilistic fates: the partition *is* the
@@ -173,10 +159,7 @@ fn partition_scenario(seed: u64) -> Vec<String> {
         "old AM never fenced: {:?}",
         report.journal
     );
-    let safety = check_term_safety(&report.events);
-    assert!(safety.is_safe(), "term safety violated: {safety}");
-    audit_boundaries(&report.events);
-    report.events.iter().map(|e| format!("{e:?}")).collect()
+    report.events
 }
 
 /// The allreduce-adjust e2e scenario: nine workers (the pinned
@@ -188,7 +171,7 @@ fn partition_scenario(seed: u64) -> Vec<String> {
 /// count) are part of the determinism hash, so a divergence in path
 /// selection or group planning across identically-seeded runs fails the
 /// sweep.
-fn allreduce_adjust_scenario(seed: u64) -> Vec<String> {
+fn allreduce_adjust_scenario(seed: u64) -> Vec<Event> {
     let mut cfg = RuntimeConfig::small(9);
     cfg.param_elems = 2 * TuningProfile::pinned().flat_max_len;
     cfg.replication_chunk_elems = cfg.param_elems / 4;
@@ -203,47 +186,52 @@ fn allreduce_adjust_scenario(seed: u64) -> Vec<String> {
     let report = rt.shutdown();
     assert!(report.states_consistent(), "replicas diverged");
     assert_eq!(report.final_world_size, 11, "scale-out did not land");
-    audit_boundaries(&report.events);
-    let lines: Vec<String> = report.events.iter().map(|e| format!("{e:?}")).collect();
     assert!(
-        lines
-            .iter()
-            .any(|l| l.contains("AllreducePath") && l.contains("Hier")),
+        report.events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::AllreducePath {
+                path: ReducePath::Hier,
+                ..
+            }
+        )),
         "no hierarchical round was journalled"
     );
-    lines
+    report.events
 }
 
 /// The churn scenario: a 1 000-member scripted join/leave/crash storm
 /// over the open-membership epoch machine, with corrupt-digest joiners
 /// (witness bait) and two partition windows swallowing announces. The
-/// storm is a pure function of the seed, so its journal hash is too;
-/// every run's retained journal is additionally replayed through the
-/// epoch-safety auditor, and a storm that admits nobody is a failure
-/// (a dead harness must not sweep green).
-fn churn_scenario(seed: u64) -> Vec<String> {
+/// storm is a pure function of the seed, so its journal hash is too. A
+/// storm that admits nobody is a failure (a dead harness must not sweep
+/// green).
+fn churn_scenario(seed: u64) -> Vec<Event> {
     let report = run_churn(&ChurnConfig::sized(1_000, seed));
     assert!(report.admitted >= 1, "storm admitted nobody: {report:?}");
     assert!(
         report.epochs_trained >= 1,
         "storm never entered Train: {report:?}"
     );
-    let safety = check_epoch_safety(&report.events);
-    assert!(safety.is_safe(), "epoch safety violated: {safety}");
-    report.events.iter().map(|e| format!("{e:?}")).collect()
+    report.events
 }
 
-/// One run, panic-safe. `Err` carries the panic payload as text.
+/// One audited run, panic-safe. `Ok` carries the journal rendered
+/// line-by-line; `Err` carries the panic payload as text.
 fn run_once(seed: u64, scenario: Scenario) -> Result<Vec<String>, String> {
     // A panicking run may leave the controller thread registered with the
     // (abandoned) virtual clock's thread-local id; clear it so the next
     // seed starts clean.
     let guard = TimeSource::virtual_seeded(seed);
-    let out = catch_unwind(AssertUnwindSafe(|| match scenario {
-        Scenario::Chaos => chaos_scenario(seed),
-        Scenario::Partition => partition_scenario(seed),
-        Scenario::AllreduceAdjust => allreduce_adjust_scenario(seed),
-        Scenario::Churn => churn_scenario(seed),
+    let out = catch_unwind(AssertUnwindSafe(|| {
+        let events = match scenario {
+            Scenario::Chaos => chaos_scenario(seed),
+            Scenario::Partition => partition_scenario(seed),
+            Scenario::AllreduceAdjust => allreduce_adjust_scenario(seed),
+            Scenario::Churn => churn_scenario(seed),
+        };
+        let verdict = audit(&events);
+        assert!(verdict.is_safe(), "journal audit failed: {verdict}");
+        events.iter().map(|e| format!("{e:?}")).collect()
     }));
     out.map_err(|e| {
         guard.deregister();

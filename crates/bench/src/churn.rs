@@ -7,8 +7,9 @@
 //! by default), run it twice, and prove three things:
 //!
 //! 1. **determinism** — both runs produce the same journal hash,
-//! 2. **safety** — the epoch-safety auditor passes over the retained
-//!    journal of every run,
+//! 2. **safety** — the journal audit passes over the retained journal
+//!    of every run (a churn journal holds only epoch events, so this is
+//!    the audit's open-membership family),
 //! 3. **speed** — the whole thing fits the wall-clock budget
 //!    ([`WALL_BUDGET_MS`]), which [`validate_json`] enforces on the
 //!    emitted `BENCH_churn.json` so CI trips if the storm ever slows
@@ -21,7 +22,7 @@
 use std::time::Instant;
 
 use elan_rt::epoch::{run_churn, ChurnConfig};
-use elan_rt::safety::check_epoch_safety;
+use elan_rt::safety::audit;
 
 use crate::dataplane::{parse_json, Json};
 
@@ -49,7 +50,7 @@ pub struct Report {
     pub deterministic: bool,
     /// The (shared) journal hash, as `0x…` hex.
     pub journal_hash: u64,
-    /// The epoch-safety auditor's verdict over every run's journal.
+    /// The journal audit's verdict over every run's journal.
     pub epoch_safety_ok: bool,
     /// `Train` phases entered (epochs that actually trained).
     pub epochs_trained: u64,
@@ -72,7 +73,7 @@ pub struct Report {
 /// Runs the storm `runs` times and folds the evidence into a [`Report`].
 ///
 /// The report is only as good as its checks: `deterministic` is the
-/// cross-run hash comparison and `epoch_safety_ok` is the auditor over
+/// cross-run hash comparison and `epoch_safety_ok` is the audit over
 /// every run's retained journal — both are also hard-required by
 /// [`validate_json`], so an emitted report that failed either cannot
 /// pass the CI smoke gate.
@@ -84,9 +85,9 @@ pub fn run(population: u32, seed: u64, runs: u32, mut progress: impl FnMut(&str)
     let mut safety_ok = true;
     for r in 0..runs {
         let rep = run_churn(&cfg);
-        let audit = check_epoch_safety(&rep.events);
-        if !audit.is_safe() {
-            progress(&format!("run {r}: epoch-safety VIOLATION: {audit}"));
+        let verdict = audit(&rep.events);
+        if !verdict.is_safe() {
+            progress(&format!("run {r}: epoch-safety VIOLATION: {verdict}"));
             safety_ok = false;
         }
         progress(&format!(

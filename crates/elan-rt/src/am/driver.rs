@@ -39,7 +39,7 @@ pub(crate) fn am_thread(
         AM_OWNER_FLAG | epoch as u32,
         RETRY_TIMEOUT,
         Some(cfg.retry_max_attempts),
-        Arc::clone(&ctrl.metrics),
+        Arc::clone(&ctrl.obs.rt),
     );
     // Mark ownership before acting (persist-before-act): atomically bump
     // the fencing term, so any still-running predecessor's next persist
@@ -176,7 +176,7 @@ impl Driver {
                     self.generation = self.comm.generation();
                 }
                 Action::PublishMembers(members) => *self.ctrl.members.lock() = members,
-                Action::CountFailureScaleIn => self.ctrl.metrics.failure_scale_ins.inc(),
+                Action::CountFailureScaleIn => self.ctrl.obs.rt.failure_scale_ins.inc(),
                 Action::Crash(point) => {
                     let mut armed = self.ctrl.am_crash.lock();
                     if *armed == Some(point) {

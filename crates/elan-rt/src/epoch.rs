@@ -31,9 +31,8 @@
 //! its replicated state; the machine samples peers
 //! (`sample_witnesses`) that recompute the digest over their own
 //! replicas — identical by data-parallel invariant — and vote
-//! admit/evict. No joiner enters `Train` un-witnessed, and the
-//! [`check_epoch_safety`](crate::safety::check_epoch_safety) auditor
-//! re-proves that from the journal alone.
+//! admit/evict. No joiner enters `Train` un-witnessed, and the journal
+//! [`audit`](crate::safety::audit) re-proves that from the journal alone.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -952,7 +951,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::safety::check_epoch_safety;
+    use crate::safety::audit;
 
     fn journal() -> EventJournal {
         EventJournal::with_time(4096, Vec::new(), TimeSource::virtual_seeded(0))
@@ -994,7 +993,7 @@ mod tests {
                 ..
             }
         )));
-        let report = check_epoch_safety(&j.events());
+        let report = audit(&j.events());
         assert!(report.is_safe(), "{report}");
     }
 
@@ -1057,7 +1056,7 @@ mod tests {
             .any(|c| matches!(c, EpochCmd::Admit { subject, .. } if *subject == w(9))));
         assert_eq!(m.phase(), EpochPhase::Train);
         assert!(m.members.contains(&w(9)));
-        assert!(check_epoch_safety(&j.events()).is_safe());
+        assert!(audit(&j.events()).is_safe());
     }
 
     #[test]
@@ -1075,7 +1074,7 @@ mod tests {
             .any(|c| matches!(c, EpochCmd::Evict { subject, .. } if *subject == w(9))));
         assert!(!m.members.contains(&w(9)));
         assert_eq!(m.phase(), EpochPhase::Train, "survivors train on");
-        assert!(check_epoch_safety(&j.events()).is_safe());
+        assert!(audit(&j.events()).is_safe());
     }
 
     #[test]
@@ -1092,7 +1091,7 @@ mod tests {
             .iter()
             .any(|c| matches!(c, EpochCmd::Evict { subject, .. } if *subject == w(9))));
         assert_eq!(m.phase(), EpochPhase::Train);
-        assert!(check_epoch_safety(&j.events()).is_safe());
+        assert!(audit(&j.events()).is_safe());
     }
 
     #[test]
@@ -1134,7 +1133,7 @@ mod tests {
         m.tick(12 * MS, &mut j);
         assert_eq!(m.phase(), EpochPhase::WaitingForMembers);
         assert_eq!(m.epoch(), 1);
-        assert!(check_epoch_safety(&j.events()).is_safe());
+        assert!(audit(&j.events()).is_safe());
     }
 
     #[test]
@@ -1171,7 +1170,7 @@ mod tests {
         assert!(a.epochs_trained > 0, "storm never trained: {a:?}");
         assert!(a.admitted > 0, "storm admitted nobody");
         assert!(a.evicted > 0, "corrupt joiners were never evicted");
-        let report = check_epoch_safety(&a.events);
+        let report = audit(&a.events);
         assert!(report.is_safe(), "{report}");
         assert_ne!(
             a.journal_hash,

@@ -70,6 +70,6 @@ pub use remote::{run_remote_worker, RemoteRole};
 pub use runtime::{
     CheckpointSnapshot, ElasticRuntime, RuntimeBuilder, RuntimeConfig, ShutdownReport,
 };
-pub use safety::{check_boundary_agreement, check_epoch_safety, check_term_safety};
+pub use safety::audit;
 pub use time::TimeSource;
 pub use transport::{MemoryTransport, SocketTransport, Transport};

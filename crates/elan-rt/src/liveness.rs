@@ -14,7 +14,7 @@
 //! `HeartbeatMonitor` turns missed heartbeats into failure-driven
 //! scale-in decisions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +27,6 @@ use elan_core::state::WorkerId;
 use elan_sim::{SimDuration, SimTime};
 
 use crate::obs::{EventKind, Obs};
-use crate::reliable::RtMetrics;
 use crate::time::{std_to_sim, JoinHandle, TimeSource};
 
 /// Where an armed AM crash fires (test hook for recovery scenarios).
@@ -45,18 +44,29 @@ pub enum CrashPoint {
     /// Die right after persisting `Resuming`, before sending
     /// `Resume`/`Leave`: the replacement must re-issue the resume wave.
     OnResume,
-    /// Worker-side: `worker` dies at its first coordination boundary at or
-    /// past `iteration` — after the SGD step, *before* reporting the
-    /// boundary. Survivors have the complete reduced state of that
-    /// boundary (the rejoin recalls them to it), so a restarted
-    /// incarnation can be re-fed bit-identical state via the `Rejoin`
-    /// handshake. Armed through
-    /// [`crash_worker_at`](crate::ElasticRuntime::crash_worker_at), not
-    /// `arm_am_crash`.
-    WorkerAtBoundary {
-        /// The victim.
-        worker: WorkerId,
-        /// Crash at the first boundary whose iteration is ≥ this.
+}
+
+/// The fault a test injected into one worker (test hook for crash and
+/// rejoin scenarios), from arming to the restart that clears it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WorkerFault {
+    /// Ordered to play dead
+    /// ([`crash_worker`](crate::ElasticRuntime::crash_worker)): it stops
+    /// heartbeating, training and responding.
+    PlayDead,
+    /// Armed ([`crash_worker_at`](crate::ElasticRuntime::crash_worker_at))
+    /// to die at its first coordination boundary at or past this
+    /// iteration — after the SGD step, *before* reporting the boundary.
+    /// Survivors have the complete reduced state of that boundary (the
+    /// rejoin recalls them to it), so a restarted incarnation can be
+    /// re-fed bit-identical state via the `Rejoin` handshake.
+    ArmedAt(u64),
+    /// Died at a boundary, knowing this fencing term and boundary
+    /// iteration — what its restarted incarnation presents in `Rejoin`.
+    Fired {
+        /// Highest term the worker had seen.
+        term: u64,
+        /// The boundary it died at.
         iteration: u64,
     },
 }
@@ -173,14 +183,8 @@ pub(crate) struct SharedControl {
     pub shutdown: AtomicBool,
     /// Armed AM crash point, taken (once) by the AM thread.
     pub am_crash: Mutex<Option<CrashPoint>>,
-    /// Workers ordered to play dead (stop heartbeating and training).
-    pub worker_crash: RwLock<HashSet<WorkerId>>,
-    /// Armed worker boundary crashes ([`CrashPoint::WorkerAtBoundary`]),
-    /// taken by the matching worker when it reaches the boundary.
-    pub worker_crash_points: Mutex<Vec<CrashPoint>>,
-    /// Last-known `(term, boundary iteration)` of workers that crashed at
-    /// a boundary — what a restarted incarnation presents in `Rejoin`.
-    pub crash_info: Mutex<HashMap<WorkerId, (u64, u64)>>,
+    /// The injected fault of each faulted worker, until its restart.
+    pub faults: RwLock<HashMap<WorkerId, WorkerFault>>,
     /// Latest iteration the AM has heard from each worker (heartbeat
     /// telemetry). This is the controller's progress view when workers
     /// live in other processes and the in-process `Telemetry` map stays
@@ -199,8 +203,6 @@ pub(crate) struct SharedControl {
     pub am_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Shared observability bundle (journal + traces + metrics registry).
     pub obs: Arc<Obs>,
-    /// Shared reliability metrics (alias of `obs.rt`, kept for ergonomics).
-    pub metrics: Arc<RtMetrics>,
 }
 
 impl SharedControl {
@@ -214,7 +216,6 @@ impl SharedControl {
 
     /// Creates the shared control plane ticking on the runtime's clock.
     pub(crate) fn with_time(lease_ttl: Duration, obs: Arc<Obs>, time: TimeSource) -> Self {
-        let metrics = Arc::clone(&obs.rt);
         SharedControl {
             durable: Mutex::new(AmDurable::founding(Vec::new())),
             leases: Mutex::new(LeaseManager::new(SimDuration::from_nanos(
@@ -226,14 +227,11 @@ impl SharedControl {
             members: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             am_crash: Mutex::new(None),
-            worker_crash: RwLock::new(HashSet::new()),
-            worker_crash_points: Mutex::new(Vec::new()),
-            crash_info: Mutex::new(HashMap::new()),
+            faults: RwLock::new(HashMap::new()),
             progress: Mutex::new(HashMap::new()),
             first_contact_grace_ms: AtomicU64::new(0),
             am_handles: Mutex::new(Vec::new()),
             obs,
-            metrics,
         }
     }
 
@@ -308,30 +306,19 @@ impl SharedControl {
 
     /// True if `worker` has been ordered to play dead.
     pub(crate) fn worker_crashed(&self, worker: WorkerId) -> bool {
-        self.worker_crash.read().contains(&worker)
+        self.faults.read().get(&worker) == Some(&WorkerFault::PlayDead)
     }
 
-    /// Consumes the armed boundary crash for `worker` once `iteration`
-    /// has reached it (one-shot).
-    pub(crate) fn take_worker_boundary_crash(&self, worker: WorkerId, iteration: u64) -> bool {
-        let mut points = self.worker_crash_points.lock();
-        let before = points.len();
-        points.retain(|p| {
-            !matches!(p, CrashPoint::WorkerAtBoundary { worker: w, iteration: i }
-                if *w == worker && iteration >= *i)
-        });
-        points.len() != before
-    }
-
-    /// Records what a boundary-crashed worker knew when it died; its
-    /// restarted incarnation presents this in its `Rejoin`.
-    pub(crate) fn record_worker_crash(&self, worker: WorkerId, term: u64, iteration: u64) {
-        self.crash_info.lock().insert(worker, (term, iteration));
-    }
-
-    /// Takes the recorded `(term, iteration)` of a crashed worker.
-    pub(crate) fn take_crash_info(&self, worker: WorkerId) -> Option<(u64, u64)> {
-        self.crash_info.lock().remove(&worker)
+    /// Fires `worker`'s armed boundary crash once `iteration` has reached
+    /// it (one-shot), recording the `term` it knew. True if it fired.
+    pub(crate) fn fire_boundary_crash(&self, worker: WorkerId, term: u64, iteration: u64) -> bool {
+        match self.faults.write().get_mut(&worker) {
+            Some(fault) if matches!(*fault, WorkerFault::ArmedAt(at) if iteration >= at) => {
+                *fault = WorkerFault::Fired { term, iteration };
+                true
+            }
+            _ => false,
+        }
     }
 
     /// True once shutdown has been requested.
@@ -533,33 +520,39 @@ mod tests {
     }
 
     #[test]
-    fn boundary_crash_point_fires_at_or_after_armed_iteration() {
+    fn worker_fault_lifecycle_is_one_shot() {
         let ctrl = SharedControl::new(Duration::from_millis(100), Obs::new_default());
-        ctrl.worker_crash_points
-            .lock()
-            .push(CrashPoint::WorkerAtBoundary {
-                worker: WorkerId(2),
-                iteration: 10,
-            });
-        assert!(!ctrl.take_worker_boundary_crash(WorkerId(2), 9));
+        let victim = WorkerId(2);
+        ctrl.faults.write().insert(victim, WorkerFault::ArmedAt(10));
+        assert!(!ctrl.worker_crashed(victim), "armed is not dead yet");
         assert!(
-            !ctrl.take_worker_boundary_crash(WorkerId(1), 10),
+            !ctrl.fire_boundary_crash(victim, 1, 9),
+            "before the armed iteration"
+        );
+        assert!(
+            !ctrl.fire_boundary_crash(WorkerId(1), 1, 10),
             "wrong worker"
         );
-        assert!(ctrl.take_worker_boundary_crash(WorkerId(2), 11));
         assert!(
-            !ctrl.take_worker_boundary_crash(WorkerId(2), 12),
-            "one-shot"
+            ctrl.fire_boundary_crash(victim, 2, 11),
+            "at or past it fires"
         );
-    }
-
-    #[test]
-    fn crash_info_roundtrip_is_one_shot() {
-        let ctrl = SharedControl::new(Duration::from_millis(100), Obs::new_default());
-        assert!(ctrl.take_crash_info(WorkerId(4)).is_none());
-        ctrl.record_worker_crash(WorkerId(4), 2, 17);
-        assert_eq!(ctrl.take_crash_info(WorkerId(4)), Some((2, 17)));
-        assert!(ctrl.take_crash_info(WorkerId(4)).is_none());
+        assert!(!ctrl.fire_boundary_crash(victim, 2, 12), "one-shot");
+        // The fired record holds the rejoin credentials until a restart
+        // takes them, once.
+        let taken = ctrl.faults.write().remove(&victim);
+        assert_eq!(
+            taken,
+            Some(WorkerFault::Fired {
+                term: 2,
+                iteration: 11
+            })
+        );
+        assert!(ctrl.faults.write().remove(&victim).is_none());
+        // Play-dead is the one fault a running worker observes.
+        ctrl.faults.write().insert(victim, WorkerFault::PlayDead);
+        assert!(ctrl.worker_crashed(victim));
+        assert!(!ctrl.fire_boundary_crash(victim, 2, 20), "not armed");
     }
 
     #[test]

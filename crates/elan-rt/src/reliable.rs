@@ -254,40 +254,9 @@ impl ReliableEndpoint {
             }
             let remaining = sim_to_std(deadline - now);
             let env = self.endpoint.recv_timeout(remaining)?;
-            match &env.body {
-                RtMsg::MsgAck { of } => {
-                    self.retry.ack(*of);
-                    continue;
-                }
-                // Heartbeats are unreliable by design: no ack traffic.
-                RtMsg::Heartbeat { .. } => {}
-                _ => {
-                    // Ack first — even duplicates need re-acking, because a
-                    // resend means our previous ack was lost.
-                    let ack_id = self.ids.next_id();
-                    self.bus.send_envelope(
-                        env.from,
-                        Envelope {
-                            id: ack_id,
-                            from: self.endpoint.id(),
-                            attempt: 1,
-                            body: RtMsg::MsgAck { of: env.id },
-                        },
-                    );
-                }
+            if let Some(fresh) = self.accept(env) {
+                return Some(fresh);
             }
-            if !self.dedup.first_delivery(env.id) {
-                self.metrics.duplicates.inc();
-                // Heartbeat duplicates are pure chaos noise; keep them out
-                // of the journal so the ring retains adjustment events.
-                if !matches!(env.body, RtMsg::Heartbeat { .. }) {
-                    if let Some(journal) = self.bus.journal() {
-                        journal.emit(EventKind::DuplicateSuppressed { from: env.from });
-                    }
-                }
-                continue;
-            }
-            return Some((env.from, env.body));
         }
     }
 
@@ -303,36 +272,39 @@ impl ReliableEndpoint {
     pub(crate) fn try_recv(&mut self) -> Option<(EndpointId, RtMsg)> {
         loop {
             let env = self.endpoint.try_recv()?;
-            match &env.body {
-                RtMsg::MsgAck { of } => {
-                    self.retry.ack(*of);
-                    continue;
-                }
-                RtMsg::Heartbeat { .. } => {}
-                _ => {
-                    let ack_id = self.ids.next_id();
-                    self.bus.send_envelope(
-                        env.from,
-                        Envelope {
-                            id: ack_id,
-                            from: self.endpoint.id(),
-                            attempt: 1,
-                            body: RtMsg::MsgAck { of: env.id },
-                        },
-                    );
-                }
+            if let Some(fresh) = self.accept(env) {
+                return Some(fresh);
             }
-            if !self.dedup.first_delivery(env.id) {
-                self.metrics.duplicates.inc();
-                if !matches!(env.body, RtMsg::Heartbeat { .. }) {
-                    if let Some(journal) = self.bus.journal() {
-                        journal.emit(EventKind::DuplicateSuppressed { from: env.from });
-                    }
-                }
-                continue;
-            }
-            return Some((env.from, env.body));
         }
+    }
+
+    /// The receive step both receive calls share. An ack settles the
+    /// retry tracker; anything else but a heartbeat is acked — even a
+    /// duplicate, because a resend means our previous ack was lost — and
+    /// a duplicate is then suppressed. Returns a first delivery's sender
+    /// and payload.
+    fn accept(&mut self, env: Envelope) -> Option<(EndpointId, RtMsg)> {
+        match &env.body {
+            RtMsg::MsgAck { of } => {
+                self.retry.ack(*of);
+                return None;
+            }
+            // Heartbeats are unreliable by design: no ack traffic.
+            RtMsg::Heartbeat { .. } => {}
+            _ => _ = self.send_unreliable(env.from, RtMsg::MsgAck { of: env.id }),
+        }
+        if !self.dedup.first_delivery(env.id) {
+            self.metrics.duplicates.inc();
+            // Heartbeat duplicates are pure chaos noise; keep them out of
+            // the journal so the ring retains adjustment events.
+            if !matches!(env.body, RtMsg::Heartbeat { .. }) {
+                if let Some(journal) = self.bus.journal() {
+                    journal.emit(EventKind::DuplicateSuppressed { from: env.from });
+                }
+            }
+            return None;
+        }
+        Some((env.from, env.body))
     }
 
     /// Messages awaiting acknowledgement.
@@ -432,16 +404,26 @@ mod tests {
 
     #[test]
     fn duplicates_are_suppressed() {
-        let (bus, time) = vbus(5, Some(ChaosPolicy::new(5).duplicate(1.0)));
-        let metrics = Arc::new(RtMetrics::default());
-        let (mut am, mut w) = pair(&bus, &metrics);
-        am.send(EndpointId::Worker(WorkerId(0)), RtMsg::Leave { term: 0 });
-        assert!(w.recv_timeout(Duration::from_millis(50)).is_some());
-        // The duplicate copy is absorbed, not surfaced.
-        assert!(w.recv_timeout(Duration::from_millis(30)).is_none());
-        assert_eq!(w.dedup.duplicate_count(), 1);
-        assert!(metrics.duplicates.get() >= 1);
-        time.deregister();
+        // Through both receive calls: the blocking one and the drain.
+        for blocking in [true, false] {
+            let (bus, time) = vbus(5, Some(ChaosPolicy::new(5).duplicate(1.0)));
+            let metrics = Arc::new(RtMetrics::default());
+            let (mut am, mut w) = pair(&bus, &metrics);
+            let recv = |w: &mut ReliableEndpoint| {
+                if blocking {
+                    w.recv_timeout(Duration::from_millis(50))
+                } else {
+                    w.try_recv()
+                }
+            };
+            am.send(EndpointId::Worker(WorkerId(0)), RtMsg::Leave { term: 0 });
+            assert!(recv(&mut w).is_some(), "blocking: {blocking}");
+            // The duplicate copy is absorbed, not surfaced.
+            assert!(recv(&mut w).is_none(), "blocking: {blocking}");
+            assert_eq!(w.dedup.duplicate_count(), 1, "blocking: {blocking}");
+            assert!(metrics.duplicates.get() >= 1, "blocking: {blocking}");
+            time.deregister();
+        }
     }
 
     #[test]

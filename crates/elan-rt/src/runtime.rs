@@ -33,7 +33,7 @@ use crate::bus::{Bus, EndpointId, RtMsg};
 use crate::chaos::{ChaosPolicy, ChaosStats, PartitionWindow};
 use crate::comm::{CommGroup, CommTopology, TuningProfile};
 use crate::epoch::EpochConfig;
-use crate::liveness::{AmDurable, CrashPoint, SharedControl};
+use crate::liveness::{AmDurable, CrashPoint, SharedControl, WorkerFault};
 use crate::obs::{
     render_trace_report, AdjustmentTrace, Event, EventKind, EventSink, JournalSummary, Obs,
     TraceKind, DEFAULT_RING_CAPACITY,
@@ -578,7 +578,7 @@ impl ElasticRuntime {
 
     /// Fault-tolerance counters so far.
     pub fn metrics(&self) -> RtMetricsSnapshot {
-        self.ctrl.metrics.snapshot(self.bus.total_dead_letters())
+        self.ctrl.obs.rt.snapshot(self.bus.total_dead_letters())
     }
 
     /// Fault-injection counters, when running on a chaotic bus.
@@ -630,7 +630,10 @@ impl ElasticRuntime {
     /// responding, exactly like a crashed process. The AM's failure
     /// detector must notice and scale the job in around it.
     pub fn crash_worker(&self, worker: WorkerId) {
-        self.ctrl.worker_crash.write().insert(worker);
+        self.ctrl
+            .faults
+            .write()
+            .insert(worker, WorkerFault::PlayDead);
     }
 
     /// Arms a one-shot crash of `worker` at its first coordination
@@ -640,9 +643,9 @@ impl ElasticRuntime {
     /// ([`restart_worker`](Self::restart_worker)) or declared dead.
     pub fn crash_worker_at(&self, worker: WorkerId, iteration: u64) {
         self.ctrl
-            .worker_crash_points
-            .lock()
-            .push(CrashPoint::WorkerAtBoundary { worker, iteration });
+            .faults
+            .write()
+            .insert(worker, WorkerFault::ArmedAt(iteration));
     }
 
     /// Restarts a crashed worker: reaps the dead thread, recycles its
@@ -653,19 +656,13 @@ impl ElasticRuntime {
     ///
     /// # Panics
     ///
-    /// If `worker` was never ordered to crash (no play-dead flag and no
-    /// armed boundary crash point): joining a live worker thread would
-    /// block forever, so the misuse is rejected loudly instead.
+    /// If `worker` was never ordered to crash (neither
+    /// [`crash_worker`](Self::crash_worker) nor
+    /// [`crash_worker_at`](Self::crash_worker_at)): joining a live worker
+    /// thread would block forever, so the misuse is rejected loudly
+    /// instead.
     pub fn restart_worker(&mut self, worker: WorkerId) {
-        // Crash evidence lives in one of three places depending on how far
-        // the crash has progressed: the play-dead flag, a still-armed
-        // boundary crash point, or the credentials a fired boundary crash
-        // recorded on its way out.
-        let crashed = self.ctrl.worker_crashed(worker)
-            || self.ctrl.crash_info.lock().contains_key(&worker)
-            || self.ctrl.worker_crash_points.lock().iter().any(
-                |p| matches!(p, CrashPoint::WorkerAtBoundary { worker: w, .. } if *w == worker),
-            );
+        let crashed = self.ctrl.faults.read().contains_key(&worker);
         assert!(
             crashed,
             "restart_worker({worker:?}): worker was never ordered to crash; \
@@ -675,10 +672,13 @@ impl ElasticRuntime {
             h.join();
         }
         self.bus.unregister(EndpointId::Worker(worker));
-        // A worker that died before recording credentials (or was ordered
-        // to play dead) rejoins from scratch: term 0, iteration 0.
-        let (term, iteration) = self.ctrl.take_crash_info(worker).unwrap_or((0, 0));
-        self.ctrl.worker_crash.write().remove(&worker);
+        // The join waited out an armed crash. A worker that died without
+        // recording credentials (it played dead, or exited before its
+        // armed boundary) rejoins from scratch: term 0, iteration 0.
+        let (term, iteration) = match self.ctrl.faults.write().remove(&worker) {
+            Some(WorkerFault::Fired { term, iteration }) => (term, iteration),
+            _ => (0, 0),
+        };
         *self.restarts.entry(worker).or_insert(0) += 1;
         self.spawn_worker(worker, WorkerRole::Rejoin { term, iteration });
     }
@@ -1009,7 +1009,7 @@ fn watchdog_thread(cfg: RuntimeConfig, bus: Bus, comm: Arc<CommGroup>, ctrl: Arc
         }
         // Takeover: supersede the silent AM and install a replacement.
         let epoch = ctrl.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        ctrl.metrics.am_recoveries.inc();
+        ctrl.obs.rt.am_recoveries.inc();
         ctrl.obs.journal.emit(EventKind::AmElected { epoch });
         bus.unregister(EndpointId::Am);
         let handle = spawn_am(cfg, &bus, &comm, &ctrl, epoch);
@@ -1020,6 +1020,7 @@ fn watchdog_thread(cfg: RuntimeConfig, bus: Bus, comm: Arc<CommGroup>, ctrl: Arc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::safety::audit;
 
     #[test]
     fn steady_training_is_consistent() {
@@ -1027,6 +1028,8 @@ mod tests {
         rt.run_until_iteration(25);
         let _ = &mut rt;
         let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
         assert_eq!(report.final_world_size, 3);
         assert!(report.states_consistent());
         assert!(report.workers.values().all(|v| v.iteration >= 25));
@@ -1040,6 +1043,8 @@ mod tests {
         assert_eq!(rt.members().len(), 4);
         rt.run_until_iteration(30);
         let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
         assert_eq!(report.final_world_size, 4);
         assert!(report.states_consistent(), "joiners diverged: {report:?}");
         assert_eq!(report.adjustments, 1);
@@ -1053,6 +1058,8 @@ mod tests {
         assert_eq!(rt.members().len(), 2);
         rt.run_until_iteration(25);
         let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
         assert_eq!(report.final_world_size, 2);
         assert!(report.states_consistent());
         // The removed workers stopped early but left cleanly.
@@ -1070,6 +1077,8 @@ mod tests {
         assert!(before.iter().all(|w| !after.contains(w)));
         rt.run_until_iteration(25);
         let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
         assert!(report.states_consistent());
     }
 
@@ -1084,6 +1093,8 @@ mod tests {
         rt.scale_out(3);
         rt.run_until_iteration(40);
         let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
         assert_eq!(report.final_world_size, 6);
         assert_eq!(report.adjustments, 3);
         assert!(report.states_consistent());
@@ -1096,7 +1107,9 @@ mod tests {
         let mut a = ElasticRuntime::builder().config(cfg).start().unwrap();
         a.run_until_iteration(20);
         let cp = a.checkpoint();
-        let _ = a.shutdown();
+        let report = a.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
 
         // The live state matches a single-threaded reference replay.
         let (expect_params, expect_momentum, expect_cursor) = simulate_training(
@@ -1127,6 +1140,46 @@ mod tests {
         );
         assert_eq!(*cp2.params, expect2, "restored run diverged");
         let report = b.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
+        assert!(report.states_consistent());
+    }
+
+    #[test]
+    fn mid_run_checksum_is_the_last_boundarys() {
+        use crate::worker::{checksum, simulate_training};
+        let cfg = RuntimeConfig::small(2);
+        let interval = cfg.coordination_interval;
+        let rt = ElasticRuntime::builder()
+            .config(cfg)
+            .time(TimeSource::virtual_seeded(5))
+            .start()
+            .unwrap();
+        let mut between = 0;
+        for target in 11..=14 {
+            rt.run_until_iteration(target);
+            for v in rt.snapshot().values() {
+                let boundary = v.iteration - v.iteration % interval;
+                between += usize::from(boundary != v.iteration);
+                let (params, _, _) = simulate_training(
+                    2,
+                    boundary,
+                    cfg.param_elems,
+                    cfg.learning_rate,
+                    cfg.total_batch,
+                );
+                assert_eq!(
+                    v.params_checksum,
+                    checksum(&params),
+                    "view at iteration {} does not carry boundary {boundary}'s checksum",
+                    v.iteration
+                );
+            }
+        }
+        assert!(between > 0, "no view was sampled between boundaries");
+        let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
         assert!(report.states_consistent());
     }
 
@@ -1140,7 +1193,9 @@ mod tests {
         let mut rt = ElasticRuntime::builder().config(cfg).start().unwrap();
         rt.run_until_iteration(15);
         let cp = rt.checkpoint();
-        let _ = rt.shutdown();
+        let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
         let (expect, _, _) = simulate_training(
             4,
             cp.iteration,
@@ -1162,6 +1217,8 @@ mod tests {
         rt.scale_out(1);
         rt.run_until_iteration(20);
         let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
         assert_eq!(report.final_world_size, 3);
         assert!(report.states_consistent());
         assert!(report.traces.iter().all(|t| t.is_well_formed()));
@@ -1182,6 +1239,10 @@ mod tests {
             rt.scale_in(1);
             rt.run_until_iteration(30);
             let report = rt.shutdown();
+            let verdict = audit(&report.events);
+            assert!(verdict.is_safe(), "{verdict}");
+            let verdict = audit(&report.events);
+            assert!(verdict.is_safe(), "{verdict}");
             report.events.iter().map(|e| format!("{e:?}")).collect()
         }
         let a = journal(23);
@@ -1198,6 +1259,8 @@ mod tests {
         rt.run_until_iteration(20);
         let snap = rt.snapshot();
         let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        assert!(verdict.is_safe(), "{verdict}");
         assert!(report.states_consistent());
         // All live workers agree on the serial cursor: iteration * batch.
         for v in snap.values().filter(|v| v.alive) {

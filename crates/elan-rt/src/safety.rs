@@ -1,17 +1,26 @@
-//! Post-hoc term-fencing safety checker over the [`EventJournal`].
+//! Post-hoc safety audit over the [`EventJournal`].
 //!
-//! Chaos tests prove *liveness* by finishing; this module proves the
-//! *safety* half of AM failover: replaying a run's retained events, it
-//! checks that at most one AM acted per fencing term and that no effect
-//! from a stale (fenced) AM landed after its successor's term bump —
-//! the split-brain freedom the persist-before-act store is supposed to
-//! guarantee under scripted partitions.
+//! Chaos tests prove *liveness* by finishing; [`audit`] proves the
+//! *safety* half. It replays a run's retained events once and checks
+//! three invariant families on the same pass:
 //!
-//! The checker is deliberately conservative about the journal being a
-//! bounded ring: an effect carrying a term *newer* than the last
-//! retained `TermBump` means the bump itself was evicted, not that the
-//! protocol misbehaved, so the checker adopts it as the new baseline
-//! instead of flagging it.
+//! - **term fencing** (DESIGN.md §13): at most one AM acted per fencing
+//!   term, and no effect from a stale (fenced) AM landed after its
+//!   successor's term bump — the split-brain freedom the
+//!   persist-before-act store is supposed to guarantee under scripted
+//!   partitions;
+//! - **open membership** (DESIGN.md §17): epochs are monotonic, phases
+//!   follow `EpochMachine`'s diagram, every `Train` phase starts within
+//!   the configured membership thresholds, and every admission is
+//!   witnessed;
+//! - **boundary agreement** (DESIGN.md §19): the AM acts only on a
+//!   boundary its members agree on, and no member it dismissed trains
+//!   past that boundary.
+//!
+//! The audit is deliberately conservative about the journal being a
+//! bounded ring: it flags only what the retained events prove, and
+//! adopts the first retained term, epoch phase or park as a baseline
+//! where the ring has evicted what came before.
 //!
 //! [`EventJournal`]: crate::obs::EventJournal
 
@@ -24,7 +33,7 @@ use crate::obs::{Event, EventKind};
 
 /// One safety violation found in a journal replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum TermViolation {
+pub(crate) enum Violation {
     /// A `TermBump` did not strictly increase the term — two AM
     /// incarnations claimed the same (or an older) term.
     NonMonotonicTermBump {
@@ -44,9 +53,9 @@ pub(crate) enum TermViolation {
         /// The epoch it claimed.
         next: u64,
     },
-    /// A term-carrying effect (boundary release, rejoin admission)
-    /// landed *after* a successor bumped past its term: a fenced AM
-    /// still acted.
+    /// A term-carrying effect (boundary release, park order, rejoin
+    /// admission) landed *after* a successor bumped past its term: a
+    /// fenced AM still acted.
     StaleTermEffect {
         /// Journal sequence of the offending event.
         seq: u64,
@@ -67,170 +76,6 @@ pub(crate) enum TermViolation {
         /// The term that was rejected.
         stale: u64,
     },
-}
-
-impl std::fmt::Display for TermViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TermViolation::NonMonotonicTermBump { seq, prev, next } => {
-                write!(
-                    f,
-                    "event #{seq}: term bump {prev} -> {next} is not an increase"
-                )
-            }
-            TermViolation::NonMonotonicElection { seq, prev, next } => {
-                write!(
-                    f,
-                    "event #{seq}: election epoch {prev} -> {next} is not an increase"
-                )
-            }
-            TermViolation::StaleTermEffect {
-                seq,
-                kind,
-                term,
-                current,
-            } => write!(
-                f,
-                "event #{seq}: {kind} under stale term {term} after bump to {current}"
-            ),
-            TermViolation::MalformedRejection { seq, term, stale } => write!(
-                f,
-                "event #{seq}: rejection of term {stale} under term {term} is not stale"
-            ),
-        }
-    }
-}
-
-/// The outcome of a journal safety replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TermSafetyReport {
-    /// Every violation found, in journal order.
-    pub(crate) violations: Vec<TermViolation>,
-    /// `TermBump` events replayed.
-    pub terms_seen: u64,
-    /// Term-carrying effects audited against the fence.
-    pub effects_checked: u64,
-}
-
-impl TermSafetyReport {
-    /// True when the replay found no violation.
-    pub fn is_safe(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-impl std::fmt::Display for TermSafetyReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} violations over {} term(s), {} effect(s)",
-            self.violations.len(),
-            self.terms_seen,
-            self.effects_checked
-        )?;
-        for v in &self.violations {
-            write!(f, "\n  - {v}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Replays `events` (e.g. [`ShutdownReport::events`]) and proves the
-/// term-fencing invariants: terms and election epochs are strictly
-/// monotonic, every term-carrying effect was issued under the term in
-/// force, and every logged rejection really was of stale traffic.
-///
-/// [`ShutdownReport::events`]: crate::runtime::ShutdownReport
-pub fn check_term_safety(events: &[Event]) -> TermSafetyReport {
-    let mut violations = Vec::new();
-    let mut terms_seen = 0u64;
-    let mut effects_checked = 0u64;
-    // The term/epoch in force; None until the first bump/election is
-    // seen (the ring may have evicted the run's opening events).
-    let mut current_term: Option<u64> = None;
-    let mut current_epoch: Option<u64> = None;
-    let audit = |seq: u64,
-                 kind: &'static str,
-                 term: u64,
-                 current_term: &mut Option<u64>,
-                 violations: &mut Vec<TermViolation>| {
-        match *current_term {
-            Some(current) if term < current => violations.push(TermViolation::StaleTermEffect {
-                seq,
-                kind,
-                term,
-                current,
-            }),
-            Some(current) if term > current => *current_term = Some(term), // evicted bump
-            Some(_) => {}
-            None => *current_term = Some(term),
-        }
-    };
-    for event in events {
-        match &event.kind {
-            EventKind::TermBump { term } => {
-                terms_seen += 1;
-                match current_term {
-                    Some(prev) if *term <= prev => {
-                        violations.push(TermViolation::NonMonotonicTermBump {
-                            seq: event.seq,
-                            prev,
-                            next: *term,
-                        });
-                    }
-                    _ => current_term = Some(*term),
-                }
-            }
-            EventKind::AmElected { epoch } => match current_epoch {
-                Some(prev) if *epoch <= prev => {
-                    violations.push(TermViolation::NonMonotonicElection {
-                        seq: event.seq,
-                        prev,
-                        next: *epoch,
-                    });
-                }
-                _ => current_epoch = Some(*epoch),
-            },
-            EventKind::BoundaryReleased { term, .. } => {
-                effects_checked += 1;
-                audit(
-                    event.seq,
-                    event.kind.name(),
-                    *term,
-                    &mut current_term,
-                    &mut violations,
-                );
-            }
-            EventKind::WorkerRejoin { term, .. } | EventKind::ParkOrdered { term, .. } => {
-                effects_checked += 1;
-                audit(
-                    event.seq,
-                    event.kind.name(),
-                    *term,
-                    &mut current_term,
-                    &mut violations,
-                );
-            }
-            EventKind::StaleTermRejected { term, stale } if stale >= term => {
-                violations.push(TermViolation::MalformedRejection {
-                    seq: event.seq,
-                    term: *term,
-                    stale: *stale,
-                });
-            }
-            _ => {}
-        }
-    }
-    TermSafetyReport {
-        violations,
-        terms_seen,
-        effects_checked,
-    }
-}
-
-/// One open-membership safety violation found in a journal replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum EpochViolation {
     /// An `EpochPhaseEntered` went backwards in epochs.
     NonMonotonicEpoch {
         /// Journal sequence of the offending event.
@@ -295,232 +140,6 @@ pub(crate) enum EpochViolation {
         /// The phase in force when it landed.
         phase: EpochPhase,
     },
-}
-
-impl std::fmt::Display for EpochViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EpochViolation::NonMonotonicEpoch { seq, prev, next } => {
-                write!(f, "event #{seq}: epoch {prev} -> {next} is not monotonic")
-            }
-            EpochViolation::IllegalPhaseTransition { seq, from, to } => write!(
-                f,
-                "event #{seq}: illegal phase transition {}@{} -> {}@{}",
-                from.1, from.0, to.1, to.0
-            ),
-            EpochViolation::MembershipOutOfBounds {
-                seq,
-                members,
-                min,
-                max,
-            } => write!(
-                f,
-                "event #{seq}: Train entered with {members} members outside [{min}, {max}]"
-            ),
-            EpochViolation::UnwitnessedAdmission { seq, worker, epoch } => write!(
-                f,
-                "event #{seq}: worker {worker} admitted in epoch {epoch} with no admit vote on record"
-            ),
-            EpochViolation::BadAdmissionTally {
-                seq,
-                worker,
-                votes_for,
-                votes_against,
-            } => write!(
-                f,
-                "event #{seq}: worker {worker} admitted on a {votes_for}-{votes_against} tally"
-            ),
-            EpochViolation::AdmissionOutsidePhase { seq, worker, phase } => write!(
-                f,
-                "event #{seq}: membership change for worker {worker} during {phase}"
-            ),
-        }
-    }
-}
-
-/// The outcome of an open-membership journal replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochSafetyReport {
-    /// Every violation found, in journal order.
-    pub(crate) violations: Vec<EpochViolation>,
-    /// `EpochPhaseEntered` events replayed.
-    pub phases_seen: u64,
-    /// Admissions and evictions audited.
-    pub admissions_checked: u64,
-}
-
-impl EpochSafetyReport {
-    /// True when the replay found no violation.
-    pub fn is_safe(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-impl std::fmt::Display for EpochSafetyReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} violations over {} phase(s), {} admission(s)",
-            self.violations.len(),
-            self.phases_seen,
-            self.admissions_checked
-        )?;
-        for v in &self.violations {
-            write!(f, "\n  - {v}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Replays `events` and proves the open-membership invariants of
-/// `EpochMachine`: epochs are monotonic
-/// and phases follow the machine's diagram, every `Train` phase starts
-/// within the configured membership thresholds, and every admission is
-/// witnessed — backed by at least one recorded admit vote, a strict
-/// majority tally, and landing only during `Warmup`.
-///
-/// Like [`check_term_safety`], the checker is conservative about the
-/// journal being a bounded ring: with no retained `EpochConfigured`
-/// the threshold check is skipped, the first retained phase entry is
-/// adopted as baseline, and the witness-vote requirement only applies
-/// to epochs whose `Warmup` entry is itself retained (the votes land
-/// after it, so eviction cannot have split them).
-pub fn check_epoch_safety(events: &[Event]) -> EpochSafetyReport {
-    let mut violations = Vec::new();
-    let mut phases_seen = 0u64;
-    let mut admissions_checked = 0u64;
-    let mut bounds: Option<(u64, u64)> = None;
-    let mut current: Option<(u64, EpochPhase)> = None;
-    // Epochs whose Warmup entry is retained: vote-presence is enforceable.
-    let mut warmups_retained: BTreeSet<u64> = BTreeSet::new();
-    // (subject, epoch) pairs with a retained admit vote.
-    let mut admit_votes: BTreeSet<(WorkerId, u64)> = BTreeSet::new();
-    for event in events {
-        match &event.kind {
-            EventKind::EpochConfigured {
-                min_members,
-                max_members,
-                ..
-            } => {
-                bounds = Some((*min_members, *max_members));
-            }
-            EventKind::EpochPhaseEntered {
-                epoch,
-                phase,
-                members,
-            } => {
-                phases_seen += 1;
-                match current {
-                    Some((prev, _)) if *epoch < prev => {
-                        violations.push(EpochViolation::NonMonotonicEpoch {
-                            seq: event.seq,
-                            prev,
-                            next: *epoch,
-                        });
-                    }
-                    Some(from) => {
-                        let legal = match (from.1, *phase) {
-                            (EpochPhase::WaitingForMembers, EpochPhase::Warmup)
-                            | (EpochPhase::Warmup, EpochPhase::Train)
-                            | (EpochPhase::Warmup, EpochPhase::Cooldown)
-                            | (EpochPhase::Train, EpochPhase::Cooldown) => *epoch == from.0,
-                            (EpochPhase::Cooldown, EpochPhase::WaitingForMembers) => {
-                                *epoch == from.0 + 1
-                            }
-                            _ => false,
-                        };
-                        if !legal {
-                            violations.push(EpochViolation::IllegalPhaseTransition {
-                                seq: event.seq,
-                                from,
-                                to: (*epoch, *phase),
-                            });
-                        }
-                    }
-                    None => {} // ring evicted the prefix: adopt as baseline
-                }
-                current = Some((*epoch, *phase));
-                if *phase == EpochPhase::Warmup {
-                    warmups_retained.insert(*epoch);
-                }
-                if *phase == EpochPhase::Train {
-                    if let Some((min, max)) = bounds {
-                        if *members < min || *members > max {
-                            violations.push(EpochViolation::MembershipOutOfBounds {
-                                seq: event.seq,
-                                members: *members,
-                                min,
-                                max,
-                            });
-                        }
-                    }
-                }
-            }
-            EventKind::WitnessVoteCast {
-                subject,
-                epoch,
-                admit,
-                ..
-            } if *admit => {
-                admit_votes.insert((*subject, *epoch));
-            }
-            EventKind::JoinAdmitted {
-                worker,
-                epoch,
-                votes_for,
-                votes_against,
-            } => {
-                admissions_checked += 1;
-                if *votes_for == 0 || *votes_for <= *votes_against {
-                    violations.push(EpochViolation::BadAdmissionTally {
-                        seq: event.seq,
-                        worker: *worker,
-                        votes_for: *votes_for,
-                        votes_against: *votes_against,
-                    });
-                }
-                if warmups_retained.contains(epoch) && !admit_votes.contains(&(*worker, *epoch)) {
-                    violations.push(EpochViolation::UnwitnessedAdmission {
-                        seq: event.seq,
-                        worker: *worker,
-                        epoch: *epoch,
-                    });
-                }
-                if let Some((_, phase)) = current {
-                    if phase != EpochPhase::Warmup {
-                        violations.push(EpochViolation::AdmissionOutsidePhase {
-                            seq: event.seq,
-                            worker: *worker,
-                            phase,
-                        });
-                    }
-                }
-            }
-            EventKind::WitnessEvicted { worker, .. } => {
-                admissions_checked += 1;
-                if let Some((_, phase)) = current {
-                    if phase != EpochPhase::Warmup {
-                        violations.push(EpochViolation::AdmissionOutsidePhase {
-                            seq: event.seq,
-                            worker: *worker,
-                            phase,
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    EpochSafetyReport {
-        violations,
-        phases_seen,
-        admissions_checked,
-    }
-}
-
-/// One boundary-agreement violation found in a journal replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum BoundaryViolation {
     /// The AM acted on a boundary (a `Resume`/`Leave` wave, a checkpoint
     /// order or a stop) while a member it counted was last journalled
     /// parked somewhere else, or never parked at all.
@@ -548,10 +167,69 @@ pub(crate) enum BoundaryViolation {
     },
 }
 
-impl std::fmt::Display for BoundaryViolation {
+impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BoundaryViolation::SplitPark {
+            Violation::NonMonotonicTermBump { seq, prev, next } => {
+                write!(
+                    f,
+                    "event #{seq}: term bump {prev} -> {next} is not an increase"
+                )
+            }
+            Violation::NonMonotonicElection { seq, prev, next } => {
+                write!(
+                    f,
+                    "event #{seq}: election epoch {prev} -> {next} is not an increase"
+                )
+            }
+            Violation::StaleTermEffect {
+                seq,
+                kind,
+                term,
+                current,
+            } => write!(
+                f,
+                "event #{seq}: {kind} under stale term {term} after bump to {current}"
+            ),
+            Violation::MalformedRejection { seq, term, stale } => write!(
+                f,
+                "event #{seq}: rejection of term {stale} under term {term} is not stale"
+            ),
+            Violation::NonMonotonicEpoch { seq, prev, next } => {
+                write!(f, "event #{seq}: epoch {prev} -> {next} is not monotonic")
+            }
+            Violation::IllegalPhaseTransition { seq, from, to } => write!(
+                f,
+                "event #{seq}: illegal phase transition {}@{} -> {}@{}",
+                from.1, from.0, to.1, to.0
+            ),
+            Violation::MembershipOutOfBounds {
+                seq,
+                members,
+                min,
+                max,
+            } => write!(
+                f,
+                "event #{seq}: Train entered with {members} members outside [{min}, {max}]"
+            ),
+            Violation::UnwitnessedAdmission { seq, worker, epoch } => write!(
+                f,
+                "event #{seq}: worker {worker} admitted in epoch {epoch} with no admit vote on record"
+            ),
+            Violation::BadAdmissionTally {
+                seq,
+                worker,
+                votes_for,
+                votes_against,
+            } => write!(
+                f,
+                "event #{seq}: worker {worker} admitted on a {votes_for}-{votes_against} tally"
+            ),
+            Violation::AdmissionOutsidePhase { seq, worker, phase } => write!(
+                f,
+                "event #{seq}: membership change for worker {worker} during {phase}"
+            ),
+            Violation::SplitPark {
                 seq,
                 boundary,
                 worker,
@@ -560,7 +238,7 @@ impl std::fmt::Display for BoundaryViolation {
                 f,
                 "event #{seq}: acted on boundary {boundary} while {worker} was parked at {at}"
             ),
-            BoundaryViolation::SplitPark {
+            Violation::SplitPark {
                 seq,
                 boundary,
                 worker,
@@ -569,7 +247,7 @@ impl std::fmt::Display for BoundaryViolation {
                 f,
                 "event #{seq}: acted on boundary {boundary} while {worker} never parked"
             ),
-            BoundaryViolation::TrainedPast {
+            Violation::TrainedPast {
                 seq,
                 worker,
                 boundary,
@@ -582,30 +260,45 @@ impl std::fmt::Display for BoundaryViolation {
     }
 }
 
-/// The outcome of a boundary-agreement replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BoundaryAgreementReport {
+/// The outcome of a journal [`audit`]. The counters show what each
+/// invariant family actually replayed, so a caller can tell a clean
+/// audit from a vacuous one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AuditReport {
     /// Every violation found, in journal order.
-    pub(crate) violations: Vec<BoundaryViolation>,
+    pub(crate) violations: Vec<Violation>,
+    /// `TermBump` events replayed.
+    pub terms_seen: u64,
+    /// Term-carrying effects audited against the fence.
+    pub effects_checked: u64,
+    /// `EpochPhaseEntered` events replayed.
+    pub phases_seen: u64,
+    /// Admissions and evictions audited.
+    pub admissions_checked: u64,
     /// `BoundaryActed` events audited.
     pub acts_checked: u64,
     /// `WorkerParked` events replayed.
     pub parks_seen: u64,
 }
 
-impl BoundaryAgreementReport {
+impl AuditReport {
     /// True when the replay found no violation.
     pub fn is_safe(&self) -> bool {
         self.violations.is_empty()
     }
 }
 
-impl std::fmt::Display for BoundaryAgreementReport {
+impl std::fmt::Display for AuditReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} violations over {} act(s), {} park(s)",
+            "{} violations over {} term(s), {} effect(s), {} phase(s), {} admission(s), \
+             {} act(s), {} park(s)",
             self.violations.len(),
+            self.terms_seen,
+            self.effects_checked,
+            self.phases_seen,
+            self.admissions_checked,
             self.acts_checked,
             self.parks_seen
         )?;
@@ -616,33 +309,207 @@ impl std::fmt::Display for BoundaryAgreementReport {
     }
 }
 
-/// Replays `events` and proves that the AM acts only on a boundary its
-/// members agree on (DESIGN.md §19):
+/// Replays `events` (e.g. [`ShutdownReport::events`]) once and proves
+/// every journal invariant:
 ///
-/// - every `Resume`/`Leave` wave, checkpoint order and stop follows every
-///   member it counted (live, not mid-`Rejoin`) parking at that boundary:
-///   each one's latest journalled park is the boundary acted on;
-/// - no member of the old membership trains past that boundary: a member
-///   the act dismissed journals no park afterwards.
+/// - **term fencing**: terms and election epochs are strictly
+///   monotonic, every term-carrying effect was issued under the term in
+///   force, and every logged rejection really was of stale traffic. An
+///   effect carrying a term *newer* than the last retained `TermBump`
+///   means the ring evicted the bump, so it becomes the new baseline;
+/// - **open membership**: epochs are monotonic and phases follow the
+///   machine's diagram, every `Train` phase starts within the configured
+///   membership thresholds, and every admission is backed by a recorded
+///   admit vote, carries a strict-majority tally and lands only during
+///   `Warmup`. With no retained `EpochConfigured` the threshold check is
+///   skipped, and the vote requirement only applies to epochs whose
+///   `Warmup` entry is retained (the votes land after it, so eviction
+///   cannot have split them);
+/// - **boundary agreement**: every `Resume`/`Leave` wave, checkpoint
+///   order and stop follows every member it counted (live, not
+///   mid-`Rejoin`) parking at that boundary — each one's latest
+///   journalled park is the boundary acted on — and a member the act
+///   dismissed journals no park afterwards. Once the ring has evicted
+///   the run's opening events, a member with no retained park is
+///   skipped rather than flagged.
 ///
-/// Like the other auditors it is conservative about the journal being a
-/// bounded ring: once the ring has evicted the run's opening events, a
-/// member with no retained park is skipped rather than flagged.
-pub fn check_boundary_agreement(events: &[Event]) -> BoundaryAgreementReport {
-    let mut violations = Vec::new();
-    let (mut acts_checked, mut parks_seen) = (0u64, 0u64);
+/// [`ShutdownReport::events`]: crate::runtime::ShutdownReport
+pub fn audit(events: &[Event]) -> AuditReport {
+    let mut report = AuditReport::default();
+    let violations = &mut report.violations;
+    // Term fencing: the term and election epoch in force; None until the
+    // first is seen (the ring may have evicted the run's opening events).
+    let mut term: Option<u64> = None;
+    let mut elected: Option<u64> = None;
+    // Open membership: the configured bounds, the phase in force, the
+    // epochs whose Warmup entry is retained (vote presence is enforceable)
+    // and the (subject, epoch) pairs with a retained admit vote.
+    let mut bounds: Option<(u64, u64)> = None;
+    let mut phase_now: Option<(u64, EpochPhase)> = None;
+    let mut warmups_retained: BTreeSet<u64> = BTreeSet::new();
+    let mut admit_votes: BTreeSet<(WorkerId, u64)> = BTreeSet::new();
+    // Boundary agreement: each worker's latest park, and the members
+    // dismissed by an act with the boundary they were dismissed at.
     let whole = events.first().is_none_or(|e| e.seq == 0);
     let mut parked: BTreeMap<WorkerId, u64> = BTreeMap::new();
-    // Members dismissed by an act, and the boundary they were dismissed at.
     let mut dismissed: BTreeMap<WorkerId, u64> = BTreeMap::new();
     for event in events {
+        let seq = event.seq;
         match &event.kind {
+            EventKind::TermBump { term: next } => {
+                report.terms_seen += 1;
+                match term {
+                    Some(prev) if *next <= prev => {
+                        violations.push(Violation::NonMonotonicTermBump {
+                            seq,
+                            prev,
+                            next: *next,
+                        });
+                    }
+                    _ => term = Some(*next),
+                }
+            }
+            EventKind::AmElected { epoch } => match elected {
+                Some(prev) if *epoch <= prev => {
+                    violations.push(Violation::NonMonotonicElection {
+                        seq,
+                        prev,
+                        next: *epoch,
+                    });
+                }
+                _ => elected = Some(*epoch),
+            },
+            EventKind::BoundaryReleased { term: issued, .. }
+            | EventKind::WorkerRejoin { term: issued, .. }
+            | EventKind::ParkOrdered { term: issued, .. } => {
+                report.effects_checked += 1;
+                match term {
+                    Some(current) if *issued < current => {
+                        violations.push(Violation::StaleTermEffect {
+                            seq,
+                            kind: event.kind.name(),
+                            term: *issued,
+                            current,
+                        });
+                    }
+                    // A newer term than the last bump: the ring evicted it.
+                    _ => term = term.max(Some(*issued)),
+                }
+            }
+            EventKind::StaleTermRejected { term, stale } if stale >= term => {
+                violations.push(Violation::MalformedRejection {
+                    seq,
+                    term: *term,
+                    stale: *stale,
+                });
+            }
+            EventKind::EpochConfigured {
+                min_members,
+                max_members,
+                ..
+            } => {
+                bounds = Some((*min_members, *max_members));
+            }
+            EventKind::EpochPhaseEntered {
+                epoch,
+                phase,
+                members,
+            } => {
+                report.phases_seen += 1;
+                match phase_now {
+                    Some((prev, _)) if *epoch < prev => {
+                        violations.push(Violation::NonMonotonicEpoch {
+                            seq,
+                            prev,
+                            next: *epoch,
+                        });
+                    }
+                    Some(from) => {
+                        let legal = match (from.1, *phase) {
+                            (EpochPhase::WaitingForMembers, EpochPhase::Warmup)
+                            | (EpochPhase::Warmup, EpochPhase::Train)
+                            | (EpochPhase::Warmup, EpochPhase::Cooldown)
+                            | (EpochPhase::Train, EpochPhase::Cooldown) => *epoch == from.0,
+                            (EpochPhase::Cooldown, EpochPhase::WaitingForMembers) => {
+                                *epoch == from.0 + 1
+                            }
+                            _ => false,
+                        };
+                        if !legal {
+                            violations.push(Violation::IllegalPhaseTransition {
+                                seq,
+                                from,
+                                to: (*epoch, *phase),
+                            });
+                        }
+                    }
+                    None => {} // ring evicted the prefix: adopt as baseline
+                }
+                phase_now = Some((*epoch, *phase));
+                if *phase == EpochPhase::Warmup {
+                    warmups_retained.insert(*epoch);
+                }
+                if *phase == EpochPhase::Train {
+                    if let Some((min, max)) = bounds {
+                        if *members < min || *members > max {
+                            violations.push(Violation::MembershipOutOfBounds {
+                                seq,
+                                members: *members,
+                                min,
+                                max,
+                            });
+                        }
+                    }
+                }
+            }
+            EventKind::WitnessVoteCast {
+                subject,
+                epoch,
+                admit,
+                ..
+            } if *admit => {
+                admit_votes.insert((*subject, *epoch));
+            }
+            EventKind::JoinAdmitted { worker, .. } | EventKind::WitnessEvicted { worker, .. } => {
+                report.admissions_checked += 1;
+                if let EventKind::JoinAdmitted {
+                    epoch,
+                    votes_for,
+                    votes_against,
+                    ..
+                } = &event.kind
+                {
+                    if *votes_for == 0 || *votes_for <= *votes_against {
+                        violations.push(Violation::BadAdmissionTally {
+                            seq,
+                            worker: *worker,
+                            votes_for: *votes_for,
+                            votes_against: *votes_against,
+                        });
+                    }
+                    if warmups_retained.contains(epoch) && !admit_votes.contains(&(*worker, *epoch))
+                    {
+                        violations.push(Violation::UnwitnessedAdmission {
+                            seq,
+                            worker: *worker,
+                            epoch: *epoch,
+                        });
+                    }
+                }
+                if let Some((_, phase)) = phase_now.filter(|&(_, p)| p != EpochPhase::Warmup) {
+                    violations.push(Violation::AdmissionOutsidePhase {
+                        seq,
+                        worker: *worker,
+                        phase,
+                    });
+                }
+            }
             EventKind::WorkerParked { worker, boundary } => {
-                parks_seen += 1;
+                report.parks_seen += 1;
                 parked.insert(*worker, *boundary);
                 if let Some(&at) = dismissed.get(worker) {
-                    violations.push(BoundaryViolation::TrainedPast {
-                        seq: event.seq,
+                    violations.push(Violation::TrainedPast {
+                        seq,
                         worker: *worker,
                         boundary: at,
                         parked: *boundary,
@@ -652,12 +519,12 @@ pub fn check_boundary_agreement(events: &[Event]) -> BoundaryAgreementReport {
             EventKind::BoundaryActed {
                 boundary, quorum, ..
             } => {
-                acts_checked += 1;
+                report.acts_checked += 1;
                 for &(w, stays) in quorum.iter() {
                     let at = parked.get(&w).copied();
                     if at != Some(*boundary) && (whole || at.is_some()) {
-                        violations.push(BoundaryViolation::SplitPark {
-                            seq: event.seq,
+                        violations.push(Violation::SplitPark {
+                            seq,
                             boundary: *boundary,
                             worker: w,
                             parked: at,
@@ -671,11 +538,7 @@ pub fn check_boundary_agreement(events: &[Event]) -> BoundaryAgreementReport {
             _ => {}
         }
     }
-    BoundaryAgreementReport {
-        violations,
-        acts_checked,
-        parks_seen,
-    }
+    report
 }
 
 #[cfg(test)]
@@ -715,7 +578,7 @@ mod tests {
                 },
             ),
         ];
-        let report = check_term_safety(&events);
+        let report = audit(&events);
         assert!(report.is_safe(), "{report}");
         assert_eq!(report.terms_seen, 2);
         assert_eq!(report.effects_checked, 2);
@@ -736,10 +599,10 @@ mod tests {
                 },
             ),
         ];
-        let report = check_term_safety(&events);
+        let report = audit(&events);
         assert_eq!(
             report.violations,
-            vec![TermViolation::StaleTermEffect {
+            vec![Violation::StaleTermEffect {
                 seq: 2,
                 kind: "boundary_released",
                 term: 1,
@@ -754,11 +617,11 @@ mod tests {
             ev(0, EventKind::TermBump { term: 3 }),
             ev(1, EventKind::TermBump { term: 3 }),
         ];
-        let report = check_term_safety(&events);
+        let report = audit(&events);
         assert_eq!(report.violations.len(), 1);
         assert!(matches!(
             report.violations[0],
-            TermViolation::NonMonotonicTermBump {
+            Violation::NonMonotonicTermBump {
                 prev: 3,
                 next: 3,
                 ..
@@ -772,15 +635,15 @@ mod tests {
             ev(0, EventKind::AmElected { epoch: 2 }),
             ev(1, EventKind::AmElected { epoch: 2 }),
         ];
-        assert_eq!(check_term_safety(&events).violations.len(), 1);
+        assert_eq!(audit(&events).violations.len(), 1);
     }
 
     #[test]
     fn malformed_rejection_is_flagged() {
         let events = vec![ev(0, EventKind::StaleTermRejected { term: 2, stale: 2 })];
         assert!(matches!(
-            check_term_safety(&events).violations[0],
-            TermViolation::MalformedRejection {
+            audit(&events).violations[0],
+            Violation::MalformedRejection {
                 term: 2,
                 stale: 2,
                 ..
@@ -810,11 +673,11 @@ mod tests {
                 },
             ),
         ];
-        let report = check_term_safety(&events);
+        let report = audit(&events);
         assert_eq!(report.violations.len(), 1);
         assert!(matches!(
             report.violations[0],
-            TermViolation::StaleTermEffect {
+            Violation::StaleTermEffect {
                 term: 1,
                 current: 2,
                 ..
@@ -824,7 +687,7 @@ mod tests {
 
     #[test]
     fn empty_journal_is_vacuously_safe() {
-        let report = check_term_safety(&[]);
+        let report = audit(&[]);
         assert!(report.is_safe());
         assert_eq!(report.terms_seen, 0);
     }
@@ -883,7 +746,7 @@ mod tests {
             phase(6, 0, EpochPhase::Cooldown, 3),
             phase(7, 1, EpochPhase::WaitingForMembers, 3),
         ];
-        let report = check_epoch_safety(&events);
+        let report = audit(&events);
         assert!(report.is_safe(), "{report}");
         assert_eq!(report.phases_seen, 5);
         assert_eq!(report.admissions_checked, 1);
@@ -896,8 +759,8 @@ mod tests {
             phase(1, 0, EpochPhase::Train, 2),
         ];
         assert!(matches!(
-            check_epoch_safety(&events).violations[..],
-            [EpochViolation::IllegalPhaseTransition { .. }]
+            audit(&events).violations[..],
+            [Violation::IllegalPhaseTransition { .. }]
         ));
     }
 
@@ -908,8 +771,8 @@ mod tests {
             phase(1, 2, EpochPhase::WaitingForMembers, 2),
         ];
         assert!(matches!(
-            check_epoch_safety(&events).violations[..],
-            [EpochViolation::NonMonotonicEpoch {
+            audit(&events).violations[..],
+            [Violation::NonMonotonicEpoch {
                 prev: 3,
                 next: 2,
                 ..
@@ -925,8 +788,8 @@ mod tests {
             phase(2, 0, EpochPhase::Train, 2),
         ];
         assert!(matches!(
-            check_epoch_safety(&events).violations[..],
-            [EpochViolation::MembershipOutOfBounds {
+            audit(&events).violations[..],
+            [Violation::MembershipOutOfBounds {
                 members: 2,
                 min: 3,
                 max: 8,
@@ -950,8 +813,8 @@ mod tests {
             ),
         ];
         assert!(matches!(
-            check_epoch_safety(&events).violations[..],
-            [EpochViolation::UnwitnessedAdmission { epoch: 1, .. }]
+            audit(&events).violations[..],
+            [Violation::UnwitnessedAdmission { epoch: 1, .. }]
         ));
     }
 
@@ -979,8 +842,8 @@ mod tests {
             ),
         ];
         assert!(matches!(
-            check_epoch_safety(&events).violations[..],
-            [EpochViolation::BadAdmissionTally {
+            audit(&events).violations[..],
+            [Violation::BadAdmissionTally {
                 votes_for: 1,
                 votes_against: 2,
                 ..
@@ -1013,8 +876,8 @@ mod tests {
             ),
         ];
         assert!(matches!(
-            check_epoch_safety(&events).violations[..],
-            [EpochViolation::AdmissionOutsidePhase {
+            audit(&events).violations[..],
+            [Violation::AdmissionOutsidePhase {
                 phase: EpochPhase::Train,
                 ..
             }]
@@ -1031,7 +894,7 @@ mod tests {
             phase(1, 7, EpochPhase::Cooldown, 5),
             phase(2, 8, EpochPhase::WaitingForMembers, 5),
         ];
-        assert!(check_epoch_safety(&events).is_safe());
+        assert!(audit(&events).is_safe());
     }
 
     fn parked(seq: u64, worker: u32, boundary: u64) -> Event {
@@ -1073,7 +936,7 @@ mod tests {
             parked(7, 2, 40),
             acted(8, 40, BoundaryAct::Stop, &[0, 2], &[]),
         ];
-        let report = check_boundary_agreement(&events);
+        let report = audit(&events);
         assert!(report.is_safe(), "{report}");
         assert_eq!((report.acts_checked, report.parks_seen), (3, 6));
     }
@@ -1087,17 +950,17 @@ mod tests {
             parked(1, 1, 15),
             acted(2, 10, BoundaryAct::Resume, &[0, 1, 2], &[0, 1, 2]),
         ];
-        let report = check_boundary_agreement(&events);
+        let report = audit(&events);
         assert_eq!(
             report.violations,
             vec![
-                BoundaryViolation::SplitPark {
+                Violation::SplitPark {
                     seq: 2,
                     boundary: 10,
                     worker: WorkerId(1),
                     parked: Some(15),
                 },
-                BoundaryViolation::SplitPark {
+                Violation::SplitPark {
                     seq: 2,
                     boundary: 10,
                     worker: WorkerId(2),
@@ -1116,10 +979,10 @@ mod tests {
             acted(2, 10, BoundaryAct::Resume, &[0, 1], &[0]),
             parked(3, 1, 15),
         ];
-        let report = check_boundary_agreement(&events);
+        let report = audit(&events);
         assert_eq!(
             report.violations,
-            vec![BoundaryViolation::TrainedPast {
+            vec![Violation::TrainedPast {
                 seq: 3,
                 worker: WorkerId(1),
                 boundary: 10,
@@ -1136,7 +999,7 @@ mod tests {
             parked(40, 0, 10),
             acted(41, 10, BoundaryAct::Checkpoint, &[0, 1], &[0, 1]),
         ];
-        assert!(check_boundary_agreement(&events).is_safe());
+        assert!(audit(&events).is_safe());
     }
 
     #[test]
@@ -1157,16 +1020,60 @@ mod tests {
             ev(2, EventKind::TermBump { term: 2 }),
             order(3, 1),
         ];
-        let report = check_term_safety(&events);
+        let report = audit(&events);
         assert_eq!(report.effects_checked, 2);
         assert!(matches!(
             report.violations[..],
-            [TermViolation::StaleTermEffect {
+            [Violation::StaleTermEffect {
                 seq: 3,
                 kind: "park_ordered",
                 term: 1,
                 current: 2,
             }]
         ));
+    }
+
+    #[test]
+    fn one_audit_reports_every_family() {
+        // A fenced term-1 AM releases a boundary, and then acts on a
+        // boundary worker 1 never parked at: one pass convicts both.
+        let events = vec![
+            ev(0, EventKind::TermBump { term: 1 }),
+            ev(1, EventKind::TermBump { term: 2 }),
+            parked(2, 0, 10),
+            ev(
+                3,
+                EventKind::BoundaryReleased {
+                    boundary: 10,
+                    world: 2,
+                    term: 1,
+                },
+            ),
+            acted(4, 10, BoundaryAct::Resume, &[0, 1], &[0, 1]),
+        ];
+        let report = audit(&events);
+        assert_eq!(
+            report.violations,
+            vec![
+                Violation::StaleTermEffect {
+                    seq: 3,
+                    kind: "boundary_released",
+                    term: 1,
+                    current: 2,
+                },
+                Violation::SplitPark {
+                    seq: 4,
+                    boundary: 10,
+                    worker: WorkerId(1),
+                    parked: None,
+                },
+            ]
+        );
+        assert_eq!(
+            (report.terms_seen, report.effects_checked),
+            (2, 1),
+            "{report}"
+        );
+        assert_eq!((report.acts_checked, report.parks_seen), (1, 1), "{report}");
     }
 }

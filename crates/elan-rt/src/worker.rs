@@ -74,7 +74,12 @@ pub struct WorkerView {
     pub iteration: u64,
     /// Serial data-loading cursor.
     pub data_cursor: u64,
-    /// Checksum of the parameter buffer (bit-exact).
+    /// Bit-exact [`checksum`] of the parameter buffer as it stood at the
+    /// worker's latest coordination boundary, or at its exit in a final
+    /// (not-alive) view. Between boundaries the value is carried, not
+    /// recomputed: views are only compared at boundaries and at exit,
+    /// and hashing a large buffer on every step is a large share of the
+    /// step.
     pub params_checksum: u64,
     /// False once the worker has left the job.
     pub alive: bool,
@@ -353,7 +358,7 @@ pub(crate) fn worker_endpoint(
         sender_owner(id, incarnation),
         RETRY_TIMEOUT,
         None,
-        Arc::clone(&ctrl.metrics),
+        Arc::clone(&ctrl.obs.rt),
     )
 }
 
@@ -445,6 +450,7 @@ pub(crate) fn run_worker(
         grad: vec![0.0; cfg.param_elems],
         iteration: 0,
         data_cursor: 0,
+        params_checksum: 0,
         stalled: Duration::ZERO,
         last_seen_gen: comm.generation(),
         bounds: Bounds::new(cfg.coordination_interval, 0),
@@ -574,6 +580,8 @@ struct Worker {
     grad: Vec<f32>,
     iteration: u64,
     data_cursor: u64,
+    /// See [`WorkerView::params_checksum`].
+    params_checksum: u64,
     /// See [`WorkerView::stalled`].
     stalled: Duration,
     /// Resume-wave staleness guard: only newer generations un-park us.
@@ -844,12 +852,11 @@ impl Worker {
     /// worker trained, then passes or parks.
     fn at_boundary(&mut self, recalled: bool, held: &mut Vec<RtMsg>) -> Result<(), Exit> {
         let (id, iteration) = (self.link.id, self.iteration);
-        if !recalled && self.link.ctrl.take_worker_boundary_crash(id, iteration) {
+        let term = self.link.highest_term;
+        if !recalled && self.link.ctrl.fire_boundary_crash(id, term, iteration) {
             // Chaos-injected crash: die silently after the SGD step but
             // before reporting, leaving the boundary hanging. The
-            // restarted incarnation presents these credentials.
-            let term = self.link.highest_term;
-            self.link.ctrl.record_worker_crash(id, term, iteration);
+            // restarted incarnation presents the recorded credentials.
             return Err(Exit::Crashed);
         }
         // Transfers and checkpoints at this boundary share one snapshot.
@@ -995,11 +1002,18 @@ impl Worker {
         self.link.tell_am(vote);
     }
 
-    fn publish(&self, alive: bool) {
+    fn publish(&mut self, alive: bool) {
+        if !alive
+            || self
+                .iteration
+                .is_multiple_of(self.cfg.coordination_interval)
+        {
+            self.params_checksum = checksum(&self.params);
+        }
         let view = WorkerView {
             iteration: self.iteration,
             data_cursor: self.data_cursor,
-            params_checksum: checksum(&self.params),
+            params_checksum: self.params_checksum,
             alive,
             stalled: self.stalled,
         };

@@ -19,8 +19,7 @@
 use std::time::Duration;
 
 use elan::rt::{
-    check_term_safety, ChaosPolicy, CrashPoint, ElasticRuntime, EndpointId, RuntimeConfig,
-    TimeSource,
+    audit, ChaosPolicy, CrashPoint, ElasticRuntime, EndpointId, RuntimeConfig, TimeSource,
 };
 
 fn live() {
@@ -160,10 +159,10 @@ fn partitioned() {
         );
     }
 
-    // Replay the journal through the term-safety checker: at most one AM
-    // acted per term and nothing landed after its fence.
-    let safety = check_term_safety(&report.events);
-    println!("term safety            : {safety}");
+    // Audit the journal: at most one AM acted per term, nothing landed
+    // after its fence, and the AM acted only on agreed boundaries.
+    let safety = audit(&report.events);
+    println!("journal audit          : {safety}");
 
     assert_eq!(report.final_world_size, 4);
     assert!(j.count("term_bump") >= 2, "successor never bumped the term");
@@ -172,7 +171,7 @@ fn partitioned() {
         "the old AM was never fenced"
     );
     assert!(j.count("worker_rejoin") >= 1, "the victim never rejoined");
-    assert!(safety.is_safe(), "term safety violated: {safety}");
+    assert!(safety.is_safe(), "journal audit failed: {safety}");
     assert!(report.states_consistent(), "replicas diverged");
     println!("\nall invariants held: one AM per term, and the rejoiner is bit-identical\n");
 }

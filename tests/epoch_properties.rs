@@ -11,15 +11,15 @@
 //!   `min_members` and `max_members` members;
 //! - **no un-warmed member trains** — `Train` is only ever entered from
 //!   `Warmup`, and every admission carries at least one admit vote from
-//!   the witness round (the auditor's vote-presence check);
+//!   the witness round (the audit's vote-presence check);
 //! - **monotonic epochs** — phase entries never decrease the epoch, and
 //!   each `WaitingForMembers` entry (the epoch roll) strictly increases
 //!   it.
 //!
-//! The epoch-safety auditor ([`check_epoch_safety`]) is asserted on
-//! every storm too — the same auditor CI runs over seedsweep and chaos
-//! e2e journals — plus direct event-scan assertions below so a bug in
-//! the auditor itself cannot silently weaken the properties.
+//! The journal [`audit`] is asserted on every storm too — the same
+//! audit CI runs over seedsweep and chaos e2e journals — plus direct
+//! event-scan assertions below so a bug in the audit itself cannot
+//! silently weaken the properties.
 
 use std::collections::BTreeSet;
 
@@ -28,7 +28,7 @@ use proptest::prelude::*;
 use elan::core::protocol::EpochPhase;
 use elan::core::state::WorkerId;
 use elan::rt::epoch::{run_churn, ChurnConfig};
-use elan::rt::{check_epoch_safety, EventKind};
+use elan::rt::{audit, EventKind};
 
 /// A storm config over the randomized degrees of freedom. Fault dials
 /// ride the strategy so shrinking finds the *simplest* storm that
@@ -79,12 +79,12 @@ proptest! {
         prop_assert_eq!(a.epochs_trained, b.epochs_trained);
         prop_assert_eq!(a.peak_members, b.peak_members);
 
-        // The auditor: legal phase transitions, vote-backed admissions,
+        // The audit: legal phase transitions, vote-backed admissions,
         // bounded Train membership, monotonic epochs.
-        let audit = check_epoch_safety(&a.events);
-        prop_assert!(audit.is_safe(), "epoch safety violated: {}", audit);
+        let verdict = audit(&a.events);
+        prop_assert!(verdict.is_safe(), "journal audit failed: {}", verdict);
 
-        // Direct scans, independent of the auditor's bookkeeping.
+        // Direct scans, independent of the audit's bookkeeping.
         let (min, max) = (cfg.epoch.min_members as u64, cfg.epoch.max_members as u64);
         let mut last_epoch = 0u64;
         let mut last_waiting_epoch: Option<u64> = None;
@@ -180,7 +180,7 @@ proptest! {
                 "{:?} both admitted and evicted in the same epoch", pair
             );
         }
-        let audit = check_epoch_safety(&report.events);
-        prop_assert!(audit.is_safe(), "epoch safety violated: {}", audit);
+        let verdict = audit(&report.events);
+        prop_assert!(verdict.is_safe(), "journal audit failed: {}", verdict);
     }
 }

@@ -25,7 +25,7 @@
 
 use proptest::prelude::*;
 
-use elan::rt::{ChaosPolicy, ElasticRuntime, EventKind, RuntimeConfig, TimeSource};
+use elan::rt::{audit, ChaosPolicy, ElasticRuntime, EventKind, RuntimeConfig, TimeSource};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -77,6 +77,8 @@ proptest! {
         };
         rt.run_until_iteration(15);
         let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        prop_assert!(verdict.is_safe(), "{}", verdict);
 
         prop_assert_eq!(report.final_world_size, expected);
         prop_assert!(report.states_consistent(), "replicas diverged");
@@ -120,6 +122,8 @@ proptest! {
             rt.scale_out(1);
             rt.run_until_iteration(10);
             let report = rt.shutdown();
+            let verdict = audit(&report.events);
+            assert!(verdict.is_safe(), "{verdict}");
             report.events.iter().map(|e| format!("{e:?}")).collect()
         }
         let a = run(seed);

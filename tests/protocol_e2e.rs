@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use elan::rt::{ChaosPolicy, CrashPoint, ElasticRuntime, RuntimeConfig, TimeSource};
+use elan::rt::{audit, ChaosPolicy, CrashPoint, ElasticRuntime, RuntimeConfig, TimeSource};
 
 #[test]
 fn live_scale_out_keeps_existing_workers_training() {
@@ -15,6 +15,8 @@ fn live_scale_out_keeps_existing_workers_training() {
     rt.scale_out(2);
     rt.run_until_iteration(30);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert_eq!(report.final_world_size, 6);
     assert!(report.states_consistent());
     for w in founders {
@@ -48,6 +50,8 @@ fn protocol_survives_combined_loss_and_crash() {
     assert_eq!(rt.members().len(), 10, "scale-out must complete");
     rt.run_until_iteration(40);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert!(report.metrics.am_recoveries >= 1, "{:?}", report.metrics);
     assert!(report.metrics.resends > 0, "{:?}", report.metrics);
     assert_eq!(report.final_world_size, 10);
@@ -66,6 +70,8 @@ fn pause_stays_bounded_under_faults() {
     rt.scale_out(4);
     rt.run_until_iteration(25);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert_eq!(report.final_world_size, 8);
     let stall = report.workers.values().map(|v| v.stalled).max().unwrap();
     assert!(stall < Duration::from_secs(5), "stall {stall:?} too large");
@@ -88,6 +94,8 @@ fn live_runtime_full_lifecycle_stress() {
     }
     rt.run_until_iteration(60);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert!(report.states_consistent());
     assert!(report.adjustments >= 3);
 }
@@ -100,6 +108,8 @@ fn scale_in_frees_threads_promptly() {
     assert_eq!(rt.members().len(), 2);
     rt.run_until_iteration(20);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert_eq!(report.final_world_size, 2);
     // Every worker that left did so cleanly (telemetry shows not-alive).
     let dead = report.workers.values().filter(|v| !v.alive).count();
@@ -130,6 +140,8 @@ fn worker_ids_past_the_planning_topology_still_replicate() {
     );
     rt.run_until_iteration(20);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert_eq!(report.final_world_size, 3);
     assert_eq!(report.adjustments, 2 * 520 + 2);
     assert!(report.states_consistent(), "diverged: {report:?}");

@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 
-use elan::rt::{ChaosPolicy, ElasticRuntime, EventKind, RuntimeConfig, TimeSource};
+use elan::rt::{audit, ChaosPolicy, ElasticRuntime, EventKind, RuntimeConfig, TimeSource};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -48,6 +48,8 @@ proptest! {
         rt.restart_worker(victim);
         rt.run_until_iteration(18);
         let report = rt.shutdown();
+        let verdict = audit(&report.events);
+        prop_assert!(verdict.is_safe(), "{}", verdict);
 
         let admissions = report
             .events

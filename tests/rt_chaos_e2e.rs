@@ -43,8 +43,8 @@ use elan::core::obs::AdjustmentPhase;
 use elan::core::protocol::EpochPhase;
 use elan::core::state::WorkerId;
 use elan::rt::{
-    check_epoch_safety, check_term_safety, shard_checksum, ChaosPolicy, CrashPoint, ElasticRuntime,
-    EndpointId, EpochConfig, EventKind, RuntimeConfig, ShutdownReport, TimeSource, TraceKind,
+    audit, shard_checksum, ChaosPolicy, CrashPoint, ElasticRuntime, EndpointId, EpochConfig,
+    EventKind, RuntimeConfig, ShutdownReport, TimeSource, TraceKind,
 };
 
 /// Writes the run's retained event journal to
@@ -147,6 +147,8 @@ fn scale_out_completes_on_a_lossy_bus() {
     assert_eq!(rt.members().len(), 4, "scale-out must complete");
     rt.run_until_iteration(30);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
 
     assert_eq!(report.final_world_size, 4);
     assert!(report.states_consistent(), "replicas diverged: {report:?}");
@@ -206,6 +208,8 @@ fn chaos_scenario_journal(seed: u64) -> Vec<String> {
     assert_eq!(rt.members().len(), 3);
     rt.run_until_iteration(16);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert!(report.states_consistent());
     assert_pipeline_events(&report, TraceKind::ScaleOut);
     report.events.iter().map(|e| format!("{e:?}")).collect()
@@ -256,6 +260,8 @@ fn am_crash_mid_adjustment_is_recovered_by_watchdog() {
 
     rt.run_until_iteration(30);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert_eq!(report.final_world_size, 4);
     assert!(report.states_consistent(), "recovery diverged: {report:?}");
     // The election is itself a journal event, and the trace the dead AM
@@ -287,6 +293,8 @@ fn am_crash_before_resume_is_recovered_by_watchdog() {
 
     rt.run_until_iteration(30);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert_eq!(report.final_world_size, 3);
     assert!(report.states_consistent(), "recovery diverged: {report:?}");
     assert!(report.journal.count("am_elected") >= 1);
@@ -310,6 +318,8 @@ fn am_crash_under_lossy_bus_still_recovers() {
     assert_eq!(rt.members().len(), 3);
     rt.run_until_iteration(20);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert!(report.states_consistent(), "diverged: {report:?}");
     assert!(report.journal.count("am_elected") >= 1);
     assert!(report.journal.count("message_resent") > 0);
@@ -341,6 +351,8 @@ fn worker_crash_triggers_failure_scale_in() {
     // allreduce the victim was absent from.
     rt.run_until_iteration(30);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert_eq!(report.final_world_size, 2);
     assert!(report.states_consistent(), "survivors diverged: {report:?}");
     // The journal names the victim and records the failure-driven
@@ -377,6 +389,8 @@ fn worker_crash_during_lossy_run_is_survived() {
     );
     rt.run_until_iteration(20);
     let report = rt.shutdown();
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert_eq!(report.final_world_size, 2);
     assert!(report.states_consistent());
     assert!(report.journal.count("worker_declared_dead") >= 1);
@@ -465,10 +479,10 @@ fn partitioned_am_is_fenced_and_the_adjustment_completes() {
         )),
         "no boundary released under the new term"
     );
-    // And the journal as a whole must replay clean through the safety
-    // checker: ≤1 AM acting per term, no post-fence effects.
-    let safety = check_term_safety(&report.events);
-    assert!(safety.is_safe(), "{safety}");
+    // And the journal as a whole must replay clean through the audit:
+    // ≤1 AM acting per term, no post-fence effects.
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
     assert_pipeline_events(&report, TraceKind::ScaleOut);
     let chaos = report.chaos.expect("job ran with a chaos engine");
     assert!(chaos.partitioned > 0, "the cut dropped nothing: {chaos:?}");
@@ -528,8 +542,8 @@ fn crashed_worker_rejoins_bit_identical() {
         "rejoiner never applied a snapshot: {:?}",
         report.journal
     );
-    let safety = check_term_safety(&report.events);
-    assert!(safety.is_safe(), "{safety}");
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
 
     // The acceptance bar: the post-rejoin job is *bit-identical* to a
     // never-crashed run — checked against the single-threaded reference
@@ -632,10 +646,8 @@ fn open_join_is_admitted_at_an_epoch_boundary() {
         report.journal
     );
     assert_admissions_at_boundaries(&report);
-    let es = check_epoch_safety(&report.events);
-    assert!(es.is_safe(), "{es}");
-    let ts = check_term_safety(&report.events);
-    assert!(ts.is_safe(), "{ts}");
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
 }
 
 #[test]
@@ -694,10 +706,8 @@ fn partition_swallowed_join_is_admitted_at_the_next_boundary() {
         "joiner admitted in the genesis window it was partitioned through"
     );
     assert_admissions_at_boundaries(&report);
-    let es = check_epoch_safety(&report.events);
-    assert!(es.is_safe(), "{es}");
-    let ts = check_term_safety(&report.events);
-    assert!(ts.is_safe(), "{ts}");
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
 }
 
 #[test]
@@ -773,8 +783,6 @@ fn corrupt_warmup_digest_is_evicted_by_witness_vote() {
         "shard re-assignment diverged from the seeded pure function"
     );
     assert_admissions_at_boundaries(&report);
-    let es = check_epoch_safety(&report.events);
-    assert!(es.is_safe(), "{es}");
-    let ts = check_term_safety(&report.events);
-    assert!(ts.is_safe(), "{ts}");
+    let verdict = audit(&report.events);
+    assert!(verdict.is_safe(), "{verdict}");
 }

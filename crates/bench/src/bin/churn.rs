@@ -13,6 +13,8 @@
 //! auditor passed — `--validate` (used by the CI smoke job) refuses any
 //! report where either check failed or the wall budget was blown.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use bench::churn;

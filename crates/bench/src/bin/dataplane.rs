@@ -17,6 +17,8 @@
 //! more than the tolerance or any allreduce cell lost to naive outside
 //! the allowlist (the CI perf regression gate).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use bench::dataplane;

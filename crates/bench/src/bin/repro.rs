@@ -6,6 +6,8 @@
 //! repro list                    # available ids
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

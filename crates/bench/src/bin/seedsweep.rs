@@ -40,10 +40,13 @@
 //! `--quick` sweeps 64 seeds (the CI smoke configuration); the default
 //! sweep is 256. Exit status is non-zero iff any seed diverged or failed.
 
+#![forbid(unsafe_code)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::time::Duration;
 
+use elan_core::obs::json_escape;
 use elan_rt::epoch::{run_churn, ChurnConfig};
 use elan_rt::{
     audit, ChaosPolicy, ElasticRuntime, EndpointId, Event, EventKind, ReducePath, RuntimeConfig,
@@ -289,20 +292,6 @@ fn sweep_seed(seed: u64, scenario: Scenario) -> Verdict {
         first: a,
         second: b,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn push_lines(s: &mut String, key: &str, lines: &[String], indent: &str) {

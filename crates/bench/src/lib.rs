@@ -7,6 +7,8 @@
 //! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
 //! record.
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod dataplane;
 pub mod experiments;

@@ -16,6 +16,8 @@
 //! Both implement [`ElasticitySystem`], so every experiment compares the
 //! same quantities under the same workload models.
 
+#![forbid(unsafe_code)]
+
 pub mod litz;
 pub mod snr;
 

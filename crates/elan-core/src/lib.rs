@@ -43,6 +43,8 @@
 //! assert_eq!(d.lr_factor, 2.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adjustment;
 pub mod codec;
 pub mod data;

@@ -26,6 +26,8 @@
 //! assert!(n512 < n2048);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod convergence;
 pub mod gpu;
 pub mod interconnect;

@@ -1,28 +1,32 @@
-//! The mid-range work-stealing path: cache-blocked cooperative reduction
-//! over one shared chunk cursor, plus the shared chunk kernel and the
-//! world-coupled chunk-size derivation used by every cooperative path.
+//! The reduction engine every path shares: the span plan of a round, the
+//! world-coupled chunk size, and the one reduction kernel.
 //!
-//! When the last member arrives, the round's inputs are split into
-//! cache-sized chunks ([`ChunkPlan`]); every blocked waiter (plus the
-//! last arriver, plus an evicting thread if eviction completes the
-//! round) claims chunks from an atomic work-stealing cursor and reduces
-//! them **outside the group lock**. Each chunk sums its contributions in
-//! ascending worker-id order, so every output element sees the identical
-//! f32 addition sequence regardless of chunk size, thread count, or
-//! arrival order — bit-deterministic (the EasyScale requirement) while
-//! the accumulator chunk stays hot in L1.
+//! A published cooperative round is a list of [`Span`]s, each a
+//! contiguous element range with its own cache-blocked [`ChunkPlan`] and
+//! claim cursor. A chunked round is one span over `[0, len)` that belongs
+//! to no member, so every helper drains its cursor; a hierarchical round
+//! has one span per topology group (`hier::plan_groups`). Helpers claim
+//! chunks **outside the group lock** and reduce each with
+//! [`reduce_range`], the kernel the flat path also runs inline over
+//! `[0, len)`.
+//!
+//! Each chunk sums its contributions in ascending worker-id order, so
+//! every output element sees the identical f32 addition sequence whatever
+//! the path, chunk size, thread count, or arrival order —
+//! bit-deterministic (the EasyScale requirement) while the accumulator
+//! chunk stays hot in L1.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use elan_core::messages::ChunkPlan;
+use elan_core::state::WorkerId;
 
-use super::hier::GroupWork;
 use super::SharedSlice;
 
 /// Floor for the reduction chunk size: 4096 f32 = 16 KiB, sized so one
 /// accumulator chunk plus a contribution chunk fit comfortably in L1.
-/// Also the fixed default for [`super::CommGroup::with_chunk_elems`]-era
-/// callers.
+/// Also the tile size of every hierarchical span.
 pub(crate) const DEFAULT_CHUNK_ELEMS: usize = 4096;
 
 /// The world-coupled chunk size: `max(len / world, DEFAULT_CHUNK_ELEMS)`.
@@ -39,54 +43,97 @@ pub(crate) fn adaptive_chunk_elems(len: usize, world: u32) -> usize {
     (len / (world.max(1) as usize)).max(DEFAULT_CHUNK_ELEMS)
 }
 
-/// The published work plan of one cooperative round, rebuilt at every
-/// publish from the contributors actually present.
-pub(super) enum RoundWork {
-    /// One shared cursor over a flat chunk plan.
-    Chunked { plan: ChunkPlan },
-    /// One span + cursor per topology group (hierarchical path).
-    Hier {
-        groups: Vec<GroupWork>,
-        /// Total chunk count across all groups (the finish threshold for
-        /// the shared done-counter).
-        n_chunks: usize,
-    },
+/// One contiguous element span of a cooperative round, with its own
+/// chunk plan and claim cursor.
+pub(super) struct Span {
+    /// Members that drain this span first, ascending; the first is the
+    /// span's leader. Empty on a chunked round's single span, which every
+    /// helper drains.
+    members: Vec<WorkerId>,
+    /// First element of the span in the full vector.
+    start: usize,
+    /// Cache-blocked plan over the span.
+    plan: ChunkPlan,
+    /// Next chunk index to hand out.
+    cursor: AtomicUsize,
+}
+
+impl Span {
+    /// A span of `len` elements from `start`, tiled in `chunk_elems`
+    /// blocks and drained first by `members` (ascending).
+    pub(super) fn new(
+        members: Vec<WorkerId>,
+        start: usize,
+        len: usize,
+        chunk_elems: usize,
+    ) -> Self {
+        Span {
+            members,
+            start,
+            plan: ChunkPlan::new(len, chunk_elems),
+            cursor: AtomicUsize::new(0),
+        }
+    }
+
+    /// Whether `worker` drains this span first.
+    pub(super) fn has_member(&self, worker: WorkerId) -> bool {
+        self.members.binary_search(&worker).is_ok()
+    }
+
+    /// The span's leader (its minimum member id), if it has members.
+    pub(super) fn leader(&self) -> Option<WorkerId> {
+        self.members.first().copied()
+    }
+
+    /// The span's element range in the full vector.
+    #[cfg(test)]
+    pub(super) fn range(&self) -> Range<usize> {
+        self.start..self.start + self.plan.total_elems()
+    }
+
+    /// Claims the next unreduced chunk, as a range of the full vector;
+    /// `None` once the span is drained. The `fetch_add` is a unique
+    /// ticket, so each chunk goes to exactly one caller. It only needs
+    /// atomicity: the group lock publishes the span, and the round's
+    /// countdown of unreduced chunks orders the output writes.
+    pub(super) fn claim(&self) -> Option<Range<usize>> {
+        let c = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (c < self.plan.n_chunks()).then(|| {
+            let local = self.plan.range(c);
+            self.start + local.start..self.start + local.end
+        })
+    }
+}
+
+/// The work of one cooperative round: its contributions and its span
+/// plan. Rebuilt in place at every publish from the contributors actually
+/// present; both vectors keep their capacity, so a chunked round
+/// allocates nothing.
+#[derive(Default)]
+pub(super) struct RoundWork {
+    /// The round's contributions, sorted by worker id.
+    pub(super) inputs: Vec<(WorkerId, SharedSlice)>,
+    /// Disjoint spans covering `[0, len)`, ascending.
+    pub(super) spans: Vec<Span>,
 }
 
 impl RoundWork {
-    /// A chunked plan over `len` elements in `chunk_elems` blocks.
-    pub(super) fn chunked(len: usize, chunk_elems: usize) -> Self {
-        RoundWork::Chunked {
-            plan: ChunkPlan::new(len, chunk_elems),
-        }
+    /// Plans the round as one member-less span over `[0, len)` in
+    /// `chunk_elems` blocks: the chunked path.
+    pub(super) fn plan_one_span(&mut self, len: usize, chunk_elems: usize) {
+        self.spans.clear();
+        self.spans.push(Span::new(Vec::new(), 0, len, chunk_elems));
     }
 
-    /// A hierarchical plan over the given per-group spans.
-    pub(super) fn hier(groups: Vec<GroupWork>) -> Self {
-        let n_chunks = groups.iter().map(|g| g.plan.n_chunks()).sum();
-        RoundWork::Hier { groups, n_chunks }
-    }
-
-    /// Total chunks this round's done-counter must reach.
+    /// Total chunks across the spans.
     pub(super) fn n_chunks(&self) -> usize {
-        match self {
-            RoundWork::Chunked { plan } => plan.n_chunks(),
-            RoundWork::Hier { n_chunks, .. } => *n_chunks,
-        }
-    }
-
-    /// Number of parallel work groups (1 for the shared-cursor path).
-    pub(super) fn n_groups(&self) -> usize {
-        match self {
-            RoundWork::Chunked { .. } => 1,
-            RoundWork::Hier { groups, .. } => groups.len(),
-        }
+        self.spans.iter().map(|s| s.plan.n_chunks()).sum()
     }
 }
 
 /// Reduces the element `range` of every input (ascending worker-id
-/// order) into the accumulator at `out_base`: the shared chunk kernel of
-/// the chunked and hierarchical paths.
+/// order) into the accumulator at `out_base`: the one kernel of every
+/// path.
 ///
 /// # Safety
 ///
@@ -95,7 +142,11 @@ impl RoundWork {
 /// least `range.end` elements, `inputs` must be non-empty with every
 /// slice at least `range.end` long, and every `SharedSlice` must honor
 /// its lifecycle contract (owners parked for the whole round).
-pub(super) unsafe fn reduce_range(inputs: &[SharedSlice], out_base: *mut f32, range: Range<usize>) {
+pub(super) unsafe fn reduce_range(
+    inputs: &[(WorkerId, SharedSlice)],
+    out_base: *mut f32,
+    range: Range<usize>,
+) {
     let out = std::slice::from_raw_parts_mut(out_base.add(range.start), range.len());
     // Sum in ascending worker-id order: initialize from the first
     // contribution (no zeroing pass), then accumulate. Contributions are
@@ -109,17 +160,12 @@ pub(super) unsafe fn reduce_range(inputs: &[SharedSlice], out_base: *mut f32, ra
     // The zipped-iterator bodies (rather than `a[i]` indexing) let the
     // compiler prove every access in-bounds and vectorize the sweeps.
     let n = out.len();
-    out.copy_from_slice(&inputs[0].slice()[range.clone()]);
-    let mut rest = &inputs[1..];
-    while rest.len() >= 8 {
-        let a = &rest[0].slice()[range.clone()][..n];
-        let b = &rest[1].slice()[range.clone()][..n];
-        let c = &rest[2].slice()[range.clone()][..n];
-        let d = &rest[3].slice()[range.clone()][..n];
-        let e = &rest[4].slice()[range.clone()][..n];
-        let f = &rest[5].slice()[range.clone()][..n];
-        let g = &rest[6].slice()[range.clone()][..n];
-        let h = &rest[7].slice()[range.clone()][..n];
+    let part = |k: usize| &inputs[k].1.slice()[range.clone()][..n];
+    out.copy_from_slice(part(0));
+    let mut k = 1;
+    while inputs.len() - k >= 8 {
+        let (a, b, c, d) = (part(k), part(k + 1), part(k + 2), part(k + 3));
+        let (e, f, g, h) = (part(k + 4), part(k + 5), part(k + 6), part(k + 7));
         for (o, (((((((a, b), c), d), e), f), g), h)) in out.iter_mut().zip(
             a.iter()
                 .zip(b.iter())
@@ -132,32 +178,27 @@ pub(super) unsafe fn reduce_range(inputs: &[SharedSlice], out_base: *mut f32, ra
         ) {
             *o = (((((((*o + a) + b) + c) + d) + e) + f) + g) + h;
         }
-        rest = &rest[8..];
+        k += 8;
     }
-    while rest.len() >= 4 {
-        let a = &rest[0].slice()[range.clone()][..n];
-        let b = &rest[1].slice()[range.clone()][..n];
-        let c = &rest[2].slice()[range.clone()][..n];
-        let d = &rest[3].slice()[range.clone()][..n];
+    while inputs.len() - k >= 4 {
+        let (a, b, c, d) = (part(k), part(k + 1), part(k + 2), part(k + 3));
         for (o, (((a, b), c), d)) in out
             .iter_mut()
             .zip(a.iter().zip(b.iter()).zip(c.iter()).zip(d.iter()))
         {
             *o = (((*o + a) + b) + c) + d;
         }
-        rest = &rest[4..];
+        k += 4;
     }
-    if rest.len() >= 2 {
-        let a = &rest[0].slice()[range.clone()][..n];
-        let b = &rest[1].slice()[range.clone()][..n];
+    if inputs.len() - k >= 2 {
+        let (a, b) = (part(k), part(k + 1));
         for (o, (a, b)) in out.iter_mut().zip(a.iter().zip(b.iter())) {
             *o = (*o + a) + b;
         }
-        rest = &rest[2..];
+        k += 2;
     }
-    if let [last] = rest {
-        let a = &last.slice()[range.clone()][..n];
-        for (o, a) in out.iter_mut().zip(a.iter()) {
+    if k < inputs.len() {
+        for (o, a) in out.iter_mut().zip(part(k).iter()) {
             *o += a;
         }
     }
@@ -196,8 +237,16 @@ mod tests {
 
     #[test]
     fn round_work_counts_chunks_and_groups() {
-        let w = RoundWork::chunked(100, 30);
+        let mut w = RoundWork::default();
+        w.plan_one_span(100, 30);
         assert_eq!(w.n_chunks(), 4);
-        assert_eq!(w.n_groups(), 1);
+        assert_eq!(w.spans.len(), 1);
+        // The chunked span belongs to no member: every helper drains it,
+        // and its claims tile the vector exactly once.
+        let span = &w.spans[0];
+        assert_eq!(span.leader(), None);
+        let claims: Vec<_> = std::iter::from_fn(|| span.claim()).collect();
+        assert_eq!(claims, [0..30, 30..60, 60..90, 90..100]);
+        assert_eq!(span.claim(), None);
     }
 }

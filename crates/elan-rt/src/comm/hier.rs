@@ -9,9 +9,10 @@
 //!
 //! 1. Contributors are partitioned into groups by the node/socket
 //!    locality domain of their placed GPU ([`SocketDomain`]).
-//! 2. The element space `[0, len)` is sharded into one contiguous span
-//!    per group, sized proportionally to the group's member count, each
-//!    span with its own [`ChunkPlan`] and its own claim cursor.
+//! 2. The element space `[0, len)` is sharded into one contiguous
+//!    [`Span`] per group, sized proportionally to the group's member
+//!    count, each with its own chunk plan and claim cursor. (A chunked
+//!    round is the same plan with one member-less span.)
 //! 3. Every helper drains its **own group's** cursor first — intra-group,
 //!    cache-blocked work with zero cross-socket cursor traffic. Each
 //!    group's min-id member is its elected *leader*: once its group's
@@ -37,13 +38,11 @@
 //! re-plan automatically; there is no cached plan to invalidate.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicUsize;
 
-use elan_core::messages::ChunkPlan;
 use elan_core::state::WorkerId;
 use elan_topology::{ClusterSpec, Placement, SocketDomain};
 
-use super::chunked::DEFAULT_CHUNK_ELEMS;
+use super::chunked::{Span, DEFAULT_CHUNK_ELEMS};
 
 /// Worker → cluster-position map consumed by the hierarchical path.
 ///
@@ -114,45 +113,26 @@ pub(super) fn domain_count(
         .len()
 }
 
-/// One topology group's share of a hierarchical round: its members, its
-/// contiguous element span, and the span's private work-stealing cursor.
-pub(super) struct GroupWork {
-    /// Group members, ascending worker id. The first is the leader.
-    members: Vec<WorkerId>,
-    /// First element of the group's span in the full vector.
-    pub(super) span_start: usize,
-    /// Cache-blocked plan over the span.
-    pub(super) plan: ChunkPlan,
-    /// The group's private claim cursor.
-    pub(super) cursor: AtomicUsize,
-}
-
-impl GroupWork {
-    /// Whether `worker` belongs to this group.
-    pub(super) fn has_member(&self, worker: WorkerId) -> bool {
-        self.members.binary_search(&worker).is_ok()
-    }
-
-    /// The group's elected leader: its minimum worker id.
-    pub(super) fn leader(&self) -> WorkerId {
-        self.members[0]
-    }
-}
-
-/// Builds the per-group spans for one round: partitions `workers`
-/// (ascending, non-empty) by locality domain, then shards `[0, len)`
-/// into contiguous spans proportional to group sizes. Groups whose span
-/// rounds to zero elements are dropped (their members steal as
-/// span-less helpers); the returned groups are ordered by domain, spans
-/// ascending and disjoint, covering `[0, len)` exactly.
-pub(super) fn plan_groups(topo: &CommTopology, workers: &[WorkerId], len: usize) -> Vec<GroupWork> {
-    debug_assert!(!workers.is_empty());
+/// Plans a hierarchical round into `spans` (replacing its contents):
+/// partitions `workers` (ascending, non-empty) by locality domain, then
+/// shards `[0, len)` into one contiguous span per group, proportional to
+/// group size and drained first by the group's members. Groups whose span
+/// rounds to zero elements are dropped (their members sweep as span-less
+/// helpers); the spans are ordered by domain, ascending and disjoint,
+/// covering `[0, len)` exactly.
+pub(super) fn plan_groups(
+    topo: &CommTopology,
+    workers: impl IntoIterator<Item = WorkerId>,
+    len: usize,
+    spans: &mut Vec<Span>,
+) {
     let mut domains: BTreeMap<SocketDomain, Vec<WorkerId>> = BTreeMap::new();
-    for &w in workers {
+    for w in workers {
         domains.entry(topo.domain_of(w)).or_default().push(w);
     }
-    let total = workers.len();
-    let mut groups = Vec::with_capacity(domains.len());
+    let total: usize = domains.values().map(Vec::len).sum();
+    debug_assert!(total > 0);
+    spans.clear();
     let mut seen = 0usize;
     for (_, members) in domains {
         let start = len * seen / total;
@@ -161,20 +141,13 @@ pub(super) fn plan_groups(topo: &CommTopology, workers: &[WorkerId], len: usize)
         if start == end {
             continue;
         }
-        let span = end - start;
         // L1-sized tiles, not the world-coupled formula: the private
         // per-group cursor already bounds claim traffic to the group's
         // members, so the hierarchical path keeps the cache-blocking win
         // of small chunks without the shared-cursor cost that forced the
-        // flat chunked path onto `adaptive_chunk_elems`.
-        groups.push(GroupWork {
-            members,
-            span_start: start,
-            plan: ChunkPlan::new(span, DEFAULT_CHUNK_ELEMS),
-            cursor: AtomicUsize::new(0),
-        });
+        // chunked path onto `adaptive_chunk_elems`.
+        spans.push(Span::new(members, start, end - start, DEFAULT_CHUNK_ELEMS));
     }
-    groups
 }
 
 #[cfg(test)]
@@ -186,6 +159,12 @@ mod tests {
         CommTopology::new(Placement::linear(ClusterSpec::new(4, 2, 2, 2).build()))
     }
 
+    fn plan(topo: &CommTopology, workers: &[WorkerId], len: usize) -> Vec<Span> {
+        let mut spans = Vec::new();
+        plan_groups(topo, workers.iter().copied(), len, &mut spans);
+        spans
+    }
+
     #[test]
     fn groups_follow_socket_domains() {
         let topo = small_topo();
@@ -193,11 +172,11 @@ mod tests {
         // Ranks 0-3 → (node0, socket0), 4-7 → (node0, socket1),
         // 8-9 → (node1, socket0).
         assert_eq!(domain_count(&topo, workers.iter().copied()), 3);
-        let groups = plan_groups(&topo, &workers, 100_000);
+        let groups = plan(&topo, &workers, 100_000);
         assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0].leader(), WorkerId(0));
-        assert_eq!(groups[1].leader(), WorkerId(4));
-        assert_eq!(groups[2].leader(), WorkerId(8));
+        assert_eq!(groups[0].leader(), Some(WorkerId(0)));
+        assert_eq!(groups[1].leader(), Some(WorkerId(4)));
+        assert_eq!(groups[2].leader(), Some(WorkerId(8)));
         assert!(groups[0].has_member(WorkerId(3)));
         assert!(!groups[0].has_member(WorkerId(4)));
     }
@@ -207,16 +186,16 @@ mod tests {
         let topo = small_topo();
         let workers: Vec<WorkerId> = (0..10).map(WorkerId).collect();
         let len = 100_001; // deliberately not divisible
-        let groups = plan_groups(&topo, &workers, len);
+        let groups = plan(&topo, &workers, len);
         let mut cursor = 0usize;
         for g in &groups {
-            assert_eq!(g.span_start, cursor, "spans must be contiguous");
-            cursor += g.plan.total_elems();
+            assert_eq!(g.range().start, cursor, "spans must be contiguous");
+            cursor = g.range().end;
         }
         assert_eq!(cursor, len, "spans must cover the vector exactly");
         // 4-member groups get twice the span of the 2-member group (±1).
-        let s0 = groups[0].plan.total_elems();
-        let s2 = groups[2].plan.total_elems();
+        let s0 = groups[0].range().len();
+        let s2 = groups[2].range().len();
         assert!(s0 >= 2 * s2 - 2 && s0 <= 2 * s2 + 2, "{s0} vs {s2}");
     }
 
@@ -225,9 +204,9 @@ mod tests {
         let topo = small_topo();
         let workers: Vec<WorkerId> = (0..10).map(WorkerId).collect();
         // One element: only one group can own a non-empty span.
-        let groups = plan_groups(&topo, &workers, 1);
+        let groups = plan(&topo, &workers, 1);
         assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].plan.total_elems(), 1);
+        assert_eq!(groups[0].range(), 0..1);
     }
 
     #[test]

@@ -7,41 +7,46 @@
 //! data-plane benchmarks) has the last arriver serially sum `world × len`
 //! floats while holding the group lock, with every caller heap-copying
 //! its gradient on entry — exactly the flat-reduction bottleneck the
-//! paper's data plane avoids (§IV, §VI). This module replaces it with an
-//! adaptive front-end that dispatches each round on `(world, len)`:
+//! paper's data plane avoids (§IV, §VI). This module replaces it with one
+//! reduction engine whose front-end dispatches each round on
+//! `(world, len)`:
 //!
-//! - **[`flat`] fast path** (small messages): the last arriver reduces
-//!   all contributions inline under the group lock — no chunk cursor, no
+//! - **Flat** (small messages): the last arriver reduces all
+//!   contributions inline under the group lock — no chunk cursor, no
 //!   per-chunk atomics, no helper handoff. Below the crossover the fixed
 //!   cost of publishing cooperative work exceeds the reduction itself,
 //!   which is why the chunked path used to *lose* to the naive baseline
 //!   at `len = 1024`.
-//! - **[`chunked`] work-stealing path** (mid-range): the round's inputs
-//!   are split into cache-sized chunks whose size adapts to the world
-//!   size (`adaptive_chunk_elems`); *every blocked waiter* (plus the
-//!   last arriver, plus an evicting thread if eviction completes the
-//!   round) claims chunks from an atomic work-stealing cursor and
-//!   reduces them **outside the group lock**.
-//! - **[`hier`] two-level hierarchical path** (large worlds): workers are
-//!   grouped by node/socket placement ([`CommTopology`]); the element
-//!   space is sharded into one contiguous span per group, each with its
-//!   own chunk cursor, so cursor traffic never crosses a socket
-//!   boundary. Each group's min-id member is its *leader*: after a
-//!   group's own span drains, only the leader steals from other groups'
-//!   cursors (the leaders finish the tail among themselves), and the
+//! - **Chunked** (mid-range): one span over the whole vector, split into
+//!   cache-sized chunks whose size adapts to the world size
+//!   (`adaptive_chunk_elems`); *every blocked waiter* (plus the last
+//!   arriver, plus an evicting thread if eviction completes the round)
+//!   claims chunks from the span's cursor and reduces them **outside the
+//!   group lock**.
+//! - **Hier** (large worlds): the same cooperative round with one span
+//!   per node/socket group of a [`CommTopology`], each with its own
+//!   cursor, so cursor traffic never crosses a socket boundary. Members
+//!   drain their own group's span; each group's min-id member (its
+//!   *leader*) then steals from the other spans, and the
 //!   round-completion broadcast releases everyone.
+//!
+//! The three paths share one engine (`chunked.rs`): a chunked round is a
+//! hierarchical round with a single span, both drain through one
+//! claim/reduce/finish loop, and every path — flat included — folds
+//! through one kernel, `reduce_range`.
 //!
 //! The crossovers come from [`tune`]: the pinned profile on every clock,
 //! so path dispatch never depends on host load and simulations stay
 //! bit-deterministic. Every published round journals its chosen
 //! strategy via [`EventKind::AllreducePath`].
 //!
-//! All three paths produce **bit-identical** results: every output
-//! element is the f32 sum of the contributions in ascending worker-id
-//! order, the exact addition sequence of [`reference_sum`]. (This is why
-//! the hierarchical path shards *elements* across groups rather than
-//! computing per-group partial sums — f32 addition is not associative,
-//! so a sum-of-group-sums could never match the flat fold bit-for-bit.)
+//! All three paths therefore produce **bit-identical** results: every
+//! output element is the f32 sum of the contributions in ascending
+//! worker-id order, the exact addition sequence of [`reference_sum`].
+//! (This is why the hierarchical path shards *elements* across groups
+//! rather than computing per-group partial sums — f32 addition is not
+//! associative, so a sum-of-group-sums could never match the flat fold
+//! bit-for-bit.)
 //!
 //! Zero-copy and allocation discipline are shared by all paths: a caller
 //! is *blocked* inside `CommGroup::allreduce_with` until its round
@@ -64,12 +69,10 @@
 use std::cell::UnsafeCell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use std::sync::OnceLock;
-
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use elan_core::obs::{Histogram, MetricsRegistry};
 use elan_core::state::WorkerId;
@@ -77,16 +80,14 @@ use elan_core::state::WorkerId;
 use crate::obs::{EventJournal, EventKind};
 use crate::time::{std_to_sim, TimeSource};
 
-pub mod chunked;
-pub mod flat;
-pub mod hier;
+mod chunked;
+mod hier;
 pub mod tune;
 
-pub(crate) use chunked::adaptive_chunk_elems;
 pub use hier::CommTopology;
 pub use tune::TuningProfile;
 
-use chunked::RoundWork;
+use chunked::{adaptive_chunk_elems, reduce_range, RoundWork};
 
 /// How often a blocked allreduce caller's `on_wait` callback fires.
 const WAIT_SLICE: Duration = Duration::from_millis(50);
@@ -173,11 +174,12 @@ pub(crate) struct SharedSlice {
     len: usize,
 }
 
-// SAFETY: the raw pointer is only dereferenced under the lifecycle
-// contract documented on `SharedSlice` (the owner is parked for the whole
-// read window), and f32 data is Plain Old Data.
+// SAFETY: moving the pointer to another thread is sound because it is
+// only dereferenced under the lifecycle contract documented on
+// `SharedSlice` (the owner is parked for the whole read window), and f32
+// data is Plain Old Data. No `Sync` is needed: the slices are shared only
+// through `ReduceSlots`, whose own `Sync` impl carries that argument.
 unsafe impl Send for SharedSlice {}
-unsafe impl Sync for SharedSlice {}
 
 impl SharedSlice {
     fn new(data: &[f32]) -> Self {
@@ -196,35 +198,35 @@ impl SharedSlice {
     }
 }
 
-/// Lock-free work-stealing state of the in-flight cooperative reduction.
+/// The in-flight cooperative round, read by helpers outside the group
+/// lock.
 ///
-/// All fields are (re)written under the group lock by `publish_round`
-/// *before* `cursor` is reset with `Release` ordering; helpers claim
-/// chunks with an `AcqRel` `fetch_add` on `cursor` (or on a group-local
-/// cursor inside `work`), which synchronizes-with the reset. Helpers
-/// additionally observed `reducing == Some(round)` **under the group
-/// lock** before touching the slots, so every unsynchronized field here
-/// happens-after the publishing writes.
+/// `publish_round` rewrites `work`, `out` and `remaining` under the group
+/// lock, and only once `helpers` is zero. A helper registers in `helpers`
+/// under the lock after observing `reducing == Some(round)`, and
+/// deregisters (`Release`) once it stops touching `work`. The group lock
+/// is therefore the publish fence — it orders every publish before the
+/// reads of the helpers it serves, and no claim cursor doubles as one —
+/// while the `helpers` count orders every helper's reads before the next
+/// publish, even for a helper of a round that already finished.
 struct ReduceSlots {
-    /// The active round's contributions, sorted by worker id.
-    inputs: UnsafeCell<Vec<SharedSlice>>,
+    /// The active round's contributions and span plan.
+    work: UnsafeCell<RoundWork>,
     /// Base pointer of the pooled output accumulator.
     out: AtomicPtr<f32>,
-    /// The active round's work plan (chunked cursor plan or hierarchical
-    /// group spans). Rebuilt at every publish from the actual members.
-    work: UnsafeCell<Option<RoundWork>>,
-    /// Next chunk index to claim on the chunked path (work-stealing
-    /// cursor); doubles as the publishing `Release` fence for both paths.
-    cursor: AtomicUsize,
-    /// Chunks fully reduced so far (across all groups on the hier path).
-    done: AtomicUsize,
+    /// Chunks not yet reduced; the helper that takes it to zero finishes
+    /// the round.
+    remaining: AtomicUsize,
+    /// Helpers currently inside `help_reduce`.
+    helpers: AtomicUsize,
 }
 
-// SAFETY: `inputs` and `work` are written only under the group lock while
-// no helper can hold a claimed chunk (a new round cannot be published
-// until the previous round's chunks are all done), and read only by
-// helpers that observed the published round under the group lock.
-unsafe impl Send for ReduceSlots {}
+// SAFETY: `work` is the only field without interior synchronization. It
+// is written only by `publish_round`, under the group lock and only while
+// no helper is registered, and read only by registered helpers, which
+// registered under the lock after that publish (see the type's doc). So
+// no write ever overlaps a read, and every read happens-after the write
+// it observes.
 unsafe impl Sync for ReduceSlots {}
 
 /// How the group chooses a reduction strategy.
@@ -356,8 +358,8 @@ impl CommGroup {
 
     /// Creates an adaptive group with explicit crossovers and an optional
     /// topology enabling the hierarchical path. This is the runtime's
-    /// constructor: it passes the builder's [`TuningProfile`] (pinned
-    /// unless overridden) and [`CommTopology`].
+    /// constructor: it passes [`TuningProfile::pinned`] and the builder's
+    /// [`CommTopology`].
     ///
     /// # Panics
     ///
@@ -415,11 +417,10 @@ impl CommGroup {
             }),
             cvar: Condvar::new(),
             slots: ReduceSlots {
-                inputs: UnsafeCell::new(Vec::new()),
+                work: UnsafeCell::new(RoundWork::default()),
                 out: AtomicPtr::new(std::ptr::null_mut()),
-                work: UnsafeCell::new(None),
-                cursor: AtomicUsize::new(usize::MAX),
-                done: AtomicUsize::new(0),
+                remaining: AtomicUsize::new(0),
+                helpers: AtomicUsize::new(0),
             },
             len,
             policy,
@@ -506,9 +507,14 @@ impl CommGroup {
     /// [`CommGroup::with_chunk_elems`] groups, else the world-coupled
     /// `adaptive_chunk_elems` derivation.
     pub fn chunk_elems(&self) -> usize {
+        self.chunk_elems_for(self.world_size())
+    }
+
+    /// The chunked path's chunk size for a `world`-member round.
+    fn chunk_elems_for(&self, world: u32) -> usize {
         match &self.policy {
             PathPolicy::FixedChunk { chunk_elems } => *chunk_elems,
-            PathPolicy::Adaptive { .. } => adaptive_chunk_elems(self.len, self.world_size()),
+            PathPolicy::Adaptive { .. } => adaptive_chunk_elems(self.len, world),
         }
     }
 
@@ -530,25 +536,27 @@ impl CommGroup {
     /// Per-round dispatch: flat below the length crossover, hierarchical
     /// for large worlds with enough topology groups, chunked otherwise.
     fn select_path(&self, world: u32, members: &BTreeSet<WorkerId>) -> ReducePath {
+        let PathPolicy::Adaptive { profile, .. } = &self.policy else {
+            return ReducePath::Chunked;
+        };
+        let hier_groups = || {
+            self.topology()
+                .map_or(0, |t| hier::domain_count(t, members.iter().copied()))
+        };
+        if world <= 1 || self.len <= profile.flat_max_len {
+            ReducePath::Flat
+        } else if world >= profile.hier_min_world && hier_groups() >= MIN_HIER_GROUPS {
+            ReducePath::Hier
+        } else {
+            ReducePath::Chunked
+        }
+    }
+
+    /// The topology enabling the hierarchical path, if any.
+    fn topology(&self) -> Option<&CommTopology> {
         match &self.policy {
-            PathPolicy::FixedChunk { .. } => ReducePath::Chunked,
-            PathPolicy::Adaptive { profile, topology } => {
-                if world <= 1 || self.len <= profile.flat_max_len {
-                    ReducePath::Flat
-                } else if world >= profile.hier_min_world {
-                    match topology {
-                        Some(t)
-                            if hier::domain_count(t, members.iter().copied())
-                                >= MIN_HIER_GROUPS =>
-                        {
-                            ReducePath::Hier
-                        }
-                        _ => ReducePath::Chunked,
-                    }
-                } else {
-                    ReducePath::Chunked
-                }
-            }
+            PathPolicy::Adaptive { topology, .. } => topology.as_ref(),
+            PathPolicy::FixedChunk { .. } => None,
         }
     }
 
@@ -623,8 +631,7 @@ impl CommGroup {
         let mut helped = false;
         while st.result_round != my_round {
             if !helped && st.reducing == Some(my_round) {
-                drop(st);
-                self.help_reduce(Some(worker));
+                self.help_reduce(st, Some(worker));
                 helped = true;
                 st = self.state.lock();
                 continue;
@@ -696,96 +703,37 @@ impl CommGroup {
         debug_assert!(!st.contributions.is_empty());
         let world = st.members.len() as u32;
         let round = st.round;
-        let path = self.select_path(world, &st.members);
         let now_us = self.journal.get().map(|j| j.now_us()).unwrap_or(0);
-
-        if path == ReducePath::Flat {
-            // Flat fast path: reduce inline under the lock. No cursor, no
-            // round-buffer handoff, no per-chunk atomics — the entire
-            // round completes before the lock drops.
-            let (buf, out_ptr) = self.acquire_accumulator(st);
-            // SAFETY: `buf` is uniquely owned (checked by
-            // `acquire_accumulator`) and we hold the group lock; the
-            // contributions are borrowed slices of contributors parked
-            // for the whole round (see `SharedSlice`).
-            unsafe {
-                let out = std::slice::from_raw_parts_mut(out_ptr, self.len);
-                flat::reduce_into(&st.contributions, out);
-            }
-            st.contributions.clear();
-            if let Some(journal) = self.journal.get() {
-                journal.emit(EventKind::AllreducePath {
-                    round,
-                    path,
-                    world,
-                    groups: 1,
-                });
-            }
-            if let Some(m) = self.metrics.get() {
-                let elapsed = self
-                    .journal
-                    .get()
-                    .map(|j| j.now_us().saturating_sub(now_us))
-                    .unwrap_or(0);
-                m.for_path(path).record(elapsed);
-            }
-            self.install_result(st, buf, round, world);
-            return;
+        let (buf, out) = self.acquire_accumulator(st);
+        // A helper of the finished round may not have left `help_reduce`
+        // yet (it found no chunk left to claim); wait it out before
+        // rewriting the work it reads. Normally this reads zero at once.
+        while self.slots.helpers.load(Ordering::Acquire) != 0 {
+            std::hint::spin_loop();
         }
-
-        // Cooperative paths: build this round's work plan from the
-        // contributors actually present (membership may have shrunk since
-        // the last round — the plan, including hierarchical groups, is
-        // re-derived every time).
-        let (work, path) = match path {
-            ReducePath::Hier => {
-                let workers: Vec<WorkerId> = st.contributions.iter().map(|(w, _)| *w).collect();
-                let topology = match &self.policy {
-                    PathPolicy::Adaptive {
-                        topology: Some(t), ..
-                    } => t,
-                    // select_path only returns Hier with a topology.
-                    _ => unreachable!("hier path selected without a topology"),
-                };
-                let groups = hier::plan_groups(topology, &workers, self.len);
-                if groups.len() >= MIN_HIER_GROUPS {
-                    (RoundWork::hier(groups), ReducePath::Hier)
-                } else {
-                    // Tiny vectors can collapse every span into one group;
-                    // a single cursor is then strictly better.
-                    (self.chunked_work(world), ReducePath::Chunked)
-                }
-            }
-            _ => (self.chunked_work(world), ReducePath::Chunked),
-        };
-        let n_chunks = work.n_chunks();
-        let groups = work.n_groups() as u32;
-
-        let (buf, out_ptr) = self.acquire_accumulator(st);
-        // SAFETY: no helper holds a claimed chunk (the previous round's
-        // chunks were all done before its result published, and a new
-        // round cannot publish before the previous result does), so we
-        // have exclusive access to `inputs` and `work` under the lock.
-        unsafe {
-            let inputs = &mut *self.slots.inputs.get();
-            inputs.clear();
-            inputs.extend(st.contributions.iter().map(|(_, s)| *s));
-            *self.slots.work.get() = Some(work);
-        }
+        // SAFETY: we hold the group lock and no helper is registered, so
+        // this is the only reference to the round's work (see
+        // `ReduceSlots`).
+        let work = unsafe { &mut *self.slots.work.get() };
+        // Hand the contributions to the round; the group keeps the
+        // previous round's (cleared) vector, so neither side allocates.
+        std::mem::swap(&mut work.inputs, &mut st.contributions);
         st.contributions.clear();
-        self.slots.out.store(out_ptr, Ordering::Relaxed);
-        self.slots.done.store(0, Ordering::Relaxed);
-        // The Release reset publishes `inputs`/`work`/`out`/`done` to
-        // every helper whose claiming fetch_add observes it.
-        self.slots.cursor.store(
-            if n_chunks == 0 { usize::MAX } else { 0 },
-            Ordering::Release,
-        );
-        st.out_buf = Some(buf);
-        st.reducing = Some(round);
-        st.reducing_world = world;
-        st.reducing_path = path;
-        st.reducing_since_us = now_us;
+        let path = self.plan_round(work, &st.members);
+        let groups = if path == ReducePath::Flat {
+            // Flat fast path: reduce inline under the lock. No cursor, no
+            // helper handoff, no per-chunk atomics — the entire round
+            // completes before the lock drops.
+            // SAFETY: `out` is the uniquely owned accumulator of
+            // `self.len` elements (see `acquire_accumulator`), the lock
+            // keeps every other thread off it, and the inputs are
+            // borrowed slices of contributors parked for the whole round
+            // (see `SharedSlice`).
+            unsafe { reduce_range(&work.inputs, out, 0..self.len) };
+            1
+        } else {
+            work.spans.len() as u32
+        };
         if let Some(journal) = self.journal.get() {
             journal.emit(EventKind::AllreducePath {
                 round,
@@ -794,109 +742,95 @@ impl CommGroup {
                 groups,
             });
         }
+        if path == ReducePath::Flat {
+            self.record_round_us(path, now_us);
+            self.install_result(st, buf, round, world);
+            return;
+        }
+        self.slots.out.store(out, Ordering::Relaxed);
+        self.slots
+            .remaining
+            .store(work.n_chunks(), Ordering::Relaxed);
+        st.out_buf = Some(buf);
+        st.reducing = Some(round);
+        st.reducing_world = world;
+        st.reducing_path = path;
+        st.reducing_since_us = now_us;
         // Wake parked waiters so they become reduction helpers.
         self.cvar.notify_all();
         self.wake_virtual();
     }
 
-    /// The chunked path's work plan for a `world`-member round.
-    fn chunked_work(&self, world: u32) -> RoundWork {
-        let chunk = match &self.policy {
-            PathPolicy::FixedChunk { chunk_elems } => *chunk_elems,
-            PathPolicy::Adaptive { .. } => adaptive_chunk_elems(self.len, world),
-        };
-        RoundWork::chunked(self.len, chunk)
+    /// Selects the round's strategy and plans its spans (none for the
+    /// flat path) from the contributors in `work.inputs`. The plan is
+    /// re-derived at every publish, since membership may have shrunk
+    /// since the last round.
+    fn plan_round(&self, work: &mut RoundWork, members: &BTreeSet<WorkerId>) -> ReducePath {
+        let world = members.len() as u32;
+        let path = self.select_path(world, members);
+        if path == ReducePath::Flat {
+            return path;
+        }
+        if let (ReducePath::Hier, Some(t)) = (path, self.topology()) {
+            let workers = work.inputs.iter().map(|(w, _)| *w);
+            hier::plan_groups(t, workers, self.len, &mut work.spans);
+            if work.spans.len() >= MIN_HIER_GROUPS {
+                return path;
+            }
+            // Tiny vectors can collapse every span into one group; a
+            // single cursor is then strictly better.
+        }
+        work.plan_one_span(self.len, self.chunk_elems_for(world));
+        ReducePath::Chunked
     }
 
-    /// Claims and reduces chunks until every cursor this thread may drain
-    /// is exhausted. The thread that completes the final chunk publishes
-    /// the result. `me` is the helping contributor (if any): on the
-    /// hierarchical path it drains its own group's span first and then
-    /// steals cross-group only if it is the group's leader; an anonymous
-    /// helper (an evicting thread) sweeps every group.
-    fn help_reduce(&self, me: Option<WorkerId>) {
-        // SAFETY: callers observed `reducing == Some(round)` under the
-        // group lock (or published the round themselves), which
-        // happens-after `publish_round`'s writes to the slots.
+    /// Registers the caller as a helper of the published round (under the
+    /// lock `st` guards, which it then releases), claims and reduces
+    /// chunks until every span it may drain is exhausted, and finishes
+    /// the round if it reduced the last chunk.
+    ///
+    /// `me` is the helping contributor, if any. A member of a span drains
+    /// that span first and stops there unless it is the span's leader:
+    /// the leaders finish the tail among themselves (less cursor
+    /// traffic), and the round-completion broadcast releases everyone.
+    /// Helpers without a span of their own — every helper of a chunked
+    /// round, an evicting thread, a member whose span collapsed — sweep
+    /// every span, so the tail cannot starve even if other members are
+    /// all momentarily outside the lock in `on_wait` callbacks.
+    fn help_reduce(&self, st: MutexGuard<'_, GroupState>, me: Option<WorkerId>) {
+        self.slots.helpers.fetch_add(1, Ordering::Relaxed);
+        drop(st);
+        // SAFETY: this thread registered as a helper under the group lock
+        // after the round published, so `publish_round` cannot rewrite
+        // `work` until it deregisters below, and the lock orders the
+        // publishing writes before these reads (see `ReduceSlots`).
         let work = unsafe { &*self.slots.work.get() };
-        let Some(work) = work else { return };
-        match work {
-            RoundWork::Chunked { plan } => {
-                let n_chunks = plan.n_chunks();
-                loop {
-                    let c = self.slots.cursor.fetch_add(1, Ordering::AcqRel);
-                    if c >= n_chunks {
-                        return;
-                    }
-                    // SAFETY: chunk `c` was claimed by exactly this thread
-                    // (the fetch_add is a unique ticket), so the output
-                    // range is written by one thread only; the inputs are
-                    // borrowed slices of contributors parked for the whole
-                    // round (see `SharedSlice`).
-                    unsafe {
-                        chunked::reduce_range(
-                            &*self.slots.inputs.get(),
-                            self.slots.out.load(Ordering::Relaxed),
-                            plan.range(c),
-                        );
-                    }
-                    if self.slots.done.fetch_add(1, Ordering::AcqRel) + 1 == n_chunks {
-                        self.finish_round();
-                        return;
-                    }
+        let out = self.slots.out.load(Ordering::Relaxed);
+        let own = me.and_then(|w| work.spans.iter().position(|s| s.has_member(w)));
+        let sweeps = own.is_none_or(|i| work.spans[i].leader() == me);
+        let first = own.unwrap_or(0);
+        let mut finished = false;
+        'drain: for i in 0..work.spans.len() {
+            let span = &work.spans[(first + i) % work.spans.len()];
+            while let Some(range) = span.claim() {
+                // SAFETY: the claim is a unique ticket and the spans are
+                // disjoint, so this thread alone writes `range` of the
+                // round's accumulator; the inputs are borrowed slices of
+                // contributors parked for the whole round (see
+                // `SharedSlice`).
+                unsafe { reduce_range(&work.inputs, out, range) };
+                if self.slots.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    finished = true;
+                    break 'drain;
                 }
             }
-            RoundWork::Hier { groups, n_chunks } => {
-                self.drain_hier(me, groups, *n_chunks);
+            if !sweeps {
+                break;
             }
         }
-    }
-
-    /// The hierarchical drain: own group's span first; then, for group
-    /// leaders (min-id member) and anonymous helpers, a cross-group sweep
-    /// so the tail cannot starve even if other groups' members are all
-    /// momentarily outside the lock in `on_wait` callbacks.
-    fn drain_hier(&self, me: Option<WorkerId>, groups: &[hier::GroupWork], n_chunks: usize) {
-        let own = me.and_then(|w| groups.iter().position(|g| g.has_member(w)));
-        let is_leader = match (me, own) {
-            (Some(w), Some(i)) => groups[i].leader() == w,
-            // Anonymous helpers and members whose span collapsed to
-            // nothing sweep everything.
-            _ => true,
-        };
-        let start = own.unwrap_or(0);
-        for i in 0..groups.len() {
-            let g = &groups[(start + i) % groups.len()];
-            let group_chunks = g.plan.n_chunks();
-            loop {
-                let c = g.cursor.fetch_add(1, Ordering::AcqRel);
-                if c >= group_chunks {
-                    break;
-                }
-                let local = g.plan.range(c);
-                let range = (g.span_start + local.start)..(g.span_start + local.end);
-                // SAFETY: chunk `c` of this group was claimed by exactly
-                // this thread (unique ticket); the global range is disjoint
-                // across groups (contiguous spans) and across chunks within
-                // a group, so each output element is written once.
-                unsafe {
-                    chunked::reduce_range(
-                        &*self.slots.inputs.get(),
-                        self.slots.out.load(Ordering::Relaxed),
-                        range,
-                    );
-                }
-                if self.slots.done.fetch_add(1, Ordering::AcqRel) + 1 == n_chunks {
-                    self.finish_round();
-                    return;
-                }
-            }
-            if !is_leader {
-                // Non-leaders stop after their own span: the leaders
-                // finish the tail among themselves (less cursor traffic),
-                // and the round-completion broadcast releases everyone.
-                return;
-            }
+        self.slots.helpers.fetch_sub(1, Ordering::Release);
+        if finished {
+            self.finish_round();
         }
     }
 
@@ -908,11 +842,16 @@ impl CommGroup {
         let buf = st.out_buf.take().expect("reducing buffer present");
         let round = st.reducing.take().expect("round was reducing");
         let world = st.reducing_world;
-        if let (Some(m), Some(j)) = (self.metrics.get(), self.journal.get()) {
-            m.for_path(st.reducing_path)
-                .record(j.now_us().saturating_sub(st.reducing_since_us));
-        }
+        self.record_round_us(st.reducing_path, st.reducing_since_us);
         self.install_result(&mut st, buf, round, world);
+    }
+
+    /// Records a `path` round that published at `since_us` into its
+    /// latency histogram, when the runtime attached one.
+    fn record_round_us(&self, path: ReducePath, since_us: u64) {
+        if let (Some(m), Some(j)) = (self.metrics.get(), self.journal.get()) {
+            m.for_path(path).record(j.now_us().saturating_sub(since_us));
+        }
     }
 
     /// Installs a completed round's accumulator as the published result,
@@ -969,10 +908,8 @@ impl CommGroup {
             self.publish_round(&mut st);
             // The flat path completes inline; only a cooperative
             // publication needs the evictor's help.
-            let published = st.reducing.is_some();
-            drop(st);
-            if published {
-                self.help_reduce(None);
+            if st.reducing.is_some() {
+                self.help_reduce(st, None);
             }
         }
         was_member
@@ -1398,6 +1335,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn collapsed_hier_round_falls_back_to_one_chunked_span() {
+        // Six members over two socket domains of the test topology make
+        // the round eligible for the hierarchical path, but one element
+        // cannot be sharded: the spans collapse to one group, and the
+        // round must run (and journal) as chunked with a single span.
+        let world = 6u32;
+        let profile = TuningProfile {
+            flat_max_len: 0,
+            hier_min_world: 2,
+        };
+        let group = Arc::new(CommGroup::with_tuning(
+            (0..world).map(WorkerId),
+            1,
+            profile,
+            Some(test_topology()),
+        ));
+        let journal = Arc::new(EventJournal::new(64, Vec::new()));
+        group.set_journal(Arc::clone(&journal));
+        assert_eq!(group.planned_path(), ReducePath::Hier);
+        let inputs: Vec<Vec<f32>> = (0..world).map(|w| vec![0.1 + w as f32 * 1e-3]).collect();
+        let handles: Vec<_> = inputs
+            .iter()
+            .enumerate()
+            .map(|(w, data)| spawn_allreduce(&group, WorkerId(w as u32), data.clone()))
+            .collect();
+        let want = reference_sum(&inputs)[0].to_bits();
+        for h in handles {
+            match h.join().unwrap() {
+                AllreduceOutcome::Sum { sum, .. } => assert_eq!(sum[0].to_bits(), want),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let paths: Vec<_> = journal
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::AllreducePath { path, groups, .. } => Some((path, groups)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(paths, [(ReducePath::Chunked, 1)]);
     }
 
     #[test]

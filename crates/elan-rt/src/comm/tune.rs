@@ -18,8 +18,9 @@
 //! group over a few rounds and keeps the largest length where flat still
 //! wins. The result is cached process-wide. Timing uses the runtime's
 //! [`TimeSource`] only — no `Instant` in this crate outside `time.rs`
-//! (the WALL_CLOCK invariant). Callers that want a measured profile pass
-//! it in explicitly (`RuntimeBuilder::tuning`).
+//! (the WALL_CLOCK invariant). The runtime never runs it: a caller that
+//! wants a measured profile builds its own group with
+//! [`CommGroup::with_tuning`].
 //!
 //! Every number here is a named constant on purpose: the MAGIC_NUMBER
 //! invariant (elan-verify) scopes this file, so future tuning tweaks

@@ -19,6 +19,8 @@
 //! fluctuation standing in for the proprietary SenseTime trace; metrics
 //! (JPT, JCT, makespan, utilization) reproduce Figs. 20–22 and Fig. 1.
 
+#![forbid(unsafe_code)]
+
 pub mod capacity;
 pub mod job;
 pub mod metrics;

@@ -23,6 +23,8 @@
 //! assert!(done < SimTime::ZERO + SimDuration::from_millis(22));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod rng;
 pub mod time;

@@ -36,6 +36,8 @@
 //! # Ok::<(), elan_topology::PlanError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bandwidth;
 pub mod cluster;
 pub mod link;

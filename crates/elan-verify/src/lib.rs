@@ -50,6 +50,8 @@
 //! come from `verify-allow.toml` (diffed in CI so they only grow with
 //! review). See DESIGN.md §11/§16 for the rule catalogue.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod lexer;
 pub mod model;

@@ -10,6 +10,8 @@
 //! Exit codes: 0 = clean, 1 = active diagnostics (or failed self-test),
 //! 2 = usage/configuration error.
 
+#![forbid(unsafe_code)]
+
 use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;

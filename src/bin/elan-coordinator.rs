@@ -13,6 +13,8 @@
 //! reached `--until` iterations, then shuts the job down — the `Leave`
 //! broadcast makes each worker process exit on its own.
 
+#![forbid(unsafe_code)]
+
 use std::process::exit;
 use std::sync::Arc;
 

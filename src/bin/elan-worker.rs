@@ -11,6 +11,8 @@
 //! are derived from; it must match the coordinator's `--workers` so both
 //! sides agree on the per-iteration batch and replication chunking.
 
+#![forbid(unsafe_code)]
+
 use std::process::exit;
 
 use elan::core::state::WorkerId;

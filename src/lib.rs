@@ -43,6 +43,8 @@
 //! # Ok::<(), elan::ElanError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use elan_baselines as baselines;
 pub use elan_core as core;
 pub use elan_models as models;

@@ -1,6 +1,6 @@
 //! Data-plane benchmark harness: adaptive allreduce (flat / chunked /
-//! hierarchical dispatch) and chunked pipelined state replication versus
-//! their naive baselines.
+//! hierarchical dispatch), chunked pipelined state replication and the
+//! wire codec versus their naive baselines.
 //!
 //! ```text
 //! dataplane [--quick] [--out PATH] [--assert-thresholds BASELINE]
@@ -14,8 +14,9 @@
 //! report schema (used by CI after the smoke run).
 //! `--assert-thresholds` additionally diffs the fresh sweep against the
 //! committed baseline report: exit code 2 if any shared cell regressed
-//! more than the tolerance or any allreduce cell lost to naive outside
-//! the allowlist (the CI perf regression gate).
+//! more than the tolerance, any allreduce cell lost to naive outside
+//! the allowlist, or the codec cell fell below its speedup floor (the
+//! CI perf regression gate).
 
 #![forbid(unsafe_code)]
 

@@ -1,12 +1,14 @@
-//! Data-plane benchmarks: allreduce throughput and state-replication
-//! makespan, the adaptive engine vs. the naive pre-overhaul baselines.
+//! Data-plane benchmarks: allreduce throughput, state-replication
+//! makespan and wire-codec throughput, each against the naive baseline
+//! it replaced.
 //!
 //! This is the measurement side of the data-plane performance work: the
 //! live runtime's adaptive [`CommGroup`] (flat / chunked / hierarchical,
-//! dispatched per round) and chunked, `Arc`-shared state replication are
-//! raced against the exact code they replaced — the flat lock-held
-//! `NaiveCommGroup` (this crate's `naive` module) and the
-//! clone-both-buffers-per-destination monolithic transfer — on the same
+//! dispatched per round), chunked, `Arc`-shared state replication and
+//! the frame codec's four-lane CRC are raced against the exact code they
+//! replaced — the flat lock-held `NaiveCommGroup` (this crate's `naive`
+//! module), the clone-both-buffers-per-destination monolithic transfer
+//! and the single-chain slicing-by-8 CRC (`naive_crc`) — on the same
 //! inputs. Results serialize to
 //! `BENCH_dataplane.json` (see [`Report::to_json`]) so CI and the README
 //! can track the trajectory, and [`assert_thresholds`] turns a committed
@@ -19,17 +21,22 @@
 //! a few `format!`s, and [`validate_json`] carries a small recursive-
 //! descent parser so the CI smoke job can check the schema offline.
 
-use std::sync::Barrier;
+use std::hint::black_box;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Instant;
 
+use elan_core::codec::{decode_frame, encode_frame, WireFrame};
+use elan_core::messages::{MsgId, StateKind};
 use elan_core::obs::AdjustmentPhase;
+use elan_core::protocol::{EndpointId, Envelope, RtMsg};
 use elan_core::state::WorkerId;
 use elan_rt::comm::{AllreduceOutcome, CommGroup, CommTopology, ReducePath};
 use elan_rt::worker::{build_state_chunks, SnapshotAssembly};
 use elan_rt::{ElasticRuntime, RuntimeConfig, TuningProfile};
 
 use crate::naive::NaiveCommGroup;
+use crate::naive_crc;
 
 /// Warm-up rounds excluded from every allreduce timing (they also fill
 /// the chunked group's buffer pool, so the timed region is the
@@ -137,6 +144,34 @@ pub struct AdjustmentPoint {
     pub transfers: u32,
 }
 
+/// One wire-codec measurement: a `StateChunk` frame through the public
+/// [`encode_frame`] / [`decode_frame`], and the retired single-chain CRC
+/// over the same frame bytes. Every rate counts payload bytes
+/// (`elems × 4`, 1 MB = 10⁶ B), so the three columns divide.
+#[derive(Debug, Clone, Copy)]
+pub struct CodecPoint {
+    /// `f32` elements in the chunk.
+    pub elems: usize,
+    /// Encoded frame length, CRC trailer included.
+    pub frame_bytes: usize,
+    /// The retired slicing-by-8 CRC alone over the frame, MB/s.
+    pub naive_crc_mb_s: f64,
+    /// `encode_frame` (build + CRC), MB/s.
+    pub encode_mb_s: f64,
+    /// `decode_frame` (CRC check + parse), MB/s.
+    pub decode_mb_s: f64,
+}
+
+impl CodecPoint {
+    /// The slower of encode and decode over the retired CRC alone. Each
+    /// of them checksums the same bytes *and* copies the payload, so a
+    /// ratio above 1.0 means the frame CRC is faster than the old one by
+    /// more than the copy costs.
+    pub fn speedup(&self) -> f64 {
+        self.encode_mb_s.min(self.decode_mb_s) / self.naive_crc_mb_s
+    }
+}
+
 /// A full harness run, serializable to `BENCH_dataplane.json`.
 #[derive(Debug, Clone)]
 pub struct Report {
@@ -148,6 +183,8 @@ pub struct Report {
     pub replication: Vec<ReplicationPoint>,
     /// Live-runtime adjustment latency breakdown (per pipeline phase).
     pub adjustment: Vec<AdjustmentPoint>,
+    /// Wire-codec throughput against the retired CRC.
+    pub codec: Vec<CodecPoint>,
 }
 
 /// Deterministic mixed-magnitude input buffer.
@@ -167,23 +204,24 @@ fn fill(seed: u64, len: usize) -> Vec<f32> {
 /// round's outcome out.
 type Engine<'a> = dyn Fn(WorkerId, &[f32]) -> AllreduceOutcome + Sync + 'a;
 
-/// Times `rounds` collective rounds of each engine across `world`
-/// threads and returns each one's median throughput in contributed
-/// elements/second. The engines run in alternating repetitions, the
-/// first one first in even reps and the second first in odd ones, so
-/// both see the same host load. Reps continue past [`TIMING_REPS`] until
-/// both engines have been timed for [`MIN_TIMED_SECS`] (at most
+/// Times `N` engines that each do `work` units per repetition and
+/// returns each one's median rate (`work / seconds`); `time_once(e)`
+/// runs one rep of engine `e` and returns its seconds. The engines run
+/// in alternating repetitions, rep `r` starting with engine `r mod N`,
+/// so all see the same host load. Reps continue past [`TIMING_REPS`]
+/// until every engine has been timed for [`MIN_TIMED_SECS`] (at most
 /// [`MAX_TIMING_REPS`] reps).
-fn time_rounds(world: u32, len: usize, rounds: u64, engines: [&Engine<'_>; 2]) -> [f64; 2] {
-    let elems = (world as f64) * (len as f64) * (rounds as f64);
-    let mut reps = [Vec::new(), Vec::new()];
-    let mut timed = [0.0f64; 2];
+fn median_rates<const N: usize>(work: f64, mut time_once: impl FnMut(usize) -> f64) -> [f64; N] {
+    let mut reps: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
+    let mut timed = [0.0f64; N];
     let mut rep = 0;
-    while rep < TIMING_REPS || (rep < MAX_TIMING_REPS && timed[0].min(timed[1]) < MIN_TIMED_SECS) {
-        for e in [rep % 2, 1 - rep % 2] {
-            let secs = time_rounds_once(world, len, rounds, engines[e]);
+    let least = |timed: &[f64; N]| timed.iter().copied().fold(f64::INFINITY, f64::min);
+    while rep < TIMING_REPS || (rep < MAX_TIMING_REPS && least(&timed) < MIN_TIMED_SECS) {
+        for i in 0..N {
+            let e = (rep + i) % N;
+            let secs = time_once(e);
             timed[e] += secs;
-            reps[e].push(elems / secs);
+            reps[e].push(work / secs);
         }
         rep += 1;
     }
@@ -191,6 +229,14 @@ fn time_rounds(world: u32, len: usize, rounds: u64, engines: [&Engine<'_>; 2]) -
         r.sort_by(f64::total_cmp);
         r[r.len() / 2]
     })
+}
+
+/// Times `rounds` collective rounds of each engine across `world`
+/// threads and returns each one's median throughput in contributed
+/// elements/second (see [`median_rates`]).
+fn time_rounds(world: u32, len: usize, rounds: u64, engines: [&Engine<'_>; 2]) -> [f64; 2] {
+    let elems = (world as f64) * (len as f64) * (rounds as f64);
+    median_rates(elems, |e| time_rounds_once(world, len, rounds, engines[e]))
 }
 
 /// One timing repetition of one engine, in seconds: the timer starts at
@@ -350,6 +396,82 @@ pub fn bench_replication(
     }
 }
 
+/// Elements in the codec row's `StateChunk`: the chunk size `tcp_proc`
+/// replicates (256 KiB of payload).
+const CODEC_ELEMS: usize = 65_536;
+
+/// Frames encoded, decoded or checksummed per timed codec rep.
+const CODEC_OPS: u32 = 16;
+
+/// Benchmarks the wire codec on one `elems`-element `StateChunk` frame:
+/// [`encode_frame`], [`decode_frame`] and the retired single-chain CRC
+/// over the same frame bytes, alternating reps as the allreduce cells
+/// do. Panics if the retired CRC disagrees with the frame's trailer or
+/// the frame does not decode back to its payload.
+pub fn bench_codec(elems: usize) -> CodecPoint {
+    let data = Arc::new(fill(11, elems));
+    let frame = WireFrame::Msg {
+        to: EndpointId::Worker(WorkerId(1)),
+        env: Envelope {
+            id: MsgId(7),
+            from: EndpointId::Worker(WorkerId(0)),
+            attempt: 1,
+            body: RtMsg::StateChunk {
+                kind: StateKind::Params,
+                iteration: 4_240,
+                data_cursor: 0,
+                index: 0,
+                total: 1,
+                offset: 0,
+                data: Arc::clone(&data),
+            },
+        },
+    };
+    let bytes = encode_frame(&frame);
+    let (body, trailer) = bytes.split_at(bytes.len() - 4);
+    assert_eq!(
+        naive_crc::crc32(body).to_le_bytes(),
+        trailer,
+        "frame CRC differs from the retired kernel's"
+    );
+    match decode_frame(&bytes) {
+        Ok(WireFrame::Msg {
+            env:
+                Envelope {
+                    body: RtMsg::StateChunk { data: back, .. },
+                    ..
+                },
+            ..
+        }) => assert_eq!(back, data, "codec corrupted the chunk payload"),
+        other => panic!("chunk frame did not decode: {other:?}"),
+    }
+    let payload_mb = (elems * 4) as f64 * f64::from(CODEC_OPS) / 1e6;
+    let [naive_crc_mb_s, encode_mb_s, decode_mb_s] = median_rates(payload_mb, |e| {
+        let t = Instant::now();
+        for _ in 0..CODEC_OPS {
+            match e {
+                0 => {
+                    black_box(naive_crc::crc32(black_box(body)));
+                }
+                1 => {
+                    black_box(encode_frame(black_box(&frame)));
+                }
+                _ => {
+                    let _ = black_box(decode_frame(black_box(&bytes)));
+                }
+            }
+        }
+        t.elapsed().as_secs_f64()
+    });
+    CodecPoint {
+        elems,
+        frame_bytes: bytes.len(),
+        naive_crc_mb_s,
+        encode_mb_s,
+        decode_mb_s,
+    }
+}
+
 /// Runs a short live elastic job and reads each adjustment's per-phase
 /// latency back from the runtime's event journal ([`AdjustmentTrace`]s
 /// exposed through the shutdown report) — the observability layer is the
@@ -451,18 +573,27 @@ pub fn run(quick: bool, mut progress: impl FnMut(&str)) -> Report {
             a.replicate_ms, a.adjust_ms, a.total_ms
         ));
     }
+    let codec = vec![bench_codec(CODEC_ELEMS)];
+    for c in &codec {
+        progress(&format!(
+            "codec elems={} frame={} B  naive_crc={:.0} MB/s  encode={:.0} MB/s  decode={:.0} MB/s  speedup={:.2}x",
+            c.elems, c.frame_bytes, c.naive_crc_mb_s, c.encode_mb_s, c.decode_mb_s, c.speedup()
+        ));
+    }
     Report {
         mode: if quick { "quick" } else { "full" }.into(),
         allreduce,
         replication,
         adjustment,
+        codec,
     }
 }
 
 impl Report {
-    /// Serializes the report as pretty-printed JSON (schema version 3).
+    /// Serializes the report as pretty-printed JSON (schema version 4).
     ///
-    /// Schema 3 renames the allreduce throughput column to
+    /// Schema 4 adds the `codec` array (see [`CodecPoint`]). Schema 3
+    /// renames the allreduce throughput column to
     /// `adaptive_elems_per_s` (the measured side is now the adaptive
     /// dispatcher, not a fixed chunked engine) and adds the `path`
     /// column recording which engine (`flat` / `chunked` / `hier`) the
@@ -473,7 +604,7 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str("  \"schema_version\": 3,\n");
+        s.push_str("  \"schema_version\": 4,\n");
         s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
         s.push_str("  \"allreduce\": [\n");
         for (i, p) in self.allreduce.iter().enumerate() {
@@ -521,6 +652,20 @@ impl Report {
                 a.waves,
                 a.transfers,
                 if i + 1 < self.adjustment.len() { "," } else { "" }
+            ));
+        }
+        s.push_str("  ],\n");
+        s.push_str("  \"codec\": [\n");
+        for (i, c) in self.codec.iter().enumerate() {
+            s.push_str(&format!(
+                "    {{\"elems\": {}, \"frame_bytes\": {}, \"naive_crc_mb_s\": {:.1}, \"encode_mb_s\": {:.1}, \"decode_mb_s\": {:.1}, \"speedup\": {:.4}}}{}\n",
+                c.elems,
+                c.frame_bytes,
+                c.naive_crc_mb_s,
+                c.encode_mb_s,
+                c.decode_mb_s,
+                c.speedup(),
+                if i + 1 < self.codec.len() { "," } else { "" }
             ));
         }
         s.push_str("  ]\n");
@@ -709,8 +854,9 @@ fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
 /// latencies non-negative, every allreduce `path` a known engine name,
 /// arrays non-empty.
 ///
-/// Requires schema version ≥ 3 (the `path` column and the
-/// `adaptive_elems_per_s` throughput are mandatory).
+/// Requires schema version ≥ 4 (the `path` column, the
+/// `adaptive_elems_per_s` throughput and the `codec` array are
+/// mandatory).
 ///
 /// # Errors
 ///
@@ -721,8 +867,8 @@ pub fn validate_json(text: &str) -> Result<(), String> {
         .get("schema_version")
         .and_then(Json::as_num)
         .ok_or("missing schema_version")?;
-    if schema < 3.0 {
-        return Err(format!("bad schema_version {schema} (need >= 3)"));
+    if schema < 4.0 {
+        return Err(format!("bad schema_version {schema} (need >= 4)"));
     }
     match doc.get("mode") {
         Some(Json::Str(m)) if m == "full" || m == "quick" => {}
@@ -819,6 +965,24 @@ pub fn validate_json(text: &str) -> Result<(), String> {
             require_nonneg(p, key)?;
         }
     }
+    let Some(Json::Arr(points)) = doc.get("codec") else {
+        return Err("missing codec array".into());
+    };
+    if points.is_empty() {
+        return Err("codec array is empty".into());
+    }
+    for p in points {
+        for key in [
+            "elems",
+            "frame_bytes",
+            "naive_crc_mb_s",
+            "encode_mb_s",
+            "decode_mb_s",
+            "speedup",
+        ] {
+            require_pos(p, key)?;
+        }
+    }
     Ok(())
 }
 
@@ -834,10 +998,16 @@ pub const REGRESSION_TOLERANCE: f64 = 0.15;
 /// gate until it is either fixed or consciously allowlisted here.
 pub const SPEEDUP_FLOOR_ALLOWLIST: &[(u32, usize)] = &[];
 
+/// Least [`CodecPoint::speedup`] a fresh run may show. Before the
+/// four-lane CRC, encode and decode each paid the single-chain CRC plus
+/// a payload copy, so the ratio was necessarily below 1.0; the floor
+/// fails any run whose frame CRC is not clearly faster than that.
+pub const CODEC_SPEEDUP_FLOOR: f64 = 1.25;
+
 /// The perf regression gate: checks a fresh [`Report`] against a
 /// committed baseline document (`BENCH_dataplane.json`).
 ///
-/// Three classes of violation are collected (all of them, not just the
+/// Five classes of violation are collected (all of them, not just the
 /// first):
 ///
 /// 1. an allreduce cell whose `speedup` fell below 1.0 and is not on the
@@ -847,7 +1017,14 @@ pub const SPEEDUP_FLOOR_ALLOWLIST: &[(u32, usize)] = &[];
 ///    `(world, len)`,
 /// 3. a replication cell whose `speedup` dropped more than
 ///    [`REGRESSION_TOLERANCE`] below the baseline cell with the same
-///    `(param_elems, destinations, chunk_elems)`.
+///    `(param_elems, destinations, chunk_elems)`,
+/// 4. a codec cell whose `speedup` is below [`CODEC_SPEEDUP_FLOOR`],
+/// 5. a codec cell whose `speedup` dropped more than
+///    [`REGRESSION_TOLERANCE`] below the baseline cell with the same
+///    `elems`.
+///
+/// The replication and codec checks compare within-run ratios, which
+/// cancel host drift between the baseline's machine and this one.
 ///
 /// Cells without a matching baseline entry are skipped (a quick-mode run
 /// gates against the subset of the committed full-mode grid it shares),
@@ -925,6 +1102,33 @@ pub fn assert_thresholds(fresh: &Report, baseline_text: &str) -> Result<(), Stri
         }
     }
 
+    for c in &fresh.codec {
+        let cell = format!("codec elems={}", c.elems);
+        if c.speedup() < CODEC_SPEEDUP_FLOOR {
+            violations.push(format!(
+                "{cell}: speedup {:.3} < floor {CODEC_SPEEDUP_FLOOR}",
+                c.speedup()
+            ));
+        }
+        let base = match baseline.get("codec") {
+            Some(Json::Arr(points)) => points
+                .iter()
+                .find(|b| b.get("elems").and_then(Json::as_num) == Some(c.elems as f64)),
+            _ => None,
+        };
+        if let Some(base_speedup) = base.and_then(|b| b.get("speedup")?.as_num()) {
+            let floor = base_speedup * (1.0 - REGRESSION_TOLERANCE);
+            if c.speedup() < floor {
+                violations.push(format!(
+                    "{cell}: speedup {:.3} regressed >{:.0}% below baseline {:.3}",
+                    c.speedup(),
+                    REGRESSION_TOLERANCE * 100.0,
+                    base_speedup
+                ));
+            }
+        }
+    }
+
     if violations.is_empty() {
         Ok(())
     } else {
@@ -953,6 +1157,17 @@ mod tests {
         }
     }
 
+    /// A plausible synthetic codec point (the live one times ~1 s).
+    fn synthetic_codec() -> CodecPoint {
+        CodecPoint {
+            elems: CODEC_ELEMS,
+            frame_bytes: 262_214,
+            naive_crc_mb_s: 1_300.0,
+            encode_mb_s: 2_600.0,
+            decode_mb_s: 2_700.0,
+        }
+    }
+
     #[test]
     fn quickest_sweep_emits_valid_json() {
         // The smallest possible measurement exercises the whole pipeline.
@@ -961,6 +1176,7 @@ mod tests {
             allreduce: vec![bench_allreduce(2, 256, 3)],
             replication: vec![bench_replication(1_024, 2, 256, 2)],
             adjustment: vec![synthetic_adjustment()],
+            codec: vec![bench_codec(1_000)],
         };
         validate_json(&report.to_json()).expect("emitted JSON validates");
     }
@@ -979,6 +1195,7 @@ mod tests {
             allreduce: vec![bench_allreduce(2, 256, 2)],
             replication: vec![bench_replication(1_024, 2, 256, 1)],
             adjustment,
+            codec: vec![synthetic_codec()],
         };
         validate_json(&report.to_json()).expect("live adjustment JSON validates");
     }
@@ -987,14 +1204,14 @@ mod tests {
     fn validator_rejects_broken_documents() {
         assert!(validate_json("{}").is_err());
         assert!(validate_json("not json").is_err());
-        assert!(validate_json(r#"{"schema_version": 3, "mode": "full"}"#).is_err());
-        // Pre-adaptive documents (schema ≤ 2, no path column) are
-        // rejected outright.
-        assert!(validate_json(r#"{"schema_version": 2, "mode": "full"}"#)
+        assert!(validate_json(r#"{"schema_version": 4, "mode": "full"}"#).is_err());
+        // Documents older than the codec row (schema ≤ 3) are rejected
+        // outright.
+        assert!(validate_json(r#"{"schema_version": 3, "mode": "full"}"#)
             .unwrap_err()
             .contains("schema_version"));
         // Zero throughput is a schema violation, not a shrug.
-        let bad = r#"{"schema_version": 3, "mode": "quick",
+        let bad = r#"{"schema_version": 4, "mode": "quick",
             "allreduce": [{"world": 2, "len": 4, "rounds": 1, "path": "flat",
                 "naive_elems_per_s": 0.0, "adaptive_elems_per_s": 1.0, "speedup": 1.0}],
             "replication": [{"param_elems": 1, "destinations": 1, "chunk_elems": 1,
@@ -1003,7 +1220,9 @@ mod tests {
             "adjustment": [{"kind": "scale-out", "world_after": 4,
                 "request_ms": 0.0, "report_ms": 1.0, "coordinate_ms": 0.1,
                 "replicate_ms": 2.0, "adjust_ms": 0.5, "total_ms": 3.6,
-                "waves": 1, "transfers": 2}]}"#;
+                "waves": 1, "transfers": 2}],
+            "codec": [{"elems": 65536, "frame_bytes": 262214, "naive_crc_mb_s": 1.0,
+                "encode_mb_s": 2.0, "decode_mb_s": 2.0, "speedup": 2.0}]}"#;
         assert!(validate_json(bad)
             .unwrap_err()
             .contains("naive_elems_per_s"));
@@ -1022,6 +1241,14 @@ mod tests {
             .replace("\"naive_elems_per_s\": 0.0", "\"naive_elems_per_s\": 1.0")
             .replace("\"replicate_ms\": 2.0", "\"replicate_ms\": -2.0");
         assert!(validate_json(&neg).unwrap_err().contains("replicate_ms"));
+        // So is a missing codec section.
+        let no_codec = bad
+            .replace("\"naive_elems_per_s\": 0.0", "\"naive_elems_per_s\": 1.0")
+            .replace("\"codec\": [", "\"ignored\": [");
+        assert!(validate_json(&no_codec).unwrap_err().contains("codec"));
+        // With the zero throughput fixed, the document is valid.
+        let good = bad.replace("\"naive_elems_per_s\": 0.0", "\"naive_elems_per_s\": 1.0");
+        validate_json(&good).expect("fixed document validates");
     }
 
     /// A synthetic report + matching baseline for gate tests.
@@ -1048,6 +1275,7 @@ mod tests {
             allreduce: vec![point],
             replication: vec![repl],
             adjustment: vec![synthetic_adjustment()],
+            codec: vec![synthetic_codec()],
         };
         let baseline = report.to_json();
         (report, baseline)
@@ -1083,6 +1311,41 @@ mod tests {
         report.replication[0].chunked_ms = 3.5; // speedup 2.0 -> 1.14
         let err = assert_thresholds(&report, &baseline).unwrap_err();
         assert!(err.contains("replication"), "{err}");
+    }
+
+    #[test]
+    fn threshold_gate_trips_on_codec_speedup_below_floor() {
+        let (mut report, baseline) = gate_fixture();
+        // The slower side, not the faster one, is gated.
+        report.codec[0].encode_mb_s = 1_500.0;
+        report.codec[0].decode_mb_s = 3_000.0;
+        let err = assert_thresholds(&report, &baseline).unwrap_err();
+        assert!(err.contains("codec elems=65536"), "{err}");
+        assert!(err.contains("floor"), "{err}");
+    }
+
+    #[test]
+    fn threshold_gate_trips_on_codec_regression() {
+        let (mut report, baseline) = gate_fixture();
+        // Above the floor, but >15% below the baseline's 2.0× ratio.
+        report.codec[0].encode_mb_s = 2_000.0;
+        let err = assert_thresholds(&report, &baseline).unwrap_err();
+        assert!(err.contains("codec") && err.contains("regressed"), "{err}");
+        // Host drift that moves every column together is not gated.
+        report.codec[0] = synthetic_codec();
+        for c in &mut report.codec {
+            c.naive_crc_mb_s *= 0.5;
+            c.encode_mb_s *= 0.5;
+            c.decode_mb_s *= 0.5;
+        }
+        assert_thresholds(&report, &baseline).expect("a uniformly slower host is not a regression");
+    }
+
+    #[test]
+    fn codec_bench_round_trips_a_chunk_frame() {
+        let c = bench_codec(4_096);
+        assert!(c.frame_bytes > 4 * 4_096, "frame carries the payload");
+        assert!(c.naive_crc_mb_s > 0.0 && c.encode_mb_s > 0.0 && c.decode_mb_s > 0.0);
     }
 
     #[test]

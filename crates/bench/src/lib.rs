@@ -13,6 +13,7 @@ pub mod churn;
 pub mod dataplane;
 pub mod experiments;
 mod naive;
+mod naive_crc;
 pub mod table;
 
 pub use table::Table;

@@ -103,8 +103,9 @@ struct ConnWriter {
 impl ConnWriter {
     fn write_frame(&self, frame: &WireFrame) -> io::Result<()> {
         let mut buf = encode_frame(frame);
-        // Prefix in place: the encoder sizes its buffer with slack to
-        // spare, so this shifts the frame instead of copying it out.
+        // Prefix in place: inserting four bytes at the front memmoves the
+        // whole frame up by four within the buffer. The encoder sizes the
+        // buffer with slack to spare, so nothing is reallocated.
         let len = (buf.len() as u32).to_le_bytes();
         buf.splice(..0, len);
         self.write_prefixed(&buf)

@@ -4,7 +4,10 @@
 //! TCP/Unix-domain streams ([`encode_frame`]/[`decode_frame`]) in a
 //! versioned, little-endian encoding with a CRC32 integrity trailer and
 //! no external dependencies — hand-rolled rather than pulling a
-//! serialization stack (see DESIGN.md's dependency policy).
+//! serialization stack (see DESIGN.md's dependency policy). Each type's
+//! layout is one `Wire` impl, and each [`RtMsg`] variant's tag and field
+//! order is one row of the `wire_msgs!` table, which generates the
+//! message encoder, decoder and size bound.
 
 use std::sync::Arc;
 
@@ -248,12 +251,6 @@ impl Writer {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     /// Appends `xs` as little-endian `f32`s: one resize, then a straight
     /// copy loop the compiler vectorises.
     fn f32s(&mut self, xs: &[f32]) {
@@ -288,19 +285,19 @@ impl<'a> Reader<'a> {
         self.at += n;
         Ok(s)
     }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?;
-        Ok(u32::from_le_bytes(b))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        self.take(N)?.try_into().map_err(|_| DecodeError::Truncated)
     }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?;
-        Ok(u64::from_le_bytes(b))
+    /// Reads the `u32` count of a list of 4-byte elements. The CRC has
+    /// already vetted the frame, so the count is what the encoder wrote,
+    /// but it is bounded by what the buffer holds before any allocation
+    /// trusts it.
+    fn count(&mut self) -> Result<usize, DecodeError> {
+        let n = u32::get(self)? as usize;
+        if n * 4 > self.remaining() {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(n)
     }
     /// Reads `n` little-endian `f32`s. The caller has already bounded
     /// `n` by [`Reader::remaining`], so the allocation is what the
@@ -313,6 +310,211 @@ impl<'a> Reader<'a> {
         }
         Ok(out)
     }
+}
+
+/// One type's wire layout. The encoder, the decoder and the size bound
+/// all go through it, so each layout is written once.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+    /// Bytes of variable-length payload on top of [`FIXED_FIELDS_BOUND`].
+    #[inline]
+    fn payload(&self) -> usize {
+        0
+    }
+}
+
+/// Integers travel little-endian.
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                w.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+
+wire_le!(u32, u64);
+
+/// Id newtypes travel as their inner integer.
+macro_rules! wire_newtype {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                self.0.put(w);
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok($t(Wire::get(r)?))
+            }
+        }
+    )*};
+}
+
+wire_newtype!(WorkerId, MsgId);
+
+/// One byte; any non-zero byte reads as `true`.
+impl Wire for bool {
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        w.u8(u8::from(*self));
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(r.u8()? != 0)
+    }
+}
+
+/// `0` for `None`; `1`, then the value, for `Some`.
+impl Wire for Option<u64> {
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => w.u8(0),
+            Some(v) => {
+                w.u8(1);
+                v.put(w);
+            }
+        }
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(Wire::get(r)?)),
+            t => Err(DecodeError::UnknownTag(t)),
+        }
+    }
+}
+
+/// A `u32` count, then the ids.
+impl Wire for Vec<WorkerId> {
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        (self.len() as u32).put(w);
+        for id in self {
+            id.put(w);
+        }
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.count()?;
+        let mut ids = Vec::with_capacity(n);
+        for _ in 0..n {
+            ids.push(Wire::get(r)?);
+        }
+        Ok(ids)
+    }
+    #[inline]
+    fn payload(&self) -> usize {
+        4 * self.len()
+    }
+}
+
+/// A `u32` count, then the floats as one bulk copy each way.
+impl Wire for Arc<Vec<f32>> {
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        (self.len() as u32).put(w);
+        w.f32s(self);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = r.count()?;
+        Ok(Arc::new(r.f32s(n)?))
+    }
+    #[inline]
+    fn payload(&self) -> usize {
+        4 * self.len()
+    }
+}
+
+/// A one-byte tag; a worker's id follows its tag.
+impl Wire for EndpointId {
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        match self {
+            EndpointId::Am => w.u8(0),
+            EndpointId::Controller => w.u8(1),
+            EndpointId::Worker(id) => {
+                w.u8(2);
+                id.put(w);
+            }
+        }
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(EndpointId::Am),
+            1 => Ok(EndpointId::Controller),
+            2 => Ok(EndpointId::Worker(Wire::get(r)?)),
+            t => Err(DecodeError::UnknownTag(t)),
+        }
+    }
+}
+
+/// Fieldless enums travel as a one-byte tag.
+macro_rules! wire_tags {
+    ($($ty:ident { $($tag:literal => $v:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                w.u8(match self {
+                    $($ty::$v => $tag,)*
+                });
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                match r.u8()? {
+                    $($tag => Ok($ty::$v),)*
+                    t => Err(DecodeError::UnknownTag(t)),
+                }
+            }
+        }
+    )*};
+}
+
+wire_tags! {
+    StateKind { 0 => Params, 1 => Momentum }
+    EpochPhase { 0 => WaitingForMembers, 1 => Warmup, 2 => Train, 3 => Cooldown }
+}
+
+/// Generates the [`RtMsg`] encoder, decoder and payload size from the
+/// one wire table below: a tag byte, then each listed field in order.
+macro_rules! wire_msgs {
+    ($($tag:literal => $v:ident { $($f:ident),* }),* $(,)?) => {
+        impl Wire for RtMsg {
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $(RtMsg::$v { $($f),* } => {
+                        w.u8($tag);
+                        $($f.put(w);)*
+                    })*
+                }
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(match r.u8()? {
+                    $($tag => RtMsg::$v { $($f: Wire::get(r)?),* },)*
+                    t => return Err(DecodeError::UnknownTag(t)),
+                })
+            }
+            #[inline]
+            fn payload(&self) -> usize {
+                match self {
+                    $(RtMsg::$v { $($f),* } => 0 $(+ $f.payload())*,)*
+                }
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -357,346 +559,33 @@ pub enum WireFrame {
 const FRAME_HELLO: u8 = 0;
 const FRAME_MSG: u8 = 1;
 
-fn write_endpoint(w: &mut Writer, id: EndpointId) {
-    match id {
-        EndpointId::Am => w.u8(0),
-        EndpointId::Controller => w.u8(1),
-        EndpointId::Worker(wid) => {
-            w.u8(2);
-            w.u32(wid.0);
-        }
-    }
-}
-
-fn read_endpoint(r: &mut Reader<'_>) -> Result<EndpointId, DecodeError> {
-    match r.u8()? {
-        0 => Ok(EndpointId::Am),
-        1 => Ok(EndpointId::Controller),
-        2 => Ok(EndpointId::Worker(WorkerId(r.u32()?))),
-        t => Err(DecodeError::UnknownTag(t)),
-    }
-}
-
-/// Wire tags for [`RtMsg`] variants, in declaration order. Append-only:
-/// a new variant takes the next free tag, existing tags never move.
-fn write_msg(w: &mut Writer, msg: &RtMsg) {
-    match msg {
-        RtMsg::Report { worker } => {
-            w.u8(0);
-            w.u32(worker.0);
-        }
-        RtMsg::Coordinate { worker, iteration } => {
-            w.u8(1);
-            w.u32(worker.0);
-            w.u64(*iteration);
-        }
-        RtMsg::Proceed { boundary, term } => {
-            w.u8(2);
-            w.u64(*boundary);
-            w.u64(*term);
-        }
-        RtMsg::TransferOrder { dst, term } => {
-            w.u8(3);
-            w.u32(dst.0);
-            w.u64(*term);
-        }
-        RtMsg::TransferDone { src, dst } => {
-            w.u8(4);
-            w.u32(src.0);
-            w.u32(dst.0);
-        }
-        RtMsg::StateChunk {
-            kind,
-            iteration,
-            data_cursor,
-            index,
-            total,
-            offset,
-            data,
-        } => {
-            w.u8(5);
-            w.u8(match kind {
-                StateKind::Params => 0,
-                StateKind::Momentum => 1,
-            });
-            w.u64(*iteration);
-            w.u64(*data_cursor);
-            w.u32(*index);
-            w.u32(*total);
-            w.u64(*offset);
-            w.u32(data.len() as u32);
-            w.f32s(data);
-        }
-        RtMsg::Resume { generation, term } => {
-            w.u8(6);
-            w.u64(*generation);
-            w.u64(*term);
-        }
-        RtMsg::Leave { term } => {
-            w.u8(7);
-            w.u64(*term);
-        }
-        RtMsg::AdjustTo { seq, target } => {
-            w.u8(8);
-            w.u64(*seq);
-            w.u32(target.len() as u32);
-            for wid in target {
-                w.u32(wid.0);
-            }
-        }
-        RtMsg::Stop { seq } => {
-            w.u8(9);
-            w.u64(*seq);
-        }
-        RtMsg::Checkpoint { seq } => {
-            w.u8(10);
-            w.u64(*seq);
-        }
-        RtMsg::CheckpointOrder { seq, term } => {
-            w.u8(11);
-            w.u64(*seq);
-            w.u64(*term);
-        }
-        RtMsg::Ack { seq } => {
-            w.u8(12);
-            w.u64(*seq);
-        }
-        RtMsg::MsgAck { of } => {
-            w.u8(13);
-            w.u64(of.0);
-        }
-        RtMsg::Heartbeat { worker, iteration } => {
-            w.u8(14);
-            w.u32(worker.0);
-            w.u64(*iteration);
-        }
-        RtMsg::AmReset { epoch, term } => {
-            w.u8(15);
-            w.u64(*epoch);
-            w.u64(*term);
-        }
-        RtMsg::Rejoin {
-            worker,
-            term,
-            iteration,
-        } => {
-            w.u8(16);
-            w.u32(worker.0);
-            w.u64(*term);
-            w.u64(*iteration);
-        }
-        RtMsg::JoinRequest {
-            worker,
-            epoch,
-            digest,
-        } => {
-            w.u8(17);
-            w.u32(worker.0);
-            w.u64(*epoch);
-            match digest {
-                None => w.u8(0),
-                Some(d) => {
-                    w.u8(1);
-                    w.u64(*d);
-                }
-            }
-        }
-        RtMsg::EpochAdvance { epoch, phase, term } => {
-            w.u8(18);
-            w.u64(*epoch);
-            w.u8(epoch_phase_code(*phase));
-            w.u64(*term);
-        }
-        RtMsg::WitnessQuery {
-            subject,
-            epoch,
-            probe,
-            term,
-        } => {
-            w.u8(19);
-            w.u32(subject.0);
-            w.u64(*epoch);
-            w.u64(*probe);
-            w.u64(*term);
-        }
-        RtMsg::WitnessVote {
-            witness,
-            subject,
-            epoch,
-            admit,
-            digest,
-        } => {
-            w.u8(20);
-            w.u32(witness.0);
-            w.u32(subject.0);
-            w.u64(*epoch);
-            w.u8(u8::from(*admit));
-            w.u64(*digest);
-        }
-        RtMsg::Park { boundary, term } => {
-            w.u8(21);
-            w.u64(*boundary);
-            w.u64(*term);
-        }
-        RtMsg::Passed { worker, boundary } => {
-            w.u8(22);
-            w.u32(worker.0);
-            w.u64(*boundary);
-        }
-    }
-}
-
-fn epoch_phase_code(phase: EpochPhase) -> u8 {
-    match phase {
-        EpochPhase::WaitingForMembers => 0,
-        EpochPhase::Warmup => 1,
-        EpochPhase::Train => 2,
-        EpochPhase::Cooldown => 3,
-    }
-}
-
-fn read_epoch_phase(r: &mut Reader<'_>) -> Result<EpochPhase, DecodeError> {
-    match r.u8()? {
-        0 => Ok(EpochPhase::WaitingForMembers),
-        1 => Ok(EpochPhase::Warmup),
-        2 => Ok(EpochPhase::Train),
-        3 => Ok(EpochPhase::Cooldown),
-        t => Err(DecodeError::UnknownTag(t)),
-    }
-}
-
-fn read_msg(r: &mut Reader<'_>) -> Result<RtMsg, DecodeError> {
-    Ok(match r.u8()? {
-        0 => RtMsg::Report {
-            worker: WorkerId(r.u32()?),
-        },
-        1 => RtMsg::Coordinate {
-            worker: WorkerId(r.u32()?),
-            iteration: r.u64()?,
-        },
-        2 => RtMsg::Proceed {
-            boundary: r.u64()?,
-            term: r.u64()?,
-        },
-        3 => RtMsg::TransferOrder {
-            dst: WorkerId(r.u32()?),
-            term: r.u64()?,
-        },
-        4 => RtMsg::TransferDone {
-            src: WorkerId(r.u32()?),
-            dst: WorkerId(r.u32()?),
-        },
-        5 => {
-            let kind = match r.u8()? {
-                0 => StateKind::Params,
-                1 => StateKind::Momentum,
-                t => return Err(DecodeError::UnknownTag(t)),
-            };
-            let iteration = r.u64()?;
-            let data_cursor = r.u64()?;
-            let index = r.u32()?;
-            let total = r.u32()?;
-            let offset = r.u64()?;
-            let n = r.u32()? as usize;
-            // The CRC has already vetted the frame, so `n` is what the
-            // encoder wrote — but bound the allocation by what the
-            // buffer can actually hold before trusting it.
-            if n * 4 > r.remaining() {
-                return Err(DecodeError::Truncated);
-            }
-            let data = r.f32s(n)?;
-            RtMsg::StateChunk {
-                kind,
-                iteration,
-                data_cursor,
-                index,
-                total,
-                offset,
-                data: Arc::new(data),
-            }
-        }
-        6 => RtMsg::Resume {
-            generation: r.u64()?,
-            term: r.u64()?,
-        },
-        7 => RtMsg::Leave { term: r.u64()? },
-        8 => {
-            let seq = r.u64()?;
-            let n = r.u32()? as usize;
-            if n * 4 > r.remaining() {
-                return Err(DecodeError::Truncated);
-            }
-            let mut target = Vec::with_capacity(n);
-            for _ in 0..n {
-                target.push(WorkerId(r.u32()?));
-            }
-            RtMsg::AdjustTo { seq, target }
-        }
-        9 => RtMsg::Stop { seq: r.u64()? },
-        10 => RtMsg::Checkpoint { seq: r.u64()? },
-        11 => RtMsg::CheckpointOrder {
-            seq: r.u64()?,
-            term: r.u64()?,
-        },
-        12 => RtMsg::Ack { seq: r.u64()? },
-        13 => RtMsg::MsgAck {
-            of: MsgId(r.u64()?),
-        },
-        14 => RtMsg::Heartbeat {
-            worker: WorkerId(r.u32()?),
-            iteration: r.u64()?,
-        },
-        15 => RtMsg::AmReset {
-            epoch: r.u64()?,
-            term: r.u64()?,
-        },
-        16 => RtMsg::Rejoin {
-            worker: WorkerId(r.u32()?),
-            term: r.u64()?,
-            iteration: r.u64()?,
-        },
-        17 => {
-            let worker = WorkerId(r.u32()?);
-            let epoch = r.u64()?;
-            let digest = match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                t => return Err(DecodeError::UnknownTag(t)),
-            };
-            RtMsg::JoinRequest {
-                worker,
-                epoch,
-                digest,
-            }
-        }
-        18 => RtMsg::EpochAdvance {
-            epoch: r.u64()?,
-            phase: read_epoch_phase(r)?,
-            term: r.u64()?,
-        },
-        19 => RtMsg::WitnessQuery {
-            subject: WorkerId(r.u32()?),
-            epoch: r.u64()?,
-            probe: r.u64()?,
-            term: r.u64()?,
-        },
-        20 => RtMsg::WitnessVote {
-            witness: WorkerId(r.u32()?),
-            subject: WorkerId(r.u32()?),
-            epoch: r.u64()?,
-            admit: r.u8()? != 0,
-            digest: r.u64()?,
-        },
-        21 => RtMsg::Park {
-            boundary: r.u64()?,
-            term: r.u64()?,
-        },
-        22 => RtMsg::Passed {
-            worker: WorkerId(r.u32()?),
-            boundary: r.u64()?,
-        },
-        t => return Err(DecodeError::UnknownTag(t)),
-    })
+// The `RtMsg` wire table. Append-only: a new variant takes the next free
+// tag, and shipped tags and field orders never change (WIRE_COMPAT pins
+// the tags against `codec_surface.txt`; the golden corpus pins the bytes).
+wire_msgs! {
+    0 => Report { worker },
+    1 => Coordinate { worker, iteration },
+    2 => Proceed { boundary, term },
+    3 => TransferOrder { dst, term },
+    4 => TransferDone { src, dst },
+    5 => StateChunk { kind, iteration, data_cursor, index, total, offset, data },
+    6 => Resume { generation, term },
+    7 => Leave { term },
+    8 => AdjustTo { seq, target },
+    9 => Stop { seq },
+    10 => Checkpoint { seq },
+    11 => CheckpointOrder { seq, term },
+    12 => Ack { seq },
+    13 => MsgAck { of },
+    14 => Heartbeat { worker, iteration },
+    15 => AmReset { epoch, term },
+    16 => Rejoin { worker, term, iteration },
+    17 => JoinRequest { worker, epoch, digest },
+    18 => EpochAdvance { epoch, phase, term },
+    19 => WitnessQuery { subject, epoch, probe, term },
+    20 => WitnessVote { witness, subject, epoch, admit, digest },
+    21 => Park { boundary, term },
+    22 => Passed { worker, boundary },
 }
 
 /// Bytes a frame's fixed fields can take: header, endpoints, envelope
@@ -709,15 +598,10 @@ const FIXED_FIELDS_BOUND: usize = 96;
 /// An upper bound on `encode_frame(frame).len()`, so the encoder
 /// allocates its buffer once.
 fn encoded_len_bound(frame: &WireFrame) -> usize {
-    let elems = match frame {
-        WireFrame::Msg { env, .. } => match &env.body {
-            RtMsg::StateChunk { data, .. } => data.len(),
-            RtMsg::AdjustTo { target, .. } => target.len(),
-            _ => 0,
-        },
-        WireFrame::Hello { .. } => 0,
-    };
-    FIXED_FIELDS_BOUND + 4 * elems
+    match frame {
+        WireFrame::Msg { env, .. } => FIXED_FIELDS_BOUND + env.body.payload(),
+        WireFrame::Hello { .. } => FIXED_FIELDS_BOUND,
+    }
 }
 
 /// Encodes one control-plane frame (without the stream's length prefix).
@@ -744,19 +628,18 @@ pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
     match frame {
         WireFrame::Hello { from } => {
             w.u8(FRAME_HELLO);
-            write_endpoint(&mut w, *from);
+            from.put(&mut w);
         }
         WireFrame::Msg { to, env } => {
             w.u8(FRAME_MSG);
-            write_endpoint(&mut w, *to);
-            w.u64(env.id.0);
-            write_endpoint(&mut w, env.from);
-            w.u32(env.attempt);
-            write_msg(&mut w, &env.body);
+            to.put(&mut w);
+            env.id.put(&mut w);
+            env.from.put(&mut w);
+            env.attempt.put(&mut w);
+            env.body.put(&mut w);
         }
     }
-    let crc = crc32(&w.buf);
-    w.u32(crc);
+    crc32(&w.buf).put(&mut w);
     w.buf
 }
 
@@ -791,24 +674,17 @@ pub fn decode_frame(bytes: &[u8]) -> Result<WireFrame, DecodeError> {
     }
     let frame = match r.u8()? {
         FRAME_HELLO => WireFrame::Hello {
-            from: read_endpoint(&mut r)?,
+            from: Wire::get(&mut r)?,
         },
-        FRAME_MSG => {
-            let to = read_endpoint(&mut r)?;
-            let id = MsgId(r.u64()?);
-            let from = read_endpoint(&mut r)?;
-            let attempt = r.u32()?;
-            let body = read_msg(&mut r)?;
-            WireFrame::Msg {
-                to,
-                env: Envelope {
-                    id,
-                    from,
-                    attempt,
-                    body,
-                },
-            }
-        }
+        FRAME_MSG => WireFrame::Msg {
+            to: Wire::get(&mut r)?,
+            env: Envelope {
+                id: Wire::get(&mut r)?,
+                from: Wire::get(&mut r)?,
+                attempt: Wire::get(&mut r)?,
+                body: Wire::get(&mut r)?,
+            },
+        },
         t => return Err(DecodeError::UnknownTag(t)),
     };
     if r.remaining() != 0 {
@@ -980,32 +856,31 @@ mod tests {
 
     // -- control-plane wire frames ---------------------------------------
 
-    /// One envelope per `RtMsg` variant, so tag coverage is exhaustive:
-    /// a new variant without a wire tag fails `sample_frames` at compile
-    /// time (non-exhaustive match in `write_msg`) and a mis-tagged one
-    /// fails the roundtrip below.
-    fn sample_bodies() -> Vec<RtMsg> {
-        vec![
-            RtMsg::Report {
+    /// A body of `m`'s variant with distinctive field values. The match
+    /// has no wildcard, so a new variant does not compile until it has a
+    /// sample here.
+    fn sample_like(m: &RtMsg) -> RtMsg {
+        match m {
+            RtMsg::Report { .. } => RtMsg::Report {
                 worker: WorkerId(7),
             },
-            RtMsg::Coordinate {
+            RtMsg::Coordinate { .. } => RtMsg::Coordinate {
                 worker: WorkerId(2),
                 iteration: 41,
             },
-            RtMsg::Proceed {
+            RtMsg::Proceed { .. } => RtMsg::Proceed {
                 boundary: 45,
                 term: 3,
             },
-            RtMsg::TransferOrder {
+            RtMsg::TransferOrder { .. } => RtMsg::TransferOrder {
                 dst: WorkerId(9),
                 term: 3,
             },
-            RtMsg::TransferDone {
+            RtMsg::TransferDone { .. } => RtMsg::TransferDone {
                 src: WorkerId(1),
                 dst: WorkerId(9),
             },
-            RtMsg::StateChunk {
+            RtMsg::StateChunk { .. } => RtMsg::StateChunk {
                 kind: StateKind::Momentum,
                 iteration: 45,
                 data_cursor: 5_760,
@@ -1014,41 +889,85 @@ mod tests {
                 offset: 256,
                 data: Arc::new(vec![0.25, -1.5, 3.75]),
             },
-            RtMsg::Resume {
+            RtMsg::Resume { .. } => RtMsg::Resume {
                 generation: 2,
                 term: 3,
             },
-            RtMsg::Leave { term: 3 },
-            RtMsg::AdjustTo {
+            RtMsg::Leave { .. } => RtMsg::Leave { term: 3 },
+            RtMsg::AdjustTo { .. } => RtMsg::AdjustTo {
                 seq: 11,
                 target: vec![WorkerId(0), WorkerId(1), WorkerId(9)],
             },
-            RtMsg::Stop { seq: 12 },
-            RtMsg::Checkpoint { seq: 13 },
-            RtMsg::CheckpointOrder { seq: 13, term: 3 },
-            RtMsg::Ack { seq: 13 },
-            RtMsg::MsgAck {
+            RtMsg::Stop { .. } => RtMsg::Stop { seq: 12 },
+            RtMsg::Checkpoint { .. } => RtMsg::Checkpoint { seq: 13 },
+            RtMsg::CheckpointOrder { .. } => RtMsg::CheckpointOrder { seq: 13, term: 3 },
+            RtMsg::Ack { .. } => RtMsg::Ack { seq: 13 },
+            RtMsg::MsgAck { .. } => RtMsg::MsgAck {
                 of: MsgId((16 << 32) | 42),
             },
-            RtMsg::Heartbeat {
+            RtMsg::Heartbeat { .. } => RtMsg::Heartbeat {
                 worker: WorkerId(2),
                 iteration: 44,
             },
-            RtMsg::AmReset { epoch: 1, term: 4 },
-            RtMsg::Rejoin {
+            RtMsg::AmReset { .. } => RtMsg::AmReset { epoch: 1, term: 4 },
+            RtMsg::Rejoin { .. } => RtMsg::Rejoin {
                 worker: WorkerId(9),
                 term: 3,
                 iteration: 40,
             },
-            RtMsg::Park {
+            RtMsg::JoinRequest { .. } => RtMsg::JoinRequest {
+                worker: WorkerId(9),
+                epoch: 2,
+                digest: Some(0xDEAD_BEEF_0BAD_F00D),
+            },
+            RtMsg::EpochAdvance { .. } => RtMsg::EpochAdvance {
+                epoch: 2,
+                phase: EpochPhase::Cooldown,
+                term: 4,
+            },
+            RtMsg::WitnessQuery { .. } => RtMsg::WitnessQuery {
+                subject: WorkerId(9),
+                epoch: 2,
+                probe: 77,
+                term: 4,
+            },
+            RtMsg::WitnessVote { .. } => RtMsg::WitnessVote {
+                witness: WorkerId(3),
+                subject: WorkerId(9),
+                epoch: 2,
+                admit: true,
+                digest: 0xDEAD_BEEF_0BAD_F00D,
+            },
+            RtMsg::Park { .. } => RtMsg::Park {
                 boundary: 50,
                 term: 4,
             },
-            RtMsg::Passed {
+            RtMsg::Passed { .. } => RtMsg::Passed {
                 worker: WorkerId(2),
                 boundary: 45,
             },
-        ]
+        }
+    }
+
+    /// One body per `RtMsg` variant. The variants come from the decoder:
+    /// every tag of the wire table decodes from a zero-filled body, and
+    /// the table must list every variant or its encoder does not compile.
+    fn sample_bodies() -> Vec<RtMsg> {
+        let zeros = [0u8; 64];
+        let bodies: Vec<RtMsg> = (0..=u8::MAX)
+            .filter_map(|tag| RtMsg::get(&mut Reader::new(&[&[tag][..], &zeros].concat())).ok())
+            .map(|m| {
+                let sample = sample_like(&m);
+                assert_eq!(
+                    std::mem::discriminant(&sample),
+                    std::mem::discriminant(&m),
+                    "sample_like({m:?}) is another variant"
+                );
+                sample
+            })
+            .collect();
+        assert!(!bodies.is_empty());
+        bodies
     }
 
     fn sample_frames() -> Vec<WireFrame> {

@@ -9,7 +9,8 @@
 //!
 //! Nothing in this module does IO; it is pure data. Wire stability is the
 //! codec's concern ([`crate::codec::encode_frame`]): adding an `RtMsg`
-//! variant means assigning it a fresh wire tag there.
+//! variant means adding a row with the next free tag to the codec's
+//! `wire_msgs!` table, whose encoder does not compile without one.
 
 use std::fmt;
 use std::sync::Arc;

@@ -1,28 +1,17 @@
 // expect: WIRE_COMPAT
 //
-// Known-bad: the encoder gives `Proceed` wire tag 1, but the decoder
-// has no arm for tag 1 — the variant was renumbered (or its decode arm
-// removed) without touching the other side. A coordinator and worker
-// built from different commits now silently mis-frame every in-flight
-// adjustment. Wire tags are append-only: shipped tags keep their
-// numbers forever (DESIGN.md §16).
+// Known-bad: the wire table gives `Proceed` tag 1, which `Coordinate`
+// already holds — a new variant was slotted in under a shipped tag
+// instead of the next free one. The generated decoder maps tag 1 to
+// `Coordinate` only, so every `Proceed` is mis-framed, and a coordinator
+// and worker built from different commits disagree on what tag 1 means.
+// Wire tags are append-only: shipped tags keep their numbers forever
+// (DESIGN.md §16).
 //
 // This file is a checker fixture, not part of the build.
 
-fn write_msg(w: &mut Writer, msg: &RtMsg) {
-    match msg {
-        RtMsg::Report { .. } => {
-            w.u8(0);
-        }
-        RtMsg::Proceed { .. } => {
-            w.u8(1);
-        }
-    }
-}
-
-fn read_msg(r: &mut Reader) -> Result<RtMsg> {
-    Ok(match r.u8() {
-        0 => RtMsg::Report {},
-        _ => RtMsg::Report {},
-    })
+wire_msgs! {
+    0 => Report { worker },
+    1 => Coordinate { worker, iteration },
+    1 => Proceed { boundary, term },
 }

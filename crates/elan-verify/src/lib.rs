@@ -36,9 +36,10 @@
 //! - **Term-fenced sends** (`TERM_FENCED_SEND`): AM-originated authority
 //!   messages carry a fencing term and only flow on `persist_fenced`-
 //!   guarded paths (DESIGN.md §13/§16).
-//! - **Wire compatibility** (`WIRE_COMPAT`): the RtMsg tag table, frame
-//!   kinds, and framing constants match the committed `codec_surface.txt`
-//!   manifest; tags are append-only (DESIGN.md §16).
+//! - **Wire compatibility** (`WIRE_COMPAT`): the codec's one `wire_msgs!`
+//!   table reuses no tag and lists no variant twice, and its tags, the
+//!   frame kinds and the framing constants match the committed
+//!   `codec_surface.txt` manifest; tags are append-only (DESIGN.md §16).
 //!
 //! The lock, blocking, virtual-time, and fencing rules share one
 //! interprocedural reachability engine ([`engine::Engine`]): a cross-crate

@@ -1,36 +1,39 @@
-//! Wire-format compatibility (WIRE_COMPAT): the `RtMsg` tag↔variant
-//! table, frame kinds, and framing constants in `elan-core/src/codec.rs`
-//! are cross-process API — PR 8's coordinator and worker binaries may be
-//! updated independently, so a renumbered or removed tag silently
-//! corrupts every in-flight adjustment between versions. The rule has
-//! two halves:
+//! Wire-format compatibility (WIRE_COMPAT): the `RtMsg` wire table, frame
+//! kinds, and framing constants in `elan-core/src/codec.rs` are
+//! cross-process API — coordinator and worker binaries may be updated
+//! independently, so a renumbered or removed tag silently corrupts every
+//! in-flight adjustment between versions. The codec writes each variant's
+//! tag and field order once, as a row of its `wire_msgs! { <tag> =>
+//! <Variant> { <fields> }, … }` table, and generates the encoder and the
+//! decoder from that row, so the two cannot disagree. The rule has two
+//! halves:
 //!
-//! 1. **Internal consistency**: the encode table (`write_msg`) and the
-//!    decode table (`read_msg`) must agree variant-for-variant — a tag
-//!    written by the encoder that the decoder does not map back to the
-//!    same variant is a diagnostic.
+//! 1. **Table sanity**: no tag is given to two variants (the later row's
+//!    decode arm is unreachable) and no variant is listed twice. In
+//!    workspace mode a codec without a table is itself a diagnostic, so
+//!    the rule cannot pass by finding nothing to check.
 //! 2. **Manifest pinning** (workspace mode): the extracted surface is
 //!    compared against the committed `codec_surface.txt` — the
 //!    `api_surface.txt` treatment for the wire format. Removing or
 //!    changing an entry is an error; appending is allowed (CI diffs the
 //!    regenerated manifest so appends still land in review).
 //!
-//! Extraction is token-level: in `write_msg`, an `RtMsg::V` in pattern
-//! position selects the variant and the first following `w.u8(<literal>)`
-//! is its tag; in `read_msg`, integer literals in pattern position are
-//! pending tags and an `RtMsg::V` in expression position claims the
-//! earliest one (nested matches like `StateKind` only add later numbers,
-//! which are discarded when the variant is claimed).
+//! Extraction is token-level: the `<number> => <Variant>` rows at the top
+//! level of the `wire_msgs! { … }` invocation (not its `macro_rules!`
+//! definition).
 
 use std::collections::BTreeMap;
 use std::fs;
 
 use crate::lexer::TokKind;
-use crate::model::{FileModel, Workspace};
+use crate::model::{match_bracket, FileModel, Workspace};
 use crate::report::{rules, Diagnostic};
 
 /// The committed manifest file name, relative to the workspace root.
 pub const MANIFEST: &str = "codec_surface.txt";
+
+/// The codec file, relative to the workspace root.
+const CODEC: &str = "crates/elan-core/src/codec.rs";
 
 /// Framing constants pinned by name.
 const PINNED_CONSTS: &[&str] = &["WIRE_VERSION", "MAX_FRAME_LEN"];
@@ -39,18 +42,28 @@ const PINNED_CONSTS: &[&str] = &["WIRE_VERSION", "MAX_FRAME_LEN"];
 struct Extract {
     /// (const name, value text, line) for WIRE_VERSION/MAX_FRAME_LEN/FRAME_*.
     consts: Vec<(String, String, u32)>,
-    /// (variant, tag text, line) in `write_msg` order.
-    encode: Vec<(String, String, u32)>,
-    /// (tag text, variant, line) in `read_msg` order.
-    decode: Vec<(String, String, u32)>,
+    /// (tag text, variant, line) rows of the `wire_msgs!` table, in order.
+    rows: Vec<(String, String, u32)>,
 }
 
 pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
-    let Some(file) = codec_file(ws) else {
-        return Vec::new();
+    let (file, ext) = match table(ws) {
+        Ok(found) => found,
+        Err(_) if ws.fixture_mode => return Vec::new(),
+        Err(message) => {
+            return vec![Diagnostic::new(
+                rules::WIRE_COMPAT,
+                CODEC,
+                0,
+                String::new(),
+                "missing",
+                message,
+                "declare every RtMsg variant in the codec's `wire_msgs! { <tag> => \
+                 <Variant> { <fields> }, … }` table, which WIRE_COMPAT reads",
+            )]
+        }
     };
-    let ext = extract(file);
-    let mut diags = internal_check(&ext, file);
+    let mut diags = table_check(&ext, file);
     if !ws.fixture_mode {
         if let Some(root) = &ws.root {
             diags.extend(manifest_check(&ext, &root.join(MANIFEST), file));
@@ -62,27 +75,41 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
 /// Render the current wire surface — what `--emit-codec-surface` writes and
 /// what the manifest check compares against.
 pub fn surface(ws: &Workspace) -> Result<String, String> {
-    let file = codec_file(ws).ok_or("no codec file (write_msg/read_msg) found")?;
-    let ext = extract(file);
+    let (file, ext) = table(ws)?;
     Ok(render_surface(&ext, &file.rel))
 }
 
-fn codec_file(ws: &Workspace) -> Option<&FileModel> {
-    let has_codec = |f: &&FileModel| {
-        f.functions.iter().any(|x| x.name == "write_msg")
-            && f.functions.iter().any(|x| x.name == "read_msg")
-    };
-    if ws.fixture_mode {
-        ws.files.iter().find(has_codec)
+/// The codec file and its extracted surface: in fixture mode the first
+/// file with a table, in workspace mode `elan-core/src/codec.rs`, which
+/// must have one.
+fn table(ws: &Workspace) -> Result<(&FileModel, Extract), String> {
+    let file = if ws.fixture_mode {
+        ws.files.iter().find(|f| table_open(f).is_some())
     } else {
-        ws.files
-            .iter()
-            .find(|f| f.rel.ends_with("elan-core/src/codec.rs"))
-            .filter(has_codec)
-    }
+        ws.file_named(CODEC)
+    };
+    let file = file.ok_or_else(|| format!("no codec file ({CODEC}) found"))?;
+    let open = table_open(file)
+        .ok_or_else(|| format!("{} has no `wire_msgs! {{ … }}` table", file.rel))?;
+    Ok((file, extract(file, open)))
 }
 
-fn extract(file: &FileModel) -> Extract {
+/// Token index of the `{` that opens the `wire_msgs! { … }` invocation.
+/// The `macro_rules! wire_msgs` definition is skipped: its name follows
+/// a `!`.
+fn table_open(file: &FileModel) -> Option<usize> {
+    let t = &file.toks;
+    (0..t.len().saturating_sub(2))
+        .find(|&i| {
+            t[i].is_ident("wire_msgs")
+                && t[i + 1].is("!")
+                && t[i + 2].is("{")
+                && (i == 0 || !t[i - 1].is("!"))
+        })
+        .map(|i| i + 2)
+}
+
+fn extract(file: &FileModel, open: usize) -> Extract {
     let toks = &file.toks;
     let n = toks.len();
     let mut ext = Extract::default();
@@ -112,136 +139,60 @@ fn extract(file: &FileModel) -> Extract {
         ext.consts.push((name, value.join(" "), toks[i + 1].line));
     }
 
-    // Encode table from write_msg.
-    if let Some(f) = file.functions.iter().find(|f| f.name == "write_msg") {
-        let mut current: Option<String> = None;
-        let mut i = f.body.start;
-        while i < f.body.end {
-            if toks[i].is_ident("RtMsg")
-                && i + 2 < f.body.end
-                && toks[i + 1].is("::")
-                && toks[i + 2].kind == TokKind::Ident
-                && file.in_pattern(i + 2)
-            {
-                current = Some(toks[i + 2].text.clone());
-                i += 3;
-                continue;
-            }
-            if toks[i].is_ident("u8")
-                && i > f.body.start
-                && toks[i - 1].is(".")
-                && i + 3 < f.body.end
-                && toks[i + 1].is("(")
-                && toks[i + 2].kind == TokKind::Number
-                && toks[i + 3].is(")")
-            {
-                // Only the first literal u8 after the arm pattern is the tag;
-                // later u8 writes encode fields.
-                if let Some(v) = current.take() {
-                    ext.encode
-                        .push((v, toks[i + 2].text.clone(), toks[i + 2].line));
-                }
-                i += 4;
-                continue;
-            }
-            i += 1;
+    // Table rows: `<number> => <Variant>` at the invocation's top level;
+    // the field lists sit one bracket deeper.
+    let close = match_bracket(toks, open, "{", "}");
+    let mut depth = 0i32;
+    for i in open + 1..close.min(n) {
+        match toks[i].text.as_str() {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" => depth -= 1,
+            _ => {}
         }
-    }
-
-    // Decode table from read_msg.
-    if let Some(f) = file.functions.iter().find(|f| f.name == "read_msg") {
-        let mut pending: Vec<String> = Vec::new();
-        let mut i = f.body.start;
-        while i < f.body.end {
-            if toks[i].kind == TokKind::Number && file.in_pattern(i) {
-                pending.push(toks[i].text.clone());
-                i += 1;
-                continue;
-            }
-            if toks[i].is_ident("RtMsg")
-                && i + 2 < f.body.end
-                && toks[i + 1].is("::")
-                && toks[i + 2].kind == TokKind::Ident
-                && !file.in_pattern(i + 2)
-            {
-                if let Some(tag) = pending.first().cloned() {
-                    ext.decode
-                        .push((tag, toks[i + 2].text.clone(), toks[i + 2].line));
-                }
-                pending.clear();
-                i += 3;
-                continue;
-            }
-            i += 1;
+        if depth == 0
+            && toks[i].kind == TokKind::Number
+            && i + 2 < close
+            && toks[i + 1].is("=>")
+            && toks[i + 2].kind == TokKind::Ident
+        {
+            ext.rows.push((
+                toks[i].text.clone(),
+                toks[i + 2].text.clone(),
+                toks[i + 2].line,
+            ));
         }
     }
     ext
 }
 
-fn internal_check(ext: &Extract, file: &FileModel) -> Vec<Diagnostic> {
-    let enc_map: BTreeMap<&str, &str> = ext
-        .encode
-        .iter()
-        .map(|(v, t, _)| (v.as_str(), t.as_str()))
-        .collect();
-    let dec_map: BTreeMap<&str, &str> = ext
-        .decode
-        .iter()
-        .map(|(t, v, _)| (t.as_str(), v.as_str()))
-        .collect();
-    let mut flagged: Vec<&str> = Vec::new();
+/// One row per variant and per tag: a reused tag leaves the later row's
+/// decode arm unreachable, and a variant listed twice encodes by its
+/// first row only.
+fn table_check(ext: &Extract, file: &FileModel) -> Vec<Diagnostic> {
+    let hint = "wire tags are append-only: give each variant one row with a fresh tag \
+         and keep every shipped tag on its variant (DESIGN.md §16)";
     let mut diags = Vec::new();
-    let hint = "wire tags are append-only: give the new/changed variant a fresh tag \
-         and keep every shipped tag decoding to the same variant (DESIGN.md §16)";
-    for (v, tag, line) in &ext.encode {
-        let problem = match dec_map.get(tag.as_str()) {
-            None => Some(format!(
-                "`RtMsg::{v}` encodes to tag {tag} but read_msg has no arm for {tag} \
-                 (renumbered or removed)"
-            )),
-            Some(v2) if *v2 != v.as_str() => Some(format!(
-                "`RtMsg::{v}` encodes to tag {tag} but read_msg decodes {tag} as `RtMsg::{v2}`"
-            )),
-            _ => None,
-        };
-        if let Some(message) = problem {
-            flagged.push(v.as_str());
-            diags.push(Diagnostic::new(
-                rules::WIRE_COMPAT,
-                file.rel.clone(),
-                *line,
-                "write_msg",
-                v.clone(),
-                message,
-                hint,
-            ));
-        }
-    }
-    for (tag, v, line) in &ext.decode {
-        if flagged.contains(&v.as_str()) {
+    for (k, (tag, v, line)) in ext.rows.iter().enumerate() {
+        let earlier = &ext.rows[..k];
+        let message = if let Some((_, first, _)) = earlier.iter().find(|(t, _, _)| t == tag) {
+            format!(
+                "wire tag {tag} is given to both `RtMsg::{first}` and `RtMsg::{v}`; \
+                 the decoder never reaches `RtMsg::{v}`"
+            )
+        } else if let Some((first, _, _)) = earlier.iter().find(|(_, w, _)| w == v) {
+            format!("`RtMsg::{v}` is listed twice in the wire table (tags {first} and {tag})")
+        } else {
             continue;
-        }
-        let problem = match enc_map.get(v.as_str()) {
-            None => Some(format!(
-                "read_msg decodes tag {tag} as `RtMsg::{v}` but write_msg never encodes it"
-            )),
-            Some(t2) if *t2 != tag.as_str() => Some(format!(
-                "read_msg decodes tag {tag} as `RtMsg::{v}` but write_msg encodes it as {t2}"
-            )),
-            _ => None,
         };
-        if let Some(message) = problem {
-            flagged.push(v.as_str());
-            diags.push(Diagnostic::new(
-                rules::WIRE_COMPAT,
-                file.rel.clone(),
-                *line,
-                "read_msg",
-                v.clone(),
-                message,
-                hint,
-            ));
-        }
+        diags.push(Diagnostic::new(
+            rules::WIRE_COMPAT,
+            file.rel.clone(),
+            *line,
+            "wire_msgs",
+            v.clone(),
+            message,
+            hint,
+        ));
     }
     diags
 }
@@ -264,7 +215,7 @@ fn render_surface(ext: &Extract, rel: &str) -> String {
             out.push_str(&format!("frame {name} = {value}\n"));
         }
     }
-    for (v, tag, _) in &ext.encode {
+    for (tag, v, _) in &ext.rows {
         out.push_str(&format!("msg {v} = {tag}\n"));
     }
     out
@@ -331,6 +282,7 @@ fn manifest_check(ext: &Extract, path: &std::path::Path, file: &FileModel) -> Ve
 mod tests {
     use super::*;
     use crate::model::parse_source;
+    use std::path::PathBuf;
 
     fn check(src: &str) -> Vec<Diagnostic> {
         let ws = Workspace {
@@ -341,36 +293,29 @@ mod tests {
         run(&ws)
     }
 
-    const GOOD: &str = "fn write_msg(w: &mut Writer, msg: &RtMsg) { match msg {\n\
-         RtMsg::Leave { term } => { w.u8(0); w.u64(*term); }\n\
-         RtMsg::Resume { term } => { w.u8(1); w.u64(*term); }\n\
-         } }\n\
-         fn read_msg(r: &mut Reader) -> Result<RtMsg, E> { Ok(match r.u8()? {\n\
-         0 => RtMsg::Leave { term: r.u64()? },\n\
-         1 => RtMsg::Resume { term: r.u64()? },\n\
-         t => return Err(E::UnknownTag(t)),\n\
-         }) }";
+    const GOOD: &str = "wire_msgs! {\n\
+         0 => Leave { term },\n\
+         1 => Resume { generation, term },\n\
+         }";
 
     #[test]
-    fn consistent_tables_are_clean() {
+    fn distinct_rows_are_clean() {
         assert!(check(GOOD).is_empty());
     }
 
     #[test]
-    fn missing_decode_arm_fires_once() {
-        let src = GOOD.replace("1 => RtMsg::Resume { term: r.u64()? },\n", "");
-        let d = check(&src);
+    fn reused_tag_fires_once() {
+        let d = check(&GOOD.replace("1 => Resume", "0 => Resume"));
         assert_eq!(d.len(), 1, "got {d:?}");
-        assert!(d[0].message.contains("no arm for 1"), "{}", d[0].message);
+        assert!(d[0].message.contains("given to both"), "{}", d[0].message);
+        assert_eq!(d[0].detail, "Resume");
     }
 
     #[test]
-    fn swapped_decode_fires() {
-        let src = GOOD
-            .replace("0 => RtMsg::Leave", "0 => RtMsg::Resume")
-            .replace("1 => RtMsg::Resume", "1 => RtMsg::Leave");
-        let d = check(&src);
-        assert!(!d.is_empty(), "swapped tags must fire");
+    fn variant_listed_twice_fires_once() {
+        let d = check(&GOOD.replace("1 => Resume", "2 => Leave { term },\n1 => Resume"));
+        assert_eq!(d.len(), 1, "got {d:?}");
+        assert!(d[0].message.contains("listed twice"), "{}", d[0].message);
     }
 
     #[test]
@@ -395,24 +340,48 @@ mod tests {
     }
 
     #[test]
-    fn nested_submatch_numbers_do_not_confuse_decode() {
-        let src = "fn write_msg(w: &mut W, msg: &RtMsg) { match msg {\n\
-             RtMsg::StateChunk { kind } => { w.u8(0); w.u8(match kind { \
-             StateKind::Params => 0, StateKind::Momentum => 1, }); }\n\
-             } }\n\
-             fn read_msg(r: &mut R) -> Result<RtMsg, E> { Ok(match r.u8()? {\n\
-             0 => { let kind = match r.u8()? { 0 => StateKind::Params, \
-             1 => StateKind::Momentum, t => return Err(E::T(t)), }; \
-             RtMsg::StateChunk { kind } }\n\
-             t => return Err(E::T(t)),\n\
-             }) }";
-        let d = check(src);
-        assert!(d.is_empty(), "got {d:?}");
+    fn macro_definition_is_not_the_table() {
+        // Only the invocation's top-level rows count: the definition's
+        // matcher and the field lists add none.
+        let src = format!(
+            "macro_rules! wire_msgs {{ ($($tag:literal => $v:ident {{ $($f:ident),* }}),*) => {{}}; }}\n{GOOD}"
+        );
+        let ws = Workspace {
+            files: vec![parse_source(&src, "codec.rs".into(), String::new())],
+            fixture_mode: true,
+            root: None,
+        };
+        let s = surface(&ws).expect("surface");
+        assert_eq!(
+            s.lines().filter(|l| l.starts_with("msg ")).count(),
+            2,
+            "{s}"
+        );
     }
 
     #[test]
     fn files_without_codec_are_ignored() {
         let d = check("fn unrelated() {}");
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn workspace_codec_without_table_is_flagged() {
+        // In workspace mode a codec the rule cannot read must fail, not
+        // pass with nothing checked.
+        let ws = Workspace {
+            files: vec![parse_source(
+                "fn write_msg() {}",
+                CODEC.into(),
+                "elan-core".into(),
+            )],
+            fixture_mode: false,
+            root: Some(PathBuf::from(".")),
+        };
+        let d = run(&ws);
+        assert_eq!(d.len(), 1, "got {d:?}");
+        assert_eq!(d[0].rule, rules::WIRE_COMPAT);
+        assert!(d[0].message.contains("no `wire_msgs!"), "{}", d[0].message);
+        assert!(surface(&ws).is_err());
     }
 }

@@ -67,8 +67,8 @@ fn known_bad_fixture_is_not_clean() {
 
 #[test]
 fn wire_renumber_fixture_is_caught() {
-    // CI's negative control for the wire-format gate: a deliberately
-    // renumbered tag must keep producing exactly one WIRE_COMPAT
+    // CI's negative control for the wire-format gate: a wire table that
+    // reuses a shipped tag must keep producing exactly one WIRE_COMPAT
     // diagnostic when the fixture is run raw.
     let path = repo_root().join("crates/elan-verify/fixtures/wire_tag_renumber.rs");
     let ws = Workspace::load_fixture(&path).expect("fixture loads");
@@ -76,7 +76,7 @@ fn wire_renumber_fixture_is_caught() {
     assert_eq!(diags.len(), 1, "got {diags:?}");
     assert_eq!(diags[0].rule, "WIRE_COMPAT");
     assert!(
-        diags[0].message.contains("renumbered or removed"),
+        diags[0].message.contains("wire tag 1 is given to both"),
         "{}",
         diags[0].message
     );

@@ -2,18 +2,25 @@
 //! control-plane frame kind and `RtMsg` variant against committed
 //! `.bin` files in `tests/golden_frames/`.
 //!
-//! This is the byte-level complement to the WIRE_COMPAT static check:
-//! the checker proves the tag *table* did not move, this suite proves
-//! the full encoding (magic, version, endianness, field order, CRC)
-//! still produces — and still accepts — the bytes a peer built from an
-//! older commit would exchange. Any intentional wire change must
-//! regenerate the corpus, which makes the diff reviewable byte by byte:
+//! This is the byte-level complement to the codec's one wire table
+//! (`wire_msgs!` in `elan-core/src/codec.rs`), from which the encoder and
+//! decoder are both generated, and to the WIRE_COMPAT check that pins the
+//! table's tags: this suite proves the full encoding (magic, version,
+//! endianness, field order, CRC) still produces — and still accepts —
+//! the bytes a peer built from an older commit would exchange.
+//! `every_variant_has_a_corpus_entry` keeps the corpus complete, and
+//! `mutated_golden_frames_decode_soundly` drives the decoder with every
+//! one-byte change and truncation of every committed frame. Any
+//! intentional wire change must regenerate the corpus, which makes the
+//! diff reviewable byte by byte:
 //!
 //! ```text
 //! ELAN_REGEN_GOLDEN=1 cargo test --test golden_frames
 //! ```
 
 use std::fs;
+use std::mem::discriminant;
+use std::panic;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -37,7 +44,8 @@ fn msg(body: RtMsg) -> WireFrame {
     }
 }
 
-/// One entry per frame kind and `RtMsg` variant — the whole tag table.
+/// One entry per frame kind and `RtMsg` variant — the whole tag table
+/// ([`entry_of`] names each variant's entry).
 fn corpus() -> Vec<(&'static str, WireFrame)> {
     let data = Arc::new(vec![1.0f32, -2.5, 0.0]);
     vec![
@@ -210,6 +218,62 @@ fn corpus() -> Vec<(&'static str, WireFrame)> {
     ]
 }
 
+/// The corpus entry that pins each `RtMsg` variant. The match has no
+/// wildcard, so a new variant does not compile until it names its entry,
+/// and `every_variant_has_a_corpus_entry` fails until the entry exists.
+fn entry_of(body: &RtMsg) -> &'static str {
+    match body {
+        RtMsg::Report { .. } => "report",
+        RtMsg::Coordinate { .. } => "coordinate",
+        RtMsg::Proceed { .. } => "proceed",
+        RtMsg::TransferOrder { .. } => "transfer_order",
+        RtMsg::TransferDone { .. } => "transfer_done",
+        RtMsg::StateChunk { .. } => "state_chunk",
+        RtMsg::Resume { .. } => "resume",
+        RtMsg::Leave { .. } => "leave",
+        RtMsg::AdjustTo { .. } => "adjust_to",
+        RtMsg::Stop { .. } => "stop",
+        RtMsg::Checkpoint { .. } => "checkpoint",
+        RtMsg::CheckpointOrder { .. } => "checkpoint_order",
+        RtMsg::Ack { .. } => "ack",
+        RtMsg::MsgAck { .. } => "msg_ack",
+        RtMsg::Heartbeat { .. } => "heartbeat",
+        RtMsg::AmReset { .. } => "am_reset",
+        RtMsg::Rejoin { .. } => "rejoin",
+        RtMsg::JoinRequest { .. } => "join_request",
+        RtMsg::EpochAdvance { .. } => "epoch_advance",
+        RtMsg::WitnessQuery { .. } => "witness_query",
+        RtMsg::WitnessVote { .. } => "witness_vote",
+        RtMsg::Park { .. } => "park",
+        RtMsg::Passed { .. } => "passed",
+    }
+}
+
+/// CRC32 (IEEE), bit at a time: the frame checksum, recomputed here so a
+/// mutated frame can be given a valid trailer.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// `body` (a frame without its trailer) with a valid CRC trailer, so the
+/// decoder gets past the checksum to the fields.
+fn stamped(mut body: Vec<u8>) -> Vec<u8> {
+    let crc = crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
+}
+
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -292,4 +356,98 @@ fn corrupt_golden_bytes_are_rejected() -> Result<(), String> {
         Err(_) => Ok(()),
         Ok(f) => Err(format!("corrupted frame decoded as {f:?}")),
     }
+}
+
+#[test]
+fn every_variant_has_a_corpus_entry() -> Result<(), String> {
+    // The decoder knows every variant (the codec's encoder does not compile
+    // unless its wire table lists each one), and each known tag decodes
+    // from a zero-filled body of its variant's fixed length.
+    let mut prefix = encode_frame(&msg(RtMsg::Leave { term: 0 }));
+    prefix.truncate(prefix.len() - 4 - 9); // CRC trailer; `Leave`'s tag and term
+    let corpus = corpus();
+    let mut variants = 0;
+    for tag in 0..=u8::MAX {
+        let decoded = (0..64).find_map(|len| {
+            let mut body = prefix.clone();
+            body.push(tag);
+            body.resize(body.len() + len, 0);
+            match decode_frame(&stamped(body)) {
+                Ok(WireFrame::Msg { env, .. }) => Some(env.body),
+                _ => None,
+            }
+        });
+        let Some(body) = decoded else { continue };
+        variants += 1;
+        let name = entry_of(&body);
+        let pinned = corpus.iter().any(|(n, frame)| {
+            *n == name
+                && matches!(frame, WireFrame::Msg { env, .. }
+                    if discriminant(&env.body) == discriminant(&body))
+        });
+        if !pinned {
+            return Err(format!(
+                "tag {tag} decodes to {body:?}, but the corpus has no `{name}` entry \
+                 of that variant"
+            ));
+        }
+    }
+    if variants == 0 {
+        return Err("no tag decoded: the zero-body probe is broken".into());
+    }
+    Ok(())
+}
+
+/// Decodes `bytes`, which must not panic. A frame that decodes must
+/// re-encode to bytes that decode and re-encode to themselves. Returns
+/// whether `bytes` decoded.
+fn decodes_soundly(bytes: &[u8]) -> Result<bool, String> {
+    let decoded =
+        panic::catch_unwind(|| decode_frame(bytes)).map_err(|_| "decode_frame panicked")?;
+    let Ok(frame) = decoded else {
+        return Ok(false);
+    };
+    let once = encode_frame(&frame);
+    let again = decode_frame(&once).map_err(|e| format!("its re-encoding does not decode: {e}"))?;
+    if encode_frame(&again) != once {
+        return Err(format!("re-encoding {frame:?} is not idempotent"));
+    }
+    Ok(true)
+}
+
+#[test]
+fn mutated_golden_frames_decode_soundly() -> Result<(), String> {
+    // Every one-byte value change and every truncation of every committed
+    // frame, re-stamped with a valid CRC so the mutation reaches the field
+    // decoders rather than stopping at the checksum.
+    let mut accepted = 0usize;
+    for (name, _) in corpus() {
+        let path = golden_dir().join(format!("{name}.bin"));
+        let good = fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let body = &good[..good.len().saturating_sub(4)];
+        for at in 0..body.len() {
+            for v in (0..=u8::MAX).filter(|&v| v != body[at]) {
+                let mut bytes = body.to_vec();
+                bytes[at] = v;
+                if decodes_soundly(&stamped(bytes))
+                    .map_err(|e| format!("{name}, byte {at} set to {v:#04x}: {e}"))?
+                {
+                    accepted += 1;
+                }
+            }
+        }
+        for cut in 0..body.len() {
+            if decodes_soundly(&stamped(body[..cut].to_vec()))
+                .map_err(|e| format!("{name}, cut at {cut}: {e}"))?
+            {
+                accepted += 1;
+            }
+        }
+    }
+    // Value changes inside integer fields decode; if none did, the loop
+    // never got past the checksum and proved nothing.
+    if accepted == 0 {
+        return Err("no mutated frame decoded: the CRC re-stamp is broken".into());
+    }
+    Ok(())
 }

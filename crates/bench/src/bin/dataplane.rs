@@ -8,15 +8,17 @@
 //! dataplane --validate PATH            schema-check an existing report
 //! ```
 //!
-//! The default output path is `BENCH_dataplane.json` in the current
-//! directory. `--quick` runs a reduced grid suitable for CI smoke runs.
+//! The report is written only with `--out` (refresh the committed
+//! baseline with `--out BENCH_dataplane.json`); without it the sweep, the
+//! schema check and any threshold gate still run, and no file is touched.
+//! `--quick` runs a reduced grid suitable for CI smoke runs.
 //! `--validate` exits non-zero if the file does not conform to the
 //! report schema (used by CI after the smoke run).
 //! `--assert-thresholds` additionally diffs the fresh sweep against the
 //! committed baseline report: exit code 2 if any shared cell regressed
-//! more than the tolerance, any allreduce cell lost to naive outside
-//! the allowlist, or the codec cell fell below its speedup floor (the
-//! CI perf regression gate).
+//! more than the tolerance, any allreduce cell lost to naive, or the
+//! codec cell fell below its speedup floor (the CI perf regression
+//! gate).
 
 #![forbid(unsafe_code)]
 
@@ -26,7 +28,7 @@ use bench::dataplane;
 
 fn main() -> ExitCode {
     let mut quick = false;
-    let mut out = String::from("BENCH_dataplane.json");
+    let mut out: Option<String> = None;
     let mut validate: Option<String> = None;
     let mut baseline: Option<String> = None;
 
@@ -35,7 +37,7 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--quick" => quick = true,
             "--out" => match args.next() {
-                Some(path) => out = path,
+                Some(path) => out = Some(path),
                 None => return usage("--out requires a path"),
             },
             "--validate" => match args.next() {
@@ -92,11 +94,13 @@ fn main() -> ExitCode {
         eprintln!("internal error: emitted report fails its own schema: {e}");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+    if let Some(out) = &out {
+        if let Err(e) = std::fs::write(out, &json) {
+            eprintln!("cannot write {out}: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("wrote {out}");
     }
-    eprintln!("wrote {out}");
 
     if let (Some(path), Some(text)) = (&baseline, &baseline_text) {
         match dataplane::assert_thresholds(&report, text) {

@@ -14,8 +14,7 @@
 //! can track the trajectory, and [`assert_thresholds`] turns a committed
 //! report into a regression gate: a fresh run must not fall more than
 //! [`REGRESSION_TOLERANCE`] below the baseline on any matching cell, and
-//! every allreduce cell must beat naive outright unless it is on the
-//! [`SPEEDUP_FLOOR_ALLOWLIST`].
+//! every allreduce cell must beat naive outright.
 //!
 //! Everything here is free of external dependencies: the JSON emitter is
 //! a few `format!`s, and [`validate_json`] carries a small recursive-
@@ -992,12 +991,6 @@ pub fn validate_json(text: &str) -> Result<(), String> {
 /// that both runs measured is a code change someone needs to look at.
 pub const REGRESSION_TOLERANCE: f64 = 0.15;
 
-/// `(world, len)` allreduce cells allowed to run slower than naive
-/// (`speedup < 1.0`). Empty on purpose: since the flat fast path landed,
-/// no cell of the sweep loses to naive, and any new loss should trip the
-/// gate until it is either fixed or consciously allowlisted here.
-pub const SPEEDUP_FLOOR_ALLOWLIST: &[(u32, usize)] = &[];
-
 /// Least [`CodecPoint::speedup`] a fresh run may show. Before the
 /// four-lane CRC, encode and decode each paid the single-chain CRC plus
 /// a payload copy, so the ratio was necessarily below 1.0; the floor
@@ -1010,8 +1003,8 @@ pub const CODEC_SPEEDUP_FLOOR: f64 = 1.25;
 /// Five classes of violation are collected (all of them, not just the
 /// first):
 ///
-/// 1. an allreduce cell whose `speedup` fell below 1.0 and is not on the
-///    [`SPEEDUP_FLOOR_ALLOWLIST`],
+/// 1. an allreduce cell whose `speedup` fell below 1.0 (since the flat
+///    fast path landed no cell of the sweep loses to naive),
 /// 2. an allreduce cell whose `adaptive_elems_per_s` dropped more than
 ///    [`REGRESSION_TOLERANCE`] below the baseline cell with the same
 ///    `(world, len)`,
@@ -1044,9 +1037,9 @@ pub fn assert_thresholds(fresh: &Report, baseline_text: &str) -> Result<(), Stri
 
     for p in &fresh.allreduce {
         let cell = format!("allreduce world={} len={}", p.world, p.len);
-        if p.speedup() < 1.0 && !SPEEDUP_FLOOR_ALLOWLIST.contains(&(p.world, p.len)) {
+        if p.speedup() < 1.0 {
             violations.push(format!(
-                "{cell}: speedup {:.3} < 1.0 (path={}, not allowlisted)",
+                "{cell}: speedup {:.3} < 1.0 (path={})",
                 p.speedup(),
                 p.path.name()
             ));

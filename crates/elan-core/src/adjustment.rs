@@ -137,6 +137,10 @@ impl ElanSystem {
     /// concurrent IO-free mechanism and prices them on the link model.
     /// The payload is parameters + optimizer slots (gradients are
     /// recomputed); CPU state overlaps on the side channel.
+    #[expect(
+        clippy::expect_used,
+        reason = "plan() inputs come from an AdjustmentRequest, whose constructor already rejected empty/overlapping placements; a PlanError here means the request validator is broken, which must be loud."
+    )]
     pub fn replication_time(
         &self,
         request: &AdjustmentRequest,

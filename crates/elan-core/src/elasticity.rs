@@ -125,6 +125,10 @@ impl AdjustmentRequest {
     ///
     /// Panics if the counts are equal or zero (use [`AdjustmentRequest::new`]
     /// for irregular placements).
+    #[expect(
+        clippy::expect_used,
+        reason = "the helper builds contiguous 0..n placements itself, which satisfy AdjustmentRequest::new's validator by construction."
+    )]
     pub fn contiguous(n_before: u32, n_after: u32) -> Self {
         assert!(n_before > 0 && n_after > 0 && n_before != n_after);
         let current = (0..n_before).map(GpuId).collect();
@@ -138,6 +142,10 @@ impl AdjustmentRequest {
     /// # Panics
     ///
     /// Panics if the placements overlap into identity (`offset == 0`).
+    #[expect(
+        clippy::expect_used,
+        reason = "the helper builds disjoint placements itself, which satisfy AdjustmentRequest::new's validator by construction."
+    )]
     pub fn migration(n: u32, offset: u32) -> Self {
         assert!(n > 0 && offset > 0);
         let current = (0..n).map(GpuId).collect();

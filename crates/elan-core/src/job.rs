@@ -110,6 +110,10 @@ impl ElasticRunResult {
 ///
 /// Panics if the phase plan is empty, does not start at epoch 0, or is not
 /// strictly increasing in start epochs.
+#[expect(
+    clippy::expect_used,
+    reason = "consecutive schedule phases have different world sizes (JobSchedule::validate enforces it), so the contiguous->contiguous AdjustmentRequest always differs."
+)]
 pub fn run_elastic_training(cfg: &ElasticRunConfig<'_>) -> ElasticRunResult {
     assert!(!cfg.phases.is_empty(), "need at least one phase");
     assert_eq!(cfg.phases[0].start_epoch, 0, "phase plan must start at 0");

@@ -44,6 +44,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Panic hygiene (DESIGN.md §11): no unwrap/expect/panic! outside tests. A
+// panic that guards a checked invariant carries `#[expect(.., reason)]` on
+// its function; `#[allow]` is denied so no exception goes unexplained.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod adjustment;
 pub mod codec;

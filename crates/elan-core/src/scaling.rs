@@ -73,6 +73,10 @@ pub struct ScalingDecision {
 /// let d = hybrid_scale(256, 4, 8, n_opt);
 /// assert_eq!(d.new_total_batch, 512);
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "checked_mul overflow guards: batch sizes near u64::MAX are unrepresentable training configs; panicking beats silently wrapping the global batch size."
+)]
 pub fn hybrid_scale(
     total_batch: u32,
     n_before: u32,

@@ -991,7 +991,10 @@ impl AmCore {
     /// overlap. Idempotent — a recovered AM calls it again. A plan with
     /// nothing to replicate (pure scale-in, failure eviction) still opens
     /// step ④ on the record, as an explicitly empty plan.
-    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (validated placements)
+    #[expect(
+        clippy::expect_used,
+        reason = "sources (live members minus rejoiners) and destinations (target newcomers and rejoiners) are disjoint and duplicate-free by construction, and place_past_capacity gives each a distinct slot of the 512-slot planning topology; plan() can only fail if one adjustment involves more than 512 workers or no member holds the state."
+    )]
     fn start_transfers(&mut self, out: &mut Actions) {
         self.transfers_started = true;
         self.outstanding.clear();

@@ -18,7 +18,7 @@
 //! group over a few rounds and keeps the largest length where flat still
 //! wins. The result is cached process-wide. Timing uses the runtime's
 //! [`TimeSource`] only — no `Instant` in this crate outside `time.rs`
-//! (the WALL_CLOCK invariant). The runtime never runs it: a caller that
+//! (clippy's `disallowed_methods`). The runtime never runs it: a caller that
 //! wants a measured profile builds its own group with
 //! [`CommGroup::with_tuning`].
 //!

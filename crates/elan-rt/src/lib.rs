@@ -33,11 +33,16 @@
 //! println!("{}", report.trace_report());
 //! ```
 
-// Panic hygiene (DESIGN.md §11): runtime code must not unwrap/expect
-// outside tests. Every exception carries a per-function `#[allow]` whose
-// justification lives in the workspace-root `verify-allow.toml`, and
-// `elan-verify` re-checks the same sites structurally in CI.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Panic hygiene (DESIGN.md §11): runtime code must not unwrap/expect/panic!
+// outside tests. A panic that guards a checked invariant carries
+// `#[expect(.., reason)]` on its function; `#[allow]` is denied so no
+// exception goes unexplained. The clock and socket bans live in this
+// crate's `clippy.toml` (`disallowed-methods`/`disallowed-types`).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 // Unsafe code lives in the data plane only (`comm`, the zero-copy
 // allreduce), and every unsafe block or impl there states its argument in
 // a `// SAFETY:` comment.
@@ -47,7 +52,10 @@
 mod am;
 pub mod bus;
 pub mod chaos;
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "the zero-copy allreduce is the one module with unsafe code"
+)]
 pub mod comm;
 pub mod epoch;
 pub mod liveness;

@@ -2,8 +2,8 @@
 //!
 //! This is the **only** module in `elan-rt` allowed to touch
 //! [`std::time::Instant`] or [`std::thread::sleep`] (enforced by the
-//! `WALL_CLOCK` rule in `elan-verify`). Everything else reads time through a
-//! [`TimeSource`], which comes in two flavours:
+//! `disallowed-methods` list in the crate's `clippy.toml`). Everything else
+//! reads time through a [`TimeSource`], which comes in two flavours:
 //!
 //! - [`TimeSource::real()`] — wall-clock time relative to a per-runtime
 //!   epoch. `sleep` is `std::thread::sleep`; parked waits are real waits.
@@ -53,6 +53,11 @@
 //! a consumer's failed `try_recv` and its park, any producer's
 //! `TimeSource::wake_all` necessarily happens either before the check
 //! (consumer sees the message) or after the park (consumer is woken).
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the real-time backend of TimeSource reads the OS clock and sleeps"
+)]
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -195,7 +200,10 @@ impl TimeSource {
     /// captured are dropped, so those drops run under the token too. A
     /// panicking child still leaves, so it cannot wedge the clock. On the
     /// real clock this is a plain `thread::Builder::spawn`.
-    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (OS thread spawn)
+    #[expect(
+        clippy::expect_used,
+        reason = "std::thread::Builder::spawn only errors when the OS refuses a thread; every runtime thread (workers, AM incarnations, the watchdog) starts here, and a job missing one of them would deadlock the collective or lose failover, so abort instead of running degraded."
+    )]
     pub(crate) fn spawn<T, F>(&self, name: String, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
@@ -252,7 +260,10 @@ impl<T> JoinHandle<T> {
     /// child's exit instant on every run of a seed. Only then does the
     /// caller wait for the OS thread, which by that point runs no
     /// scheduled code. On the real clock this is a plain `join`.
-    #[allow(clippy::expect_used)] // waived: see verify-allow.toml (thread join)
+    #[expect(
+        clippy::expect_used,
+        reason = "an Err from the OS join means the runtime thread panicked; the runtime joins only threads it stopped or crashed on command, and a commanded crash returns rather than panics, so a panic there is a bug, and re-raising it in the joiner is the correct teardown behavior."
+    )]
     pub(crate) fn join(self) -> T {
         if let Some((v, id)) = &self.slot {
             v.await_exit(*id);
@@ -371,6 +382,10 @@ impl VirtualClock {
 
     /// Release the token and wait to be rescheduled (by wake, or by the
     /// deadline arriving once everyone else is quiescent).
+    #[expect(
+        clippy::panic,
+        reason = "a thread parking on the virtual clock without having registered would hang the serial scheduler forever; the panic converts a silent seeded-run hang into an immediate diagnosable failure with the offending call site."
+    )]
     fn park(&self, deadline: Option<u64>) {
         let Some(my) = CURRENT.get() else {
             // Unregistered thread on a virtual clock: nothing to serialize
@@ -448,6 +463,10 @@ impl VirtualClock {
     /// 3. Otherwise every registered thread is parked without a deadline
     ///    or joining one that is: the virtual world can never progress
     ///    again. Panic with a dump.
+    #[expect(
+        clippy::panic,
+        reason = "virtual deadlock: every registered thread is parked with no pending deadline, so virtual time can never advance again. Panicking with a thread-state dump is the only way a seeded run can report the bug; any fallback would silently unfreeze a schedule the seed is supposed to pin."
+    )]
     fn schedule_locked(&self, st: &mut ClockInner) {
         if st.running.is_some() {
             return;

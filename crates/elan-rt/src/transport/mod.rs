@@ -27,9 +27,9 @@
 //! [`Transport::add_partition`]) has a "not supported" default so socket
 //! transports don't fake chaos.
 //!
-//! This module is also the *only* place in `elan-rt` allowed to touch
-//! `std::net`/socket APIs — the `NETWORK_IO` rule in `elan-verify`
-//! enforces that, mirroring how `WALL_CLOCK` confines clock access to
+//! Its `socket` module is also the *only* place in the workspace allowed
+//! to name a socket type — clippy's `disallowed_types` lint enforces
+//! that, mirroring how `disallowed_methods` confines clock access to
 //! `time.rs`.
 
 pub mod memory;

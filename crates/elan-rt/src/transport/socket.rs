@@ -30,9 +30,14 @@
 //! tens of bytes, and Nagle's algorithm would otherwise hold each one
 //! behind the peer's delayed ACK (~40 ms per hop).
 //!
-//! This file (under `transport/`) is the only place in `elan-rt`
-//! allowed to touch `std::net` — enforced by elan-verify's `NETWORK_IO`
-//! rule.
+//! This file is the only place in the workspace allowed to name a socket
+//! type — enforced by the `disallowed-types` lists in the `clippy.toml`
+//! files.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the socket transport is the one place that opens OS sockets"
+)]
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};

@@ -279,7 +279,10 @@ impl SnapshotAssembly {
     }
 
     /// Applies one chunk to the destination buffers.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the chunk header fields arrive unpacked from each message variant"
+    )]
     pub fn offer(
         &mut self,
         kind: StateKind,

@@ -1,12 +1,10 @@
 // expect: VIRTUAL_TIME_UNSAFE
-// expect: WALL_CLOCK
 //
 // Known-bad, once: the worker loop reaches a real `thread::sleep`
-// through `Worker::run` (the sleep itself is also a WALL_CLOCK hit). The
-// AM thread calls its *own* `run`, which only steps its state machine;
-// resolving `Am::run(..)` and `self.run()` by name alone would wire a
-// phantom `am_thread -> Worker::run` edge and report a second, invented
-// path. Exactly one VIRTUAL_TIME_UNSAFE must fire: the worker's real one
+// through `Worker::run`. The AM thread calls its *own* `run`, which only
+// steps its state machine; resolving `Am::run(..)` and `self.run()` by
+// name alone would wire a phantom `am_thread -> Worker::run` edge and
+// report a second, invented path. Exactly one VIRTUAL_TIME_UNSAFE must fire: the worker's real one
 // (DESIGN.md §16).
 //
 // This file is a checker fixture, not part of the build.

@@ -1,7 +1,7 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! elan-verify [--root PATH] [--allow PATH] [--json] [--deny-unused-waivers]
+//! elan-verify [--root PATH] [--json]
 //! elan-verify --fixture FILE.rs [--json]
 //! elan-verify --self-test [--root PATH]
 //! elan-verify --emit-codec-surface [--root PATH]
@@ -16,37 +16,28 @@ use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use elan_verify::{
-    apply_waivers, find_root, parse_waivers, render_json, render_text, run_all, self_test,
-    Workspace,
-};
+use elan_verify::{find_root, render_json, render_text, run_all, self_test, Workspace};
 
 struct Args {
     root: Option<PathBuf>,
-    allow: Option<PathBuf>,
     fixture: Option<PathBuf>,
     json: bool,
     self_test: bool,
     emit_codec_surface: bool,
-    deny_unused_waivers: bool,
-    show_waived: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: elan-verify [--root PATH] [--allow PATH] [--json] [--deny-unused-waivers] \
-     [--show-waived] | --fixture FILE.rs | --self-test | --emit-codec-surface"
+    "usage: elan-verify [--root PATH] [--json] | --fixture FILE.rs | --self-test \
+     | --emit-codec-surface"
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
-        allow: None,
         fixture: None,
         json: false,
         self_test: false,
         emit_codec_surface: false,
-        deny_unused_waivers: false,
-        show_waived: false,
     };
     let mut it = env::args().skip(1);
     while let Some(a) = it.next() {
@@ -54,17 +45,12 @@ fn parse_args() -> Result<Args, String> {
             "--root" => {
                 args.root = Some(PathBuf::from(it.next().ok_or("--root requires a path")?));
             }
-            "--allow" => {
-                args.allow = Some(PathBuf::from(it.next().ok_or("--allow requires a path")?));
-            }
             "--fixture" => {
                 args.fixture = Some(PathBuf::from(it.next().ok_or("--fixture requires a file")?));
             }
             "--json" => args.json = true,
             "--self-test" => args.self_test = true,
             "--emit-codec-surface" => args.emit_codec_surface = true,
-            "--deny-unused-waivers" => args.deny_unused_waivers = true,
-            "--show-waived" => args.show_waived = true,
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
@@ -131,69 +117,23 @@ fn run(args: Args) -> Result<bool, String> {
         return Ok(true);
     }
 
-    // --fixture: analyse one standalone file with every rule enabled.
-    let (ws, root) = if let Some(fx) = &args.fixture {
-        (Workspace::load_fixture(fx)?, None)
-    } else {
-        let root = resolve_root(&args)?;
-        (Workspace::load(&root)?, Some(root))
+    // Check one standalone fixture (every rule enabled) or the workspace.
+    let ws = match &args.fixture {
+        Some(fx) => Workspace::load_fixture(fx)?,
+        None => Workspace::load(&resolve_root(&args)?)?,
     };
-
-    let mut diags = run_all(&ws)?;
-
-    // Waivers only apply to workspace runs (fixtures must fire raw).
-    let mut unused: Vec<String> = Vec::new();
-    if args.fixture.is_none() {
-        let allow_path = match &args.allow {
-            Some(p) => Some(p.clone()),
-            None => {
-                let default = root
-                    .as_ref()
-                    .map(|r| r.join("verify-allow.toml"))
-                    .filter(|p| p.is_file());
-                default
-            }
-        };
-        if let Some(p) = allow_path {
-            let waivers = parse_waivers(&p)?;
-            let applied = apply_waivers(&mut diags, waivers);
-            for w in &applied {
-                if w.used == 0 {
-                    unused.push(format!(
-                        "unused waiver at {}:{} (rule {}, file {})",
-                        p.display(),
-                        w.line,
-                        w.rule,
-                        w.file
-                    ));
-                }
-            }
-        }
-    }
-
-    let active = diags.iter().filter(|d| !d.waived).count();
-    let waived = diags.iter().filter(|d| d.waived).count();
-    let unused_fail = args.deny_unused_waivers && !unused.is_empty();
-    let clean = active == 0 && !unused_fail;
-
+    let diags = run_all(&ws)?;
     if args.json {
-        print!("{}", render_json(&diags, clean));
+        print!("{}", render_json(&diags));
     } else {
-        print!("{}", render_text(&diags, args.show_waived));
-        for u in &unused {
-            println!("warning: {u}");
-        }
+        print!("{}", render_text(&diags));
         println!(
-            "elan-verify: {} file(s) checked, {active} active diagnostic(s), {waived} waived",
-            ws.files.len()
+            "elan-verify: {} file(s) checked, {} diagnostic(s)",
+            ws.files.len(),
+            diags.len()
         );
     }
-    if unused_fail {
-        for u in &unused {
-            eprintln!("error (--deny-unused-waivers): {u}");
-        }
-    }
-    Ok(clean)
+    Ok(diags.is_empty())
 }
 
 fn resolve_root(args: &Args) -> Result<PathBuf, String> {

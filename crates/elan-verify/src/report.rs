@@ -2,8 +2,8 @@
 
 use std::fmt::Write as _;
 
-/// Stable invariant identifiers. These appear in diagnostics, waiver files,
-/// fixture `// expect:` headers, and CI logs — treat them as API.
+/// Stable invariant identifiers. These appear in diagnostics, fixture
+/// `// expect:` headers, and CI logs — treat them as API.
 pub mod rules {
     pub const LOCK_ORDER_CYCLE: &str = "LOCK_ORDER_CYCLE";
     pub const LOCK_ACROSS_SEND: &str = "LOCK_ACROSS_SEND";
@@ -11,27 +11,21 @@ pub mod rules {
     pub const PROTOCOL_UNEMITTED_EVENT: &str = "PROTOCOL_UNEMITTED_EVENT";
     pub const PROTOCOL_UNCONSTRUCTED_ERROR: &str = "PROTOCOL_UNCONSTRUCTED_ERROR";
     pub const PERSIST_BEFORE_ACT: &str = "PERSIST_BEFORE_ACT";
-    pub const PANIC_HYGIENE: &str = "PANIC_HYGIENE";
     pub const MAGIC_NUMBER: &str = "MAGIC_NUMBER";
-    pub const WALL_CLOCK: &str = "WALL_CLOCK";
-    pub const NETWORK_IO: &str = "NETWORK_IO";
     pub const BLOCKING_UNDER_LOCK: &str = "BLOCKING_UNDER_LOCK";
     pub const VIRTUAL_TIME_UNSAFE: &str = "VIRTUAL_TIME_UNSAFE";
     pub const TERM_FENCED_SEND: &str = "TERM_FENCED_SEND";
     pub const WIRE_COMPAT: &str = "WIRE_COMPAT";
 
     /// All rule IDs, for `--self-test` cross-checking.
-    pub const ALL: [&str; 14] = [
+    pub const ALL: [&str; 11] = [
         LOCK_ORDER_CYCLE,
         LOCK_ACROSS_SEND,
         PROTOCOL_UNHANDLED_MSG,
         PROTOCOL_UNEMITTED_EVENT,
         PROTOCOL_UNCONSTRUCTED_ERROR,
         PERSIST_BEFORE_ACT,
-        PANIC_HYGIENE,
         MAGIC_NUMBER,
-        WALL_CLOCK,
-        NETWORK_IO,
         BLOCKING_UNDER_LOCK,
         VIRTUAL_TIME_UNSAFE,
         TERM_FENCED_SEND,
@@ -40,7 +34,7 @@ pub mod rules {
 }
 
 /// One finding. `detail` is a rule-specific discriminator (variant name, lock
-/// pair, literal value) used for waiver matching.
+/// pair, literal value).
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     pub rule: &'static str,
@@ -50,9 +44,6 @@ pub struct Diagnostic {
     pub detail: String,
     pub message: String,
     pub hint: String,
-    pub waived: bool,
-    /// Set when suppressed by a waiver; carries the waiver's justification.
-    pub waived_reason: Option<String>,
 }
 
 impl Diagnostic {
@@ -73,53 +64,37 @@ impl Diagnostic {
             detail: detail.into(),
             message: message.into(),
             hint: hint.into(),
-            waived: false,
-            waived_reason: None,
         }
     }
 }
 
 /// Render diagnostics as human-readable text, one block per finding.
-pub fn render_text(diags: &[Diagnostic], show_waived: bool) -> String {
+pub fn render_text(diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     for d in diags {
-        if d.waived && !show_waived {
-            continue;
-        }
-        let status = if d.waived { " (waived)" } else { "" };
-        let _ = writeln!(
-            out,
-            "{}:{}: [{}]{} {}",
-            d.file, d.line, d.rule, status, d.message
-        );
+        let _ = writeln!(out, "{}:{}: [{}] {}", d.file, d.line, d.rule, d.message);
         if !d.func.is_empty() {
             let _ = writeln!(out, "    in: {}", d.func);
         }
         if !d.hint.is_empty() {
             let _ = writeln!(out, "    hint: {}", d.hint);
         }
-        if let Some(reason) = &d.waived_reason {
-            let _ = writeln!(out, "    waiver: {reason}");
-        }
     }
     out
 }
 
 /// Render diagnostics as a JSON document for the CI `invariants` job.
-pub fn render_json(diags: &[Diagnostic], clean: bool) -> String {
+pub fn render_json(diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let active = diags.iter().filter(|d| !d.waived).count();
-    let waived = diags.iter().filter(|d| d.waived).count();
-    let _ = writeln!(out, "  \"ok\": {},", clean);
-    let _ = writeln!(out, "  \"active\": {active},");
-    let _ = writeln!(out, "  \"waived\": {waived},");
+    let _ = writeln!(out, "  \"ok\": {},", diags.is_empty());
+    let _ = writeln!(out, "  \"active\": {},", diags.len());
     out.push_str("  \"diagnostics\": [\n");
     for (i, d) in diags.iter().enumerate() {
         let comma = if i + 1 == diags.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"func\": {}, \"detail\": {}, \"message\": {}, \"hint\": {}, \"waived\": {}}}{comma}",
+            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"func\": {}, \"detail\": {}, \"message\": {}, \"hint\": {}}}{comma}",
             json_str(d.rule),
             json_str(&d.file),
             d.line,
@@ -127,7 +102,6 @@ pub fn render_json(diags: &[Diagnostic], clean: bool) -> String {
             json_str(&d.detail),
             json_str(&d.message),
             json_str(&d.hint),
-            d.waived,
         );
     }
     out.push_str("  ]\n}\n");
@@ -166,16 +140,16 @@ mod tests {
     #[test]
     fn text_render_includes_rule_and_hint() {
         let d = Diagnostic::new(
-            rules::PANIC_HYGIENE,
+            rules::MAGIC_NUMBER,
             "crates/x/src/a.rs",
             10,
             "F::g",
-            "unwrap",
-            "naked unwrap",
-            "return a typed ElanError instead",
+            "64",
+            "bare reliability bound",
+            "name the bound in a const",
         );
-        let text = render_text(&[d], false);
-        assert!(text.contains("[PANIC_HYGIENE]"));
+        let text = render_text(&[d]);
+        assert!(text.contains("[MAGIC_NUMBER]"));
         assert!(text.contains("hint:"));
     }
 }

@@ -8,8 +8,7 @@
 //! - Every `EventKind` variant (`elan-rt/src/obs.rs`) must be constructed in
 //!   non-test code at least once; dead taxonomy entries rot the journal.
 //! - Every `ElanError` variant must be constructed somewhere in the
-//!   workspace, or explicitly waived (reserved variants document themselves
-//!   in `verify-allow.toml`).
+//!   workspace; a variant nothing raises is removed, not reserved.
 
 use crate::model::{EnumDef, Workspace};
 use crate::report::{rules, Diagnostic};
@@ -54,8 +53,7 @@ const ENUM_RULES: [EnumRule; 3] = [
         want_pattern: false,
         rule: rules::PROTOCOL_UNCONSTRUCTED_ERROR,
         message: "is never constructed",
-        hint: "construct it on the failing path, or waive it in verify-allow.toml with a \
-               reason (reserved variants must be documented)",
+        hint: "construct it on the failing path, or remove the variant",
     },
 ];
 

@@ -1,12 +1,12 @@
 //! End-to-end checks: the fixture suite behaves as declared and the real
-//! workspace passes clean under the checked-in waiver file. This is the
-//! same gate CI's `invariants` job runs via the binary; having it as a
-//! cargo test keeps `cargo test --workspace` self-contained.
+//! workspace passes clean. This is the same gate CI's `invariants` job
+//! runs via the binary; having it as a cargo test keeps
+//! `cargo test --workspace` self-contained.
 
 use std::path::{Path, PathBuf};
 
-use elan_verify::waiver::parse_waivers;
-use elan_verify::{apply_waivers, run_all, self_test, Workspace};
+use elan_verify::report::rules;
+use elan_verify::{run_all, self_test, Workspace};
 
 fn repo_root() -> PathBuf {
     // crates/elan-verify -> crates -> repo root
@@ -31,27 +31,10 @@ fn fixtures_fire_exactly_their_declared_rule() {
 }
 
 #[test]
-fn workspace_is_clean_under_checked_in_waivers() {
-    let root = repo_root();
-    let ws = Workspace::load(&root).expect("workspace loads");
-    let mut diags = run_all(&ws).expect("all rules run");
-    let waivers = parse_waivers(&root.join("verify-allow.toml")).expect("waiver file parses");
-    let applied = apply_waivers(&mut diags, waivers);
-    let active: Vec<_> = diags.iter().filter(|d| !d.waived).collect();
-    assert!(
-        active.is_empty(),
-        "workspace has unwaived diagnostics:\n{:#?}",
-        active
-    );
-    let stale: Vec<_> = applied
-        .iter()
-        .filter(|w| w.used == 0)
-        .map(|w| format!("{} @ {} (line {})", w.rule, w.file, w.line))
-        .collect();
-    assert!(
-        stale.is_empty(),
-        "stale waivers (no longer match anything): {stale:?}"
-    );
+fn workspace_is_clean() {
+    let ws = Workspace::load(&repo_root()).expect("workspace loads");
+    let diags = run_all(&ws).expect("all rules run");
+    assert!(diags.is_empty(), "workspace has diagnostics:\n{diags:#?}");
 }
 
 #[test]
@@ -83,20 +66,16 @@ fn wire_renumber_fixture_is_caught() {
 }
 
 #[test]
-fn reachability_rules_are_covered_by_fixtures() {
-    // The interprocedural rules each need a known-bad seed so the engine
-    // cannot silently stop resolving calls.
+fn every_rule_is_covered_by_a_fixture() {
+    // Each rule needs a known-bad seed so it cannot silently stop firing
+    // (for the interprocedural rules: the engine cannot silently stop
+    // resolving calls).
     let results = self_test(&repo_root()).expect("fixture suite runs");
     let covered: Vec<&str> = results
         .iter()
         .flat_map(|r| r.expected.iter().map(String::as_str))
         .collect();
-    for rule in [
-        "BLOCKING_UNDER_LOCK",
-        "VIRTUAL_TIME_UNSAFE",
-        "TERM_FENCED_SEND",
-        "WIRE_COMPAT",
-    ] {
+    for rule in rules::ALL {
         assert!(covered.contains(&rule), "no fixture covers {rule}");
     }
 }
@@ -127,18 +106,4 @@ fn committed_codec_surface_is_current() {
         "codec_surface.txt is stale; regenerate with \
          `cargo run -p elan-verify -- --emit-codec-surface > codec_surface.txt`"
     );
-}
-
-#[test]
-fn every_workspace_diagnostic_is_waived_with_a_reason() {
-    let root = repo_root();
-    let waivers = parse_waivers(&root.join("verify-allow.toml")).expect("waiver file parses");
-    for w in &waivers {
-        assert!(
-            !w.reason.trim().is_empty(),
-            "waiver for {} in {} has an empty reason",
-            w.rule,
-            w.file
-        );
-    }
 }

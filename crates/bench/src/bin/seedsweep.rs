@@ -48,32 +48,18 @@ use std::time::Duration;
 
 use elan_core::obs::json_escape;
 use elan_rt::epoch::{run_churn, ChurnConfig};
+use elan_rt::obs::journal_hash;
 use elan_rt::{
     audit, ChaosPolicy, ElasticRuntime, EndpointId, Event, EventKind, ReducePath, RuntimeConfig,
     TimeSource, TuningProfile,
 };
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Journal lines retained per divergent/failed run in the report.
 const REPORT_LINE_CAP: usize = 200;
 /// Seeds in the `--quick` (CI) sweep.
 const QUICK_SEEDS: u64 = 64;
 /// Seeds in the default sweep.
 const FULL_SEEDS: u64 = 256;
-
-fn fnv1a(lines: &[String]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for line in lines {
-        for &b in line.as_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        h = (h ^ u64::from(b'\n')).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Which end-to-end scenario the sweep replays per seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,15 +263,15 @@ fn sweep_seed(seed: u64, scenario: Scenario) -> Verdict {
         Ok(lines) => lines,
         Err(message) => return Verdict::Failed { message, prior: a },
     };
-    let (ha, hb) = (fnv1a(&a), fnv1a(&b));
+    let (ha, hb) = (journal_hash(&a), journal_hash(&b));
     if ha == hb {
         return Verdict::Ok { hash: ha };
     }
     // Confirm: a divergence should reproduce — replay twice more so the
     // report can say whether the seed is unstable or the first pair was a
     // one-off (either way it is a bug; the replay hashes aid triage).
-    let ra = run_once(seed, scenario).map(|l| fnv1a(&l)).unwrap_or(0);
-    let rb = run_once(seed, scenario).map(|l| fnv1a(&l)).unwrap_or(0);
+    let ra = run_once(seed, scenario).map(journal_hash).unwrap_or(0);
+    let rb = run_once(seed, scenario).map(journal_hash).unwrap_or(0);
     Verdict::Divergent {
         hashes: (ha, hb),
         replay: (ra, rb),

@@ -8,7 +8,6 @@
 //! (scheduler rejections, accelerator faults) without a breaking release.
 
 use crate::elasticity::RequestError;
-use crate::lease::LeaseError;
 
 /// Every failure the Elan runtime and core APIs can surface.
 ///
@@ -31,8 +30,6 @@ use crate::lease::LeaseError;
 pub enum ElanError {
     /// The adjustment request was malformed (§V-A service API).
     BadRequest(RequestError),
-    /// A liveness lease operation failed (§V-D fault tolerance).
-    Lease(LeaseError),
     /// The runtime was configured inconsistently (builder validation).
     Config(String),
     /// A restored snapshot did not match the expected shape.
@@ -48,7 +45,6 @@ impl std::fmt::Display for ElanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ElanError::BadRequest(e) => write!(f, "bad request: {e}"),
-            ElanError::Lease(e) => write!(f, "lease: {e}"),
             ElanError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             ElanError::SnapshotMismatch { expected, actual } => {
                 write!(
@@ -68,12 +64,6 @@ impl From<RequestError> for ElanError {
     }
 }
 
-impl From<LeaseError> for ElanError {
-    fn from(e: LeaseError) -> Self {
-        ElanError::Lease(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,8 +72,6 @@ mod tests {
     fn conversions_pick_the_right_variant() {
         let e: ElanError = RequestError::NoChange.into();
         assert!(matches!(e, ElanError::BadRequest(_)));
-        let e: ElanError = LeaseError::Unknown(crate::lease::LeaseId(7)).into();
-        assert!(matches!(e, ElanError::Lease(_)));
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub mod data;
 pub mod elasticity;
 pub mod error;
 pub mod job;
-pub mod lease;
 pub mod messages;
 pub mod obs;
 pub mod protocol;

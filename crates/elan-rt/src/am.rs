@@ -1722,7 +1722,6 @@ mod tests {
         /// the successor recovers from the record.
         fn failover(&mut self) -> Result<(), String> {
             self.store.term += 1;
-            self.store.epoch += 1;
             for _ in 0..3 {
                 if self.crashed {
                     break;
@@ -1735,8 +1734,7 @@ mod tests {
             }
             self.epoch += 1;
             self.term = self.store.term;
-            let mut record = self.store.clone();
-            record.epoch = self.epoch;
+            let record = self.store.clone();
             match record.phase {
                 AmPhase::Transferring { .. } => self.cov.recovered_transfers += 1,
                 AmPhase::Resuming { generation, .. } => self.owed_generation = Some(generation),
@@ -1887,7 +1885,7 @@ mod tests {
     /// was moving, with the dismissed worker 2 still parked.
     fn recovered_resuming(store_term: u64) -> (AmCore, Vec<Action>) {
         let mut record = AmDurable::founding(vec![w(0), w(1), w(2)]);
-        (record.term, record.epoch) = (2, 1);
+        record.term = 2;
         record.phase = AmPhase::Resuming {
             target: vec![w(0), w(1), w(3)],
             seq: Some(4),

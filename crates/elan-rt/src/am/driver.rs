@@ -1,13 +1,12 @@
 //! The AM thread: the driver of one incarnation's [`AmCore`]. It owns
 //! every effect the core only orders — the reliable endpoint, the clock,
-//! the lease, the collective and the shared control plane — feeds the
-//! core events, and runs each step's actions in order.
+//! the collective and the shared control plane, whose AM lease it keeps
+//! alive under its epoch — feeds the core events, and runs each step's
+//! actions in order.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-
-use elan_core::lease::LeaseId;
 
 use super::{Action, Actions, AmCore, Event, Now};
 use crate::bus::{Bus, Endpoint, EndpointId, RtMsg};
@@ -31,7 +30,6 @@ pub(crate) fn am_thread(
     comm: Arc<CommGroup>,
     ctrl: Arc<SharedControl>,
     epoch: u64,
-    lease: LeaseId,
 ) {
     let rep = ReliableEndpoint::new(
         bus,
@@ -44,7 +42,7 @@ pub(crate) fn am_thread(
     // Mark ownership before acting (persist-before-act): atomically bump
     // the fencing term, so any still-running predecessor's next persist
     // is rejected at the store.
-    let durable = ctrl.bump_term(epoch);
+    let durable = ctrl.bump_term();
     let term = durable.term;
     ctrl.obs.journal.emit(EventKind::TermBump { term });
     let grace = Duration::from_millis(ctrl.first_contact_grace_ms.load(Ordering::SeqCst));
@@ -62,7 +60,6 @@ pub(crate) fn am_thread(
         comm,
         ctrl,
         epoch,
-        lease,
         generation,
         core,
         acts,
@@ -85,8 +82,8 @@ struct Driver {
     rep: ReliableEndpoint,
     comm: Arc<CommGroup>,
     ctrl: Arc<SharedControl>,
+    /// The epoch this incarnation holds the AM lease under.
     epoch: u64,
-    lease: LeaseId,
     /// The collective's generation, as of this incarnation's last order.
     generation: u64,
     core: AmCore,
@@ -103,15 +100,12 @@ impl Driver {
             // A partitioned AM can neither refresh its lease (so the
             // watchdog elects a successor) nor observe the election: the
             // term fence is what stops it once superseded. Otherwise prove
-            // liveness; abdicate once the lease or the epoch is lost.
+            // liveness; abdicate once the lease lapsed or moved on.
             let isolated = self
                 .rep
                 .bus()
                 .is_partitioned(EndpointId::Am, EndpointId::Controller);
-            if !isolated
-                && (self.ctrl.keep_alive(self.lease).is_err()
-                    || self.ctrl.epoch.load(Ordering::SeqCst) != self.epoch)
-            {
+            if !isolated && !self.ctrl.keep_alive(self.epoch) {
                 return;
             }
             self.give_ups();
@@ -191,8 +185,7 @@ impl Driver {
                         // Served: let the ack drain, then surrender the
                         // lease so the watchdog stays quiet.
                         self.drain_pending(Duration::from_secs(5));
-                        *self.ctrl.current_lease.lock() = None;
-                        self.ctrl.leases.lock().revoke(self.lease);
+                        self.ctrl.surrender(self.epoch);
                     }
                     return false;
                 }
@@ -212,7 +205,7 @@ impl Driver {
             // triggers a pointless succession; keep proving liveness. A
             // failed renewal means a successor already owns the job — stop
             // draining and let the fence abort whatever comes next.
-            if self.ctrl.keep_alive(self.lease).is_err() {
+            if !self.ctrl.keep_alive(self.epoch) {
                 return;
             }
             self.give_ups();

@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use elan_core::protocol::EpochPhase;
 use elan_core::state::WorkerId;
 
-use crate::obs::{Emit, Event, EventJournal, EventKind};
+use crate::obs::{journal_hash, Emit, Event, EventJournal, EventKind};
 use crate::reliable::REMOTE_FIRST_CONTACT_GRACE_MS;
 use crate::time::{splitmix64 as mix, TimeSource};
 
@@ -923,13 +923,6 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
 
     let events = journal.events();
     let summary = journal.summary();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for e in &events {
-        for b in format!("{e:?}").bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h = (h ^ u64::from(b'\n')).wrapping_mul(0x0000_0100_0000_01b3);
-    }
     ChurnReport {
         population: cfg.population,
         seed: cfg.seed,
@@ -943,7 +936,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
         leaves,
         crashes,
         peak_members,
-        journal_hash: h,
+        journal_hash: journal_hash(events.iter().map(|e| format!("{e:?}"))),
         events,
     }
 }

@@ -3,12 +3,12 @@
 //!
 //! The design follows Elan §V-D: the application master persists every
 //! state transition to a term-fenced durable record *before* acting on it
-//! (`SharedControl::persist`), and proves its own liveness by refreshing a
-//! lease in a [`LeaseManager`] shared with a watchdog. When the lease
-//! lapses — because the AM thread died or was deliberately crashed by a
-//! test — the watchdog elects a replacement AM at a higher epoch, which
-//! bumps the record's term, reads it back and resumes whatever adjustment
-//! was in flight.
+//! (`SharedControl::persist`), and proves its own liveness by refreshing
+//! the one AM lease in `SharedControl` — which epoch holds it and when it
+//! last refreshed. When the lease lapses — because the AM thread died or
+//! was deliberately crashed by a test — the watchdog elects a replacement
+//! AM at the next epoch, which bumps the record's term, reads it back and
+//! resumes whatever adjustment was in flight.
 //!
 //! Workers prove their liveness with periodic heartbeats; the AM-side
 //! `HeartbeatMonitor` turns missed heartbeats into failure-driven
@@ -21,7 +21,6 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
-use elan_core::lease::{LeaseId, LeaseManager, LeaseState};
 use elan_core::protocol::EpochPhase;
 use elan_core::state::WorkerId;
 use elan_sim::{SimDuration, SimTime};
@@ -34,8 +33,8 @@ use crate::time::{std_to_sim, JoinHandle, TimeSource};
 /// The runtime's [`arm_am_crash`](crate::ElasticRuntime::arm_am_crash)
 /// plants one of these; the AM thread checks the flag at the matching
 /// point of its adjustment pipeline and, if set, simply returns — without
-/// revoking its lease — so the watchdog must notice the silence and elect
-/// a replacement.
+/// surrendering its lease — so the watchdog must notice the silence and
+/// elect a replacement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Die right after persisting `Transferring`, before sending any
@@ -114,8 +113,6 @@ pub(crate) struct PendingOp {
 /// cluster's observed state and replaying from it is safe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct AmDurable {
-    /// The epoch of the AM that last wrote the record.
-    pub epoch: u64,
     /// Monotonic fencing term: bumped by every AM incarnation before it
     /// acts ([`SharedControl::bump_term`]). Writes carrying an older term
     /// are rejected by [`SharedControl::persist`], so a partitioned
@@ -144,7 +141,6 @@ impl AmDurable {
     /// A fresh record for a founding membership.
     pub(crate) fn founding(members: Vec<WorkerId>) -> Self {
         AmDurable {
-            epoch: 0,
             term: 0,
             members,
             phase: AmPhase::Steady,
@@ -157,26 +153,34 @@ impl AmDurable {
     }
 }
 
+/// The AM lease (§V-D): the incarnation that holds it and when it last
+/// proved liveness. `refreshed` is `None` once the holder surrendered
+/// the lease on a served stop.
+#[derive(Debug)]
+struct AmLease {
+    /// Founding AM 0, one more per election.
+    epoch: u64,
+    refreshed: Option<SimTime>,
+}
+
 /// Control-plane state shared by the controller, AM, watchdog, and tests.
 ///
 /// This is the "etcd" of the miniature cluster: the durable AM record, the
-/// lease table, crash-injection flags, and the authoritative membership
-/// view.
+/// AM lease, crash-injection flags, and the authoritative membership view.
 pub(crate) struct SharedControl {
     /// Durable AM record (persist-before-act), term-fenced by
     /// [`persist`](Self::persist). Seeded at construction with an empty
     /// founding membership at term 0.
     durable: Mutex<AmDurable>,
-    /// Lease table proving AM liveness.
-    pub leases: Mutex<LeaseManager>,
-    /// The runtime clock the lease table (and heartbeat reasoning) ticks
-    /// on — one [`SimTime`] axis shared with the bus, the retry trackers
-    /// and the event journal.
+    /// The AM lease: the live incarnation's epoch and its last refresh.
+    lease: Mutex<AmLease>,
+    /// How long a refresh keeps the lease alive: it is valid on
+    /// `[refreshed, refreshed + lease_ttl)`.
+    lease_ttl: SimDuration,
+    /// The runtime clock the lease (and heartbeat reasoning) ticks on —
+    /// one [`SimTime`] axis shared with the bus, the retry trackers and
+    /// the event journal.
     time: TimeSource,
-    /// The lease currently held by the active AM.
-    pub current_lease: Mutex<Option<LeaseId>>,
-    /// Monotone AM incarnation counter; bumped by the watchdog on takeover.
-    pub epoch: AtomicU64,
     /// Authoritative current membership (updated by the AM on resume).
     pub members: Mutex<Vec<WorkerId>>,
     /// Set once at shutdown; every loop exits when it observes this.
@@ -215,15 +219,16 @@ impl SharedControl {
     }
 
     /// Creates the shared control plane ticking on the runtime's clock.
+    /// The founding AM (epoch 0) holds the lease from this instant.
     pub(crate) fn with_time(lease_ttl: Duration, obs: Arc<Obs>, time: TimeSource) -> Self {
         SharedControl {
             durable: Mutex::new(AmDurable::founding(Vec::new())),
-            leases: Mutex::new(LeaseManager::new(SimDuration::from_nanos(
-                lease_ttl.as_nanos().max(1) as u64,
-            ))),
+            lease: Mutex::new(AmLease {
+                epoch: 0,
+                refreshed: Some(time.now()),
+            }),
+            lease_ttl: std_to_sim(lease_ttl),
             time,
-            current_lease: Mutex::new(None),
-            epoch: AtomicU64::new(0),
             members: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             am_crash: Mutex::new(None),
@@ -240,28 +245,42 @@ impl SharedControl {
         self.time.now()
     }
 
-    /// Grants a fresh AM lease and records it as current.
-    pub(crate) fn grant_lease(&self) -> LeaseId {
-        let id = self.leases.lock().grant(self.now_sim());
-        *self.current_lease.lock() = Some(id);
-        id
+    /// Elects the next AM incarnation: moves the lease to the next epoch
+    /// and refreshes it for that epoch, in one step. Returns the epoch.
+    pub(crate) fn elect(&self) -> u64 {
+        let mut lease = self.lease.lock();
+        lease.epoch += 1;
+        lease.refreshed = Some(self.now_sim());
+        lease.epoch
     }
 
-    /// Refreshes `id`; an `Err` means the holder must abdicate.
-    pub fn keep_alive(&self, id: LeaseId) -> Result<(), elan_core::lease::LeaseError> {
-        self.leases.lock().keep_alive(id, self.now_sim())
+    /// Refreshes the lease for `epoch`. False — the caller must abdicate —
+    /// unless `epoch` holds the lease and it has not lapsed.
+    pub(crate) fn keep_alive(&self, epoch: u64) -> bool {
+        let now = self.now_sim();
+        let mut lease = self.lease.lock();
+        match lease.refreshed {
+            Some(t) if lease.epoch == epoch && now < t + self.lease_ttl => {
+                lease.refreshed = Some(now);
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// True if the current lease (if any) has expired — i.e. the active
-    /// AM has stopped proving liveness and a takeover is warranted.
+    /// True if the lease lapsed unsurrendered — the active AM has stopped
+    /// proving liveness and a takeover is warranted.
     pub(crate) fn lease_expired(&self) -> bool {
-        let current = *self.current_lease.lock();
-        match current {
-            None => false,
-            Some(id) => matches!(
-                self.leases.lock().state(id, self.now_sim()),
-                None | Some(LeaseState::Expired { .. })
-            ),
+        let now = self.now_sim();
+        matches!(self.lease.lock().refreshed, Some(t) if now >= t + self.lease_ttl)
+    }
+
+    /// Gives up `epoch`'s lease after a served stop, so the watchdog
+    /// stays quiet. A superseded epoch surrenders nothing.
+    pub(crate) fn surrender(&self, epoch: u64) {
+        let mut lease = self.lease.lock();
+        if lease.epoch == epoch {
+            lease.refreshed = None;
         }
     }
 
@@ -293,14 +312,13 @@ impl SharedControl {
         self.durable.lock().term
     }
 
-    /// Atomically bumps the fencing term (and stamps `epoch`) on the
-    /// durable record — the first thing every AM incarnation does, so
-    /// that any still-running predecessor's next [`persist`](Self::persist)
-    /// is fenced. Returns the updated record.
-    pub(crate) fn bump_term(&self, epoch: u64) -> AmDurable {
+    /// Atomically bumps the fencing term on the durable record — the
+    /// first thing every AM incarnation does, so that any still-running
+    /// predecessor's next [`persist`](Self::persist) is fenced. Returns
+    /// the updated record.
+    pub(crate) fn bump_term(&self) -> AmDurable {
         let mut durable = self.durable.lock();
         durable.term += 1;
-        durable.epoch = epoch;
         durable.clone()
     }
 
@@ -330,7 +348,7 @@ impl SharedControl {
 /// AM-side failure detector over worker heartbeats.
 ///
 /// Ticks on the runtime's shared [`SimTime`] axis — the AM feeds it
-/// readings from the same [`TimeSource`] the bus and lease table use, so
+/// readings from the same [`TimeSource`] the bus and lease use, so
 /// under virtual time the failure threshold is exact and testable to the
 /// nanosecond.
 #[derive(Debug)]
@@ -456,13 +474,13 @@ mod tests {
     }
 
     #[test]
-    fn bump_term_is_monotonic_and_stamps_epoch() {
+    fn bump_term_is_monotonic() {
         let ctrl = SharedControl::new(Duration::from_millis(100), Obs::new_default());
         assert!(ctrl.persist(AmDurable::founding(vec![WorkerId(0)])));
-        let first = ctrl.bump_term(1);
-        assert_eq!((first.term, first.epoch), (1, 1));
-        let second = ctrl.bump_term(5);
-        assert_eq!((second.term, second.epoch), (2, 5));
+        let first = ctrl.bump_term();
+        assert_eq!(first.term, 1);
+        let second = ctrl.bump_term();
+        assert_eq!(second.term, 2);
         assert_eq!(stored(&ctrl), second);
         // The fenced-out first incarnation can no longer write.
         assert!(!ctrl.persist(first));
@@ -489,9 +507,8 @@ mod tests {
                 let arg = op / 3;
                 let record = match op % 3 {
                     0 => {
-                        let bumped = ctrl.bump_term(arg % 100);
+                        let bumped = ctrl.bump_term();
                         prop_assert_eq!(bumped.term, before.term + 1);
-                        prop_assert_eq!(bumped.epoch, arg % 100);
                         prop_assert_eq!(&stored(&ctrl), &bumped);
                         prop_assert_eq!(rejections(), rejected_before);
                         incarnations.push(bumped);
@@ -563,13 +580,128 @@ mod tests {
         time.register_current();
         let ctrl =
             SharedControl::with_time(Duration::from_millis(20), Obs::new_default(), time.clone());
-        assert!(!ctrl.lease_expired(), "no lease yet");
-        let id = ctrl.grant_lease();
-        assert!(ctrl.keep_alive(id).is_ok());
+        assert!(!ctrl.lease_expired(), "the founding lease is fresh");
+        assert!(ctrl.keep_alive(0));
         time.sleep(Duration::from_millis(40));
         assert!(ctrl.lease_expired());
-        assert!(ctrl.keep_alive(id).is_err());
+        assert!(!ctrl.keep_alive(0));
         time.deregister();
+    }
+
+    /// A control plane whose lease lives `ttl_ns`, on a virtual clock the
+    /// calling thread joins; deregister with [`TimeSource::deregister`].
+    fn leased(ttl_ns: u64, seed: u64) -> (TimeSource, SharedControl) {
+        let time = TimeSource::virtual_seeded(seed);
+        time.register_current();
+        let ttl = Duration::from_nanos(ttl_ns);
+        let ctrl = SharedControl::with_time(ttl, Obs::new_default(), time.clone());
+        (time, ctrl)
+    }
+
+    /// Moves the virtual clock on to the absolute instant `at_ns`.
+    fn advance_to(time: &TimeSource, at_ns: u64) {
+        let now = time.now().as_nanos();
+        time.sleep(Duration::from_nanos(at_ns.saturating_sub(now)));
+    }
+
+    proptest! {
+        /// The lease is alive exactly on `[refresh, refresh + ttl)`: under
+        /// random probes and refreshes, `lease_expired` and `keep_alive`
+        /// both agree with a model that knows only the last successful
+        /// refresh, and a refresh succeeds iff the lease was alive.
+        #[test]
+        fn lease_is_alive_exactly_until_refresh_plus_ttl(
+            ttl in 1u64..1_000_000,
+            advances in prop::collection::vec(0u64..2_000_000, 1..30),
+            refresh_bits in prop::collection::vec(prop::bool::ANY, 30..31),
+        ) {
+            let (time, ctrl) = leased(ttl, 1);
+            let mut refreshed = 0;
+            for (&advance, &refresh) in advances.iter().zip(&refresh_bits) {
+                advance_to(&time, time.now().as_nanos() + advance);
+                let now = time.now().as_nanos();
+                let alive = now < refreshed + ttl;
+                prop_assert_eq!(ctrl.lease_expired(), !alive, "at {}", now);
+                if refresh {
+                    prop_assert_eq!(ctrl.keep_alive(0), alive, "refresh at {}", now);
+                    if alive {
+                        refreshed = now;
+                    }
+                }
+            }
+            time.deregister();
+        }
+
+        /// A later refresh never expires earlier: after refreshes at
+        /// `a <= b` (both while alive), the lease outlives `a + ttl` and
+        /// lapses exactly at `b + ttl`.
+        #[test]
+        fn a_later_refresh_never_expires_earlier(
+            ttl in 2u64..10_000_000,
+            raw_a in 0u64..10_000_000,
+            raw_b in 0u64..10_000_000,
+        ) {
+            let a = raw_a % ttl;
+            let b = a + raw_b % ttl;
+            let (time, ctrl) = leased(ttl, 2);
+            advance_to(&time, a);
+            prop_assert!(ctrl.keep_alive(0));
+            advance_to(&time, b);
+            prop_assert!(ctrl.keep_alive(0));
+            advance_to(&time, a + ttl - 1);
+            prop_assert!(!ctrl.lease_expired(), "lapsed before the first expiry");
+            advance_to(&time, b + ttl - 1);
+            prop_assert!(!ctrl.lease_expired(), "lapsed before the last expiry");
+            advance_to(&time, b + ttl);
+            prop_assert!(ctrl.lease_expired(), "alive past the last expiry");
+            time.deregister();
+        }
+
+        /// A superseded epoch can never refresh: after each election every
+        /// earlier epoch's `keep_alive` fails at any instant — even inside
+        /// the holder's window — and leaves the holder's expiry untouched.
+        #[test]
+        fn a_superseded_epoch_never_refreshes(
+            ttl in 1u64..1_000_000,
+            gaps in prop::collection::vec(0u64..2_000_000, 1..10),
+            probes in prop::collection::vec(0u64..2_000_000, 10..11),
+        ) {
+            let (time, ctrl) = leased(ttl, 3);
+            for (expected, (&gap, &probe)) in (1u64..).zip(gaps.iter().zip(&probes)) {
+                advance_to(&time, time.now().as_nanos() + gap);
+                prop_assert_eq!(ctrl.elect(), expected);
+                let elected = time.now().as_nanos();
+                advance_to(&time, elected + probe);
+                for old in 0..expected {
+                    prop_assert!(!ctrl.keep_alive(old), "epoch {} refreshed", old);
+                }
+                prop_assert_eq!(ctrl.lease_expired(), probe >= ttl);
+            }
+            time.deregister();
+        }
+
+        /// A surrendered lease never reads expired, and refuses refreshes,
+        /// at every later instant; a superseded epoch surrenders nothing.
+        #[test]
+        fn a_surrendered_lease_never_reads_expired(
+            ttl in 1u64..1_000_000,
+            surrender_at in 0u64..2_000_000,
+            probes in prop::collection::vec(0u64..4_000_000, 1..20),
+        ) {
+            let (time, ctrl) = leased(ttl, 4);
+            advance_to(&time, surrender_at);
+            let epoch = ctrl.elect();
+            ctrl.surrender(epoch - 1);
+            advance_to(&time, surrender_at + ttl);
+            prop_assert!(ctrl.lease_expired(), "a superseded surrender took effect");
+            ctrl.surrender(epoch);
+            for &probe in &probes {
+                advance_to(&time, time.now().as_nanos() + probe);
+                prop_assert!(!ctrl.lease_expired());
+                prop_assert!(!ctrl.keep_alive(epoch));
+            }
+            time.deregister();
+        }
     }
 
     #[test]
@@ -658,47 +790,46 @@ mod tests {
     #[test]
     fn lease_expiring_exactly_at_the_watchdog_poll_tick() {
         // The lease TTL and the watchdog poll land on the same virtual
-        // instant: `LeaseManager::state` treats `expires_at == now` as
-        // expired (a lease is valid for [grant, grant+ttl)), so the poll
-        // that coincides with the boundary must already observe expiry —
-        // and one tick earlier must not.
+        // instant: the lease is valid for [refresh, refresh+ttl), so
+        // `now == refresh + ttl` already reads expired, and the poll that
+        // coincides with the boundary must observe expiry — and one tick
+        // earlier must not.
         let time = TimeSource::virtual_seeded(4);
         time.register_current();
         let ttl = Duration::from_millis(30);
         let ctrl = SharedControl::with_time(ttl, Obs::new_default(), time.clone());
-        let id = ctrl.grant_lease();
         time.sleep(Duration::from_nanos(30_000_000 - 1));
         assert!(!ctrl.lease_expired(), "one tick before the boundary");
         time.sleep(Duration::from_nanos(1));
-        assert!(ctrl.lease_expired(), "poll exactly at grant+ttl");
-        assert!(ctrl.keep_alive(id).is_err());
+        assert!(ctrl.lease_expired(), "poll exactly at refresh+ttl");
+        assert!(!ctrl.keep_alive(0));
         time.deregister();
     }
 
     #[test]
     fn double_election_after_am_replacement_is_keyed_to_current_lease() {
         // Two watchdog-style observers race after an AM death: the first
-        // election grants a fresh lease and installs it as current; the
+        // election moves the lease to the next epoch and refreshes it; the
         // second observer re-checking `lease_expired()` must now see a
         // healthy lease and stand down instead of electing again.
         let time = TimeSource::virtual_seeded(6);
         time.register_current();
         let ctrl =
             SharedControl::with_time(Duration::from_millis(20), Obs::new_default(), time.clone());
-        let first = ctrl.grant_lease();
+        let first = 0;
         time.sleep(Duration::from_millis(25));
         // Both observers see the dead AM...
         assert!(ctrl.lease_expired());
         assert!(ctrl.lease_expired());
-        // ...observer A wins the election and grants the replacement lease.
-        let second = ctrl.grant_lease();
+        // ...observer A wins the election at the next epoch.
+        let second = ctrl.elect();
         assert_ne!(first, second);
         // Observer B's re-check after A's takeover: no second election.
         assert!(!ctrl.lease_expired(), "second observer must stand down");
         // The dead incarnation's lease stays dead even if its thread limps
         // back and tries to keep alive.
-        assert!(ctrl.keep_alive(first).is_err());
-        assert!(ctrl.keep_alive(second).is_ok());
+        assert!(!ctrl.keep_alive(first));
+        assert!(ctrl.keep_alive(second));
         time.deregister();
     }
 }

@@ -481,6 +481,20 @@ impl Event {
     }
 }
 
+/// FNV-1a over a journal rendered one line per event (the event's `Debug`
+/// form), each line followed by `\n`: the determinism hash seed sweeps
+/// compare and the churn storm reports.
+pub fn journal_hash<S: AsRef<str>>(lines: impl IntoIterator<Item = S>) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for line in lines {
+        for &b in line.as_ref().as_bytes().iter().chain(b"\n") {
+            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+    }
+    h
+}
+
 /// A consumer of journal events. Implementations must be cheap and
 /// non-blocking: sinks run inline on runtime threads.
 pub trait EventSink: Send + Sync {

@@ -16,9 +16,10 @@
 //!   envelopes, and the reliable layer's resend/dedup masks reconnects;
 //! - its own [`Obs`] journal and real-time [`TimeSource`] (virtual time
 //!   cannot cross a process boundary; the socket transport rejects it);
-//! - a private `SharedControl`: crash injection, leases, and the
+//! - a private `SharedControl`: crash injection, the AM lease and the
 //!   durable AM record are coordinator-side concerns, so the worker's
-//!   copy stays inert — `worker_crashed` never fires remotely;
+//!   copy stays inert — no AM runs here, nothing polls its lease, and
+//!   `worker_crashed` never fires remotely;
 //! - a **solo** [`CommGroup`] holding only itself. The control plane
 //!   (reports, coordination, state replication, rejoin) runs across
 //!   processes; the data-plane allreduce stays process-local, so each

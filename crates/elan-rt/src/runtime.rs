@@ -986,17 +986,16 @@ fn spawn_am(
     epoch: u64,
 ) -> JoinHandle<()> {
     let endpoint = bus.register(EndpointId::Am);
-    let lease = ctrl.grant_lease();
     let (bus, comm, ctrl) = (bus.clone(), Arc::clone(comm), Arc::clone(ctrl));
     bus.time()
         .clone()
         .spawn(format!("elan-am-e{epoch}"), move || {
-            am_thread(cfg, bus, endpoint, comm, ctrl, epoch, lease)
+            am_thread(cfg, bus, endpoint, comm, ctrl, epoch)
         })
 }
 
-/// Polls the AM lease; when it lapses (the AM died or was crashed), bumps
-/// the epoch and elects a replacement AM that recovers from the durable
+/// Polls the AM lease; when it lapses (the AM died or was crashed), elects
+/// a replacement AM at the next epoch that recovers from the durable
 /// record — Elan's watchdog-driven AM failover.
 fn watchdog_thread(cfg: RuntimeConfig, bus: Bus, comm: Arc<CommGroup>, ctrl: Arc<SharedControl>) {
     loop {
@@ -1008,7 +1007,7 @@ fn watchdog_thread(cfg: RuntimeConfig, bus: Bus, comm: Arc<CommGroup>, ctrl: Arc
             continue;
         }
         // Takeover: supersede the silent AM and install a replacement.
-        let epoch = ctrl.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        let epoch = ctrl.elect();
         ctrl.obs.rt.am_recoveries.inc();
         ctrl.obs.journal.emit(EventKind::AmElected { epoch });
         bus.unregister(EndpointId::Am);

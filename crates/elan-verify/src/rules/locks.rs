@@ -6,8 +6,8 @@
 //!   counted — only `Mutex` exposes an argument-free `.lock()`), or
 //!   `.read()`/`.write()` when the receiver is a field declared `RwLock<..>`
 //!   anywhere in the workspace. Same-named fields unify into one node; this
-//!   matches the codebase (e.g. `SharedControl::leases` touched from both
-//!   `liveness.rs` and `runtime.rs`) at the cost of merging unrelated locks
+//!   matches the codebase (e.g. `SharedControl::members` touched from both
+//!   `am/driver.rs` and `runtime.rs`) at the cost of merging unrelated locks
 //!   that share a name.
 //! - `let`-bound guards are held until their block closes, `drop(guard)`, or
 //!   rebinding; temporaries are held until the end of their statement (`;` at

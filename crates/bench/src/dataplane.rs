@@ -1027,6 +1027,13 @@ pub const CODEC_SPEEDUP_FLOOR: f64 = 1.25;
 /// like-for-like — the speedup floor (check 1) still applies to every
 /// fresh cell, because both engines share whatever window the cell used.
 ///
+/// Against the committed full-mode baseline, the `--quick` sweep CI runs
+/// fires fewer checks than the list above suggests. [`rounds_for`] halves
+/// every quick round count, so no quick allreduce cell is like-for-like
+/// and check 2 never fires; the quick replication shape
+/// `(65_536, 2, 8_192)` is not in the full grid, so check 3 never fires
+/// either. In CI the gate is checks 1, 4 and 5.
+///
 /// # Errors
 ///
 /// Returns a newline-separated list of every violation.

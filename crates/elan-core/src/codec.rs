@@ -488,8 +488,12 @@ wire_tags! {
 
 /// Generates the [`RtMsg`] encoder, decoder and payload size from the
 /// one wire table below: a tag byte, then each listed field in order.
+/// A tag given to two rows leaves the later decode arm unreachable, and
+/// a variant listed twice leaves its later encode arm unreachable; both
+/// are build errors.
 macro_rules! wire_msgs {
     ($($tag:literal => $v:ident { $($f:ident),* }),* $(,)?) => {
+        #[deny(unreachable_patterns)]
         impl Wire for RtMsg {
             #[inline]
             fn put(&self, w: &mut Writer) {
@@ -560,8 +564,9 @@ const FRAME_HELLO: u8 = 0;
 const FRAME_MSG: u8 = 1;
 
 // The `RtMsg` wire table. Append-only: a new variant takes the next free
-// tag, and shipped tags and field orders never change (WIRE_COMPAT pins
-// the tags against `codec_surface.txt`; the golden corpus pins the bytes).
+// tag, and shipped tags and field orders never change. The compiler
+// rejects a reused tag or a repeated variant, and the golden-frame corpus
+// (`tests/golden_frames.rs`) pins every tag, frame kind and version byte.
 wire_msgs! {
     0 => Report { worker },
     1 => Coordinate { worker, iteration },

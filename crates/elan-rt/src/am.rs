@@ -1252,7 +1252,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::time::splitmix64;
+    use elan_sim::rng::splitmix64;
 
     const INTERVAL: u64 = 5;
     const HB_TIMEOUT: Duration = Duration::from_millis(400);

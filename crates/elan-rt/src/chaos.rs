@@ -23,11 +23,12 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use elan_sim::rng::splitmix64 as mix;
 use elan_sim::SimTime;
 
 use crate::bus::{EndpointId, Envelope};
 use crate::obs::ChaosFate;
-use crate::time::{splitmix64 as mix, std_to_sim};
+use crate::time::std_to_sim;
 
 /// One named, scripted partition: a bidirectional edge cut between
 /// `groups` that is open for virtual times in `[from, until)`.

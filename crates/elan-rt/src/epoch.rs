@@ -38,10 +38,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use elan_core::protocol::EpochPhase;
 use elan_core::state::WorkerId;
+use elan_sim::rng::splitmix64 as mix;
 
 use crate::obs::{journal_hash, Emit, Event, EventJournal, EventKind};
 use crate::reliable::REMOTE_FIRST_CONTACT_GRACE_MS;
-use crate::time::{splitmix64 as mix, TimeSource};
+use crate::time::TimeSource;
 
 /// Configuration of the epoch machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -65,6 +65,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use elan_sim::rng::splitmix64;
 use elan_sim::{SimDuration, SimTime};
 use parking_lot::{Condvar, Mutex};
 
@@ -518,16 +519,6 @@ impl VirtualClock {
             );
         }
     }
-}
-
-/// SplitMix64 step — the deterministic dice behind every seeded choice
-/// in this crate (schedule picks, chaos fates, epoch draws). Small,
-/// seedable, and *not* for anything cryptographic.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

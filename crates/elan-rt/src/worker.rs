@@ -278,7 +278,10 @@ impl SnapshotAssembly {
         Self::default()
     }
 
-    /// Applies one chunk to the destination buffers.
+    /// Applies one chunk to the destination buffers. The header is
+    /// peer-controlled: a chunk whose range runs past its buffer, or
+    /// that claims more chunks than the buffer has elements, is dropped
+    /// without touching the buffers or the assembly.
     #[expect(
         clippy::too_many_arguments,
         reason = "the chunk header fields arrive unpacked from each message variant"
@@ -295,6 +298,17 @@ impl SnapshotAssembly {
         params: &mut [f32],
         momentum: &mut [f32],
     ) -> Option<(u64, u64)> {
+        let dst = match kind {
+            StateKind::Params => params,
+            StateKind::Momentum => momentum,
+        };
+        if total as usize > dst.len() {
+            return None;
+        }
+        let off = usize::try_from(offset).unwrap_or(usize::MAX);
+        let slot = off
+            .checked_add(data.len())
+            .and_then(|end| dst.get_mut(off..end))?;
         match self.assembling {
             Some(cur) if iteration < cur => return None, // stale replay
             Some(cur) if iteration == cur => {
@@ -319,12 +333,7 @@ impl SnapshotAssembly {
                 .get_or_insert_with(|| ChunkAssembler::new(total as usize)),
         };
         if asm.accept(index as usize) {
-            let off = offset as usize;
-            let dst = match kind {
-                StateKind::Params => params,
-                StateKind::Momentum => momentum,
-            };
-            dst[off..off + data.len()].copy_from_slice(data);
+            slot.copy_from_slice(data);
         }
         let complete = self.params.as_ref().is_some_and(|a| a.is_complete())
             && self.momentum.as_ref().is_some_and(|a| a.is_complete());
@@ -1157,6 +1166,37 @@ mod tests {
         }
         assert_eq!(p, new);
         assert_eq!(m, new);
+    }
+
+    #[test]
+    fn out_of_bounds_chunk_headers_are_dropped() {
+        let mut p = vec![0.0f32; 10];
+        let mut m = vec![0.0f32; 10];
+        let mut asm = SnapshotAssembly::new();
+        let data = [1.0f32; 4];
+        // A range past the buffer, a range whose end overflows, and chunk
+        // counts the buffer cannot hold (one would size a 4 GiB assembler).
+        for (total, offset) in [(1, 7), (1, u64::MAX), (11, 0), (u32::MAX, 0)] {
+            for kind in [StateKind::Params, StateKind::Momentum] {
+                assert!(asm
+                    .offer(kind, 3, 0, 0, total, offset, &data, &mut p, &mut m)
+                    .is_none());
+            }
+        }
+        assert_eq!(p, vec![0.0; 10]);
+        assert_eq!(m, vec![0.0; 10]);
+        // The dropped chunks left no trace: the real snapshot for the same
+        // iteration still lands whole.
+        let full = vec![2.0f32; 10];
+        let mut done = None;
+        for &(k, i, t, o, ref d) in &build_state_chunks(&full, &full, 4) {
+            if let Some(f) = asm.offer(k, 3, 0, i, t, o, d, &mut p, &mut m) {
+                done = Some(f);
+            }
+        }
+        assert_eq!(done, Some((3, 0)));
+        assert_eq!(p, full);
+        assert_eq!(m, full);
     }
 
     #[test]

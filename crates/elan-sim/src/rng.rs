@@ -66,8 +66,12 @@ impl SeedStream {
     }
 }
 
-/// SplitMix64 finalizer — a well-tested 64-bit mixing function.
-fn splitmix64(mut z: u64) -> u64 {
+/// SplitMix64 finalizer — a well-tested 64-bit mixing function, and the
+/// deterministic dice behind every seeded choice of the runtime (virtual
+/// schedule picks, chaos fates, witness draws). Small, seedable, and
+/// *not* for anything cryptographic.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -678,7 +678,6 @@ mod tests {
         Workspace {
             files: vec![parse_source(src, "t.rs".into(), "t".into())],
             fixture_mode: true,
-            root: None,
         }
     }
 

@@ -26,10 +26,6 @@
 //! - **Term-fenced sends** (`TERM_FENCED_SEND`): AM-originated authority
 //!   messages carry a fencing term and only flow on `persist_fenced`-
 //!   guarded paths (DESIGN.md §13/§16).
-//! - **Wire compatibility** (`WIRE_COMPAT`): the codec's one `wire_msgs!`
-//!   table reuses no tag and lists no variant twice, and its tags, the
-//!   frame kinds and the framing constants match the committed
-//!   `codec_surface.txt` manifest; tags are append-only (DESIGN.md §16).
 //!
 //! The lock, blocking, virtual-time, and fencing rules share one
 //! interprocedural reachability engine ([`engine::Engine`]): a cross-crate
@@ -40,8 +36,10 @@
 //! Diagnostics carry `file:line`, an invariant ID, and a fix hint. There are
 //! no waivers: a finding is fixed in code. Panic hygiene, the wall-clock ban
 //! and socket confinement are clippy lints, not rules here (crate attributes
-//! and the `clippy.toml` files). See DESIGN.md §11/§16 for the rule
-//! catalogue.
+//! and the `clippy.toml` files). The wire format is pinned by the compiler
+//! (the codec's one `wire_msgs!` table denies unreachable patterns) and by
+//! the golden-frame corpus in `tests/golden_frames.rs`, not by a rule here.
+//! See DESIGN.md §11/§16 for the rule catalogue.
 
 #![forbid(unsafe_code)]
 
@@ -57,7 +55,6 @@ pub mod rules {
     pub mod persist;
     pub mod protocol;
     pub mod vtime;
-    pub mod wirecompat;
 }
 
 use std::fs;
@@ -78,7 +75,6 @@ pub fn run_all(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
     diags.extend(rules::blocking::run(ws, &eng));
     diags.extend(rules::vtime::run(ws, &eng));
     diags.extend(rules::fence::run(ws, &eng));
-    diags.extend(rules::wirecompat::run(ws));
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(diags)
 }

@@ -4,7 +4,6 @@
 //! elan-verify [--root PATH] [--json]
 //! elan-verify --fixture FILE.rs [--json]
 //! elan-verify --self-test [--root PATH]
-//! elan-verify --emit-codec-surface [--root PATH]
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = active diagnostics (or failed self-test),
@@ -23,12 +22,10 @@ struct Args {
     fixture: Option<PathBuf>,
     json: bool,
     self_test: bool,
-    emit_codec_surface: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: elan-verify [--root PATH] [--json] | --fixture FILE.rs | --self-test \
-     | --emit-codec-surface"
+    "usage: elan-verify [--root PATH] [--json] | --fixture FILE.rs | --self-test"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -37,7 +34,6 @@ fn parse_args() -> Result<Args, String> {
         fixture: None,
         json: false,
         self_test: false,
-        emit_codec_surface: false,
     };
     let mut it = env::args().skip(1);
     while let Some(a) = it.next() {
@@ -50,7 +46,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--json" => args.json = true,
             "--self-test" => args.self_test = true,
-            "--emit-codec-surface" => args.emit_codec_surface = true,
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
@@ -106,15 +101,6 @@ fn run(args: Args) -> Result<bool, String> {
             results.len()
         );
         return Ok(ok);
-    }
-
-    // --emit-codec-surface: print the current wire surface for committing
-    // as codec_surface.txt (the WIRE_COMPAT manifest).
-    if args.emit_codec_surface {
-        let root = resolve_root(&args)?;
-        let ws = Workspace::load(&root)?;
-        print!("{}", elan_verify::rules::wirecompat::surface(&ws)?);
-        return Ok(true);
     }
 
     // Check one standalone fixture (every rule enabled) or the workspace.

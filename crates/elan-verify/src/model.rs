@@ -82,9 +82,6 @@ pub struct Workspace {
     pub files: Vec<FileModel>,
     /// True when analysing a standalone fixture: every rule applies to every file.
     pub fixture_mode: bool,
-    /// Workspace root directory (None in fixture mode / unit tests). Rules
-    /// that read committed manifests (WIRE_COMPAT) resolve them against this.
-    pub root: Option<PathBuf>,
 }
 
 impl Workspace {
@@ -156,7 +153,6 @@ impl Workspace {
         Ok(Workspace {
             files,
             fixture_mode: false,
-            root: Some(root.to_path_buf()),
         })
     }
 
@@ -171,12 +167,7 @@ impl Workspace {
         Ok(Workspace {
             files: vec![file],
             fixture_mode: true,
-            root: None,
         })
-    }
-
-    pub fn file_named(&self, suffix: &str) -> Option<&FileModel> {
-        self.files.iter().find(|f| f.rel.ends_with(suffix))
     }
 }
 

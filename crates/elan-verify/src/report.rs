@@ -15,10 +15,9 @@ pub mod rules {
     pub const BLOCKING_UNDER_LOCK: &str = "BLOCKING_UNDER_LOCK";
     pub const VIRTUAL_TIME_UNSAFE: &str = "VIRTUAL_TIME_UNSAFE";
     pub const TERM_FENCED_SEND: &str = "TERM_FENCED_SEND";
-    pub const WIRE_COMPAT: &str = "WIRE_COMPAT";
 
     /// All rule IDs, for `--self-test` cross-checking.
-    pub const ALL: [&str; 11] = [
+    pub const ALL: [&str; 10] = [
         LOCK_ORDER_CYCLE,
         LOCK_ACROSS_SEND,
         PROTOCOL_UNHANDLED_MSG,
@@ -29,7 +28,6 @@ pub mod rules {
         BLOCKING_UNDER_LOCK,
         VIRTUAL_TIME_UNSAFE,
         TERM_FENCED_SEND,
-        WIRE_COMPAT,
     ];
 }
 

@@ -153,7 +153,6 @@ mod tests {
         let ws = Workspace {
             files: vec![parse_source(src, "t.rs".into(), "t".into())],
             fixture_mode: true,
-            root: None,
         };
         let eng = Engine::build(&ws);
         run(&ws, &eng)

@@ -127,7 +127,6 @@ mod tests {
         Workspace {
             files: vec![parse_source(src, "t.rs".into(), String::new())],
             fixture_mode: true,
-            root: None,
         }
     }
 

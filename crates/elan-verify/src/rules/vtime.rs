@@ -86,7 +86,6 @@ mod tests {
         let ws = Workspace {
             files: vec![parse_source(src, "t.rs".into(), "t".into())],
             fixture_mode: true,
-            root: None,
         };
         let eng = Engine::build(&ws);
         run(&ws, &eng)

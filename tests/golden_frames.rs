@@ -2,15 +2,20 @@
 //! control-plane frame kind and `RtMsg` variant against committed
 //! `.bin` files in `tests/golden_frames/`.
 //!
-//! This is the byte-level complement to the codec's one wire table
-//! (`wire_msgs!` in `elan-core/src/codec.rs`), from which the encoder and
-//! decoder are both generated, and to the WIRE_COMPAT check that pins the
-//! table's tags: this suite proves the full encoding (magic, version,
-//! endianness, field order, CRC) still produces — and still accepts —
-//! the bytes a peer built from an older commit would exchange.
-//! `every_variant_has_a_corpus_entry` keeps the corpus complete, and
-//! `mutated_golden_frames_decode_soundly` drives the decoder with every
-//! one-byte change and truncation of every committed frame. Any
+//! Together with the compiler this is the wire format's one oracle. The
+//! codec generates its encoder and decoder from one wire table
+//! (`wire_msgs!` in `elan-core/src/codec.rs`), and the build rejects a
+//! tag given to two rows or a variant listed twice. Everything else a
+//! peer built from an older commit depends on is a byte of some
+//! committed frame: every tag, the frame kinds, the magic, the version,
+//! endianness, field order and CRC. `corpus_matches_committed_bytes`
+//! proves the encoder still produces, and the decoder still accepts,
+//! exactly those bytes, and rejects a `.bin` no entry produces, so a
+//! removed variant cannot pass. `every_variant_has_a_corpus_entry` keeps
+//! the corpus complete, so appending a variant means appending an entry.
+//! `max_frame_len_is_pinned` pins the one framing limit no frame carries,
+//! and `mutated_golden_frames_decode_soundly` drives the decoder with
+//! every one-byte change and truncation of every committed frame. Any
 //! intentional wire change must regenerate the corpus, which makes the
 //! diff reviewable byte by byte:
 //!
@@ -24,7 +29,7 @@ use std::panic;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use elan::core::codec::{decode_frame, encode_frame, WireFrame};
+use elan::core::codec::{decode_frame, encode_frame, WireFrame, MAX_FRAME_LEN};
 use elan::core::messages::{MsgId, StateKind};
 use elan::core::protocol::{EndpointId, Envelope, EpochPhase, RtMsg};
 use elan::core::state::WorkerId;
@@ -356,6 +361,14 @@ fn corrupt_golden_bytes_are_rejected() -> Result<(), String> {
         Err(_) => Ok(()),
         Ok(f) => Err(format!("corrupted frame decoded as {f:?}")),
     }
+}
+
+#[test]
+fn max_frame_len_is_pinned() {
+    // The frame-size limit is the one wire constant no frame's bytes
+    // carry. A peer whose limit shrank would drop frames the other side
+    // may legally send (a large `StateChunk`), so it is pinned here.
+    assert_eq!(MAX_FRAME_LEN, 16 << 20);
 }
 
 #[test]
